@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .errors import UpsilonLabError
+from .errors import NotLSpaceForm, UpsilonLabError
 from .invariants import upsilon_of
 from .laurent import IntLaurentPoly
 
@@ -36,6 +36,14 @@ def parse_census_line(line: str) -> CensusRecord:
     delta = IntLaurentPoly.from_pairs(data["alexander"])
     if not delta.is_lspace_form():
         raise UpsilonLabError(f"record {name!r}: polynomial is not in L-space form")
+    # In L-space form the gaps are the runs from each -1 term up to the next
+    # +1 term, so the gap count is known from the terms alone.
+    exps = [e for e, _ in delta.items()]
+    gaps = sum(b - a for a, b in zip(exps[1::2], exps[2::2]))
+    if exps[-1] != 2 * gaps:
+        raise NotLSpaceForm(
+            f"record {name!r}: degree {exps[-1]} does not equal twice the gap count {gaps}"
+        )
     return CensusRecord(name, delta)
 
 
@@ -73,27 +81,24 @@ def scan_census(records: Iterable[CensusRecord], threads: int = 1) -> dict:
     else:
         keys = [_record_keys(r) for r in records]
 
-    by_delta: dict[str, list[str]] = {}
-    by_upsilon: dict[str, list[str]] = {}
-    delta_key_of: dict[str, str] = {}
-    for record, (dk, uk) in zip(records, keys):
-        by_delta.setdefault(dk, []).append(record.name)
-        by_upsilon.setdefault(uk, []).append(record.name)
-        delta_key_of[record.name] = dk
+    # Group record indices, not names: names need not be unique.
+    by_delta: dict[str, list[int]] = {}
+    by_upsilon: dict[str, list[int]] = {}
+    for i, (dk, uk) in enumerate(keys):
+        by_delta.setdefault(dk, []).append(i)
+        by_upsilon.setdefault(uk, []).append(i)
 
-    delta_groups = sorted(
-        sorted(names) for names in by_delta.values() if len(names) > 1
-    )
-    upsilon_groups = sorted(
-        sorted(names) for names in by_upsilon.values() if len(names) > 1
-    )
+    def names(group: list[int]) -> list[str]:
+        return sorted(records[i].name for i in group)
+
+    delta_groups = sorted(names(g) for g in by_delta.values() if len(g) > 1)
+    upsilon_groups = sorted(names(g) for g in by_upsilon.values() if len(g) > 1)
     cross_pairs = []
-    for names in by_upsilon.values():
-        ordered = sorted(names)
-        for i, a in enumerate(ordered):
-            for b in ordered[i + 1 :]:
-                if delta_key_of[a] != delta_key_of[b]:
-                    cross_pairs.append([a, b])
+    for group in by_upsilon.values():
+        for j, a in enumerate(group):
+            for b in group[j + 1 :]:
+                if keys[a][0] != keys[b][0]:
+                    cross_pairs.append(names([a, b]))
     cross_pairs.sort()
 
     return {

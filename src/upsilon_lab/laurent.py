@@ -68,8 +68,12 @@ class IntLaurentPoly:
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[Iterable[int]]) -> "IntLaurentPoly":
-        """Build from JSON-style [[exponent, coefficient], ...] pairs."""
-        return cls((int(e), int(c)) for e, c in pairs)
+        """Build from JSON-style [[exponent, coefficient], ...] pairs.
+
+        Entries must be ints: a float such as 2.7 raises TypeError here
+        instead of being truncated.
+        """
+        return cls((e, c) for e, c in pairs)
 
     def to_pairs(self) -> list[list[int]]:
         """JSON form: [exponent, coefficient] pairs sorted by exponent."""

@@ -35,6 +35,11 @@ def _slope(a: Point, b: Point) -> Fraction:
     return (b[1] - a[1]) / (b[0] - a[0])
 
 
+def _exact(v) -> int | Fraction:
+    """An int unchanged, anything else as a Fraction."""
+    return v if type(v) is int else Fraction(v)
+
+
 def _cross(o: Point, a: Point, b: Point) -> Fraction:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
@@ -210,8 +215,13 @@ def lower_convex_envelope(
     Raises RaysInconsistent when a ray would cut below a sample, i.e. when
     the left ray is steeper than the first hull segment or the right ray
     shallower than the last.
+
+    Integer coordinates stay plain ints through the sweep (gap-function
+    samples always are), so the cross products are exact machine-int
+    arithmetic; only the surviving hull vertices become Fractions, in the
+    PLFunction built at the end.
     """
-    pts = [(Fraction(x), Fraction(y)) for x, y in samples]
+    pts = [(_exact(x), _exact(y)) for x, y in samples]
     if not pts:
         raise ValueError("need at least one sample")
     for a, b in zip(pts, pts[1:]):
@@ -229,8 +239,9 @@ def lower_convex_envelope(
                 f"left slope {ls} exceeds right slope {rs} at a single hull point"
             )
     else:
-        first = _slope(hull[0], hull[1])
-        last = _slope(hull[-2], hull[-1])
+        # Fraction(dy) / dx, not _slope: int / int would be float division.
+        first = Fraction(hull[1][1] - hull[0][1]) / (hull[1][0] - hull[0][0])
+        last = Fraction(hull[-1][1] - hull[-2][1]) / (hull[-1][0] - hull[-2][0])
         if ls > first:
             raise RaysInconsistent(
                 f"left ray slope {ls} cuts below the sample at x={hull[1][0]}"

@@ -3,6 +3,8 @@
 import json
 import random
 
+import pytest
+
 from upsilon_lab.census import (
     CensusRecord,
     load_census,
@@ -66,6 +68,20 @@ class TestGrouping:
         assert report["upsilon_duplicate_groups"] == [["cable_T25_27", "t09847"]]
         assert report["upsilon_equal_delta_distinct"] == []
 
+    def test_repeated_name_keeps_cross_pair(self):
+        # The last record reuses K2(1)'s name with K1(1)'s polynomial.  Keyed
+        # by name it overwrote K2(1)'s Alexander key and the Upsilon-equal,
+        # Alexander-distinct pair vanished.
+        from upsilon_lab.family import FamilyKnot, alexander_closed_form
+
+        k1 = alexander_closed_form(FamilyKnot("K1", 1))
+        k2 = alexander_closed_form(FamilyKnot("K2", 1))
+        records = [CensusRecord("a", k1), CensusRecord("b", k2), CensusRecord("b", k1)]
+        report = scan_census(records)
+        assert report["delta_duplicate_groups"] == [["a", "b"]]
+        assert report["upsilon_duplicate_groups"] == [["a", "b", "b"]]
+        assert report["upsilon_equal_delta_distinct"] == [["a", "b"], ["b", "b"]]
+
 
 class TestParsing:
     def test_rejects_non_lspace_form(self, tmp_path):
@@ -86,6 +102,25 @@ class TestParsing:
         path.write_text('\n{"name": "u", "alexander": [[0, 1]]}\n\n')
         records, warnings = load_census(path)
         assert len(records) == 1 and not warnings
+
+    @pytest.mark.parametrize("pairs, reason", [
+        # L-space shape, but three gaps and degree 4: used to fail the whole
+        # scan later instead of being skipped.
+        ([[0, 1], [1, -1], [4, 1]], "twice the gap count 3"),
+        # Floats: used to be truncated and read as 1 - t + t^2.
+        ([[0.9, 1], [1, -1], [2.7, 1]], "is not an int"),
+    ])
+    def test_bad_polynomial_line_is_a_warning(self, tmp_path, pairs, reason):
+        path = tmp_path / "census.jsonl"
+        lines = [
+            json.dumps({"name": "trefoil", "alexander": [[0, 1], [1, -1], [2, 1]]}),
+            json.dumps({"name": "bad", "alexander": pairs}),
+        ]
+        path.write_text("\n".join(lines) + "\n")
+        records, warnings = load_census(path)
+        assert [r.name for r in records] == ["trefoil"]
+        assert len(warnings) == 1 and warnings[0].startswith("line 2") and reason in warnings[0]
+        assert scan_census(records)["records"] == 1
 
     def test_parse_line(self):
         record = parse_census_line('{"name": "T(2,3)", "alexander": [[0,1],[1,-1],[2,1]]}')

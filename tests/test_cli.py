@@ -77,6 +77,10 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "invariants", "--alexander", "[[0,1],[1,-2],[2,1]]")
         assert code == 2 and "L-space form" in err
 
+    def test_float_alexander_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "invariants", "--alexander", "[[0.9,1],[1,-1],[2.7,1]]")
+        assert code == 2 and out == "" and "bad --alexander value" in err
+
     def test_unknown_catalog_name(self, capsys):
         code, _, err = run_cli(capsys, "invariants", "--catalog", "nonesuch")
         assert code == 2 and "nonesuch" in err

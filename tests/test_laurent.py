@@ -166,6 +166,22 @@ class TestSymmetry:
         assert IntLaurentPoly.one().is_symmetric()
 
 
+class TestFromPairs:
+    def test_int_pairs(self):
+        assert P([[0, 1], [1, -1], [2, 1]]) == poly({0: 1, 1: -1, 2: 1})
+
+    @pytest.mark.parametrize("pairs", [
+        [[0.9, 1], [1, -1], [2.7, 1]],
+        [[0, 1], [1, -1.0], [2, 1]],
+        [[0, 1.0]],
+        [[0, True]],
+    ])
+    def test_non_int_entries_rejected(self, pairs):
+        # int() used to truncate: the first case read as 1 - t + t^2.
+        with pytest.raises(TypeError):
+            P(pairs)
+
+
 class TestLSpaceForm:
     def test_torus_34(self):
         assert P([[0, 1], [1, -1], [3, 1], [5, -1], [6, 1]]).is_lspace_form()

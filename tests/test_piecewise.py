@@ -1,5 +1,6 @@
 """PL function algebra: evaluation, envelope, Legendre-Fenchel, duality."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -103,6 +104,61 @@ class TestLowerConvexEnvelope:
 
     def test_single_point(self):
         assert lower_convex_envelope([(0, 0)], 0, 2) == UNKNOT_HULL
+
+    def test_ray_checks_use_exact_slopes(self):
+        # 2/3 and 1/10 are not floats: as floats the first rounds below and
+        # the second above the exact ray slope, and a check done in float
+        # division would raise here.
+        for samples, ls, rs in (([(0, 0), (3, 2)], F(2, 3), 2), ([(0, 0), (10, 1)], 0, F(1, 10))):
+            assert lower_convex_envelope(samples, ls, rs) == PLFunction(samples, ls, rs)
+
+
+def symmetric_gap_functions(rng, count, max_genus):
+    """Gap functions of random symmetric gap sequences: one of s, 2g-1-s per pair."""
+    from upsilon_lab.semigroups import FormalSemigroup
+
+    out = []
+    for _ in range(count):
+        g = rng.randint(1, max_genus)
+        gaps = [s if rng.random() < 0.5 else 2 * g - 1 - s for s in range(1, g)]
+        out.append(GapFunction.from_semigroup(FormalSemigroup(sorted(gaps + [2 * g - 1]))))
+    return out
+
+
+def envelope_gap_functions():
+    from upsilon_lab.family import FamilyKnot, catalog_knot, catalog_names, semigroup_closed_form
+    from upsilon_lab.invariants import gap_function_of
+
+    gfs = [gap_function_of(catalog_knot(name).alexander) for name in catalog_names()]
+    gfs += [GapFunction.from_semigroup(semigroup_closed_form(FamilyKnot(kind, n)))
+            for kind in ("K1", "K2") for n in (1, 2, 3)]
+    return gfs + symmetric_gap_functions(random.Random(31), 60, 40)
+
+
+class TestEnvelopeSampleTypes:
+    """Integer samples are swept as ints; the result must not depend on it."""
+
+    @pytest.mark.parametrize("gf", envelope_gap_functions())
+    def test_int_and_fraction_samples_agree(self, gf):
+        samples = gf.samples()
+        assert all(type(x) is int and type(y) is int for x, y in samples)
+        as_fractions = [(F(x), F(y)) for x, y in samples]
+        env = lower_convex_envelope(samples, 0, 2)
+        assert env == lower_convex_envelope(as_fractions, F(0), F(2))
+        assert all(type(c) is F for vertex in env.vertices for c in vertex)
+        assert type(env.left_slope) is F and type(env.right_slope) is F
+        assert all(type(s) is F for s in env.slope_sequence())
+
+    def test_non_integral_fraction_samples(self):
+        # Scaling both axes by 1/3 scales the hull's vertices and keeps its slopes.
+        thirds = [(F(x, 3), F(y, 3)) for x, y in PRETZEL_SAMPLES]
+        expected = PLFunction([(F(x, 3), F(y, 3)) for x, y in PRETZEL_HULL.vertices], 0, 2)
+        assert lower_convex_envelope(thirds, 0, 2) == expected
+        # Integer x with non-integral y: slopes scale by 1/3.
+        mixed = [(x, F(y, 3)) for x, y in PRETZEL_SAMPLES]
+        env = lower_convex_envelope(mixed, 0, F(2, 3))
+        assert env == PLFunction([(x, F(y, 3)) for x, y in PRETZEL_HULL.vertices], 0, F(2, 3))
+        assert all(type(c) is F for vertex in env.vertices for c in vertex)
 
 
 class TestLegendreFenchel:
