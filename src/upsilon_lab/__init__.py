@@ -26,7 +26,7 @@ from .family import (
 from .gapfunctions import GapFunction
 from .invariants import gap_function_of, hull_of, knot_invariants, semigroup_of, upsilon_of
 from .laurent import IntLaurentPoly, TriLaurentPoly, determinant
-from .piecewise import PLFunction, canonical_equal, legendre_fenchel, lower_convex_envelope
+from .piecewise import PLFunction, legendre_fenchel, lower_convex_envelope
 from .restorability import (
     RestorabilityReport,
     enumerate_gap_functions,
@@ -55,7 +55,6 @@ __all__ = [
     "alexander_closed_form",
     "alexander_via_burau",
     "alexander_via_torres",
-    "canonical_equal",
     "catalog_knot",
     "catalog_names",
     "coprime_obstruction",

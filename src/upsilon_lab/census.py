@@ -14,7 +14,6 @@ skipped with a warning, never fatal.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -22,6 +21,7 @@ from typing import Iterable
 from .errors import NotLSpaceForm, UpsilonLabError
 from .invariants import upsilon_of
 from .laurent import IntLaurentPoly
+from .semigroups import gap_runs
 
 
 @dataclass(frozen=True)
@@ -36,14 +36,10 @@ def parse_census_line(line: str) -> CensusRecord:
     delta = IntLaurentPoly.from_pairs(data["alexander"])
     if not delta.is_lspace_form():
         raise UpsilonLabError(f"record {name!r}: polynomial is not in L-space form")
-    # In L-space form the gaps are the runs from each -1 term up to the next
-    # +1 term, so the gap count is known from the terms alone.
-    exps = [e for e, _ in delta.items()]
-    gaps = sum(b - a for a, b in zip(exps[1::2], exps[2::2]))
-    if exps[-1] != 2 * gaps:
-        raise NotLSpaceForm(
-            f"record {name!r}: degree {exps[-1]} does not equal twice the gap count {gaps}"
-        )
+    try:
+        gap_runs(delta)
+    except NotLSpaceForm as exc:
+        raise NotLSpaceForm(f"record {name!r}: {exc}") from None
     return CensusRecord(name, delta)
 
 
@@ -68,18 +64,14 @@ def _record_keys(record: CensusRecord) -> tuple[str, str]:
     return delta_key, upsilon_key
 
 
-def scan_census(records: Iterable[CensusRecord], threads: int = 1) -> dict:
+def scan_census(records: Iterable[CensusRecord]) -> dict:
     """Group records by canonical Alexander and canonical Upsilon.
 
     Output order is independent of input order: groups are sorted by their
     canonical key and names within a group are sorted.
     """
     records = list(records)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            keys = list(pool.map(_record_keys, records))
-    else:
-        keys = [_record_keys(r) for r in records]
+    keys = [_record_keys(r) for r in records]
 
     # Group record indices, not names: names need not be unique.
     by_delta: dict[str, list[int]] = {}

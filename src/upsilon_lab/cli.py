@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import re
 import sys
 
 from . import braids, census, family, restorability, seifert, svgplot
 from .errors import UpsilonLabError
-from .invariants import gap_function_of, hull_of, knot_invariants, upsilon_of
+from .invariants import gap_function_of, hull_of, knot_invariants
 from .laurent import IntLaurentPoly
+from .piecewise import legendre_fenchel
 from .rationals import parse_rational
 from .semigroups import torus_semigroup
 
@@ -121,21 +122,26 @@ def _parse_n_range(text: str) -> list[int]:
     return values
 
 
+# Digits, optionally times a power of ten ("2e8"); read exactly, never as a float.
+_COUNT = re.compile(r"([0-9]{1,19})(?:[eE]([0-9]{1,2}))?")
+MAX_COUNT = 10**18
+
+
+def _positive_count(text: str) -> int:
+    """argparse type: a whole number from 1 to MAX_COUNT, such as 1000 or 2e8."""
+    match = _COUNT.fullmatch(text)
+    if match:
+        value = int(match[1]) * 10 ** int(match[2] or 0)
+        if 1 <= value <= MAX_COUNT:
+            return value
+    raise argparse.ArgumentTypeError(
+        f"expected a whole number from 1 to 10**18, such as 1000 or 2e8, got {text!r}"
+    )
+
+
 def _emit(data: dict) -> None:
     json.dump(data, sys.stdout, indent=2)
     sys.stdout.write("\n")
-
-
-def _thread_count(args: argparse.Namespace) -> int:
-    if getattr(args, "threads", None):
-        return max(1, args.threads)
-    env = os.environ.get("UPSILON_LAB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise _UsageError(f"bad UPSILON_LAB_THREADS value {env!r}") from None
-    return 1
 
 
 def _cmd_invariants(args: argparse.Namespace) -> int:
@@ -150,8 +156,7 @@ def _cmd_restore(args: argparse.Namespace) -> int:
         hull_of(delta),
         symmetric_only=not args.all,
         max_solutions=args.max_solutions,
-        step_budget=int(args.budget),
-        threads=_thread_count(args),
+        step_budget=args.budget,
     )
     out = report.to_json()
     if name:
@@ -161,7 +166,7 @@ def _cmd_restore(args: argparse.Namespace) -> int:
 
 
 def _cmd_family_verify(args: argparse.Namespace) -> int:
-    results = [family.verify_family_pair(n, burau=args.burau) for n in _parse_n_range(args.n)]
+    results = [family.verify_family_pair(n) for n in _parse_n_range(args.n)]
     if args.which in ("K1", "K2"):
 
         def keep(key: str) -> bool:
@@ -230,7 +235,7 @@ def _cmd_census_scan(args: argparse.Namespace) -> int:
     records, warnings = census.load_census(path)
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    report = census.scan_census(records, threads=_thread_count(args))
+    report = census.scan_census(records)
     report["warnings"] = warnings
     _emit(report)
     return EXIT_OK
@@ -242,11 +247,13 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     unknown = whats - {"gapfn", "hull", "upsilon"}
     if unknown:
         raise _UsageError(f"unknown plot kinds: {', '.join(sorted(unknown))}")
+    gapfn = gap_function_of(delta)
+    hull = gapfn.envelope() if whats & {"hull", "upsilon"} else None
     svgplot.write_svg(
         args.out,
-        gapfn=gap_function_of(delta) if "gapfn" in whats else None,
-        hull=hull_of(delta) if "hull" in whats else None,
-        upsilon=upsilon_of(delta) if "upsilon" in whats else None,
+        gapfn=gapfn if "gapfn" in whats else None,
+        hull=hull if "hull" in whats else None,
+        upsilon=legendre_fenchel(hull) if "upsilon" in whats else None,
     )
     return EXIT_OK
 
@@ -264,15 +271,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("restore", help="restorability of Alexander from Upsilon")
     _add_knot_spec_arguments(p, designed_family=True)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--symmetric-only", action="store_true", default=True,
-                      help="report only Alexander-symmetric witnesses (default)")
-    mode.add_argument("--all", action="store_true",
-                      help="report every slope-{0,2} witness profile")
-    p.add_argument("--max-solutions", type=int, default=restorability.DEFAULT_MAX_SOLUTIONS)
-    p.add_argument("--budget", type=float, default=restorability.DEFAULT_STEP_BUDGET,
-                   help="search node budget (scientific notation accepted)")
-    p.add_argument("--threads", "-j", type=int, default=None)
+    p.add_argument("--all", action="store_true",
+                   help="report every slope-{0,2} witness profile, not only the symmetric ones")
+    p.add_argument("--max-solutions", type=_positive_count,
+                   default=restorability.DEFAULT_MAX_SOLUTIONS)
+    p.add_argument("--budget", type=_positive_count, default=restorability.DEFAULT_STEP_BUDGET,
+                   help="search node budget, e.g. 1000000 or 2e8")
     p.set_defaults(func=_cmd_restore)
 
     p = sub.add_parser("family", help="verify the twist-family claims")
@@ -280,8 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv = family_sub.add_parser("verify", help="run all family assertions")
     pv.add_argument("--which", choices=("both", "K1", "K2"), default="both")
     pv.add_argument("--n", default="1..3", help='twist range: "2", "1..5", or "1,3"')
-    pv.add_argument("--burau", choices=("auto", "on", "off"), default="auto",
-                    help="Burau cross-derivation (auto: only n <= 2)")
     pv.add_argument("--format", choices=("json", "text"), default="json")
     pv.set_defaults(func=_cmd_family_verify)
 
@@ -304,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     census_sub = p.add_subparsers(dest="census_command", required=True)
     ps = census_sub.add_parser("scan", help="group records by Alexander and Upsilon")
     ps.add_argument("path", help='JSON-lines file, or "sample" for the bundled fixture')
-    ps.add_argument("--threads", "-j", type=int, default=None)
     ps.set_defaults(func=_cmd_census_scan)
 
     p = sub.add_parser("plot", help="emit an SVG figure")

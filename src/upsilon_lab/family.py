@@ -27,8 +27,9 @@ from fractions import Fraction
 from . import braids
 from .errors import UnknownName
 from .gapfunctions import GapFunction
+from .invariants import semigroup_of, upsilon_of
 from .laurent import IntLaurentPoly, TriLaurentPoly
-from .piecewise import PLFunction, canonical_equal, legendre_fenchel
+from .piecewise import PLFunction, legendre_fenchel
 from .semigroups import FormalSemigroup
 
 
@@ -180,6 +181,11 @@ def hull_closed_form(n: int) -> PLFunction:
     return PLFunction(vertices, Fraction(0), Fraction(2))
 
 
+# verify_family_pair cross-checks the Burau derivation only up to this n: past
+# it the determinant adds several ms per n, and Torres already checks every n.
+BURAU_MAX_N = 2
+
+
 @dataclass(frozen=True)
 class CheckResult:
     ok: bool
@@ -205,21 +211,15 @@ class FamilyVerification:
         }
 
 
-def verify_family_pair(n: int, burau: str = "auto") -> FamilyVerification:
+def verify_family_pair(n: int) -> FamilyVerification:
     """Check every computable claim about the pair K1(n), K2(n).
 
     (a) distinct Alexander polynomials; (b) formal semigroups match their
     closed forms; (c) both gap-function envelopes equal the 7-piece hull;
     (d) the Upsilon invariants coincide and are nonzero; (e) the Torres
-    derivation matches the closed form (and Burau too, by default only for
-    n <= 2 where the determinant stays cheap); (f) neither formal semigroup
-    is closed under addition.
-
-    burau: "auto" (n <= 2), "on", or "off".
+    derivation matches the closed form, and for n <= BURAU_MAX_N the Burau
+    derivation too; (f) neither formal semigroup is closed under addition.
     """
-    if burau not in ("auto", "on", "off"):
-        raise ValueError("burau must be auto, on, or off")
-    run_burau = burau == "on" or (burau == "auto" and n <= 2)
     k1, k2 = FamilyKnot("K1", n), FamilyKnot("K2", n)
     d1, d2 = alexander_closed_form(k1), alexander_closed_form(k2)
     checks: dict[str, CheckResult] = {}
@@ -246,21 +246,21 @@ def verify_family_pair(n: int, burau: str = "auto") -> FamilyVerification:
             checks[f"semigroup_{label}"] = CheckResult(False, f"first gap mismatch: {diff}")
 
     hull = hull_closed_form(n)
-    g1, g2 = GapFunction.from_semigroup(sg1), GapFunction.from_semigroup(sg2)
-    for label, gf in (("K1", g1), ("K2", g2)):
-        env = gf.envelope()
-        if canonical_equal(env, hull):
+    env1 = GapFunction.from_semigroup(sg1).envelope()
+    env2 = GapFunction.from_semigroup(sg2).envelope()
+    for label, env in (("K1", env1), ("K2", env2)):
+        if env == hull:
             checks[f"envelope_{label}"] = CheckResult(True, "envelope equals closed-form hull")
         else:
             checks[f"envelope_{label}"] = CheckResult(
                 False, f"envelope vertices {env.vertices} != {hull.vertices}"
             )
 
-    u1, u2 = legendre_fenchel(g1.envelope()), legendre_fenchel(g2.envelope())
+    u1, u2 = legendre_fenchel(env1), legendre_fenchel(env2)
     zero = PLFunction([(0, 0), (2, 0)])
-    if not canonical_equal(u1, u2):
+    if u1 != u2:
         checks["upsilon_equal"] = CheckResult(False, "Upsilon invariants differ")
-    elif canonical_equal(u1, zero):
+    elif u1 == zero:
         checks["upsilon_equal"] = CheckResult(False, "Upsilon is identically zero")
     else:
         checks["upsilon_equal"] = CheckResult(
@@ -273,7 +273,7 @@ def verify_family_pair(n: int, burau: str = "auto") -> FamilyVerification:
             checks[f"torres_{label}"] = CheckResult(True, "Torres route matches closed form")
         else:
             checks[f"torres_{label}"] = CheckResult(False, f"Torres gave {torres}")
-    if run_burau:
+    if n <= BURAU_MAX_N:
         for label, knot, closed in (("K1", k1, d1), ("K2", k2, d2)):
             via_burau = alexander_via_burau(knot)
             if via_burau == closed:
@@ -417,13 +417,11 @@ def check_catalog_entry(entry: CatalogEntry, burau: bool = True) -> None:
     The Burau cross-check is optional because it dominates the cost; tests
     run it for every entry carrying a word.
     """
-    semigroup = FormalSemigroup.from_alexander(entry.alexander)
+    semigroup = semigroup_of(entry.alexander)
     if entry.gaps is not None and semigroup.gaps != entry.gaps:
         raise AssertionError(f"{entry.name}: stored gaps {entry.gaps} != {semigroup.gaps}")
-    if entry.upsilon is not None:
-        computed = legendre_fenchel(GapFunction.from_semigroup(semigroup).envelope())
-        if not canonical_equal(computed, entry.upsilon):
-            raise AssertionError(f"{entry.name}: stored Upsilon disagrees with the pipeline")
+    if entry.upsilon is not None and upsilon_of(entry.alexander) != entry.upsilon:
+        raise AssertionError(f"{entry.name}: stored Upsilon disagrees with the pipeline")
     if burau and entry.braid is not None:
         if entry.braid.alexander_of_closure() != entry.alexander:
             raise AssertionError(f"{entry.name}: braid word does not close to the stored polynomial")

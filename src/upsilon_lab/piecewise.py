@@ -198,11 +198,6 @@ class PLFunction:
         )
 
 
-def canonical_equal(f: PLFunction, g: PLFunction) -> bool:
-    """Equality of functions; construction already canonicalizes."""
-    return f == g
-
-
 def lower_convex_envelope(
     samples: Iterable[Sequence],
     left_slope: Fraction | int,

@@ -16,15 +16,14 @@ count is 1.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import MalformedHull
 from .gapfunctions import GapFunction
+from .invariants import hull_of
 from .laurent import IntLaurentPoly
 from .piecewise import PLFunction
-from .semigroups import FormalSemigroup
 
 DEFAULT_MAX_SOLUTIONS = 10_000
 DEFAULT_STEP_BUDGET = 10**9
@@ -136,10 +135,9 @@ class _Search:
         # Enough steps remain to climb to 2g.
         return val + 2 * (2 * self.g - idx) >= 2 * self.g
 
-    def run(self, prefix: tuple[int, ...], start_val: int) -> None:
-        """Enumerate all completions of a step prefix (values already checked)."""
-        steps = list(prefix)
-        self._dfs(len(prefix), start_val, steps)
+    def run(self) -> None:
+        """Enumerate every profile from (-g, 0)."""
+        self._dfs(0, 0, [])
 
     def _dfs(self, idx: int, val: int, steps: list[int]) -> None:
         if self.exhausted:
@@ -164,21 +162,6 @@ class _Search:
                     return
 
 
-def _frontier(search: _Search, depth: int) -> list[tuple[tuple[int, ...], int]]:
-    """All feasible step prefixes of the given depth, in lexicographic order."""
-    states = [((), 0)]
-    for idx in range(depth):
-        nxt = []
-        for prefix, val in states:
-            search.nodes += 1
-            for step in (0, 2):
-                nval = val + step
-                if search.feasible(idx + 1, nval):
-                    nxt.append((prefix + (step,), nval))
-        states = nxt
-    return states
-
-
 def _ceil(x: Fraction) -> int:
     return -((-x.numerator) // x.denominator)
 
@@ -201,7 +184,6 @@ def enumerate_gap_functions(
     symmetric_only: bool = False,
     max_solutions: int = DEFAULT_MAX_SOLUTIONS,
     step_budget: int = DEFAULT_STEP_BUDGET,
-    threads: int = 1,
 ) -> RestorabilityReport:
     """Enumerate every slope-{0,2} profile whose convex envelope is the hull.
 
@@ -209,55 +191,19 @@ def enumerate_gap_functions(
     total and the symmetric counts are always computed; symmetric_only only
     filters which witnesses are reported.  Exceeding max_solutions or
     step_budget stops the search and flags the report instead of raising.
-    With threads > 1 the tree is split below a fixed frontier and subtrees
-    are truncated whole on budget overrun, so output never depends on
-    scheduling.
     """
-    g = _validate_hull(hull)
-    search = _Search(hull, g, max_solutions, step_budget)
-    if g == 0:
-        solutions = [()]
-        exhausted = False
-    elif threads <= 1:
-        search.run((), 0)
-        solutions = search.solutions
-        exhausted = search.exhausted
-    else:
-        depth = min(2 * g, 8)
-        frontier = _frontier(search, depth)
-        base_nodes = search.nodes
-
-        def work(state: tuple[tuple[int, ...], int]):
-            sub = _Search(hull, g, max_solutions, step_budget)
-            sub.run(state[0], state[1])
-            return sub.solutions, sub.nodes, sub.exhausted
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, frontier))
-        solutions = []
-        exhausted = False
-        nodes = base_nodes
-        for sols, sub_nodes, sub_exhausted in results:
-            if exhausted:
-                break
-            nodes += sub_nodes
-            if sub_exhausted or nodes > step_budget or len(solutions) + len(sols) > max_solutions:
-                exhausted = True
-                break
-            solutions.extend(sols)
-        search.nodes = nodes
-
-    total = len(solutions)
+    search = _Search(hull, _validate_hull(hull), max_solutions, step_budget)
+    search.run()
+    solutions = search.solutions
     symmetric = [s for s in solutions if _is_symmetric_pattern(s)]
     wanted = symmetric if symmetric_only else solutions
-    witnesses = tuple(_pattern_to_gaps(s) for s in wanted)
     return RestorabilityReport(
         hull=hull,
-        total_count=total,
+        total_count=len(solutions),
         symmetric_count=len(symmetric),
-        witnesses=witnesses,
+        witnesses=tuple(_pattern_to_gaps(s) for s in wanted),
         unique=len(symmetric) == 1,
-        budget_exhausted=exhausted,
+        budget_exhausted=search.exhausted,
     )
 
 
@@ -265,22 +211,18 @@ def is_restorable(
     delta: IntLaurentPoly,
     max_solutions: int = DEFAULT_MAX_SOLUTIONS,
     step_budget: int = DEFAULT_STEP_BUDGET,
-    threads: int = 1,
 ) -> RestorabilityReport:
     """Whether the Alexander polynomial is recoverable from its Upsilon.
 
-    Builds the gap function and its envelope, then enumerates symmetric
-    profiles over that envelope; unique = True means no other L-space-form
-    polynomial shares the Upsilon invariant.
+    Enumerates symmetric profiles over the envelope of its gap function;
+    unique = True means no other L-space-form polynomial shares the Upsilon
+    invariant.
     """
-    semigroup = FormalSemigroup.from_alexander(delta)
-    hull = GapFunction.from_semigroup(semigroup).envelope()
     return enumerate_gap_functions(
-        hull,
+        hull_of(delta),
         symmetric_only=True,
         max_solutions=max_solutions,
         step_budget=step_budget,
-        threads=threads,
     )
 
 

@@ -105,30 +105,11 @@ class FormalSemigroup:
         alternating property seen through the expansion) plus deg = 2g, so
         the round trip with to_alexander covers every valid gap sequence;
         the stricter shape predicate stays in
-        IntLaurentPoly.is_lspace_form for boundary validation.
+        IntLaurentPoly.is_lspace_form for boundary validation.  Both checks
+        run on the terms (gap_runs) before any gap is built, so the cost
+        follows the term count and the genus, never the degree alone.
         """
-        if delta.is_zero:
-            raise NotLSpaceForm("zero polynomial")
-        if delta.min_exp != 0 or delta.coeff(0) != 1:
-            raise NotLSpaceForm("polynomial is not in knot-normal form")
-        top = delta.max_exp
-        psum = 0
-        gaps = []
-        for e in range(top + 1):
-            psum += delta.coeff(e)
-            if psum not in (0, 1):
-                raise NotLSpaceForm(
-                    f"partial coefficient sum {psum} at exponent {e}", exponent=e
-                )
-            if psum == 0:
-                gaps.append(e)
-        if psum != 1:
-            raise NotLSpaceForm(f"Delta(1) = {psum}, expected 1")
-        if 2 * len(gaps) != top:
-            raise NotLSpaceForm(
-                f"degree {top} does not equal twice the gap count {len(gaps)}"
-            )
-        return cls(gaps)
+        return cls(e for a, b in gap_runs(delta) for e in range(a, b))
 
     def to_alexander(self) -> IntLaurentPoly:
         """Restore Delta = 1 + (t - 1) * sum_i t^{a_i}."""
@@ -178,6 +159,39 @@ class FormalSemigroup:
         if "genus" in data and int(data["genus"]) != s.genus:
             raise ValueError("genus field disagrees with gap count")
         return s
+
+
+def gap_runs(delta: IntLaurentPoly) -> list[tuple[int, int]]:
+    """The gaps of an L-space-form polynomial as half-open runs [a, b).
+
+    The partial coefficient sums change only at the terms, so the gaps (the
+    exponents where the sum is 0) run from each -1 term at a up to the next
+    +1 term at b.  Walking the terms checks every partial sum, Delta(1) = 1
+    and deg = 2g in O(terms); the errors are those documented on
+    FormalSemigroup.from_alexander.
+
+    >>> gap_runs(IntLaurentPoly({0: 1, 1: -1, 3: 1, 5: -1, 6: 1}))
+    [(1, 3), (5, 6)]
+    """
+    if delta.is_zero:
+        raise NotLSpaceForm("zero polynomial")
+    if delta.min_exp != 0 or delta.coeff(0) != 1:
+        raise NotLSpaceForm("polynomial is not in knot-normal form")
+    psum = 0
+    exps = []
+    for e, c in delta.items():
+        psum += c
+        if psum not in (0, 1):
+            raise NotLSpaceForm(f"partial coefficient sum {psum} at exponent {e}", exponent=e)
+        exps.append(e)
+    if psum != 1:
+        raise NotLSpaceForm(f"Delta(1) = {psum}, expected 1")
+    # Every term moves the sum between 1 and 0, so odd-indexed terms open a run.
+    runs = list(zip(exps[1::2], exps[2::2]))
+    genus = sum(b - a for a, b in runs)
+    if 2 * genus != exps[-1]:
+        raise NotLSpaceForm(f"degree {exps[-1]} does not equal twice the gap count {genus}")
+    return runs
 
 
 def torus_semigroup(p: int, q: int) -> FormalSemigroup:

@@ -41,10 +41,6 @@ class TestSampleFixture:
             rng.shuffle(shuffled)
             assert scan_census(shuffled) == baseline
 
-    def test_threads_agree(self):
-        records, _ = load_census(sample_census_path())
-        assert scan_census(records, threads=4) == scan_census(records)
-
 
 class TestGrouping:
     def test_single_record(self):

@@ -1,13 +1,17 @@
 """CLI: reports, exit codes, schema round trips, deterministic SVG output."""
 
 import json
-import os
+import re
+import shlex
 import subprocess
 import sys
+import time
+from pathlib import Path
 
+import pytest
 
 from upsilon_lab.census import sample_census_path
-from upsilon_lab.cli import main
+from upsilon_lab.cli import build_parser, main
 from upsilon_lab.piecewise import PLFunction
 
 
@@ -77,6 +81,15 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "invariants", "--alexander", "[[0,1],[1,-2],[2,1]]")
         assert code == 2 and "L-space form" in err
 
+    def test_huge_degree_alexander_exits_quickly(self, capsys):
+        # Three terms, degree 10**7: rejected from the terms, not by walking every exponent.
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "invariants", "--alexander",
+                                 "[[0,1],[1,-1],[10000000,1]]")
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and out == ""
+        assert "degree 10000000 does not equal twice the gap count 9999999" in err
+
     def test_float_alexander_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "invariants", "--alexander", "[[0.9,1],[1,-1],[2.7,1]]")
         assert code == 2 and out == "" and "bad --alexander value" in err
@@ -103,11 +116,25 @@ class TestRestore:
         assert report["unique"] is False
         assert report["budget_exhausted"] is False
 
-    def test_threads_flag_same_output(self, capsys):
-        serial = run_json(capsys, "restore", "--family", "K1", "--n", "1")
-        threaded = run_json(capsys, "restore", "--family", "K1", "--n", "1",
-                            "--threads", "2")
-        assert serial == threaded
+    def test_budget_scientific_notation_is_exact(self):
+        args = build_parser().parse_args(
+            ["restore", "--catalog", "t09847", "--budget", "2e8", "--max-solutions", "1E4"])
+        assert args.budget == 200_000_000 and type(args.budget) is int
+        assert args.max_solutions == 10_000
+
+    @pytest.mark.parametrize("value", ["1e400", "1e999999999", "0", "0e5", "-5", "nan", "inf",
+                                       "1.5", "2.5e8", "", "10000000000000000000"])
+    def test_bad_budget_is_usage_error(self, capsys, value):
+        code, out, err = run_cli(capsys, "restore", "--catalog", "t09847", "--budget", value)
+        assert code == 2 and out == ""
+        assert "argument --budget: expected a whole number" in err
+
+    @pytest.mark.parametrize("value", ["0", "-1", "1.5", "inf"])
+    def test_bad_max_solutions_is_usage_error(self, capsys, value):
+        code, out, err = run_cli(capsys, "restore", "--catalog", "t09847",
+                                 "--max-solutions", value)
+        assert code == 2 and out == ""
+        assert "argument --max-solutions: expected a whole number" in err
 
     def test_all_flag_reports_every_profile(self, capsys):
         filtered = run_json(capsys, "restore", "--catalog", "pretzel_237")
@@ -152,7 +179,7 @@ class TestFamilyVerify:
         from upsilon_lab import cli as cli_module
         from upsilon_lab.family import CheckResult, FamilyVerification
 
-        def broken(n, burau="auto"):
+        def broken(n):
             return FamilyVerification(n, {"alexander_distinct": CheckResult(False, "forced")})
 
         monkeypatch.setattr(cli_module.family, "verify_family_pair", broken)
@@ -258,20 +285,36 @@ class TestConsoleEntry:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["genus"] == 3
 
-    def test_thread_env_fallback(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "upsilon_lab", "census", "scan", "sample"],
-            capture_output=True, text=True,
-            env={**os.environ, "UPSILON_LAB_THREADS": "2"},
-        )
-        assert proc.returncode == 0
-        assert json.loads(proc.stdout)["records"] == 10
 
-    def test_thread_env_bad_value(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "upsilon_lab", "census", "scan", "sample"],
-            capture_output=True, text=True,
-            env={**os.environ, "UPSILON_LAB_THREADS": "abc"},
-        )
-        assert proc.returncode == 2
-        assert "bad UPSILON_LAB_THREADS value" in proc.stderr
+
+def _readme_examples() -> list[str]:
+    """Every `upsilon-lab ...` line of the README's sh blocks."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```sh\n(.*?)```", text, flags=re.S)
+    return [line for block in blocks for line in block.splitlines()
+            if line.startswith("upsilon-lab ")]
+
+
+README_EXAMPLES = _readme_examples()
+
+
+class TestReadmeAgreesWithCli:
+    def test_examples_found(self):
+        assert len(README_EXAMPLES) >= 10
+
+    @pytest.mark.parametrize("line", README_EXAMPLES)
+    def test_example_parses(self, line):
+        build_parser().parse_args(shlex.split(line)[1:])
+
+    @pytest.mark.parametrize("argv", [
+        ["restore", "--catalog", "t09847", "--threads", "2"],
+        ["restore", "--catalog", "t09847", "-j", "2"],
+        ["restore", "--catalog", "t09847", "--symmetric-only"],
+        ["census", "scan", "sample", "--threads", "2"],
+        ["family", "verify", "--n", "1", "--burau", "on"],
+    ])
+    def test_removed_flags_are_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -9,7 +9,6 @@ from upsilon_lab.errors import NotConvex, OutOfDomain, RaysInconsistent
 from upsilon_lab.gapfunctions import GapFunction
 from upsilon_lab.piecewise import (
     PLFunction,
-    canonical_equal,
     legendre_fenchel,
     lower_convex_envelope,
 )
@@ -59,7 +58,7 @@ class TestCanonical:
     def test_redundant_midpoints_dropped(self):
         absolute = PLFunction([(0, 0)], -1, 1)
         padded = PLFunction([(-2, 2), (-1, 1), (0, 0), (F(1, 2), F(1, 2)), (3, 3)], -1, 1)
-        assert canonical_equal(absolute, padded)
+        assert absolute == padded
 
     def test_ray_collinear_vertices_absorbed(self):
         f = PLFunction([(-5, 0), (-4, 0), (0, 4), (2, 8), (3, 10)], 0, 2)
@@ -67,7 +66,7 @@ class TestCanonical:
 
     def test_distinct_upsilons_differ(self):
         t35 = PLFunction([(0, 0), (F(2, 3), F(-8, 3)), (1, -3), (F(4, 3), F(-8, 3)), (2, 0)])
-        assert not canonical_equal(T34_UPSILON, t35)
+        assert T34_UPSILON != t35
 
     def test_interval_needs_two_vertices(self):
         with pytest.raises(ValueError):

@@ -164,19 +164,6 @@ class TestBudgets:
         assert report.budget_exhausted
         assert report.total_count <= 1
 
-    def test_threads_agree_with_serial(self):
-        from upsilon_lab.family import FamilyKnot, alexander_closed_form
-
-        hull = hull_of(alexander_closed_form(FamilyKnot("K1", 2)))
-        serial = enumerate_gap_functions(hull, symmetric_only=True)
-        threaded = enumerate_gap_functions(hull, symmetric_only=True, threads=3)
-        assert serial == threaded
-
-    def test_threads_agree_on_tiny_trees(self):
-        # 2g <= frontier depth: the frontier is already the full solution set.
-        for delta in (P([[0, 1], [1, -1], [2, 1]]), T34, PRETZEL):
-            hull = hull_of(delta)
-            assert enumerate_gap_functions(hull, threads=4) == enumerate_gap_functions(hull)
 
 
 class TestPruneSoundness:

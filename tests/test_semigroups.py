@@ -6,7 +6,7 @@ import pytest
 
 from upsilon_lab.errors import BadParameters, NotLSpaceForm
 from upsilon_lab.laurent import IntLaurentPoly
-from upsilon_lab.semigroups import FormalSemigroup, torus_semigroup
+from upsilon_lab.semigroups import FormalSemigroup, gap_runs, torus_semigroup
 
 P = IntLaurentPoly.from_pairs
 
@@ -52,6 +52,47 @@ class TestFromAlexander:
     def test_rejects_unnormalized(self):
         with pytest.raises(NotLSpaceForm):
             FormalSemigroup.from_alexander(P([[1, 1], [2, -1], [3, 1]]))
+
+    def test_agrees_with_exponent_walk(self):
+        # Every polynomial with exponents 0..5 and coefficients in -1..2:
+        # the term walk gives the gaps, or the error and exponent, that
+        # walking every exponent gives.
+        for coeffs in itertools.product(range(-1, 3), repeat=6):
+            delta = IntLaurentPoly(dict(enumerate(coeffs)))
+            try:
+                want = dense_from_alexander(delta)
+            except NotLSpaceForm as exc:
+                with pytest.raises(NotLSpaceForm) as err:
+                    FormalSemigroup.from_alexander(delta)
+                assert (str(err.value), err.value.exponent) == (str(exc), exc.exponent)
+            else:
+                assert FormalSemigroup.from_alexander(delta).gaps == want
+
+    def test_huge_degree_rejected_from_terms(self):
+        with pytest.raises(NotLSpaceForm, match="degree 10000000 does not equal"):
+            gap_runs(P([[0, 1], [1, -1], [10**7, 1]]))
+
+
+def dense_from_alexander(delta: IntLaurentPoly) -> tuple[int, ...]:
+    """Reference: walk every exponent up to the degree, summing coefficients."""
+    if delta.is_zero:
+        raise NotLSpaceForm("zero polynomial")
+    if delta.min_exp != 0 or delta.coeff(0) != 1:
+        raise NotLSpaceForm("polynomial is not in knot-normal form")
+    psum, gaps = 0, []
+    for e in range(delta.max_exp + 1):
+        psum += delta.coeff(e)
+        if psum not in (0, 1):
+            raise NotLSpaceForm(f"partial coefficient sum {psum} at exponent {e}", exponent=e)
+        if psum == 0:
+            gaps.append(e)
+    if psum != 1:
+        raise NotLSpaceForm(f"Delta(1) = {psum}, expected 1")
+    if 2 * len(gaps) != delta.max_exp:
+        raise NotLSpaceForm(
+            f"degree {delta.max_exp} does not equal twice the gap count {len(gaps)}"
+        )
+    return tuple(gaps)
 
 
 class TestToAlexander:
