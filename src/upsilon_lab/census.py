@@ -6,8 +6,8 @@ Input is JSON lines, one record per knot:
 
 Records are grouped by canonical Alexander polynomial and by canonical
 Upsilon invariant.  Interesting output: duplicate groups of either kind and
-the Upsilon-equal-but-Alexander-distinct pairs, all sorted by canonical key
-so permuting the input lines cannot change the report.  Malformed lines are
+the Upsilon-equal-but-Alexander-distinct pairs, all sorted by name so
+permuting the input lines cannot change the report.  Malformed lines are
 skipped with a warning, never fatal.
 """
 
@@ -21,6 +21,7 @@ from typing import Iterable
 from .errors import NotLSpaceForm, UpsilonLabError
 from .invariants import upsilon_of
 from .laurent import IntLaurentPoly
+from .piecewise import PLFunction
 from .semigroups import gap_runs
 
 
@@ -58,27 +59,22 @@ def load_census(path: str | Path) -> tuple[list[CensusRecord], list[str]]:
     return records, warnings
 
 
-def _record_keys(record: CensusRecord) -> tuple[str, str]:
-    delta_key = json.dumps(record.delta.knot_normalized().to_pairs())
-    upsilon_key = json.dumps(upsilon_of(record.delta).to_json(), sort_keys=True)
-    return delta_key, upsilon_key
-
-
 def scan_census(records: Iterable[CensusRecord]) -> dict:
     """Group records by canonical Alexander and canonical Upsilon.
 
-    Output order is independent of input order: groups are sorted by their
-    canonical key and names within a group are sorted.
+    Both keys are canonical, hashable objects: upsilon_of only accepts
+    polynomials with minimum exponent 0 and constant term 1, and a
+    PLFunction is stored in canonical form.  Output order is independent of
+    input order: names within a group are sorted, and so are the groups.
     """
     records = list(records)
-    keys = [_record_keys(r) for r in records]
 
     # Group record indices, not names: names need not be unique.
-    by_delta: dict[str, list[int]] = {}
-    by_upsilon: dict[str, list[int]] = {}
-    for i, (dk, uk) in enumerate(keys):
-        by_delta.setdefault(dk, []).append(i)
-        by_upsilon.setdefault(uk, []).append(i)
+    by_delta: dict[IntLaurentPoly, list[int]] = {}
+    by_upsilon: dict[PLFunction, list[int]] = {}
+    for i, record in enumerate(records):
+        by_delta.setdefault(record.delta, []).append(i)
+        by_upsilon.setdefault(upsilon_of(record.delta), []).append(i)
 
     def names(group: list[int]) -> list[str]:
         return sorted(records[i].name for i in group)
@@ -89,7 +85,7 @@ def scan_census(records: Iterable[CensusRecord]) -> dict:
     for group in by_upsilon.values():
         for j, a in enumerate(group):
             for b in group[j + 1 :]:
-                if keys[a][0] != keys[b][0]:
+                if records[a].delta != records[b].delta:
                     cross_pairs.append(names([a, b]))
     cross_pairs.sort()
 

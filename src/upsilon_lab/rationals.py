@@ -12,14 +12,23 @@ from fractions import Fraction
 def parse_rational(text: str | int) -> Fraction:
     """Parse "p/q" or "p" (ints also accepted) into a Fraction.
 
+    A zero denominator is bad input like any other: ValueError.
+
     >>> parse_rational("-2/3")
     Fraction(-2, 3)
     >>> parse_rational("7")
     Fraction(7, 1)
+    >>> parse_rational("1/0")
+    Traceback (most recent call last):
+    ...
+    ValueError: zero denominator in '1/0'
     """
     if isinstance(text, int):
         return Fraction(text)
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def format_rational(value: Fraction | int) -> str:

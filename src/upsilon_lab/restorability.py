@@ -7,17 +7,25 @@ must never dip below the hull, and must touch the hull at every hull vertex
 Between integers both graphs are linear, so checking at integers suffices;
 those three conditions are exactly "envelope equals hull".
 
-The search walks the 2g unit steps left to right, flat before up, pruning a
-partial profile when it falls below the hull, overshoots the next pinned
-vertex, or can no longer climb to 2g.  The Alexander polynomial is
-restorable from the Upsilon invariant exactly when the symmetric solution
-count is 1.
+So a profile value at step index i (x = i - g) lies between two integer
+bounds: lo[i], the ceiling of the hull there, and hi[i], the height of the
+next hull vertex at or right of x (a profile never descends, and it must
+meet that vertex).  At a vertex lo = hi = its height, which is the pin.
+A profile can also always still climb to 2g: the hull reaches 2g at x = g
+with slopes at most 2, so it lies on or above the line 2x.  Every partial
+profile within the bounds therefore completes, and the walk never stalls.
+
+The walk lists the profiles in lexicographic step order, flat before up.
+It refills the remaining steps greedily (flat where the value already
+reaches lo, else up), records the profile, then backtracks to the deepest
+flat step that may rise (value + 2 <= hi) and refills from there.  The
+Alexander polynomial is restorable from the Upsilon invariant exactly when
+the symmetric solution count is 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import MalformedHull
 from .gapfunctions import GapFunction
@@ -57,8 +65,8 @@ class RestorabilityReport:
         }
 
 
-def _validate_hull(hull: PLFunction) -> int:
-    """Check the hull could be the envelope of a gap function; return g."""
+def _validate_hull(hull: PLFunction) -> None:
+    """Check the hull could be the envelope of a gap function."""
     if not hull.on_line:
         raise MalformedHull("hull must be defined on the whole line")
     if hull.left_slope != 0 or hull.right_slope != 2:
@@ -84,86 +92,64 @@ def _validate_hull(hull: PLFunction) -> int:
         raise MalformedHull("degenerate vertex range")
     if ym != 2 * g:
         raise MalformedHull(f"rightmost vertex must sit at height 2g = {2 * g}, got {ym}")
-    return g
 
 
-class _Search:
-    """DFS state shared across one enumeration run."""
+def _bounds(hull: PLFunction) -> tuple[list[int], list[int]]:
+    """Integer floor and ceiling of a profile at each step index i (x = i - g).
 
-    __slots__ = (
-        "g",
-        "min_val",
-        "pin",
-        "cap",
-        "max_solutions",
-        "budget",
-        "nodes",
-        "solutions",
-        "exhausted",
-    )
+    lo[i] is the smallest integer on or above the hull, worked out segment by
+    segment with floor division; hi[i] is the height of the next hull vertex
+    at or right of x.  At a vertex both equal its height.
 
-    def __init__(self, hull: PLFunction, g: int, max_solutions: int, budget: int):
-        self.g = g
-        # Smallest integer >= hull(k); profile values are even, so an integer
-        # lower bound loses nothing and keeps the inner loop on machine ints.
-        self.min_val = [_ceil(hull(k)) for k in range(-g, g + 1)]
-        vert = {int(x): int(y) for x, y in hull.vertices}
-        self.pin = [vert.get(k) for k in range(-g, g + 1)]
-        # Upper bound at each k: height of the next pinned vertex at or right of k.
-        cap: list[int] = [0] * (2 * g + 1)
-        nxt = 2 * g
-        for idx in range(2 * g, -1, -1):
-            if self.pin[idx] is not None:
-                nxt = self.pin[idx]
-            cap[idx] = nxt
-        self.cap = cap
-        self.max_solutions = max_solutions
-        self.budget = budget
-        self.nodes = 0
-        self.solutions: list[tuple[int, ...]] = []
-        self.exhausted = False
-
-    def feasible(self, idx: int, val: int) -> bool:
-        """May a profile passing through value val at step index idx complete?"""
-        if val < self.min_val[idx]:
-            return False
-        pinned = self.pin[idx]
-        if pinned is not None and val != pinned:
-            return False
-        if val > self.cap[idx]:
-            return False
-        # Enough steps remain to climb to 2g.
-        return val + 2 * (2 * self.g - idx) >= 2 * self.g
-
-    def run(self) -> None:
-        """Enumerate every profile from (-g, 0)."""
-        self._dfs(0, 0, [])
-
-    def _dfs(self, idx: int, val: int, steps: list[int]) -> None:
-        if self.exhausted:
-            return
-        self.nodes += 1
-        if self.nodes > self.budget:
-            self.exhausted = True
-            return
-        if idx == 2 * self.g:
-            if len(self.solutions) >= self.max_solutions:
-                self.exhausted = True
-                return
-            self.solutions.append(tuple(steps))
-            return
-        for step in (0, 2):
-            nval = val + step
-            if self.feasible(idx + 1, nval):
-                steps.append(step)
-                self._dfs(idx + 1, nval, steps)
-                steps.pop()
-                if self.exhausted:
-                    return
+    >>> hull = PLFunction([(-3, 0), (0, 2), (3, 6)], 0, 2)  # T(3,4)
+    >>> _bounds(hull)
+    ([0, 1, 2, 2, 4, 5, 6], [0, 2, 2, 2, 6, 6, 6])
+    """
+    verts = [(int(x), int(y)) for x, y in hull.vertices]
+    lo, hi = [0], [0]
+    for (x0, y0), (x1, y1) in zip(verts, verts[1:]):
+        dx, dy = x1 - x0, y1 - y0
+        for k in range(1, dx + 1):
+            lo.append(y0 - (-dy * k) // dx)  # ceil(y0 + dy * k / dx)
+            hi.append(y1)
+    return lo, hi
 
 
-def _ceil(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
+def _walk(
+    lo: list[int], hi: list[int], max_solutions: int, budget: int
+) -> tuple[list[tuple[int, ...]], bool]:
+    """Every step pattern between the bounds, flat before up; (solutions, truncated).
+
+    Nodes are counted as in a depth-first search: the root plus every
+    partial profile entered.  Truncated means the node count passed the
+    budget, or a further solution was found once max_solutions were kept.
+    """
+    n = len(lo) - 1
+    vals = [0] * (n + 1)  # vals[i] is the profile value at x = i - g
+    steps = [0] * n
+    solutions: list[tuple[int, ...]] = []
+    nodes = 1  # the root
+    i = 0  # steps[:i] are fixed
+    while True:
+        # Refill greedily: flat where the floor allows, else up.
+        nodes += n - i
+        for j in range(i, n):
+            val = vals[j]
+            steps[j] = step = 0 if val >= lo[j + 1] else 2
+            vals[j + 1] = val + step
+        if nodes > budget or len(solutions) >= max_solutions:
+            return solutions, True
+        solutions.append(tuple(steps))
+        # Backtrack to the deepest flat step that may rise.
+        i = n - 1
+        while i >= 0 and (steps[i] or vals[i] + 2 > hi[i + 1]):
+            i -= 1
+        if i < 0:
+            return solutions, False
+        steps[i] = 2
+        vals[i + 1] += 2
+        nodes += 1
+        i += 1
 
 
 def _is_symmetric_pattern(steps: tuple[int, ...]) -> bool:
@@ -192,9 +178,8 @@ def enumerate_gap_functions(
     filters which witnesses are reported.  Exceeding max_solutions or
     step_budget stops the search and flags the report instead of raising.
     """
-    search = _Search(hull, _validate_hull(hull), max_solutions, step_budget)
-    search.run()
-    solutions = search.solutions
+    _validate_hull(hull)
+    solutions, exhausted = _walk(*_bounds(hull), max_solutions, step_budget)
     symmetric = [s for s in solutions if _is_symmetric_pattern(s)]
     wanted = symmetric if symmetric_only else solutions
     return RestorabilityReport(
@@ -203,7 +188,7 @@ def enumerate_gap_functions(
         symmetric_count=len(symmetric),
         witnesses=tuple(_pattern_to_gaps(s) for s in wanted),
         unique=len(symmetric) == 1,
-        budget_exhausted=search.exhausted,
+        budget_exhausted=exhausted,
     )
 
 

@@ -146,6 +146,17 @@ class TestRestore:
         report = run_json(capsys, "restore", "--designed-family", "5")
         assert report["unique"] is True
 
+    def test_genus_past_the_ladder_designed_family(self, capsys):
+        # g = 601: a walk 2g + 1 steps deep must not hit the recursion limit.
+        report = run_json(capsys, "restore", "--designed-family", "600")
+        assert report["unique"] is True
+        assert report["budget_exhausted"] is False
+
+    def test_genus_past_the_ladder_torus_hits_the_cap(self, capsys):
+        report = run_json(capsys, "restore", "--torus", "21,52")  # g = 510
+        assert report["budget_exhausted"] is True
+        assert report["total_count"] == 10_000
+
     def test_designed_family_below_range_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "restore", "--designed-family", "2")
         assert code == 2 and "m must be >= 3" in err
@@ -202,6 +213,11 @@ class TestSeifert:
     def test_bad_ratio_count(self, capsys):
         code, _, _ = run_cli(capsys, "seifert", "decide", "--e0", "0", "--r", "1/2,1/3")
         assert code == 2
+
+    def test_zero_denominator_is_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "seifert", "decide", "--e0", "0", "--r", "1/0,1,1")
+        assert code == 2
+        assert "zero denominator" in err
 
 
 class TestBraid:

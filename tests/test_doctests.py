@@ -1,27 +1,22 @@
-"""Keep the docstring examples executable."""
+"""Keep the docstring examples executable, in every module of the package."""
 
 import doctest
+import importlib
+import pkgutil
 
 import pytest
 
-import upsilon_lab.braids
-import upsilon_lab.gapfunctions
-import upsilon_lab.laurent
-import upsilon_lab.piecewise
-import upsilon_lab.rationals
-import upsilon_lab.semigroups
+import upsilon_lab
 
-MODULES = [
-    upsilon_lab.braids,
-    upsilon_lab.gapfunctions,
-    upsilon_lab.laurent,
-    upsilon_lab.piecewise,
-    upsilon_lab.rationals,
-    upsilon_lab.semigroups,
-]
+# __main__ is left out: importing it runs the command line.
+MODULES = sorted(
+    f"upsilon_lab.{info.name}"
+    for info in pkgutil.iter_modules(upsilon_lab.__path__)
+    if info.name != "__main__"
+)
 
 
-@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
-def test_doctests(module):
-    failures, _ = doctest.testmod(module)
+@pytest.mark.parametrize("name", MODULES)
+def test_doctests(name):
+    failures, _ = doctest.testmod(importlib.import_module(name))
     assert failures == 0

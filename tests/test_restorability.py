@@ -168,22 +168,54 @@ class TestBudgets:
 
 class TestPruneSoundness:
     def test_partial_paths_of_solutions_never_pruned(self):
-        # Extendability check: remaining up-steps (2g - G(k))/2 must fit in
-        # the remaining steps.  Every prefix of every naive solution has to
-        # pass the full feasibility test at each position.
-        from upsilon_lab.restorability import _Search
+        # The walk keeps a partial profile only while lo <= value <= hi, so
+        # every prefix of every naive solution has to lie within the bounds.
+        from upsilon_lab.restorability import _bounds
 
         for delta in (T34, T35, PRETZEL, T09847):
             hull = hull_of(delta)
-            g = int(hull.vertices[-1][0])
-            search = _Search(hull, g, 10_000, 10**9)
+            lo, hi = _bounds(hull)
             for steps in naive_enumeration(hull):
                 val = 0
                 for idx, step in enumerate(steps, start=1):
                     val += step
-                    assert search.feasible(idx, val), (delta, steps, idx)
-                    needed = (2 * g - val) // 2
-                    assert needed <= 2 * g - idx
+                    assert lo[idx] <= val <= hi[idx], (delta, steps, idx)
+
+
+def all_hulls(g):
+    """The hulls of every gap sequence of genus g (g - 1 gaps below 2g - 1)."""
+    if g == 0:
+        return {hull_of(IntLaurentPoly.one())}
+    return {
+        GapFunction.from_semigroup(FormalSemigroup(low + (2 * g - 1,))).envelope()
+        for low in itertools.combinations(range(1, 2 * g - 1), g - 1)
+    }
+
+
+class TestExhaustiveSmallGenus:
+    @pytest.mark.parametrize("g", range(6))
+    def test_witnesses_equal_naive_in_walk_order(self, g):
+        # Over every hull of genus g, the unfiltered witnesses are exactly the
+        # naive solutions, in lexicographic step order (flat before up).
+        for hull in all_hulls(g):
+            report = enumerate_gap_functions(hull, symmetric_only=False)
+            walked = [
+                GapFunction.from_semigroup(FormalSemigroup(w)).steps()
+                for w in report.witnesses
+            ]
+            assert walked == sorted(naive_enumeration(hull)), hull
+            assert not report.budget_exhausted
+
+    @pytest.mark.parametrize("g", range(1, 6))
+    def test_budget_counts_the_root_and_every_prefix(self, g):
+        # Nodes are counted as in a depth-first search: the root plus every
+        # partial profile entered, which is every distinct solution prefix.
+        for hull in all_hulls(g):
+            naive = naive_enumeration(hull)
+            nodes = 1 + len({s[:k] for s in naive for k in range(1, 2 * g + 1)})
+            full = enumerate_gap_functions(hull, step_budget=nodes)
+            assert not full.budget_exhausted and full.total_count == len(naive)
+            assert enumerate_gap_functions(hull, step_budget=nodes - 1).budget_exhausted
 
 
 class TestMalformedHulls:
