@@ -6,10 +6,17 @@ the closure comes from the reduced Burau representation:
 
     Delta(t) * (t^s - 1) = (unit) * det(I - B(word)) * (t - 1),
 
-where B is the (s-1)-dimensional reduced Burau matrix.  The determinant is
-taken by fraction-free elimination directly over the Laurent ring, and the
-unit ambiguity is fixed by shifting the minimum exponent to 0 and scaling
-the sign so that Delta(1) = +1.
+where B is the (s-1)-dimensional reduced Burau matrix.  A generator differs
+from the identity in one column only, so B is built letter by letter by
+rewriting column i-1 of the running product from its neighbouring columns c:
+
+    sigma_i:     t*c[i-2] - t*c[i-1] + c[i]
+    sigma_i^-1:  c[i-2] - t^-1*c[i-1] + t^-1*c[i]
+
+where a column outside the matrix counts as zero.  The determinant is taken
+by fraction-free elimination directly over the Laurent ring, and the unit
+ambiguity is fixed by shifting the minimum exponent to 0 and scaling the
+sign so that Delta(1) = +1.
 
 This gives an independent oracle for every Alexander polynomial stored with a braid
 word elsewhere in the package.
@@ -35,10 +42,15 @@ class BraidWord:
     __slots__ = ("_strands", "_letters")
 
     def __init__(self, strands: int, letters: Iterable[int] = ()):
+        """Strands and letters must be ints: 4.9 or True raises TypeError."""
+        if not isinstance(strands, int) or isinstance(strands, bool):
+            raise TypeError(f"strand count {strands!r} is not an int")
         if strands < 2:
             raise ValueError("a braid group needs at least 2 strands")
-        letts = tuple(int(x) for x in letters)
+        letts = tuple(letters)
         for x in letts:
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise TypeError(f"letter {x!r} is not an int")
             if x == 0 or abs(x) >= strands:
                 raise ValueError(f"letter {x} is not a generator of B_{strands}")
         self._strands = strands
@@ -68,27 +80,27 @@ class BraidWord:
 
     @classmethod
     def from_json(cls, data: dict) -> "BraidWord":
-        return cls(int(data["strands"]), data["word"])
+        return cls(data["strands"], data["word"])
 
     # -- combinatorics ---------------------------------------------------------
 
     def exponent_sum(self) -> int:
         return sum(1 if x > 0 else -1 for x in self._letters)
 
-    def permutation(self) -> tuple[int, ...]:
-        """Where each strand position ends up after the word (0-indexed)."""
-        perm = list(range(self._strands))
+    def closure_components(self) -> int:
+        """Number of cycles of the underlying permutation.
+
+        Only strands up to the largest |letter| move; each strand right of
+        them is a cycle of its own and is counted, not walked.
+        """
+        touched = max((abs(x) for x in self._letters), default=0) + 1
+        perm = list(range(touched))
         for x in self._letters:
             i = abs(x) - 1
             perm[i], perm[i + 1] = perm[i + 1], perm[i]
-        return tuple(perm)
-
-    def closure_components(self) -> int:
-        """Number of cycles of the underlying permutation."""
-        perm = self.permutation()
-        seen = [False] * self._strands
-        cycles = 0
-        for start in range(self._strands):
+        seen = [False] * touched
+        cycles = self._strands - touched
+        for start in range(touched):
             if seen[start]:
                 continue
             cycles += 1
@@ -122,11 +134,28 @@ class BraidWord:
     # -- Burau ---------------------------------------------------------------------
 
     def reduced_burau(self) -> list[list[IntLaurentPoly]]:
-        """Product of reduced Burau matrices, (s-1) x (s-1) over Z[t, t^-1]."""
+        """Product of reduced Burau matrices, (s-1) x (s-1) over Z[t, t^-1].
+
+        Each letter +-i rewrites column j = i-1 in place, row by row: sigma_i
+        gives t*c[j-1] - t*c[j] + c[j+1] and its inverse c[j-1] - t^-1*c[j] +
+        t^-1*c[j+1], a column outside the matrix counting as zero.
+
+        >>> BraidWord(2, [1, 1, 1]).reduced_burau()
+        [[IntLaurentPoly('-t^3')]]
+        """
         n = self._strands - 1
-        matrix = _identity(n)
+        one, zero = IntLaurentPoly.one(), IntLaurentPoly.zero()
+        matrix = [[one if i == j else zero for j in range(n)] for i in range(n)]
         for letter in self._letters:
-            matrix = _mat_mul(matrix, _burau_generator(self._strands, letter))
+            j = abs(letter) - 1
+            left, mid, right = (1, 1, 0) if letter > 0 else (0, -1, -1)
+            for row in matrix:
+                entry = -row[j].shifted(mid)
+                if j > 0:
+                    entry = entry + row[j - 1].shifted(left)
+                if j + 1 < n:
+                    entry = entry + row[j + 1].shifted(right)
+                row[j] = entry
         return matrix
 
     def alexander_of_closure(self) -> IntLaurentPoly:
@@ -150,58 +179,10 @@ class BraidWord:
         denominator = IntLaurentPoly.monomial(self._strands) - 1
         delta = numerator.exact_div(denominator)
         delta = delta.shifted(-delta.min_exp)
-        at_one = delta(1)
+        at_one = sum(c for _, c in delta.items())
         if abs(at_one) != 1:
             raise NotAKnot(f"Delta(1) = {at_one}; the closure is not a knot")
         return -delta if at_one < 0 else delta
-
-
-def _identity(n: int) -> list[list[IntLaurentPoly]]:
-    one, zero = IntLaurentPoly.one(), IntLaurentPoly.zero()
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
-def _mat_mul(
-    a: list[list[IntLaurentPoly]], b: list[list[IntLaurentPoly]]
-) -> list[list[IntLaurentPoly]]:
-    n = len(a)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = IntLaurentPoly.zero()
-            for k in range(n):
-                if not a[i][k].is_zero and not b[k][j].is_zero:
-                    acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def _burau_generator(strands: int, letter: int) -> list[list[IntLaurentPoly]]:
-    """Reduced Burau image of sigma_i^{+-1} in B_strands.
-
-    Convention: sigma_i acts on the (s-1)-dimensional module by the identity
-    except in column i-1 (0-indexed), where the diagonal entry is -t with a
-    t above (when present) and a 1 below (when present); the inverse follows
-    by inverting that block.
-    """
-    n = strands - 1
-    i = abs(letter)
-    mat = _identity(n)
-    if letter > 0:
-        mat[i - 1][i - 1] = IntLaurentPoly.monomial(1, -1)
-        if i >= 2:
-            mat[i - 2][i - 1] = IntLaurentPoly.t()
-        if i <= n - 1:
-            mat[i][i - 1] = IntLaurentPoly.one()
-    else:
-        mat[i - 1][i - 1] = IntLaurentPoly.monomial(-1, -1)
-        if i >= 2:
-            mat[i - 2][i - 1] = IntLaurentPoly.one()
-        if i <= n - 1:
-            mat[i][i - 1] = IntLaurentPoly.monomial(-1, 1)
-    return mat
 
 
 # -- named words -------------------------------------------------------------------

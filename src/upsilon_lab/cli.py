@@ -4,7 +4,8 @@ Subcommands: invariants, restore, family, seifert, braid, census, plot.
 Every report is JSON on stdout with rationals as exact "p/q" strings.
 
 Exit codes: 0 on success (and all in-scope assertions passing), 1 when an
-asserted verification fails, 2 on usage or input validation errors.
+asserted verification fails, 2 on usage or input validation errors, 3 on an
+internal error (an unexpected exception, reported in one line on stderr).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .semigroups import torus_semigroup
 EXIT_OK = 0
 EXIT_ASSERTION = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 class _UsageError(UpsilonLabError):
@@ -332,6 +334,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

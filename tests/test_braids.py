@@ -1,5 +1,6 @@
 """Braid words and the Burau-determinant Alexander oracle."""
 
+import itertools
 import random
 
 import pytest
@@ -51,6 +52,26 @@ class TestValidation:
         with pytest.raises(ValueError):
             BraidWord(1, [])
 
+    @pytest.mark.parametrize(
+        "strands, letters",
+        [(4.9, [2, 1, 3, 2, 1]), (4.0, [1, 2, 3]), (4, [2.9, 1.2, 3.5, 2.1, 1]),
+         (2, [True, True, True]), (True, [1]), (float("inf"), [1]), (4, [float("inf")]),
+         (4, ["2"])],
+    )
+    def test_whole_numbers_only(self, strands, letters):
+        with pytest.raises(TypeError):
+            BraidWord(strands, letters)
+        with pytest.raises(TypeError):
+            BraidWord.from_json({"strands": strands, "word": letters})
+
+
+class TestClosureComponents:
+    def test_untouched_strands_are_counted_not_walked(self):
+        assert BraidWord(10**18, [1]).closure_components() == 10**18 - 1
+        assert BraidWord(5, []).closure_components() == 5
+        assert BraidWord(5, [1, 2, 3, 4]).closure_components() == 1
+        assert BraidWord(6, [2, 3, -2]).closure_components() == 5
+
 
 class TestExponentSum:
     def test_trefoil(self):
@@ -89,6 +110,66 @@ class TestPositiveBraidGenus:
     def test_rejects_disconnected_closure(self):
         with pytest.raises(DisconnectedClosure):
             BraidWord(3, [1]).positive_braid_genus()
+
+
+def generator_matrix(strands: int, letter: int) -> list[list[IntLaurentPoly]]:
+    """Reduced Burau image of sigma_i^{+-1} in B_strands, written out in full.
+
+    The identity except in column i-1 (0-indexed), where the diagonal entry
+    is -t with a t above (when present) and a 1 below (when present); the
+    inverse has -t^-1 on the diagonal with a 1 above and a t^-1 below.
+    """
+    n = strands - 1
+    i = abs(letter)
+    mat = [[P([[0, 1]]) if r == c else P([]) for c in range(n)] for r in range(n)]
+    above, diagonal, below = (
+        (P([[1, 1]]), P([[1, -1]]), P([[0, 1]])) if letter > 0
+        else (P([[0, 1]]), P([[-1, -1]]), P([[-1, 1]]))
+    )
+    mat[i - 1][i - 1] = diagonal
+    if i >= 2:
+        mat[i - 2][i - 1] = above
+    if i <= n - 1:
+        mat[i][i - 1] = below
+    return mat
+
+
+def generator_product(word: BraidWord) -> list[list[IntLaurentPoly]]:
+    """The reduced Burau matrix as a plain triple-loop product of generators."""
+    n = word.strands - 1
+    out = [[P([[0, 1]]) if r == c else P([]) for c in range(n)] for r in range(n)]
+    for letter in word.letters:
+        gen = generator_matrix(word.strands, letter)
+        out = [
+            [sum((out[r][k] * gen[k][c] for k in range(n)), P([])) for c in range(n)]
+            for r in range(n)
+        ]
+    return out
+
+
+class TestBurauAgainstGeneratorProduct:
+    def test_every_short_word(self):
+        for strands in (2, 3, 4):
+            alphabet = [x for i in range(1, strands) for x in (i, -i)]
+            for length in range(5):
+                for letters in itertools.product(alphabet, repeat=length):
+                    word = BraidWord(strands, letters)
+                    assert word.reduced_burau() == generator_product(word), word
+
+    def test_random_words(self):
+        rng = random.Random(6)
+        for _ in range(100):
+            strands = rng.randint(2, 6)
+            letters = [rng.choice((1, -1)) * rng.randint(1, strands - 1)
+                       for _ in range(rng.randint(0, 20))]
+            word = BraidWord(strands, letters)
+            assert word.reduced_burau() == generator_product(word), word
+
+    @pytest.mark.parametrize("which", ["K1", "K2"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_family_words(self, which, n):
+        word = family_braid(which, n)
+        assert word.reduced_burau() == generator_product(word)
 
 
 class TestBurauMatrices:

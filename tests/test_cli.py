@@ -102,6 +102,26 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "braid", "--strands", "2", "--word", "1,1")
         assert code == 2 and "components" in err
 
+    @pytest.mark.parametrize("flag", [("braid", "--json"), ("invariants", "--braid")])
+    @pytest.mark.parametrize(
+        "spec",
+        ['{"strands":4.9,"word":[2,1,3,2,1]}', '{"strands":4,"word":[2.9,1.2,3.5,2.1,1]}',
+         '{"strands":2,"word":[true,true,true]}', '{"strands":1e400,"word":[1]}',
+         '{"strands":4,"word":[1e400]}'],
+    )
+    def test_non_integer_braid_json_is_usage_error(self, capsys, flag, spec):
+        code, out, err = run_cli(capsys, *flag, spec)
+        assert code == 2 and out == ""
+        assert "is not an int" in err and "Traceback" not in err
+
+    def test_huge_strand_count_exits_quickly(self, capsys):
+        # One letter on 10**18 strands: the untouched strands are counted, not walked.
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "braid", "--strands", str(10**18), "--word", "1")
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and out == ""
+        assert f"closure has {10**18 - 1} components, need 1" in err
+
 
 class TestRestore:
     def test_t09847_unique(self, capsys):
@@ -197,6 +217,18 @@ class TestFamilyVerify:
         code, out, _ = run_cli(capsys, "family", "verify", "--n", "1")
         assert code == 1
         assert json.loads(out)["ok"] is False
+
+    def test_internal_error_exits_three(self, capsys, monkeypatch):
+        from upsilon_lab import cli as cli_module
+
+        def crash(n):
+            raise RuntimeError("forced crash")
+
+        monkeypatch.setattr(cli_module.family, "verify_family_pair", crash)
+        code, out, err = run_cli(capsys, "family", "verify", "--n", "1")
+        assert code == cli_module.EXIT_INTERNAL == 3
+        assert out == ""
+        assert err == "error: internal: RuntimeError: forced crash\n"
 
 
 class TestSeifert:
