@@ -24,7 +24,14 @@ from .family import (
     verify_family_pair,
 )
 from .gapfunctions import GapFunction
-from .invariants import gap_function_of, hull_of, knot_invariants, semigroup_of, upsilon_of
+from .invariants import (
+    gap_function_of,
+    hull_of,
+    hull_vertices,
+    knot_invariants,
+    semigroup_of,
+    upsilon_of,
+)
 from .laurent import IntLaurentPoly, TriLaurentPoly, determinant
 from .piecewise import PLFunction, legendre_fenchel, lower_convex_envelope
 from .restorability import (
@@ -66,6 +73,7 @@ __all__ = [
     "genus_of",
     "hull_closed_form",
     "hull_of",
+    "hull_vertices",
     "is_restorable",
     "knot_invariants",
     "legendre_fenchel",

@@ -4,11 +4,17 @@ Input is JSON lines, one record per knot:
 
     {"name": "t09847", "alexander": [[0, 1], [1, -1], ...]}
 
-Records are grouped by canonical Alexander polynomial and by canonical
-Upsilon invariant.  Interesting output: duplicate groups of either kind and
-the Upsilon-equal-but-Alexander-distinct pairs, all sorted by name so
-permuting the input lines cannot change the report.  Malformed lines are
-skipped with a warning, never fatal.
+Records are grouped by canonical Alexander polynomial and by Upsilon.  The
+Upsilon key is the integer vertex tuple of the gap function's convex
+envelope (invariants.hull_vertices), built in O(terms) from the gap runs.
+The key is exact: every envelope has rays of slope 0 and 2, so its vertices
+determine it; Upsilon is its Legendre-Fenchel transform, and the transform
+is an involution on convex functions.  So two records have equal hulls
+exactly when they have equal Upsilon, and a scan builds no gap function and
+no PLFunction.  Interesting output: duplicate groups of either kind and the
+Upsilon-equal-but-Alexander-distinct pairs, all sorted by name so permuting
+the input lines cannot change the report.  Malformed lines are skipped
+with a warning, never fatal.
 """
 
 from __future__ import annotations
@@ -19,9 +25,8 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import NotLSpaceForm, UpsilonLabError
-from .invariants import upsilon_of
+from .invariants import hull_vertices
 from .laurent import IntLaurentPoly
-from .piecewise import PLFunction
 from .semigroups import gap_runs
 
 
@@ -60,21 +65,21 @@ def load_census(path: str | Path) -> tuple[list[CensusRecord], list[str]]:
 
 
 def scan_census(records: Iterable[CensusRecord]) -> dict:
-    """Group records by canonical Alexander and canonical Upsilon.
+    """Group records by canonical Alexander and by Upsilon, via the hull.
 
-    Both keys are canonical, hashable objects: upsilon_of only accepts
-    polynomials with minimum exponent 0 and constant term 1, and a
-    PLFunction is stored in canonical form.  Output order is independent of
+    Both keys are canonical, hashable objects: hull_vertices only accepts
+    polynomials with minimum exponent 0 and constant term 1, and its sweep
+    drops collinear vertices.  Output order is independent of
     input order: names within a group are sorted, and so are the groups.
     """
     records = list(records)
 
     # Group record indices, not names: names need not be unique.
     by_delta: dict[IntLaurentPoly, list[int]] = {}
-    by_upsilon: dict[PLFunction, list[int]] = {}
+    by_upsilon: dict[tuple[tuple[int, int], ...], list[int]] = {}
     for i, record in enumerate(records):
         by_delta.setdefault(record.delta, []).append(i)
-        by_upsilon.setdefault(upsilon_of(record.delta), []).append(i)
+        by_upsilon.setdefault(hull_vertices(record.delta), []).append(i)
 
     def names(group: list[int]) -> list[str]:
         return sorted(records[i].name for i in group)

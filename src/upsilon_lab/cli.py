@@ -11,6 +11,7 @@ internal error (an unexpected exception, reported in one line on stderr).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -109,19 +110,27 @@ def _resolve_knot_spec(args: argparse.Namespace) -> tuple[str | None, IntLaurent
     return name, delta
 
 
+# Each twist value is a full verification, so a range holds at most this many.
+MAX_N_VALUES = 1000
+
+
 def _parse_n_range(text: str) -> list[int]:
-    """Accept "3", "1..5", or "1,2,4"."""
+    """Accept "3", "1..5", or "1,2,4"; A..B is sized before it is built."""
     try:
         if ".." in text:
-            lo, hi = text.split("..")
-            values = list(range(int(lo), int(hi) + 1))
+            lo, hi = (int(x) for x in text.split(".."))
+            values = range(lo, hi + 1)
+            count = hi - lo + 1
         else:
             values = [int(x) for x in text.split(",")]
+            count = len(values)
     except ValueError as exc:
         raise _UsageError(f"bad n range {text!r}: use N, A..B, or a comma list") from exc
+    if count > MAX_N_VALUES:
+        raise _UsageError(f"n range {text!r} holds {count} values; at most {MAX_N_VALUES} allowed")
     if not values or any(v < 1 for v in values):
         raise _UsageError(f"n values must be >= 1, got {text!r}")
-    return values
+    return list(values)
 
 
 # Digits, optionally times a power of ten ("2e8"); read exactly, never as a float.
@@ -249,18 +258,23 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     unknown = whats - {"gapfn", "hull", "upsilon"}
     if unknown:
         raise _UsageError(f"unknown plot kinds: {', '.join(sorted(unknown))}")
-    gapfn = gap_function_of(delta)
-    hull = gapfn.envelope() if whats & {"hull", "upsilon"} else None
+    hull = hull_of(delta) if whats & {"hull", "upsilon"} else None
     svgplot.write_svg(
         args.out,
-        gapfn=gapfn if "gapfn" in whats else None,
+        gapfn=gap_function_of(delta) if "gapfn" in whats else None,
         hull=hull if "hull" in whats else None,
         upsilon=legendre_fenchel(hull) if "upsilon" in whats else None,
     )
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and reused by every main() call.
+
+    Reuse is safe: each parse returns a fresh Namespace, and no argument has a
+    mutable default.
+    """
     parser = argparse.ArgumentParser(
         prog="upsilon-lab",
         description="Exact L-space knot invariants: Alexander, semigroup, gap function, Upsilon.",

@@ -26,8 +26,7 @@ from fractions import Fraction
 
 from . import braids
 from .errors import UnknownName
-from .gapfunctions import GapFunction
-from .invariants import semigroup_of, upsilon_of
+from .invariants import hull_of, semigroup_of, upsilon_of
 from .laurent import IntLaurentPoly, TriLaurentPoly
 from .piecewise import PLFunction, legendre_fenchel
 from .semigroups import FormalSemigroup
@@ -251,8 +250,7 @@ def verify_family_pair(n: int) -> FamilyVerification:
             checks[f"semigroup_{label}"] = CheckResult(False, f"first gap mismatch: {diff}")
 
     hull = hull_closed_form(n)
-    env1 = GapFunction.from_semigroup(sg1).envelope()
-    env2 = GapFunction.from_semigroup(sg2).envelope()
+    env1, env2 = hull_of(d1), hull_of(d2)
     for label, env in (("K1", env1), ("K2", env2)):
         if env == hull:
             checks[f"envelope_{label}"] = CheckResult(True, "envelope equals closed-form hull")
@@ -422,9 +420,10 @@ def check_catalog_entry(entry: CatalogEntry, burau: bool = True) -> None:
     The Burau cross-check is optional because it dominates the cost; tests
     run it for every entry carrying a word.
     """
-    semigroup = semigroup_of(entry.alexander)
-    if entry.gaps is not None and semigroup.gaps != entry.gaps:
-        raise AssertionError(f"{entry.name}: stored gaps {entry.gaps} != {semigroup.gaps}")
+    if entry.gaps is not None:
+        gaps = semigroup_of(entry.alexander).gaps
+        if gaps != entry.gaps:
+            raise AssertionError(f"{entry.name}: stored gaps {entry.gaps} != {gaps}")
     if entry.upsilon is not None and upsilon_of(entry.alexander) != entry.upsilon:
         raise AssertionError(f"{entry.name}: stored Upsilon disagrees with the pipeline")
     if burau and entry.braid is not None:

@@ -127,7 +127,11 @@ class GapFunction:
         )
 
     def envelope(self) -> PLFunction:
-        """Lower convex envelope; the only part of the data Upsilon sees."""
+        """Lower convex envelope, swept over all 2g + 1 samples.
+
+        The pipeline builds the same hull from the gap-run corners instead
+        (invariants.hull_of); this dense route is the tests' oracle for it.
+        """
         return lower_convex_envelope(self.samples(), Fraction(0), Fraction(2))
 
     # -- serialization ---------------------------------------------------------------

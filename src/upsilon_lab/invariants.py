@@ -1,7 +1,21 @@
 """The full invariant pipeline for one L-space-form polynomial.
 
-Chains polynomial -> formal semigroup -> gap function -> convex envelope ->
-Upsilon, and assembles the JSON report the CLI prints.  All rationals in the
+Upsilon is the Legendre-Fenchel transform of the gap function
+(Borodzik-Hedden), and the transform sees only the gap function's convex
+corners.  The gap function climbs with slope 2 across each gap run and is
+flat in between, so each run [a, b) gives one corner: the climb starts at
+x = g - b, at height 2 * #{gaps >= b}.  The chain is therefore
+
+    polynomial -> gap runs (semigroups.gap_runs, O(terms))
+               -> corners (plain ints: one per run, then (g, 2g))
+               -> lower hull (the monotone-chain sweep of piecewise)
+               -> Upsilon (legendre_fenchel).
+
+hull_vertices stops at the integer hull, which is the census's Upsilon key;
+hull_of and upsilon_of build the PLFunctions.  The formal semigroup and the
+2g + 1 gap-function samples are built only for the report fields that print
+them (knot_invariants) and for plot's gap-function panel; the dense route
+GapFunction.envelope stays as the tests' oracle.  All rationals in the
 report are exact "p/q" strings.
 """
 
@@ -9,9 +23,9 @@ from __future__ import annotations
 
 from .gapfunctions import GapFunction
 from .laurent import IntLaurentPoly
-from .piecewise import PLFunction, legendre_fenchel
+from .piecewise import PLFunction, _lower_hull, legendre_fenchel, lower_convex_envelope
 from .rationals import format_rational
-from .semigroups import FormalSemigroup
+from .semigroups import FormalSemigroup, gap_runs
 
 
 def semigroup_of(delta: IntLaurentPoly) -> FormalSemigroup:
@@ -22,8 +36,33 @@ def gap_function_of(delta: IntLaurentPoly) -> GapFunction:
     return GapFunction.from_semigroup(semigroup_of(delta))
 
 
+def _corners(delta: IntLaurentPoly) -> list[tuple[int, int]]:
+    """The gap function's convex corners left to right: top run first, then (g, 2g)."""
+    runs = gap_runs(delta)
+    g = sum(b - a for a, b in runs)
+    corners = []
+    below = 0  # gaps at or above the current run's end
+    for a, b in reversed(runs):
+        corners.append((g - b, 2 * below))
+        below += b - a
+    corners.append((g, 2 * g))
+    return corners
+
+
+def hull_vertices(delta: IntLaurentPoly) -> tuple[tuple[int, int], ...]:
+    """Vertices of the gap function's convex envelope, as plain ints.
+
+    T(3,4) has gaps (1, 2, 5), i.e. runs [1, 3) and [5, 6):
+
+    >>> hull_vertices(IntLaurentPoly({0: 1, 1: -1, 3: 1, 5: -1, 6: 1}))
+    ((-3, 0), (0, 2), (3, 6))
+    """
+    return tuple(_lower_hull(_corners(delta)))
+
+
 def hull_of(delta: IntLaurentPoly) -> PLFunction:
-    return gap_function_of(delta).envelope()
+    """The gap function's convex envelope, with rays of slope 0 and 2."""
+    return lower_convex_envelope(_corners(delta), 0, 2)
 
 
 def upsilon_of(delta: IntLaurentPoly) -> PLFunction:
@@ -34,8 +73,7 @@ def upsilon_of(delta: IntLaurentPoly) -> PLFunction:
 def knot_invariants(delta: IntLaurentPoly, name: str | None = None) -> dict:
     """Everything the pipeline knows about one polynomial, JSON-ready."""
     semigroup = semigroup_of(delta)
-    gapfn = GapFunction.from_semigroup(semigroup)
-    hull = gapfn.envelope()
+    hull = hull_of(delta)
     upsilon = legendre_fenchel(hull)
     closed, witness = semigroup.is_closed_under_addition()
     report = {
@@ -44,7 +82,7 @@ def knot_invariants(delta: IntLaurentPoly, name: str | None = None) -> dict:
         "genus": semigroup.genus,
         "surgery_threshold": semigroup.surgery_threshold,
         "semigroup": semigroup.to_json(),
-        "gap_function": gapfn.to_json(),
+        "gap_function": GapFunction.from_semigroup(semigroup).to_json(),
         "hull": hull.to_json(),
         "upsilon": upsilon.to_json(),
         "upsilon_breakpoints": [

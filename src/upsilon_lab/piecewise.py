@@ -198,6 +198,16 @@ class PLFunction:
         )
 
 
+def _lower_hull(pts: list) -> list:
+    """Monotone-chain lower hull of points sorted by x, collinear ones dropped."""
+    hull: list = []
+    for p in pts:
+        while len(hull) >= 2 and _cross(hull[-2], hull[-1], p) <= 0:
+            hull.pop()
+        hull.append(p)
+    return hull
+
+
 def lower_convex_envelope(
     samples: Iterable[Sequence],
     left_slope: Fraction | int,
@@ -223,11 +233,7 @@ def lower_convex_envelope(
         if b[0] <= a[0]:
             raise ValueError("sample x-coordinates must be strictly increasing")
     ls, rs = Fraction(left_slope), Fraction(right_slope)
-    hull: list[Point] = []
-    for p in pts:
-        while len(hull) >= 2 and _cross(hull[-2], hull[-1], p) <= 0:
-            hull.pop()
-        hull.append(p)
+    hull = _lower_hull(pts)
     if len(hull) == 1:
         if ls > rs:
             raise RaysInconsistent(

@@ -1,5 +1,6 @@
 """Census scanning: grouping, determinism, malformed-record handling."""
 
+import itertools
 import json
 import random
 
@@ -12,9 +13,23 @@ from upsilon_lab.census import (
     sample_census_path,
     scan_census,
 )
+from upsilon_lab.gapfunctions import GapFunction
+from upsilon_lab.invariants import hull_vertices
 from upsilon_lab.laurent import IntLaurentPoly
+from upsilon_lab.piecewise import PLFunction, legendre_fenchel
+from upsilon_lab.semigroups import FormalSemigroup
 
 P = IntLaurentPoly.from_pairs
+
+
+def all_gap_sequences(g: int):
+    """Every strictly increasing gap sequence with top gap 2g-1."""
+    if g == 0:
+        yield ()
+        return
+    for rest in itertools.combinations(range(1, 2 * g - 1), g - 1):
+        yield rest + (2 * g - 1,)
+
 
 T09847_PAIRS = [[0, 1], [1, -1], [4, 1], [5, -1], [7, 1], [9, -1], [10, 1], [13, -1], [14, 1]]
 
@@ -77,6 +92,48 @@ class TestGrouping:
         assert report["delta_duplicate_groups"] == [["a", "b"]]
         assert report["upsilon_duplicate_groups"] == [["a", "b", "b"]]
         assert report["upsilon_equal_delta_distinct"] == [["a", "b"], ["b", "b"]]
+
+    def test_hull_key_partitions_like_upsilon(self):
+        # Every gap sequence with g <= 8: grouping by the scan's key gives the
+        # classes of Upsilon computed by the dense route through every sample.
+        by_hull, by_upsilon = {}, {}
+        for g in range(9):
+            for gaps in all_gap_sequences(g):
+                semigroup = FormalSemigroup(gaps)
+                delta = semigroup.to_alexander()
+                upsilon = legendre_fenchel(GapFunction.from_semigroup(semigroup).envelope())
+                by_hull.setdefault(hull_vertices(delta), set()).add(gaps)
+                by_upsilon.setdefault(upsilon, set()).add(gaps)
+        assert sum(len(c) for c in by_hull.values()) == 4708
+        assert len(by_hull) == len(by_upsilon) == 203
+        assert sorted(map(sorted, by_hull.values())) == sorted(map(sorted, by_upsilon.values()))
+
+    def test_scan_groups_like_upsilon(self):
+        # The scan end to end on every gap sequence with g <= 6; larger sets
+        # make the quadratic Upsilon-equal pair list the cost of the test.
+        records, by_upsilon = [], {}
+        for g in range(7):
+            for i, gaps in enumerate(all_gap_sequences(g)):
+                semigroup = FormalSemigroup(gaps)
+                records.append(CensusRecord(f"g{g}_{i}", semigroup.to_alexander()))
+                upsilon = legendre_fenchel(GapFunction.from_semigroup(semigroup).envelope())
+                by_upsilon.setdefault(upsilon, []).append(records[-1].name)
+        report = scan_census(records)
+        groups = [sorted(names) for names in by_upsilon.values() if len(names) > 1]
+        assert report["upsilon_duplicate_groups"] == sorted(groups)
+        assert report["delta_duplicate_groups"] == []
+        assert len(report["upsilon_equal_delta_distinct"]) == sum(
+            len(names) * (len(names) - 1) // 2 for names in by_upsilon.values()
+        )
+
+    def test_scan_builds_no_gap_function_or_pl_function(self, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError(f"census scan built a {type(self).__name__}")
+
+        for cls in (FormalSemigroup, GapFunction, PLFunction):
+            monkeypatch.setattr(cls, "__init__", refuse)
+        records, _ = load_census(sample_census_path())
+        assert scan_census(records)["upsilon_duplicate_groups"] == [["K1(1)", "K2(1)"]]
 
 
 class TestParsing:

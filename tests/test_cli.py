@@ -206,6 +206,29 @@ class TestFamilyVerify:
         code, _, err = run_cli(capsys, "family", "verify", "--n", "0..2")
         assert code == 2
 
+    @pytest.mark.parametrize("text", [f"1..{10**18}", "1..1001", ",".join(["1"] * 1001)],
+                             ids=["range-10**18", "range-1001", "list-1001"])
+    def test_oversized_range_is_usage_error(self, capsys, monkeypatch, text):
+        # Sized before any list is built or any member verified.
+        from upsilon_lab import cli as cli_module
+
+        monkeypatch.setattr(cli_module.family, "verify_family_pair",
+                            lambda n: pytest.fail(f"verified n={n}"))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "family", "verify", "--n", text)
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and out == ""
+        assert "values; at most 1000 allowed" in err
+
+    def test_largest_range_is_accepted(self, capsys, monkeypatch):
+        from upsilon_lab import cli as cli_module
+        from upsilon_lab.family import CheckResult, FamilyVerification
+
+        monkeypatch.setattr(cli_module.family, "verify_family_pair",
+                            lambda n: FamilyVerification(n, {"stub": CheckResult(True, "")}))
+        report = run_json(capsys, "family", "verify", "--n", "1..1000")
+        assert [r["n"] for r in report["results"]] == list(range(1, 1001))
+
     def test_failed_assertion_exits_one(self, capsys, monkeypatch):
         from upsilon_lab import cli as cli_module
         from upsilon_lab.family import CheckResult, FamilyVerification
@@ -229,6 +252,27 @@ class TestFamilyVerify:
         assert code == cli_module.EXIT_INTERNAL == 3
         assert out == ""
         assert err == "error: internal: RuntimeError: forced crash\n"
+
+
+class TestParserReuse:
+    CALLS = (
+        ["restore", "--catalog", "t09847", "--budget", "0"],  # argparse usage error
+        ["census", "scan", "sample"],
+        ["invariants", "--catalog", "pretzel_237"],
+    )
+
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_reused_parser_matches_fresh_parsers(self, capsys):
+        fresh = []
+        for argv in self.CALLS:
+            build_parser.cache_clear()
+            fresh.append(run_cli(capsys, *argv))
+        build_parser.cache_clear()
+        reused = [run_cli(capsys, *argv) for argv in self.CALLS]
+        assert [code for code, _, _ in reused] == [2, 0, 0]
+        assert reused == fresh
 
 
 class TestSeifert:
