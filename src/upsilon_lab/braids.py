@@ -193,13 +193,16 @@ _FAMILY_SUFFIX = (2, 3) * 6
 
 _NAME_WITH_ARG = re.compile(r"^(K[12])\((\d+)\)$")
 
+# The largest twist value n (genus 6n + 6 = 60,006): K1(n) and K2(n) grow with n.
+MAX_TWIST = 10_000
+
 
 def family_braid(which: str, n: int) -> BraidWord:
     """The 4-braid whose closure is the family knot K1(n) or K2(n)."""
     if which not in ("K1", "K2"):
         raise UnknownName(f"family member must be K1 or K2, got {which!r}")
-    if n < 1:
-        raise ValueError("family parameter n must be >= 1")
+    if not 1 <= n <= MAX_TWIST:
+        raise ValueError(f"family parameter n must be from 1 to {MAX_TWIST}, got {n}")
     cancel = -2 if which == "K1" else -3
     letters = _FAMILY_PREFIX + _FAMILY_TWIST * (4 * n) + (cancel,) + _FAMILY_SUFFIX
     return BraidWord(4, letters)

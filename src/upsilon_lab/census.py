@@ -6,7 +6,8 @@ Input is JSON lines, one record per knot:
 
 Records are grouped by canonical Alexander polynomial and by Upsilon.  The
 Upsilon key is the integer vertex tuple of the gap function's convex
-envelope (invariants.hull_vertices), built in O(terms) from the gap runs.
+envelope (invariants.hull_vertices), built in O(terms) from the gap runs,
+once per record, when its CensusRecord is made.
 The key is exact: every envelope has rays of slope 0 and 2, so its vertices
 determine it; Upsilon is its Legendre-Fenchel transform, and the transform
 is an involution on convex functions.  So two records have equal hulls
@@ -20,20 +21,23 @@ with a warning, never fatal.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
 from .errors import NotLSpaceForm, UpsilonLabError
 from .invariants import hull_vertices
 from .laurent import IntLaurentPoly
-from .semigroups import gap_runs
 
 
 @dataclass(frozen=True)
 class CensusRecord:
     name: str
     delta: IntLaurentPoly
+    hull: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "hull", hull_vertices(self.delta))
 
 
 def parse_census_line(line: str) -> CensusRecord:
@@ -43,10 +47,9 @@ def parse_census_line(line: str) -> CensusRecord:
     if not delta.is_lspace_form():
         raise UpsilonLabError(f"record {name!r}: polynomial is not in L-space form")
     try:
-        gap_runs(delta)
+        return CensusRecord(name, delta)
     except NotLSpaceForm as exc:
         raise NotLSpaceForm(f"record {name!r}: {exc}") from None
-    return CensusRecord(name, delta)
 
 
 def load_census(path: str | Path) -> tuple[list[CensusRecord], list[str]]:
@@ -79,7 +82,7 @@ def scan_census(records: Iterable[CensusRecord]) -> dict:
     by_upsilon: dict[tuple[tuple[int, int], ...], list[int]] = {}
     for i, record in enumerate(records):
         by_delta.setdefault(record.delta, []).append(i)
-        by_upsilon.setdefault(hull_vertices(record.delta), []).append(i)
+        by_upsilon.setdefault(record.hull, []).append(i)
 
     def names(group: list[int]) -> list[str]:
         return sorted(records[i].name for i in group)

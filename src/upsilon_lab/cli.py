@@ -128,8 +128,8 @@ def _parse_n_range(text: str) -> list[int]:
         raise _UsageError(f"bad n range {text!r}: use N, A..B, or a comma list") from exc
     if count > MAX_N_VALUES:
         raise _UsageError(f"n range {text!r} holds {count} values; at most {MAX_N_VALUES} allowed")
-    if not values or any(v < 1 for v in values):
-        raise _UsageError(f"n values must be >= 1, got {text!r}")
+    if not values or any(not 1 <= v <= braids.MAX_TWIST for v in values):
+        raise _UsageError(f"n values must be from 1 to {braids.MAX_TWIST}, got {text!r}")
     return list(values)
 
 

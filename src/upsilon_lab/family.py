@@ -34,7 +34,7 @@ from .semigroups import FormalSemigroup
 
 @dataclass(frozen=True)
 class FamilyKnot:
-    """One member of the twist family: which in {"K1", "K2"}, n >= 1."""
+    """One member of the twist family: which in {"K1", "K2"}, 1 <= n <= MAX_TWIST."""
 
     which: str
     n: int
@@ -42,8 +42,8 @@ class FamilyKnot:
     def __post_init__(self):
         if self.which not in ("K1", "K2"):
             raise ValueError(f"which must be K1 or K2, got {self.which!r}")
-        if self.n < 1:
-            raise ValueError("twist parameter n must be >= 1")
+        if not 1 <= self.n <= braids.MAX_TWIST:
+            raise ValueError(f"twist parameter n must be from 1 to {braids.MAX_TWIST}, got {self.n}")
 
     def __str__(self) -> str:
         return f"{self.which}({self.n})"
@@ -181,7 +181,7 @@ def hull_closed_form(n: int) -> PLFunction:
         (2 * n + 6, 6 * n + 12),
         (6 * n + 6, 12 * n + 12),
     ]
-    return PLFunction(vertices, Fraction(0), Fraction(2))
+    return PLFunction(vertices, 0, 2)
 
 
 # verify_family_pair cross-checks the Burau derivation only up to this n: past

@@ -10,7 +10,6 @@ search exploits.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable
 
 from .errors import InvalidStepPattern
@@ -120,11 +119,7 @@ class GapFunction:
 
     def to_pl(self) -> PLFunction:
         """Unit-interval interpolation as a PLFunction with rays 0 and 2."""
-        return PLFunction(
-            [(Fraction(x), Fraction(y)) for x, y in self.samples()],
-            Fraction(0),
-            Fraction(2),
-        )
+        return PLFunction(self.samples(), 0, 2)
 
     def envelope(self) -> PLFunction:
         """Lower convex envelope, swept over all 2g + 1 samples.
@@ -132,7 +127,7 @@ class GapFunction:
         The pipeline builds the same hull from the gap-run corners instead
         (invariants.hull_of); this dense route is the tests' oracle for it.
         """
-        return lower_convex_envelope(self.samples(), Fraction(0), Fraction(2))
+        return lower_convex_envelope(self.samples(), 0, 2)
 
     # -- serialization ---------------------------------------------------------------
 

@@ -62,7 +62,7 @@ class PLFunction:
         left_slope: Fraction | int | None = None,
         right_slope: Fraction | int | None = None,
     ):
-        pts = [(Fraction(x), Fraction(y)) for x, y in vertices]
+        pts = [(_exact(x), _exact(y)) for x, y in vertices]
         if not pts:
             raise ValueError("a piecewise-linear function needs at least one vertex")
         for a, b in zip(pts, pts[1:]):
@@ -78,12 +78,14 @@ class PLFunction:
         else:
             ls = rs = None
 
-        # Drop interior vertices collinear with their neighbours.
-        kept: list[Point] = []
+        # Drop interior vertices collinear with their neighbours (ints swept as ints),
+        # then make the kept ones Fractions before any slope: int / int is a float.
+        kept: list = []
         for p in pts:
             while len(kept) >= 2 and _cross(kept[-2], kept[-1], p) == 0:
                 kept.pop()
             kept.append(p)
+        kept = [(Fraction(x), Fraction(y)) for x, y in kept]
         if on_line:
             # A head/tail vertex sitting on its ray is not a real breakpoint.
             while len(kept) >= 2 and _slope(kept[0], kept[1]) == ls:
@@ -223,8 +225,8 @@ def lower_convex_envelope(
 
     Integer coordinates stay plain ints through the sweep (gap-function
     samples always are), so the cross products are exact machine-int
-    arithmetic; only the surviving hull vertices become Fractions, in the
-    PLFunction built at the end.
+    arithmetic; the Fraction conversion happens in PLFunction, which
+    converts only the vertices it keeps.
     """
     pts = [(_exact(x), _exact(y)) for x, y in samples]
     if not pts:

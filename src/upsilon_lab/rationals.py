@@ -55,11 +55,12 @@ def fixed6(value: Fraction | int) -> str:
     '0.333333'
     >>> fixed6(Fraction(-5, 4))
     '-1.250000'
+    >>> fixed6(-7)
+    '-7.000000'
     """
-    f = Fraction(value)
-    scaled = f * 10**6
+    # int and Fraction both carry numerator and denominator; no Fraction is built.
+    n, d = value.numerator * 10**6, value.denominator
     # Round half away from zero so the sign never flips the digit pattern.
-    n, d = scaled.numerator, scaled.denominator
     q, r = divmod(abs(n), d)
     if 2 * r >= d:
         q += 1

@@ -1,10 +1,10 @@
 """Static SVG figures: gap function, convex hull, Upsilon.
 
 Output is a plain polyline drawing with integer axis ticks, byte-identical
-for identical input: no timestamps, no randomness, and all coordinates
-formatted through exact fixed-point arithmetic (rationals.fixed6).  The
-6-digit coordinates are presentation only; every data consumer gets exact
-rationals through the JSON interfaces instead.
+for identical input: no timestamps, no randomness.  Pixel maps only add and
+multiply exact values, so integer bounds and ticks give int pixels, rational
+data gives Fractions, and rationals.fixed6 formats both exactly.  The
+6-digit coordinates are presentation only; JSON carries the exact rationals.
 
 Gap function and hull share one integer-grid panel; Upsilon, living on
 [0, 2] with fractional breakpoints, gets its own panel stacked below.
@@ -12,7 +12,7 @@ Gap function and hull share one integer-grid panel; Upsilon, living on
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 
 from .gapfunctions import GapFunction
 from .piecewise import PLFunction
@@ -22,31 +22,21 @@ _UNIT = 24  # pixels per data unit
 _MARGIN = 30
 
 
-def _ceil_int(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
-
-
-def _floor_int(x: Fraction) -> int:
-    return x.numerator // x.denominator
-
-
 class _Panel:
     """One coordinate frame; y is flipped into SVG pixel space."""
 
     def __init__(self, x_min, x_max, y_min, y_max, x_unit, y_offset):
-        self.x_min, self.x_max = Fraction(x_min), Fraction(x_max)
-        self.y_min, self.y_max = Fraction(y_min), Fraction(y_max)
-        self.x_unit = Fraction(x_unit)
-        self.y_offset = Fraction(y_offset)
-        self.width = 2 * _MARGIN + (self.x_max - self.x_min) * self.x_unit
-        self.height = 2 * _MARGIN + (self.y_max - self.y_min) * _UNIT
+        self.x_min, self.x_max, self.y_min, self.y_max = x_min, x_max, y_min, y_max
+        self.x_unit, self.y_offset = x_unit, y_offset
+        self.width = 2 * _MARGIN + (x_max - x_min) * x_unit
+        self.height = 2 * _MARGIN + (y_max - y_min) * _UNIT
         self.elements: list[str] = []
 
-    def px(self, x) -> Fraction:
-        return _MARGIN + (Fraction(x) - self.x_min) * self.x_unit
+    def px(self, x):
+        return _MARGIN + (x - self.x_min) * self.x_unit
 
-    def py(self, y) -> Fraction:
-        return self.y_offset + _MARGIN + (self.y_max - Fraction(y)) * _UNIT
+    def py(self, y):
+        return self.y_offset + _MARGIN + (self.y_max - y) * _UNIT
 
     def polyline(self, points, stroke: str, dashed: bool = False) -> None:
         attrs = f'fill="none" stroke="{stroke}" stroke-width="2"'
@@ -57,8 +47,8 @@ class _Panel:
 
     def axes_and_ticks(self) -> None:
         grey = 'stroke="#888888" stroke-width="1"'
-        x_axis_y = Fraction(0) if self.y_min <= 0 <= self.y_max else self.y_min
-        y_axis_x = Fraction(0) if self.x_min <= 0 <= self.x_max else self.x_min
+        x_axis_y = 0 if self.y_min <= 0 <= self.y_max else self.y_min
+        y_axis_x = 0 if self.x_min <= 0 <= self.x_max else self.x_min
         self.elements.append(
             f'<line {grey} x1="{fixed6(self.px(self.x_min))}" y1="{fixed6(self.py(x_axis_y))}" '
             f'x2="{fixed6(self.px(self.x_max))}" y2="{fixed6(self.py(x_axis_y))}"/>'
@@ -67,13 +57,13 @@ class _Panel:
             f'<line {grey} x1="{fixed6(self.px(y_axis_x))}" y1="{fixed6(self.py(self.y_min))}" '
             f'x2="{fixed6(self.px(y_axis_x))}" y2="{fixed6(self.py(self.y_max))}"/>'
         )
-        for x in range(_ceil_int(self.x_min), _floor_int(self.x_max) + 1):
+        for x in range(math.ceil(self.x_min), math.floor(self.x_max) + 1):
             cx, cy = self.px(x), self.py(x_axis_y)
             self.elements.append(
                 f'<line {grey} x1="{fixed6(cx)}" y1="{fixed6(cy - 3)}" '
                 f'x2="{fixed6(cx)}" y2="{fixed6(cy + 3)}"/>'
             )
-        for y in range(_ceil_int(self.y_min), _floor_int(self.y_max) + 1):
+        for y in range(math.ceil(self.y_min), math.floor(self.y_max) + 1):
             cx, cy = self.px(y_axis_x), self.py(y)
             self.elements.append(
                 f'<line {grey} x1="{fixed6(cx - 3)}" y1="{fixed6(cy)}" '
@@ -81,7 +71,7 @@ class _Panel:
             )
 
 
-def _clipped_points(f: PLFunction, x_lo: Fraction, x_hi: Fraction) -> list:
+def _clipped_points(f: PLFunction, x_lo: int, x_hi: int) -> list:
     pts = [(x, y) for x, y in f.vertices if x_lo <= x <= x_hi]
     if not pts or pts[0][0] > x_lo:
         pts.insert(0, (x_lo, f(x_lo)))
@@ -97,13 +87,13 @@ def build_svg(
 ) -> str:
     """Compose the requested curves into one deterministic SVG document."""
     panels: list[_Panel] = []
-    offset = Fraction(0)
+    offset = 0
     if gapfn is not None or hull is not None:
         g = 0
         if gapfn is not None:
             g = max(g, gapfn.genus)
         if hull is not None:
-            g = max(g, max((_floor_int(abs(x)) for x, _ in hull.vertices), default=0))
+            g = max(g, max((math.floor(abs(x)) for x, _ in hull.vertices), default=0))
         span = max(g + 1, 2)
         panel = _Panel(-span, span, -1, 2 * g + 2, _UNIT, offset)
         panel.axes_and_ticks()

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from upsilon_lab.braids import BraidWord, family_braid, named_braid, torus_braid
+from upsilon_lab.braids import MAX_TWIST, BraidWord, family_braid, named_braid, torus_braid
 from upsilon_lab.errors import (
     DisconnectedClosure,
     NotAKnot,
@@ -277,3 +277,10 @@ class TestNamedBraids:
     def test_unknown(self):
         with pytest.raises(UnknownName):
             named_braid("K3", 1)
+
+    @pytest.mark.parametrize("n", [0, MAX_TWIST + 1, 10**18])
+    def test_twist_out_of_range(self, n):
+        with pytest.raises(ValueError, match=f"from 1 to {MAX_TWIST}"):
+            family_braid("K1", n)
+        with pytest.raises(ValueError, match=f"from 1 to {MAX_TWIST}"):
+            named_braid(f"K2({n})")

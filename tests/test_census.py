@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import sys
 
 import pytest
 
@@ -134,6 +135,21 @@ class TestGrouping:
             monkeypatch.setattr(cls, "__init__", refuse)
         records, _ = load_census(sample_census_path())
         assert scan_census(records)["upsilon_duplicate_groups"] == [["K1(1)", "K2(1)"]]
+
+    def test_one_gap_runs_walk_per_record(self, monkeypatch):
+        from upsilon_lab import semigroups
+
+        calls = []
+        walk = semigroups.gap_runs
+        # Count the walk under every name a package module binds it to.
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("upsilon_lab") and getattr(module, "gap_runs", None) is walk:
+                monkeypatch.setattr(module, "gap_runs",
+                                    lambda delta: calls.append(delta) or walk(delta))
+        records, _ = load_census(sample_census_path())
+        scan_census(records)
+        assert len(records) == 10
+        assert calls == [r.delta for r in records]
 
 
 class TestParsing:

@@ -122,6 +122,19 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert f"closure has {10**18 - 1} components, need 1" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["family", "verify", "--n", str(10**18)], "n values must be from 1 to 10000"),
+        (["invariants", "--family", "K1", "--n", str(10**18)], "twist parameter n must be from 1 to 10000"),
+        (["braid", "--named", "K1", "--n", str(10**18)], "family parameter n must be from 1 to 10000"),
+    ], ids=["family-verify", "invariants-family", "braid-named"])
+    def test_huge_twist_value_exits_quickly(self, capsys, argv, message):
+        # One twist value, not a range: bounded by MAX_TWIST before anything of size n is built.
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and out == ""
+        assert message in err
+
 
 class TestRestore:
     def test_t09847_unique(self, capsys):

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from upsilon_lab.braids import MAX_TWIST
 from upsilon_lab.errors import UnknownName
 from upsilon_lab.family import (
     TRI_ALEXANDER_K1,
@@ -49,6 +50,9 @@ class TestClosedForms:
             FamilyKnot("K3", 1)
         with pytest.raises(ValueError):
             FamilyKnot("K1", 0)
+        FamilyKnot("K1", MAX_TWIST)
+        with pytest.raises(ValueError):
+            FamilyKnot("K2", MAX_TWIST + 1)
 
 
 class TestTorresDerivation:

@@ -63,6 +63,9 @@ class TestCanonical:
     def test_ray_collinear_vertices_absorbed(self):
         f = PLFunction([(-5, 0), (-4, 0), (0, 4), (2, 8), (3, 10)], 0, 2)
         assert f.vertices == ((-4, 0), (0, 4))
+        # Int vertices on a 1/3 ray: the slope 1/3 is exact only once they are Fractions.
+        g = PLFunction([(0, 0), (3, 1), (6, 3)], F(1, 3), 1)
+        assert g.vertices == ((3, 1), (6, 3))
 
     def test_distinct_upsilons_differ(self):
         t35 = PLFunction([(0, 0), (F(2, 3), F(-8, 3)), (1, -3), (F(4, 3), F(-8, 3)), (2, 0)])
@@ -147,6 +150,9 @@ class TestEnvelopeSampleTypes:
         assert all(type(c) is F for vertex in env.vertices for c in vertex)
         assert type(env.left_slope) is F and type(env.right_slope) is F
         assert all(type(s) is F for s in env.slope_sequence())
+        pl = PLFunction(samples, 0, 2)
+        assert pl == PLFunction(as_fractions, F(0), F(2))
+        assert all(type(c) is F for vertex in pl.vertices for c in vertex)
 
     def test_non_integral_fraction_samples(self):
         # Scaling both axes by 1/3 scales the hull's vertices and keeps its slopes.

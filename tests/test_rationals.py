@@ -1,0 +1,48 @@
+"""fixed6 in integer arithmetic against the Fraction-based formula it replaced."""
+
+from fractions import Fraction as F
+
+import pytest
+
+from upsilon_lab.rationals import fixed6
+
+
+def fixed6_oracle(value) -> str:
+    """The former formula: scale a Fraction by 10**6, then round half away from zero."""
+    scaled = F(value) * 10**6
+    n, d = scaled.numerator, scaled.denominator
+    q, r = divmod(abs(n), d)
+    if 2 * r >= d:
+        q += 1
+    sign = "-" if n < 0 and q > 0 else ""
+    whole, frac = divmod(q, 10**6)
+    return f"{sign}{whole}.{frac:06d}"
+
+
+def test_ints():
+    for n in range(-10**4, 10**4 + 1):
+        assert fixed6(n) == fixed6_oracle(n) == f"{n}.000000"
+
+
+@pytest.mark.parametrize("d", range(1, 65))
+def test_fractions_by_denominator(d):
+    for n in range(-3 * d - 7, 3 * d + 8):
+        value = F(n, d)
+        assert fixed6(value) == fixed6_oracle(value)
+
+
+@pytest.mark.parametrize("value, text", [
+    (F(1, 2 * 10**6), "0.000001"),
+    (F(-1, 2 * 10**6), "-0.000001"),
+    (F(3, 2 * 10**6), "0.000002"),
+    (F(-3, 2 * 10**6), "-0.000002"),
+    (F(2 * 10**6 + 1, 2 * 10**6), "1.000001"),
+    (F(-(2 * 10**6 + 1), 2 * 10**6), "-1.000001"),
+])
+def test_half_way_rounds_away_from_zero(value, text):
+    assert fixed6(value) == fixed6_oracle(value) == text
+
+
+@pytest.mark.parametrize("value", [F(-1, 3 * 10**6), F(-1, 10**7), F(-499_999, 10**12)])
+def test_small_negatives_print_without_sign(value):
+    assert fixed6(value) == fixed6_oracle(value) == "0.000000"
