@@ -65,6 +65,10 @@ class InvalidStepPattern(UpsilonLabError):
     """A step profile does not encode a valid gap sequence."""
 
 
+class GenusTooLarge(UpsilonLabError):
+    """The input's genus exceeds semigroups.MAX_GENUS; nothing of size g was built."""
+
+
 class MalformedHull(UpsilonLabError):
     """Hull cannot arise as the convex envelope of any gap function."""
 

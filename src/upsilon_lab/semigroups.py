@@ -17,8 +17,13 @@ from bisect import bisect_left
 from math import gcd
 from typing import Iterable
 
-from .errors import BadParameters, NotLSpaceForm
+from .errors import BadParameters, GenusTooLarge, NotLSpaceForm
 from .laurent import IntLaurentPoly
+
+# Largest genus accepted where one input number would otherwise set the cost
+# (torus parameters, the designed family, the restore search); K1(MAX_TWIST)
+# has genus 60,006.
+MAX_GENUS = 100_000
 
 
 class FormalSemigroup:
@@ -197,13 +202,15 @@ def gap_runs(delta: IntLaurentPoly) -> list[tuple[int, int]]:
 def torus_semigroup(p: int, q: int) -> FormalSemigroup:
     """The rank-two semigroup <p, q> = {ap + bq : a, b >= 0} of T(p, q).
 
-    Requires 1 < p < q coprime; the genus is (p-1)(q-1)/2.
+    Requires 1 < p < q coprime; the genus is (p-1)(q-1)/2, at most MAX_GENUS.
     """
     if not (1 < p < q):
         raise BadParameters(f"need 1 < p < q, got p={p}, q={q}")
     if gcd(p, q) != 1:
         raise BadParameters(f"p={p} and q={q} are not coprime")
     bound = (p - 1) * (q - 1)
+    if bound // 2 > MAX_GENUS:
+        raise GenusTooLarge(f"T({p},{q}) has genus {bound // 2}, above the limit of {MAX_GENUS}")
     reachable = [False] * (bound + 1)
     reachable[0] = True
     for step in (p, q):

@@ -136,6 +136,30 @@ class TestExitCodes:
         assert message in err
 
 
+    @pytest.mark.parametrize("argv", [
+        ["restore", "--designed-family", str(10**12)],
+        ["restore", "--torus", "2,3000001"],
+        ["invariants", "--torus", "1000003,1000033"],
+        # g = 10**6 + 1 from seven terms: the hull is cheap, the walk's bounds are not.
+        ["restore", "--alexander", "[[0,1],[1,-1],[1000000,1],[1000001,-1],[1000002,1],"
+                                   "[2000001,-1],[2000002,1]]"],
+    ], ids=["designed-family", "restore-torus", "invariants-torus", "restore-sparse-alexander"])
+    def test_genus_past_the_cap_exits_quickly(self, capsys, argv):
+        # Checked against MAX_GENUS before anything of size g is built.
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and out == ""
+        assert err.startswith("error: GenusTooLarge: ") and "above the limit of 100000" in err
+
+
+def test_genus_cap_admits_the_largest_twist():
+    from upsilon_lab.braids import MAX_TWIST
+    from upsilon_lab.semigroups import MAX_GENUS
+
+    assert 6 * MAX_TWIST + 6 <= MAX_GENUS  # the genus of K1(n) is 6n + 6
+
+
 class TestRestore:
     def test_t09847_unique(self, capsys):
         report = run_json(capsys, "restore", "--catalog", "t09847")
@@ -389,6 +413,24 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["genus"] == 3
+
+    def test_restore_memory_follows_the_listed_witnesses(self):
+        # K1(1000) has g = 6006 and walks 10,000 profiles, of which one is
+        # symmetric; storing every walked profile needed about 935 MB.
+        resource = pytest.importorskip("resource")
+        limit = 512 * 2**20
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "upsilon_lab", "restore", "--family", "K1", "--n", "1000"],
+            capture_output=True, text=True, preexec_fn=cap_address_space,
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["total_count"] == 10_000 and report["budget_exhausted"] is True
+        assert len(report["witnesses"]) == report["symmetric_count"]
 
 
 

@@ -1,15 +1,18 @@
 """Restorability search against the naive full enumeration and known answers."""
 
 import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
 
-from upsilon_lab.errors import MalformedHull
+from upsilon_lab.errors import InvalidStepPattern, MalformedHull
 from upsilon_lab.gapfunctions import GapFunction
 from upsilon_lab.laurent import IntLaurentPoly
 from upsilon_lab.piecewise import PLFunction
 from upsilon_lab.restorability import (
+    _is_symmetric_pattern,
+    _pattern_to_gaps,
     enumerate_gap_functions,
     is_restorable,
     designed_family_alexander,
@@ -216,6 +219,75 @@ class TestExhaustiveSmallGenus:
             full = enumerate_gap_functions(hull, step_budget=nodes)
             assert not full.budget_exhausted and full.total_count == len(naive)
             assert enumerate_gap_functions(hull, step_budget=nodes - 1).budget_exhausted
+
+
+def step_values(pattern):
+    """Profile values 0, ..., 2g of a step pattern."""
+    return list(itertools.accumulate(pattern, initial=0))
+
+
+class TestStepPatternHelpers:
+    # GapFunction and its semigroup are the oracle for the bytes helpers.
+
+    @pytest.mark.parametrize("g", range(9))
+    def test_balanced_patterns_match_gap_function(self, g):
+        # Every pattern of g up and g flat steps; the valid ones start up and end flat.
+        valid = 0
+        for ups in itertools.combinations(range(2 * g), g):
+            pattern = bytes(2 if j in ups else 0 for j in range(2 * g))
+            gapfn = GapFunction(step_values(pattern))
+            try:
+                expected = gapfn.to_semigroup().gaps
+            except InvalidStepPattern:
+                with pytest.raises(InvalidStepPattern):
+                    _pattern_to_gaps(pattern)
+                continue
+            valid += 1
+            assert _pattern_to_gaps(pattern) == expected, pattern
+            assert _is_symmetric_pattern(pattern) == gapfn.is_symmetric(), pattern
+        assert valid == (math.comb(2 * g - 2, g - 1) if g else 1)  # one per gap sequence
+
+    @pytest.mark.parametrize("n", range(11))
+    def test_any_pattern_is_valid_exactly_when_the_gap_function_is(self, n):
+        for pattern in itertools.product(b"\x00\x02", repeat=n):
+            pattern = bytes(pattern)
+            try:
+                expected = GapFunction(step_values(pattern)).to_semigroup().gaps
+            except (ValueError, InvalidStepPattern):
+                with pytest.raises(InvalidStepPattern):
+                    _pattern_to_gaps(pattern)
+            else:
+                assert _pattern_to_gaps(pattern) == expected
+
+    @pytest.mark.parametrize("pattern", [
+        b"\x02", b"\x02\x00\x00", b"\x00\x02", b"\x02\x02\x00\x02",
+        b"\x01\x01", b"\x02\x01\x01\x00", b"\x02\x00\x03\x00", b"\x02\x00\x02\x00\x02\x02",
+    ])
+    def test_invalid_patterns_raise(self, pattern):
+        with pytest.raises(InvalidStepPattern):
+            _pattern_to_gaps(pattern)
+
+
+class TestKeepOnlyListed:
+    # Default mode stores only the symmetric profiles; --all stores every one.
+    # Both must walk, count and truncate identically.
+
+    @pytest.mark.parametrize("g", range(6))
+    def test_default_lists_the_symmetric_subsequence_of_all(self, g):
+        for hull in all_hulls(g):
+            for cap in (1, 2, 50, 10**4):
+                for budget in (1, 3, 100, 10**9):
+                    every = enumerate_gap_functions(hull, False, cap, budget)
+                    listed = enumerate_gap_functions(hull, True, cap, budget)
+                    case = (hull, cap, budget)
+                    assert listed.total_count == every.total_count, case
+                    assert listed.symmetric_count == every.symmetric_count, case
+                    assert listed.budget_exhausted == every.budget_exhausted, case
+                    assert listed.unique == every.unique, case
+                    symmetric = [w for w in every.witnesses if FormalSemigroup(w).symmetry_check()]
+                    assert list(listed.witnesses) == symmetric, case
+                    assert every.symmetric_count == len(symmetric), case
+                    assert len(every.witnesses) == every.total_count, case
 
 
 class TestMalformedHulls:
