@@ -2,6 +2,8 @@
 
 Subcommands: invariants, restore, family, seifert, braid, census, plot.
 Every report is JSON on stdout with rationals as exact "p/q" strings.
+_emit writes it through one streaming encoder, byte-identical to
+json.dumps(indent=2), that accepts only ints, strings, booleans and None.
 
 Exit codes: 0 on success (and all in-scope assertions passing), 1 when an
 asserted verification fails, 2 on usage or input validation errors, 3 on an
@@ -15,14 +17,15 @@ import functools
 import json
 import re
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import braids, census, family, restorability, seifert, svgplot
-from .errors import UpsilonLabError
+from .errors import GenusTooLarge, UpsilonLabError
 from .invariants import gap_function_of, hull_of, knot_invariants
 from .laurent import IntLaurentPoly
 from .piecewise import legendre_fenchel
 from .rationals import parse_rational
-from .semigroups import torus_semigroup
+from .semigroups import MAX_GENUS, gap_runs, torus_semigroup
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -107,6 +110,9 @@ def _resolve_knot_spec(args: argparse.Namespace) -> tuple[str | None, IntLaurent
         raise _UsageError(
             f"polynomial {delta} is not in L-space form; the pipeline does not apply"
         )
+    if delta.degree // 2 > MAX_GENUS:
+        genus = sum(b - a for a, b in gap_runs(delta))  # NotLSpaceForm unless deg = 2g
+        raise GenusTooLarge(f"the polynomial has genus {genus}, above the limit of {MAX_GENUS}")
     return name, delta
 
 
@@ -150,8 +156,65 @@ def _positive_count(text: str) -> int:
     )
 
 
+def _json_chunks(obj, indent: str = ""):
+    """Indent-2 JSON text of obj, chunk by chunk, as json.dumps(obj, indent=2) writes it.
+
+    A list of plain ints (the gaps, values and witnesses that make up most
+    of a report) is one chunk; any other container yields one chunk per
+    entry.  Floats, Fractions, sets and non-str keys raise TypeError.
+
+    >>> print("".join(_json_chunks({"gaps": (1, 2, 5), "ok": True, "name": None})))
+    {
+      "gaps": [
+        1,
+        2,
+        5
+      ],
+      "ok": true,
+      "name": null
+    }
+    """
+    if isinstance(obj, str):
+        yield encode_basestring_ascii(obj)
+    elif obj is None:
+        yield "null"
+    elif obj is True or obj is False:
+        yield "true" if obj else "false"
+    elif type(obj) is int:
+        yield repr(obj)
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            yield "[]"
+            return
+        inner = indent + "  "
+        if all(type(x) is int for x in obj):
+            yield "[\n" + inner + (",\n" + inner).join(map(repr, obj)) + "\n" + indent + "]"
+            return
+        sep = "[\n" + inner
+        for item in obj:
+            yield sep
+            yield from _json_chunks(item, inner)
+            sep = ",\n" + inner
+        yield "\n" + indent + "]"
+    elif isinstance(obj, dict):
+        if not obj:
+            yield "{}"
+            return
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
+            yield sep + encode_basestring_ascii(key) + ": "
+            yield from _json_chunks(value, inner)
+            sep = ",\n" + inner
+        yield "\n" + indent + "}"
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _emit(data: dict) -> None:
-    json.dump(data, sys.stdout, indent=2)
+    sys.stdout.writelines(_json_chunks(data))
     sys.stdout.write("\n")
 
 

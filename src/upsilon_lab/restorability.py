@@ -69,7 +69,7 @@ class RestorabilityReport:
             "hull": self.hull.to_json(),
             "total_count": self.total_count,
             "symmetric_count": self.symmetric_count,
-            "witnesses": [list(w) for w in self.witnesses],
+            "witnesses": list(self.witnesses),
             "unique": self.unique,
             "budget_exhausted": self.budget_exhausted,
         }

@@ -129,19 +129,28 @@ class FormalSemigroup:
     def is_closed_under_addition(self) -> tuple[bool, tuple[int, int] | None]:
         """Whether s + s' stays in S for all members.
 
-        Only sums below 2g need checking (everything from 2g on is in S).
-        Returns (True, None) or (False, witness) with the lexicographically
-        first failing pair (s, s'), s <= s'.
+        Only sums below 2g need checking (everything from 2g on is in S), so
+        s < g.  With S and the gaps as bit masks below 2g, bit j of
+        (members >> s) & (gaps >> 2s) says that s' = s + j is a member and
+        s + s' a gap, so its lowest bit is the smallest failing s'.  That is
+        O(g) operations on 2g-bit integers.  Returns (True, None) or
+        (False, witness) with the lexicographically first failing pair
+        (s, s'), s <= s'.
+
+        >>> FormalSemigroup([1, 2, 3, 5, 6, 8, 11, 15]).is_closed_under_addition()
+        (False, (4, 4))
         """
-        bound = 2 * self.genus
-        members = self.elements_below(bound)
-        for i, s in enumerate(members):
-            for sp in members[i:]:
-                total = s + sp
-                if total >= bound:
-                    break
-                if not self.contains(total):
-                    return False, (s, sp)
+        g = self.genus
+        digits = bytearray(b"1") * (2 * g)  # digits[i] is "1" iff i is in S, 0 <= i < 2g
+        for a in self._gaps:
+            digits[a] = ord("0")
+        members = int(digits[::-1] or b"0", 2)
+        gaps = members ^ ((1 << 2 * g) - 1)
+        for s in range(g):
+            if digits[s] == ord("1"):
+                clash = (members >> s) & (gaps >> 2 * s)
+                if clash:
+                    return False, (s, s + (clash & -clash).bit_length() - 1)
         return True, None
 
     def symmetry_check(self) -> bool:

@@ -6,12 +6,15 @@ import shlex
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from upsilon_lab import cli
 from upsilon_lab.census import sample_census_path
 from upsilon_lab.cli import build_parser, main
+from upsilon_lab.family import catalog_names
 from upsilon_lab.piecewise import PLFunction
 
 
@@ -28,6 +31,11 @@ def run_json(capsys, *argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
     return json.loads(out)
+
+
+# Seven terms, genus 10**6 + 1: the hull is cheap, anything of size g is not.
+SPARSE_HUGE_GENUS = ("[[0,1],[1,-1],[1000000,1],[1000001,-1],[1000002,1],"
+                     "[2000001,-1],[2000002,1]]")
 
 
 class TestInvariants:
@@ -140,9 +148,7 @@ class TestExitCodes:
         ["restore", "--designed-family", str(10**12)],
         ["restore", "--torus", "2,3000001"],
         ["invariants", "--torus", "1000003,1000033"],
-        # g = 10**6 + 1 from seven terms: the hull is cheap, the walk's bounds are not.
-        ["restore", "--alexander", "[[0,1],[1,-1],[1000000,1],[1000001,-1],[1000002,1],"
-                                   "[2000001,-1],[2000002,1]]"],
+        ["restore", "--alexander", SPARSE_HUGE_GENUS],
     ], ids=["designed-family", "restore-torus", "invariants-torus", "restore-sparse-alexander"])
     def test_genus_past_the_cap_exits_quickly(self, capsys, argv):
         # Checked against MAX_GENUS before anything of size g is built.
@@ -151,6 +157,32 @@ class TestExitCodes:
         assert time.perf_counter() - start < 0.5
         assert code == 2 and out == ""
         assert err.startswith("error: GenusTooLarge: ") and "above the limit of 100000" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["invariants"],
+        ["plot", "--what", "hull"],
+        ["plot", "--what", "gapfn"],
+    ], ids=["invariants", "plot-hull", "plot-gapfn"])
+    def test_sparse_alexander_past_the_cap_exits_quickly(self, capsys, tmp_path, argv):
+        # The seven-term g = 10**6 + 1 polynomial is capped where the spec is read.
+        out = tmp_path / "x.svg"
+        if argv[0] == "plot":
+            argv = [*argv, "--out", str(out)]
+        start = time.perf_counter()
+        code, stdout, err = run_cli(capsys, *argv, "--alexander", SPARSE_HUGE_GENUS)
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and stdout == "" and not out.exists()
+        assert err == ("error: GenusTooLarge: the polynomial has genus 1000001, "
+                       "above the limit of 100000\n")
+
+    def test_closure_check_at_genus_ten_thousand(self, capsys):
+        # The pairwise check took 21.6 s at g = 10,000; the bit-mask one takes O(g) big-int steps.
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "invariants", "--torus", "2,20001")
+        assert time.perf_counter() - start < 2
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["genus"] == 10_000 and report["semigroup_closed"] is True
 
 
 def test_genus_cap_admits_the_largest_twist():
@@ -403,6 +435,62 @@ class TestPlot:
         code, _, err = run_cli(capsys, "plot", "--catalog", "t09847",
                                "--what", "spaghetti", "--out", str(tmp_path / "x.svg"))
         assert code == 2
+
+
+def emitted(monkeypatch, *argv):
+    """The object a CLI call hands to _emit."""
+    seen = []
+    monkeypatch.setattr(cli, "_emit", seen.append)
+    assert main(list(argv)) == 0
+    (data,) = seen
+    return data
+
+
+REPORTS = [
+    *(["invariants", "--catalog", name] for name in catalog_names()),
+    *(["restore", "--catalog", name] for name in catalog_names()),
+    *(["restore", "--catalog", name, "--all"] for name in catalog_names()),
+    ["family", "verify", "--n", "1..3"],
+    ["seifert", "decide", "--e0", "0", "--r=-3/7,-1/3,-1/2"],
+    ["braid", "--named", "K1", "--n", "3"],
+    ["census", "scan", "sample"],
+]
+
+
+class TestJsonChunks:
+    """_json_chunks against json.dumps(indent=2), the encoder it replaced."""
+
+    @pytest.mark.parametrize("argv", REPORTS, ids=" ".join)
+    def test_reports_match_json_dumps(self, monkeypatch, capsys, argv):
+        data = emitted(monkeypatch, *argv)
+        assert "".join(cli._json_chunks(data)) == json.dumps(data, indent=2)
+
+    @pytest.mark.parametrize("value", [
+        [], {}, [[]], {"a": {}}, [True, 1], [0, -3, 10**30], (1, 2), None,
+        {"q": 'say "hi"', "b": "back\\slash", "c": "bell\x07", "u": "Υ(t) — ünïcode"},
+        [[1, 2], [], [[3]], {"k": [False, None, "s", 4]}],
+    ])
+    def test_edge_values_match_json_dumps(self, value):
+        assert "".join(cli._json_chunks(value)) == json.dumps(value, indent=2)
+
+    def test_emit_streams_per_entry(self, capsys):
+        cli._emit({"witnesses": [(1, 2, 5), (1, 3, 5)], "unique": False})
+        assert capsys.readouterr().out == json.dumps(
+            {"witnesses": [[1, 2, 5], [1, 3, 5]], "unique": False}, indent=2) + "\n"
+        chunks = list(cli._json_chunks({"witnesses": [(1, 2, 5), (1, 3, 5)]}))
+        assert chunks[2] == "[\n      1,\n      2,\n      5\n    ]"
+
+    @pytest.mark.parametrize("value", [
+        1.5, [Fraction(1, 2)], {"s": {1, 2}}, {1: "int key"}, {"deep": [{"x": 0.0}]},
+    ], ids=["float", "fraction", "set", "int-key", "nested-float"])
+    def test_non_json_values_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            "".join(cli._json_chunks(value))
+
+    def test_non_json_value_exits_3(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "knot_invariants", lambda delta, name=None: {"x": 0.5})
+        code, _, err = run_cli(capsys, "invariants", "--torus", "2,3")
+        assert code == 3 and err.startswith("error: internal: TypeError: ")
 
 
 class TestConsoleEntry:

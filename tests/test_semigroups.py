@@ -129,7 +129,40 @@ class TestInvariantEnforcement:
             FormalSemigroup([1, 1, 3])
 
 
+def closure_pairwise(s: FormalSemigroup):
+    """The pairwise closure check the bit-mask one replaced, kept as its oracle."""
+    bound = 2 * s.genus
+    members = s.elements_below(bound)
+    for i, a in enumerate(members):
+        for b in members[i:]:
+            if a + b >= bound:
+                break
+            if not s.contains(a + b):
+                return False, (a, b)
+    return True, None
+
+
 class TestClosedUnderAddition:
+    @pytest.mark.parametrize("g", range(9))
+    def test_matches_pairwise_on_every_gap_sequence(self, g):
+        for gaps in all_gap_sequences(g):
+            s = FormalSemigroup(gaps)
+            assert s.is_closed_under_addition() == closure_pairwise(s), gaps
+
+    @pytest.mark.parametrize("p,q", [(2, 3), (2, 101), (3, 7), (4, 9), (5, 12), (7, 30),
+                                     (11, 31), (17, 49), (21, 52)])
+    def test_matches_pairwise_on_torus_ladder(self, p, q):
+        s = torus_semigroup(p, q)
+        assert s.is_closed_under_addition() == closure_pairwise(s) == (True, None)
+
+    def test_matches_pairwise_on_family_ladder(self):
+        from upsilon_lab.family import FamilyKnot, semigroup_closed_form
+
+        for which in ("K1", "K2"):
+            for n in (1, 2, 5, 20):
+                s = semigroup_closed_form(FamilyKnot(which, n))
+                assert s.is_closed_under_addition() == closure_pairwise(s), (which, n)
+
     def test_torus_truncation_closed(self):
         closed, witness = torus_semigroup(3, 4).is_closed_under_addition()
         assert closed and witness is None
