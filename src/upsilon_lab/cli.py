@@ -156,12 +156,36 @@ def _positive_count(text: str) -> int:
     )
 
 
+# Below the smallest limit sys.set_int_max_str_digits accepts (640).
+_DIGIT_CHUNK = 10**600
+
+
+def _int_text(n: int) -> str:
+    """repr(n), also past sys.get_int_max_str_digits(): exact counts run to thousands of digits.
+
+    >>> _int_text(-7 * 10**1200) == "-7" + "0" * 1200
+    True
+    """
+    try:
+        return repr(n)
+    except ValueError:
+        pass
+    rest, parts = abs(n), []
+    while rest >= _DIGIT_CHUNK:
+        rest, low = divmod(rest, _DIGIT_CHUNK)
+        parts.append(f"{low:0600d}")
+    parts.append(repr(rest))
+    return "-" * (n < 0) + "".join(reversed(parts))
+
+
 def _json_chunks(obj, indent: str = ""):
     """Indent-2 JSON text of obj, chunk by chunk, as json.dumps(obj, indent=2) writes it.
 
     A list of plain ints (the gaps, values and witnesses that make up most
     of a report) is one chunk; any other container yields one chunk per
-    entry.  Floats, Fractions, sets and non-str keys raise TypeError.
+    entry.  restorability.Witnesses is written as a list of gap lists, each
+    pattern converted only as it is written.  Floats, Fractions, sets and
+    non-str keys raise TypeError.
 
     >>> print("".join(_json_chunks({"gaps": (1, 2, 5), "ok": True, "name": None})))
     {
@@ -181,14 +205,18 @@ def _json_chunks(obj, indent: str = ""):
     elif obj is True or obj is False:
         yield "true" if obj else "false"
     elif type(obj) is int:
-        yield repr(obj)
-    elif isinstance(obj, (list, tuple)):
+        yield _int_text(obj)
+    elif isinstance(obj, (list, tuple, restorability.Witnesses)):
         if not obj:
             yield "[]"
             return
         inner = indent + "  "
-        if all(type(x) is int for x in obj):
-            yield "[\n" + inner + (",\n" + inner).join(map(repr, obj)) + "\n" + indent + "]"
+        if type(obj) is not restorability.Witnesses and all(type(x) is int for x in obj):
+            try:
+                body = (",\n" + inner).join(map(repr, obj))
+            except ValueError:  # an int past the digit limit
+                body = (",\n" + inner).join(map(_int_text, obj))
+            yield "[\n" + inner + body + "\n" + indent + "]"
             return
         sep = "[\n" + inner
         for item in obj:
@@ -227,10 +255,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
 def _cmd_restore(args: argparse.Namespace) -> int:
     name, delta = _resolve_knot_spec(args)
     report = restorability.enumerate_gap_functions(
-        hull_of(delta),
-        symmetric_only=not args.all,
-        max_solutions=args.max_solutions,
-        step_budget=args.budget,
+        hull_of(delta), symmetric_only=not args.all, max_solutions=args.max_solutions
     )
     out = report.to_json()
     if name:
@@ -353,9 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true",
                    help="report every slope-{0,2} witness profile, not only the symmetric ones")
     p.add_argument("--max-solutions", type=_positive_count,
-                   default=restorability.DEFAULT_MAX_SOLUTIONS)
-    p.add_argument("--budget", type=_positive_count, default=restorability.DEFAULT_STEP_BUDGET,
-                   help="search node budget, e.g. 1000000 or 2e8")
+                   default=restorability.DEFAULT_MAX_SOLUTIONS,
+                   help="list at most this many witnesses, e.g. 1000 or 1e6; counts stay exact")
     p.set_defaults(func=_cmd_restore)
 
     p = sub.add_parser("family", help="verify the twist-family claims")

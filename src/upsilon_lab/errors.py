@@ -69,6 +69,13 @@ class GenusTooLarge(UpsilonLabError):
     """The input's genus exceeds semigroups.MAX_GENUS; nothing of size g was built."""
 
 
+class CountTooCostly(UpsilonLabError):
+    """Exact profile counting over this hull would exceed restorability.MAX_COUNT_WORK.
+
+    Raised before any counting is done.
+    """
+
+
 class MalformedHull(UpsilonLabError):
     """Hull cannot arise as the convex envelope of any gap function."""
 

@@ -36,9 +36,8 @@ def gap_function_of(delta: IntLaurentPoly) -> GapFunction:
     return GapFunction.from_semigroup(semigroup_of(delta))
 
 
-def _corners(delta: IntLaurentPoly) -> list[tuple[int, int]]:
-    """The gap function's convex corners left to right: top run first, then (g, 2g)."""
-    runs = gap_runs(delta)
+def _corners(runs: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The gap function's convex corners from its gap runs: top run first, then (g, 2g)."""
     g = sum(b - a for a, b in runs)
     corners = []
     below = 0  # gaps at or above the current run's end
@@ -57,12 +56,12 @@ def hull_vertices(delta: IntLaurentPoly) -> tuple[tuple[int, int], ...]:
     >>> hull_vertices(IntLaurentPoly({0: 1, 1: -1, 3: 1, 5: -1, 6: 1}))
     ((-3, 0), (0, 2), (3, 6))
     """
-    return tuple(_lower_hull(_corners(delta)))
+    return tuple(_lower_hull(_corners(gap_runs(delta))))
 
 
 def hull_of(delta: IntLaurentPoly) -> PLFunction:
     """The gap function's convex envelope, with rays of slope 0 and 2."""
-    return lower_convex_envelope(_corners(delta), 0, 2)
+    return lower_convex_envelope(_corners(gap_runs(delta)), 0, 2)
 
 
 def upsilon_of(delta: IntLaurentPoly) -> PLFunction:
@@ -71,9 +70,13 @@ def upsilon_of(delta: IntLaurentPoly) -> PLFunction:
 
 
 def knot_invariants(delta: IntLaurentPoly, name: str | None = None) -> dict:
-    """Everything the pipeline knows about one polynomial, JSON-ready."""
-    semigroup = semigroup_of(delta)
-    hull = hull_of(delta)
+    """Everything the pipeline knows about one polynomial, JSON-ready.
+
+    The gap runs are derived once and feed both the semigroup and the hull.
+    """
+    runs = gap_runs(delta)
+    semigroup = FormalSemigroup.from_gap_runs(runs)
+    hull = lower_convex_envelope(_corners(runs), 0, 2)
     upsilon = legendre_fenchel(hull)
     closed, witness = semigroup.is_closed_under_addition()
     report = {

@@ -15,52 +15,126 @@ A profile can also always still climb to 2g: the hull reaches 2g at x = g
 with slopes at most 2, so it lies on or above the line 2x.  Every partial
 profile within the bounds therefore completes, and the walk never stalls.
 
-The walk lists the profiles in lexicographic step order, flat before up.
-It refills the remaining steps greedily (flat where the value already
-reaches lo, else up), counts the profile, then backtracks to the deepest
-flat step that may rise (value + 2 <= hi) and refills from there.  The
-Alexander polynomial is restorable from the Upsilon invariant exactly when
-the symmetric solution count is 1.
+Counts are exact and closed-form.  Because a profile is pinned at every
+vertex, the hull segments are independent and the profile count is the
+product of the segment counts.  A segment of f flat and u up steps, with
+k = gcd(f, u) and primitive step (m, n) = (f/k, u/k), admits exactly the
+lattice paths from (0, 0) to (f, u) that stay weakly above the chord: the
+Fuss-Catalan number C((r+1)k, k) / (rk + 1), r = max(m, n), when
+min(m, n) = 1, and otherwise Bizley's count (J. Inst. Actuaries 80, 1954).
+A symmetric profile, G(x) = G(-x) + 2x, is fixed by its left half and exists
+only over a hull invariant under (x, y) -> (-x, y - 2x); there any left half
+within the bounds mirrors to a valid profile, so the symmetric count is the
+product over the segments left of 0, times C(a, a // 2) ballot paths for a
+slope-1 middle segment on [-a, a].  The Alexander polynomial is restorable
+from the Upsilon invariant exactly when the symmetric count is 1.
 
-A profile is a byte pattern: 2g bytes, each 0 (flat) or 2 (up).  The walk
-counts every pattern but stores only those a report lists: the symmetric
-ones by default, every one with --all.  The mirror test and the conversion
-to a gap sequence are bytes operations.
+Witnesses are listed in lexicographic step order, flat before up.  The walk
+refills the remaining steps greedily (flat where the value already reaches
+lo, else up), yields the profile, then backtracks to the deepest flat step
+that may rise (value + 2 <= hi) and refills from there.  A report lists the
+profiles of rank below max_solutions: every one with --all (the walk stops
+after max_solutions), else the symmetric ones, found by walking only the g
+left steps and mirroring each.  When the cap cuts the list, the symmetric
+walk stops at the first profile whose rank reaches it; the rank comes from a
+sparse backward table of completion counts that stores only counts below
+the cap.
+
+A profile is a byte pattern: 2g bytes, each 0 (flat) or 2 (up).  A report
+keeps the patterns and converts each to a gap sequence only when it is read.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, islice, takewhile
+from math import comb, gcd, prod
+from operator import mul
 
-from .errors import GenusTooLarge, InvalidStepPattern, MalformedHull
+from .errors import CountTooCostly, GenusTooLarge, InvalidStepPattern, MalformedHull
 from .invariants import hull_of
 from .laurent import IntLaurentPoly
 from .piecewise import PLFunction
 from .semigroups import MAX_GENUS
 
 DEFAULT_MAX_SOLUTIONS = 10_000
-DEFAULT_STEP_BUDGET = 10**9
+
+# Bizley's recurrence multiplies about k^2 / 2 pairs of integers of up to
+# L = f + u bits per segment.  The sum of (k * L)^2 over the segments it runs
+# on is capped here: one segment of k = 500, L = 2,500 (1.6e12) took 0.28 s,
+# and one of k = 100, L = 200,100 (4e14) took 40 s (Python 3.11, one core).
+MAX_COUNT_WORK = 2 * 10**12
+
+
+class Witnesses(Sequence):
+    """Gap sequences held as 2g-byte step patterns, each converted when read.
+
+    A read-only sequence of gap tuples: len, iteration, indexing, `in` over
+    gap tuples, and equality with another Witnesses or a tuple of gap tuples.
+
+    >>> w = Witnesses([bytes([2, 0, 0, 2, 2, 0])])  # T(3,4)
+    >>> len(w), w[0], (1, 2, 5) in w, (1, 2, 4) in w, w == ((1, 2, 5),)
+    (1, (1, 2, 5), True, False, True)
+    """
+
+    __slots__ = ("_patterns",)
+
+    def __init__(self, patterns=()):
+        self._patterns = tuple(patterns)
+
+    def __len__(self) -> int:
+        return len(self._patterns)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Witnesses(self._patterns[index])
+        return _pattern_to_gaps(self._patterns[index])
+
+    def __iter__(self):
+        return map(_pattern_to_gaps, self._patterns)
+
+    def __contains__(self, gaps) -> bool:
+        gaps = tuple(gaps)
+        n = 2 * len(gaps)
+        if list(gaps) != sorted(set(gaps)) or not all(0 <= a < n for a in gaps):
+            return False
+        steps = bytearray(n)
+        for a in gaps:
+            steps[n - 1 - a] = 2
+        return bytes(steps) in self._patterns
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Witnesses):
+            return self._patterns == other._patterns
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"Witnesses({list(self)!r})"
 
 
 @dataclass(frozen=True)
 class RestorabilityReport:
-    """Outcome of enumerating all gap functions over one hull.
+    """Exact profile counts over one hull, and the listed witnesses.
 
-    witnesses holds the gap sequences of the listed profiles, in walk order:
-    the symmetric ones by default, every one with symmetric_only=False.  Only
-    those are stored, as 2g-byte patterns while the walk runs, so memory
-    follows the witness list (at most max_solutions profiles with --all),
-    not the number of profiles walked.  unique means exactly one symmetric
-    profile exists, the population relevant for comparing knots.
-    budget_exhausted flags a truncated search, in which case the counts are
-    lower bounds.
+    total_count and symmetric_count are exact, so unique (exactly one
+    symmetric profile, the population relevant for comparing knots) is too.
+    witnesses holds the gap sequences of the profiles of rank below
+    max_solutions in walk order: the symmetric ones by default, every one
+    with symmetric_only=False.  budget_exhausted means total_count exceeds
+    max_solutions, so the list may be cut short.  The witnesses are stored
+    as byte patterns, so memory follows the list, not the counts.
     """
 
     hull: PLFunction
     total_count: int
     symmetric_count: int
-    witnesses: tuple[tuple[int, ...], ...]
+    witnesses: Witnesses
     unique: bool
     budget_exhausted: bool
 
@@ -69,7 +143,7 @@ class RestorabilityReport:
             "hull": self.hull.to_json(),
             "total_count": self.total_count,
             "symmetric_count": self.symmetric_count,
-            "witnesses": list(self.witnesses),
+            "witnesses": self.witnesses,
             "unique": self.unique,
             "budget_exhausted": self.budget_exhausted,
         }
@@ -126,46 +200,122 @@ def _bounds(hull: PLFunction) -> tuple[list[int], list[int]]:
     return lo, hi
 
 
-def _walk(
-    lo: list[int], hi: list[int], max_solutions: int, budget: int, symmetric_only: bool
-) -> tuple[int, list[bytes], bool]:
-    """Every step pattern between the bounds, flat before up; (total, kept, truncated).
+def _segment_count(f: int, u: int) -> int:
+    """Paths of f flat and u up steps that stay weakly above the chord to (f, u).
 
-    Every pattern is counted; kept holds, as bytes of 0/2, only those a
-    report lists: the symmetric ones when symmetric_only, else all of them.
-    Nodes are counted as in a depth-first search: the root plus every
-    partial profile entered.  Truncated means the node count passed the
-    budget, or a further solution was found once max_solutions were counted.
+    >>> [_segment_count(f, 2) for f in (1, 2, 3, 4)]  # (1, 2) then Catalan C2, then (3, 2)
+    [1, 2, 2, 3]
     """
+    k = gcd(f, u)
+    m, n = f // k, u // k
+    if min(m, n) == 1:
+        r = max(m, n)
+        return comb((r + 1) * k, k) // (r * k + 1)
+    s = m + n
+    # Bizley: a_i = sum_j C(js, jm) a_{i-j} / (is), the binomials computed once.
+    binoms = [comb(j * s, j * m) for j in range(1, k + 1)]
+    a = [1]
+    for i in range(1, k + 1):
+        a.append(sum(map(mul, binoms[:i], reversed(a))) // (i * s))
+    return a[k]
+
+
+def _count_work(f: int, u: int) -> int:
+    """(k * L)^2 for a segment that needs Bizley's recurrence, else 0."""
+    k = gcd(f, u)
+    return (k * (f + u)) ** 2 if min(f, u) >= 2 * k else 0
+
+
+def _counts(verts: list[tuple[int, int]]) -> tuple[int, int]:
+    """Exact (total, symmetric) profile counts over the hull with these integer vertices.
+
+    >>> _counts([(-3, 0), (0, 2), (3, 6)])  # T(3,4)
+    (1, 1)
+    >>> _counts([(-5, 0), (-2, 2), (2, 6), (5, 10)])  # pretzel (-2, 3, 7)
+    (2, 2)
+    """
+    spans = list(zip(verts, verts[1:]))
+    segments = [(x1 - x0 - (y1 - y0) // 2, (y1 - y0) // 2) for (x0, y0), (x1, y1) in spans]
+    work = sum(_count_work(f, u) for f, u in segments)
+    if work > MAX_COUNT_WORK:
+        raise CountTooCostly(
+            f"exact counting over this hull needs work {work}, above the limit of {MAX_COUNT_WORK}"
+        )
+    counts = [_segment_count(f, u) for f, u in segments]
+    total = prod(counts)
+    if {(-x, y - 2 * x) for x, y in verts} != set(verts):
+        return total, 0
+    symmetric = prod(c for (_, (x1, _)), c in zip(spans, counts) if x1 <= 0)
+    middle = [x1 for (x0, _), (x1, _) in spans if x0 < 0 < x1]  # slope 1 on [-a, a]
+    return total, symmetric * prod(comb(a, a // 2) for a in middle)
+
+
+def _walk(lo: list[int], hi: list[int]):
+    """Every step pattern between the bounds, as bytes of 0/2, flat before up."""
     n = len(lo) - 1
-    vals = [0] * (n + 1)  # vals[i] is the profile value at x = i - g
+    vals = [0] * (n + 1)  # vals[i] is the profile value at step index i
     steps = bytearray(n)
-    kept: list[bytes] = []
-    total = 0
-    nodes = 1  # the root
     i = 0  # steps[:i] are fixed
     while True:
         # Refill greedily: flat where the floor allows, else up.
-        nodes += n - i
         for j in range(i, n):
             val = vals[j]
             steps[j] = step = 0 if val >= lo[j + 1] else 2
             vals[j + 1] = val + step
-        if nodes > budget or total >= max_solutions:
-            return total, kept, True
-        total += 1
-        if not symmetric_only or _is_symmetric_pattern(steps):
-            kept.append(bytes(steps))
+        yield bytes(steps)
         # Backtrack to the deepest flat step that may rise.
         i = n - 1
         while i >= 0 and (steps[i] or vals[i] + 2 > hi[i + 1]):
             i -= 1
         if i < 0:
-            return total, kept, False
+            return
         steps[i] = 2
         vals[i + 1] += 2
-        nodes += 1
         i += 1
+
+
+def _completions_below(lo: list[int], hi: list[int], cap: int) -> dict[tuple[int, int], int]:
+    """Completions from (i, value), for the cells where they number fewer than cap.
+
+    Built backward from (2g, 2g).  A cell below the cap has every in-bounds
+    successor below it too, so row i's candidates are the values v and v - 2
+    for each stored v of row i + 1.  A cell within the bounds that is missing
+    has cap or more completions.  The build stops at the first empty row,
+    since every earlier row is then empty too.
+    """
+    i = len(lo) - 1
+    row = {hi[i]: 1} if cap > 1 else {}
+    table = {(i, v): c for v, c in row.items()}
+    while row and i:
+        i -= 1
+        later, row = row, {}
+        for v in {w - d for w in later for d in (0, 2)}:
+            if not lo[i] <= v <= hi[i]:
+                continue
+            count = 0
+            for w in (v, v + 2):
+                if lo[i + 1] <= w <= hi[i + 1]:
+                    count += later.get(w, cap)
+            if count < cap:
+                row[v] = count
+        table.update(((i, v), c) for v, c in row.items())
+    return table
+
+
+def _rank(steps: bytes, lo: list[int], table: dict[tuple[int, int], int], cap: int) -> int:
+    """Profiles before this one in walk order, or cap if that is cap or more.
+
+    Each up step j where a flat step was allowed passes over every completion
+    of the flat alternative, which sits at (j + 1, value).
+    """
+    rank = val = 0
+    for j, step in enumerate(steps):
+        if step and val >= lo[j + 1]:
+            rank += table.get((j + 1, val), cap)
+            if rank >= cap:
+                return cap
+        val += step
+    return rank
 
 
 # Swaps flat (0) and up (2): the step mirror of a pattern.
@@ -181,6 +331,11 @@ def _is_symmetric_pattern(steps: bytes) -> bool:
     False
     """
     return steps.translate(_FLIP) == steps[::-1]
+
+
+def _mirrored(half: bytes) -> bytes:
+    """The symmetric pattern with this left half."""
+    return half + half.translate(_FLIP)[::-1]
 
 
 def _pattern_to_gaps(steps: bytes) -> tuple[int, ...]:
@@ -207,49 +362,52 @@ def enumerate_gap_functions(
     hull: PLFunction,
     symmetric_only: bool = False,
     max_solutions: int = DEFAULT_MAX_SOLUTIONS,
-    step_budget: int = DEFAULT_STEP_BUDGET,
 ) -> RestorabilityReport:
-    """Enumerate every slope-{0,2} profile whose convex envelope is the hull.
+    """Count every slope-{0,2} profile whose convex envelope is the hull, and list some.
 
-    Solutions are found in lexicographic step order (flat < up).  Both the
-    total and the symmetric counts are always computed; symmetric_only only
-    filters which witnesses are reported, and only those are stored.
-    Exceeding max_solutions or step_budget stops the search and flags the
-    report instead of raising.  A hull of genus above MAX_GENUS raises
-    GenusTooLarge before anything of size g is built.
+    Both counts are exact.  The witnesses are the profiles of rank below
+    max_solutions in lexicographic step order (flat < up): the symmetric
+    ones when symmetric_only, else every one.  A hull of genus above
+    MAX_GENUS raises GenusTooLarge before anything of size g is built, and
+    one whose exact count would cost more than MAX_COUNT_WORK raises
+    CountTooCostly before any counting.
     """
     g = _validate_hull(hull)
     if g > MAX_GENUS:
         raise GenusTooLarge(f"the hull has genus {g}, above the limit of {MAX_GENUS}")
-    total, kept, exhausted = _walk(*_bounds(hull), max_solutions, step_budget, symmetric_only)
-    symmetric = len(kept) if symmetric_only else sum(map(_is_symmetric_pattern, kept))
+    total, symmetric = _counts([(int(x), int(y)) for x, y in hull.vertices])
+    lo, hi = _bounds(hull)
+    truncated = total > max_solutions
+    if not symmetric_only:
+        kept = islice(_walk(lo, hi), max_solutions)
+    elif not symmetric:
+        kept = ()
+    else:
+        kept = map(_mirrored, _walk(lo[: g + 1], hi[: g + 1]))
+        if truncated:
+            table = _completions_below(lo, hi, max_solutions)
+            kept = takewhile(lambda s: _rank(s, lo, table, max_solutions) < max_solutions, kept)
     return RestorabilityReport(
         hull=hull,
         total_count=total,
         symmetric_count=symmetric,
-        witnesses=tuple(map(_pattern_to_gaps, kept)),
+        witnesses=Witnesses(kept),
         unique=symmetric == 1,
-        budget_exhausted=exhausted,
+        budget_exhausted=truncated,
     )
 
 
 def is_restorable(
     delta: IntLaurentPoly,
     max_solutions: int = DEFAULT_MAX_SOLUTIONS,
-    step_budget: int = DEFAULT_STEP_BUDGET,
 ) -> RestorabilityReport:
     """Whether the Alexander polynomial is recoverable from its Upsilon.
 
-    Enumerates symmetric profiles over the envelope of its gap function;
+    Counts the symmetric profiles over the envelope of its gap function;
     unique = True means no other L-space-form polynomial shares the Upsilon
     invariant.
     """
-    return enumerate_gap_functions(
-        hull_of(delta),
-        symmetric_only=True,
-        max_solutions=max_solutions,
-        step_budget=step_budget,
-    )
+    return enumerate_gap_functions(hull_of(delta), symmetric_only=True, max_solutions=max_solutions)
 
 
 def designed_family_alexander(m: int) -> IntLaurentPoly:

@@ -114,7 +114,12 @@ class FormalSemigroup:
         run on the terms (gap_runs) before any gap is built, so the cost
         follows the term count and the genus, never the degree alone.
         """
-        return cls(e for a, b in gap_runs(delta) for e in range(a, b))
+        return cls.from_gap_runs(gap_runs(delta))
+
+    @classmethod
+    def from_gap_runs(cls, runs: Iterable[tuple[int, int]]) -> "FormalSemigroup":
+        """The semigroup whose gaps are the half-open runs [a, b), as gap_runs returns them."""
+        return cls(e for a, b in runs for e in range(a, b))
 
     def to_alexander(self) -> IntLaurentPoly:
         """Restore Delta = 1 + (t - 1) * sum_i t^{a_i}."""

@@ -1,6 +1,7 @@
 """CLI: reports, exit codes, schema round trips, deterministic SVG output."""
 
 import json
+import math
 import re
 import shlex
 import subprocess
@@ -199,24 +200,28 @@ class TestRestore:
         assert report["witnesses"] == [[1, 2, 3, 5, 6, 9, 13]]
 
     def test_family_k1_n2_not_unique(self, capsys):
-        report = run_json(
-            capsys, "restore", "--family", "K1", "--n", "2", "--budget", "2e8"
-        )
+        report = run_json(capsys, "restore", "--family", "K1", "--n", "2")
         assert report["unique"] is False
         assert report["budget_exhausted"] is False
 
     def test_budget_scientific_notation_is_exact(self):
-        args = build_parser().parse_args(
-            ["restore", "--catalog", "t09847", "--budget", "2e8", "--max-solutions", "1E4"])
-        assert args.budget == 200_000_000 and type(args.budget) is int
-        assert args.max_solutions == 10_000
+        # --max-solutions is the one budget left: it caps the witness list.
+        for text, value in (("1E4", 10_000), ("2e8", 200_000_000), ("1e18", 10**18)):
+            args = build_parser().parse_args(
+                ["restore", "--catalog", "t09847", "--max-solutions", text])
+            assert args.max_solutions == value and type(args.max_solutions) is int
 
     @pytest.mark.parametrize("value", ["1e400", "1e999999999", "0", "0e5", "-5", "nan", "inf",
                                        "1.5", "2.5e8", "", "10000000000000000000"])
     def test_bad_budget_is_usage_error(self, capsys, value):
+        code, out, err = run_cli(capsys, "restore", "--catalog", "t09847",
+                                 "--max-solutions", value)
+        assert code == 2 and out == ""
+        assert "argument --max-solutions: expected a whole number" in err
+        # The node budget is gone: counts are exact, so --budget is no option at all.
         code, out, err = run_cli(capsys, "restore", "--catalog", "t09847", "--budget", value)
         assert code == 2 and out == ""
-        assert "argument --budget: expected a whole number" in err
+        assert "unrecognized arguments: --budget" in err
 
     @pytest.mark.parametrize("value", ["0", "-1", "1.5", "inf"])
     def test_bad_max_solutions_is_usage_error(self, capsys, value):
@@ -244,7 +249,47 @@ class TestRestore:
     def test_genus_past_the_ladder_torus_hits_the_cap(self, capsys):
         report = run_json(capsys, "restore", "--torus", "21,52")  # g = 510
         assert report["budget_exhausted"] is True
-        assert report["total_count"] == 10_000
+        assert report["total_count"] == int(
+            "1146439429663839122768813361776646971585765283028443331237519974702855720917742604"
+            "784173390646124958174567344695049803019515881738584238279223879156703915456000000000000")
+        assert report["symmetric_count"] == int(
+            "2081963756970833329610130324598700710685050134017743470077639190247690920807312000000")
+        assert len(report["witnesses"]) == 1
+
+    @pytest.mark.parametrize("argv, total, symmetric", [
+        (["--torus", "13,23"], 103671993183697370234880000, 15711081408000),
+        (["--torus", "11,13"], 375070500000, 945000),
+        (["--family", "K1", "--n", "3"], 574992, 1320),
+    ])
+    def test_capped_search_reports_exact_counts(self, capsys, argv, total, symmetric):
+        # A walk cut at 10,000 profiles printed symmetric_count 1 and "unique": true for the tori.
+        report = run_json(capsys, "restore", *argv)
+        assert (report["total_count"], report["symmetric_count"]) == (total, symmetric)
+        assert report["unique"] is False and report["budget_exhausted"] is True
+
+    def test_twist_twenty_is_fast(self, capsys):
+        start = time.perf_counter()
+        report = run_json(capsys, "restore", "--family", "K1", "--n", "20")
+        assert time.perf_counter() - start < 1
+        assert report["symmetric_count"] == 23967101236980083899511995200
+
+    def test_count_past_the_cost_bound_exits_quickly(self, capsys):
+        # Hull (-5k, 0), (0, 4k), (5k, 10k): two segments of k primitive steps (3, 2) and (2, 3).
+        from upsilon_lab.invariants import hull_vertices
+        from upsilon_lab.restorability import MAX_COUNT_WORK, _pattern_to_gaps
+        from upsilon_lab.semigroups import FormalSemigroup
+
+        k = 500
+        assert 2 * (k * 5 * k) ** 2 > MAX_COUNT_WORK
+        # Up 2k, flat 3k, up 3k - 1, flat 2k - 1, up, flat: above both chords, gap 1 included.
+        steps = [2] * (2 * k) + [0] * (3 * k) + [2] * (3 * k - 1) + [0] * (2 * k - 1) + [2, 0]
+        delta = FormalSemigroup(_pattern_to_gaps(bytes(steps))).to_alexander()
+        assert hull_vertices(delta) == ((-5 * k, 0), (0, 4 * k), (5 * k, 10 * k))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "restore", "--alexander", json.dumps(delta.to_pairs()))
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and out == ""
+        assert err.startswith("error: CountTooCostly: ")
 
     def test_designed_family_below_range_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "restore", "--designed-family", "2")
@@ -325,7 +370,7 @@ class TestFamilyVerify:
 
 class TestParserReuse:
     CALLS = (
-        ["restore", "--catalog", "t09847", "--budget", "0"],  # argparse usage error
+        ["restore", "--catalog", "t09847", "--max-solutions", "0"],  # argparse usage error
         ["census", "scan", "sample"],
         ["invariants", "--catalog", "pretzel_237"],
     )
@@ -463,7 +508,28 @@ class TestJsonChunks:
     @pytest.mark.parametrize("argv", REPORTS, ids=" ".join)
     def test_reports_match_json_dumps(self, monkeypatch, capsys, argv):
         data = emitted(monkeypatch, *argv)
-        assert "".join(cli._json_chunks(data)) == json.dumps(data, indent=2)
+        # json.dumps reads restore witnesses (a lazy sequence) through default=list.
+        assert "".join(cli._json_chunks(data)) == json.dumps(data, indent=2, default=list)
+
+    def test_witnesses_are_written_as_gap_lists(self):
+        from upsilon_lab.restorability import Witnesses
+
+        patterns = [bytes([2, 0, 0, 2, 2, 0]), bytes([2, 0])]
+        value = {"witnesses": Witnesses(patterns), "empty": Witnesses()}
+        assert "".join(cli._json_chunks(value)) == json.dumps(
+            {"witnesses": [[1, 2, 5], [1]], "empty": []}, indent=2)
+
+    @pytest.mark.parametrize("value", [10**4299, -(10**4300), 7**30000, [3**20000 + 1]],
+                             ids=["4300-digits", "negative-4301", "25353-digits", "in-list"])
+    def test_ints_past_the_digit_limit(self, value):
+        # Exact counts can have tens of thousands of digits; repr stops at 4,300 by default.
+        text = "".join(cli._json_chunks(value))
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert text == json.dumps(value, indent=2)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     @pytest.mark.parametrize("value", [
         [], {}, [[]], {"a": {}}, [True, 1], [0, -3, 10**30], (1, 2), None,
@@ -503,23 +569,43 @@ class TestConsoleEntry:
         assert json.loads(proc.stdout)["genus"] == 3
 
     def test_restore_memory_follows_the_listed_witnesses(self):
-        # K1(1000) has g = 6006 and walks 10,000 profiles, of which one is
-        # symmetric; storing every walked profile needed about 935 MB.
-        resource = pytest.importorskip("resource")
-        limit = 512 * 2**20
-
-        def cap_address_space():
-            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-        proc = subprocess.run(
-            [sys.executable, "-m", "upsilon_lab", "restore", "--family", "K1", "--n", "1000"],
-            capture_output=True, text=True, preexec_fn=cap_address_space,
-        )
+        # K1(1000) has g = 6006; one of its symmetric profiles ranks below
+        # 10,000.  Storing every walked profile needed about 935 MB.
+        proc = run_capped(["restore", "--family", "K1", "--n", "1000"])
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout)
-        assert report["total_count"] == 10_000 and report["budget_exhausted"] is True
-        assert len(report["witnesses"]) == report["symmetric_count"]
+        n = 1000
+        fuss = math.comb(4 * n, n) // (3 * n + 1)
+        assert report["total_count"] == fuss**2 * 9 * math.comb(4 * n, 2 * n) // (2 * n + 1)
+        assert report["symmetric_count"] == fuss * 3 * math.comb(2 * n, n)
+        assert report["budget_exhausted"] is True and len(report["witnesses"]) == 1
 
+    def test_restore_at_the_largest_twist(self):
+        # g = 60,006: the counts have about 31,560 and 15,781 digits.
+        proc = run_capped(["restore", "--family", "K1", "--n", "10000"])
+        assert proc.returncode == 0, proc.stderr
+        total = re.search(r'"total_count": ([0-9]+),', proc.stdout)[1]
+        assert len(total) > 30_000 and '"unique": false' in proc.stdout
+
+    def test_restore_all_converts_each_witness_as_written(self):
+        # 10,000 witnesses of g = 606 as gap tuples took about 200 MB.
+        proc = run_capped(["restore", "--family", "K1", "--n", "100", "--all"], megabytes=128)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert len(report["witnesses"]) == 10_000 and report["budget_exhausted"] is True
+
+
+
+def run_capped(argv, megabytes=512):
+    """Run the CLI in a child process under an address-space limit."""
+    resource = pytest.importorskip("resource")
+    limit = megabytes * 2**20
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    return subprocess.run([sys.executable, "-m", "upsilon_lab", *argv],
+                          capture_output=True, text=True, preexec_fn=cap_address_space)
 
 
 def _readme_examples() -> list[str]:
@@ -545,6 +631,7 @@ class TestReadmeAgreesWithCli:
         ["restore", "--catalog", "t09847", "--threads", "2"],
         ["restore", "--catalog", "t09847", "-j", "2"],
         ["restore", "--catalog", "t09847", "--symmetric-only"],
+        ["restore", "--catalog", "t09847", "--budget", "2e8"],
         ["census", "scan", "sample", "--threads", "2"],
         ["family", "verify", "--n", "1", "--burau", "on"],
     ])

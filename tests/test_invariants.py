@@ -70,3 +70,26 @@ def test_designed_family():
 def test_unknot_is_one_vertex():
     assert_matches_dense_route(FormalSemigroup(()))
     assert hull_vertices(FormalSemigroup(()).to_alexander()) == ((0, 0),)
+
+
+def test_one_gap_runs_walk_per_report(monkeypatch):
+    # knot_invariants feeds the semigroup and the hull from one derivation of the runs.
+    import sys
+
+    from upsilon_lab import semigroups
+    from upsilon_lab.family import catalog_knot, catalog_names
+    from upsilon_lab.invariants import knot_invariants
+
+    deltas = [catalog_knot(name).alexander for name in catalog_names()]
+    deltas += [torus_semigroup(5, 12).to_alexander(), designed_family_alexander(25)]
+    calls = []
+    walk = semigroups.gap_runs
+    # Count the walk under every name a package module binds it to.
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("upsilon_lab") and getattr(module, "gap_runs", None) is walk:
+            monkeypatch.setattr(module, "gap_runs",
+                                lambda delta: calls.append(delta) or walk(delta))
+    for delta in deltas:
+        report = knot_invariants(delta)
+        assert report["hull"] == hull_of(delta).to_json()  # hull_of walks again, once
+    assert calls == [d for delta in deltas for d in (delta, delta)]

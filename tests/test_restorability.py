@@ -2,23 +2,31 @@
 
 import itertools
 import math
+import time
 from fractions import Fraction as F
 
 import pytest
 
-from upsilon_lab.errors import InvalidStepPattern, MalformedHull
+from upsilon_lab.errors import CountTooCostly, InvalidStepPattern, MalformedHull
+from upsilon_lab.family import FamilyKnot, alexander_closed_form
 from upsilon_lab.gapfunctions import GapFunction
+from upsilon_lab.invariants import hull_vertices
 from upsilon_lab.laurent import IntLaurentPoly
 from upsilon_lab.piecewise import PLFunction
 from upsilon_lab.restorability import (
+    MAX_COUNT_WORK,
+    Witnesses,
+    _bounds,
     _is_symmetric_pattern,
     _pattern_to_gaps,
+    _segment_count,
+    _walk,
     enumerate_gap_functions,
     is_restorable,
     designed_family_alexander,
     designed_family_check,
 )
-from upsilon_lab.semigroups import FormalSemigroup
+from upsilon_lab.semigroups import FormalSemigroup, torus_semigroup
 
 P = IntLaurentPoly.from_pairs
 
@@ -158,15 +166,12 @@ class TestAgainstNaiveEnumeration:
 
 
 class TestBudgets:
-    def test_step_budget_flags_report(self):
-        report = enumerate_gap_functions(hull_of(PRETZEL), step_budget=3)
-        assert report.budget_exhausted
-
     def test_max_solutions_flags_report(self):
+        # The cap cuts the witness list; the counts stay exact.
         report = enumerate_gap_functions(hull_of(PRETZEL), max_solutions=1)
         assert report.budget_exhausted
-        assert report.total_count <= 1
-
+        assert report.total_count == report.symmetric_count == 2
+        assert report.witnesses == ((1, 2, 4, 6, 9),)
 
 
 class TestPruneSoundness:
@@ -208,17 +213,6 @@ class TestExhaustiveSmallGenus:
             ]
             assert walked == sorted(naive_enumeration(hull)), hull
             assert not report.budget_exhausted
-
-    @pytest.mark.parametrize("g", range(1, 6))
-    def test_budget_counts_the_root_and_every_prefix(self, g):
-        # Nodes are counted as in a depth-first search: the root plus every
-        # partial profile entered, which is every distinct solution prefix.
-        for hull in all_hulls(g):
-            naive = naive_enumeration(hull)
-            nodes = 1 + len({s[:k] for s in naive for k in range(1, 2 * g + 1)})
-            full = enumerate_gap_functions(hull, step_budget=nodes)
-            assert not full.budget_exhausted and full.total_count == len(naive)
-            assert enumerate_gap_functions(hull, step_budget=nodes - 1).budget_exhausted
 
 
 def step_values(pattern):
@@ -269,25 +263,25 @@ class TestStepPatternHelpers:
 
 
 class TestKeepOnlyListed:
-    # Default mode stores only the symmetric profiles; --all stores every one.
-    # Both must walk, count and truncate identically.
+    # Default mode lists only the symmetric profiles; --all lists every one.
+    # Both must count and truncate identically.
 
     @pytest.mark.parametrize("g", range(6))
     def test_default_lists_the_symmetric_subsequence_of_all(self, g):
         for hull in all_hulls(g):
             for cap in (1, 2, 50, 10**4):
-                for budget in (1, 3, 100, 10**9):
-                    every = enumerate_gap_functions(hull, False, cap, budget)
-                    listed = enumerate_gap_functions(hull, True, cap, budget)
-                    case = (hull, cap, budget)
-                    assert listed.total_count == every.total_count, case
-                    assert listed.symmetric_count == every.symmetric_count, case
-                    assert listed.budget_exhausted == every.budget_exhausted, case
-                    assert listed.unique == every.unique, case
-                    symmetric = [w for w in every.witnesses if FormalSemigroup(w).symmetry_check()]
-                    assert list(listed.witnesses) == symmetric, case
+                every = enumerate_gap_functions(hull, False, cap)
+                listed = enumerate_gap_functions(hull, True, cap)
+                case = (hull, cap)
+                assert listed.total_count == every.total_count, case
+                assert listed.symmetric_count == every.symmetric_count, case
+                assert listed.budget_exhausted == every.budget_exhausted, case
+                assert listed.unique == every.unique, case
+                symmetric = [w for w in every.witnesses if FormalSemigroup(w).symmetry_check()]
+                assert list(listed.witnesses) == symmetric, case
+                assert len(every.witnesses) == min(cap, every.total_count), case
+                if not every.budget_exhausted:
                     assert every.symmetric_count == len(symmetric), case
-                    assert len(every.witnesses) == every.total_count, case
 
 
 class TestMalformedHulls:
@@ -342,3 +336,185 @@ class TestDesignedFamily:
             [(-m - 1, 0), (-1, 2), (1, 4), (m + 1, 2 * m + 2)], 0, 2
         )
         assert report.hull == expected
+
+
+def distinct_hulls(g):
+    """The distinct hulls of every gap sequence of genus g, symmetric or not."""
+    sequences = [()] if g == 0 else (
+        low + (2 * g - 1,) for low in itertools.combinations(range(1, 2 * g - 1), g - 1))
+    vertex_sets = {hull_vertices(FormalSemigroup(gaps).to_alexander()) for gaps in sequences}
+    return [PLFunction(verts, 0, 2) for verts in sorted(vertex_sets)]
+
+
+def brute_segment_count(f, u):
+    """Paths of f flat and u up steps from (0, 0) with ups * f >= flats * u at every point."""
+    paths = {(0, 0): 1}
+    for a in range(f + 1):
+        for b in range(u + 1):
+            if (a, b) != (0, 0):
+                ok = b * f >= u * a
+                paths[a, b] = ok * (paths.get((a - 1, b), 0) + paths.get((a, b - 1), 0))
+    return paths[f, u]
+
+
+def forward_counts(hull):
+    """(total, symmetric) by a forward DP over (step index, value) within the bounds.
+
+    A symmetric profile is its left half mirrored, so the symmetric count is
+    the DP up to index g over a hull invariant under (x, y) -> (-x, y - 2x).
+    """
+    lo, hi = _bounds(hull)
+    g = (len(lo) - 1) // 2
+    layer, half = {0: 1}, 1
+    for i in range(1, 2 * g + 1):
+        later = {}
+        for v, c in layer.items():
+            for w in (v, v + 2):
+                if lo[i] <= w <= hi[i]:
+                    later[w] = later.get(w, 0) + c
+        layer = later
+        if i == g:
+            half = sum(layer.values())
+    verts = set(hull.vertices)
+    invariant = {(-x, y - 2 * x) for x, y in verts} == verts
+    return layer[2 * g], half if invariant else 0
+
+
+def knot_hull(delta):
+    return PLFunction(hull_vertices(delta), 0, 2)
+
+
+def k1(n):
+    return alexander_closed_form(FamilyKnot("K1", n))
+
+
+def k2(n):
+    return alexander_closed_form(FamilyKnot("K2", n))
+
+
+def torus(p, q):
+    return torus_semigroup(p, q).to_alexander()
+
+
+# Inputs whose profile count passes the default cap of 10,000.
+CAPPED = {"T(9,11)": torus(9, 11), "T(11,13)": torus(11, 13), "T(13,23)": torus(13, 23),
+          "K1(3)": k1(3), "K2(3)": k2(3)}
+
+
+class TestExactCounts:
+    def test_segment_count_matches_brute_force(self):
+        for f in range(1, 13):
+            for u in range(1, 13):
+                assert _segment_count(f, u) == brute_segment_count(f, u), (f, u)
+
+    @pytest.mark.parametrize("g", range(9))
+    def test_counts_equal_the_walk_on_every_hull(self, g):
+        # Every hull of genus <= 8, asymmetric ones included, is untruncated at the default cap.
+        for hull in distinct_hulls(g):
+            patterns = list(_walk(*_bounds(hull)))
+            report = enumerate_gap_functions(hull)
+            assert not report.budget_exhausted
+            assert report.total_count == len(patterns), hull
+            assert report.symmetric_count == sum(map(_is_symmetric_pattern, patterns)), hull
+            assert report.unique == (report.symmetric_count == 1)
+
+    @pytest.mark.parametrize("name", [*CAPPED, "K1(20)", "T(21,52)"])
+    def test_capped_counts_equal_a_forward_dp(self, name):
+        delta = {"K1(20)": k1(20), "T(21,52)": torus(21, 52)}.get(name) or CAPPED[name]
+        report = is_restorable(delta)
+        assert report.budget_exhausted
+        assert (report.total_count, report.symmetric_count) == forward_counts(report.hull)
+
+    def test_pinned_exact_counts(self):
+        # The walk capped at 10,000 reported T(13,23) as uniquely restorable.
+        expected = {"T(9,11)": (6322176, 4032), "T(11,13)": (375070500000, 945000),
+                    "T(13,23)": (103671993183697370234880000, 15711081408000),
+                    "K1(3)": (574992, 1320), "K2(3)": (574992, 1320)}
+        for name, delta in CAPPED.items():
+            report = is_restorable(delta)
+            assert (report.total_count, report.symmetric_count) == expected[name], name
+            assert not report.unique
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 20, 40])
+    def test_family_counts_follow_the_hull_segments(self, n):
+        # hull_closed_form: segments (3n, n), (4, 2), (2n, 2n) in flat/up steps, then mirrored.
+        fuss = math.comb(4 * n, n) // (3 * n + 1)
+        total = fuss**2 * 3**2 * math.comb(4 * n, 2 * n) // (2 * n + 1)
+        symmetric = fuss * 3 * math.comb(2 * n, n)
+        for delta in (k1(n), k2(n)):
+            report = is_restorable(delta)
+            assert (report.total_count, report.symmetric_count) == (total, symmetric)
+
+    def test_asymmetric_hull_has_no_symmetric_profile(self):
+        hull = PLFunction([(-4, 0), (-1, 2), (4, 8)], 0, 2)
+        report = enumerate_gap_functions(hull, symmetric_only=True)
+        assert report.symmetric_count == 0 and report.witnesses == () and not report.unique
+        assert report.total_count == len(list(_walk(*_bounds(hull))))
+
+    def test_count_cost_is_bounded_before_any_work(self):
+        # Two Bizley segments of k steps (3, 2) and (2, 3): work 2 * (5k * k)^2.
+        k = 500
+        assert 50 * k**4 > MAX_COUNT_WORK
+        hull = PLFunction([(-5 * k, 0), (0, 4 * k), (5 * k, 10 * k)], 0, 2)
+        start = time.perf_counter()
+        with pytest.raises(CountTooCostly):
+            enumerate_gap_functions(hull)
+        assert time.perf_counter() - start < 0.5
+
+    def test_count_below_the_cost_bound(self):
+        k = 20
+        hull = PLFunction([(-5 * k, 0), (0, 4 * k), (5 * k, 10 * k)], 0, 2)
+        report = enumerate_gap_functions(hull)
+        assert (report.total_count, report.symmetric_count) == forward_counts(hull)
+
+
+class TestRankWalk:
+    # Default-mode witnesses: the symmetric profiles among the first cap that _walk yields.
+
+    CAPS = (1, 2, 3, 10, 50, 10**4)
+
+    @pytest.mark.parametrize("g", range(9))
+    def test_witnesses_equal_the_walk_on_every_hull(self, g):
+        for hull in distinct_hulls(g):
+            patterns = list(_walk(*_bounds(hull)))
+            for cap in self.CAPS:
+                expected = [_pattern_to_gaps(p) for p in patterns[:cap] if _is_symmetric_pattern(p)]
+                report = enumerate_gap_functions(hull, symmetric_only=True, max_solutions=cap)
+                assert list(report.witnesses) == expected, (hull, cap)
+                assert report.budget_exhausted == (len(patterns) > cap), (hull, cap)
+
+    @pytest.mark.parametrize("name", CAPPED)
+    def test_witnesses_equal_the_walk_on_capped_inputs(self, name):
+        hull = knot_hull(CAPPED[name])
+        for cap in (7, 100, 10**4):
+            walked = itertools.islice(_walk(*_bounds(hull)), cap)
+            expected = [_pattern_to_gaps(p) for p in walked if _is_symmetric_pattern(p)]
+            report = enumerate_gap_functions(hull, symmetric_only=True, max_solutions=cap)
+            assert list(report.witnesses) == expected, cap
+            every = enumerate_gap_functions(hull, symmetric_only=False, max_solutions=cap)
+            assert len(every.witnesses) == cap
+
+
+class TestWitnessesSequence:
+    PATTERNS = (bytes([2, 0, 0, 2, 0, 2, 0, 2, 2, 0]), bytes([2, 0, 0, 2, 2, 0, 0, 2, 2, 0]))  # pretzel
+
+    def test_reads_like_a_tuple_of_gap_tuples(self):
+        w = Witnesses(self.PATTERNS)
+        gaps = ((1, 2, 4, 6, 9), (1, 2, 5, 6, 9))
+        assert len(w) == 2 and tuple(w) == gaps and w == gaps
+        assert w[0] == gaps[0] and w[-1] == gaps[1] and w[1:] == gaps[1:]
+        assert list(reversed(w)) == list(reversed(gaps)) and w.index(gaps[1]) == 1
+        assert Witnesses() == () and not Witnesses() and w != gaps[:1]
+        assert hash(w) == hash(gaps)
+
+    @pytest.mark.parametrize("gaps, member", [
+        ((1, 2, 4, 6, 9), True), ([1, 2, 5, 6, 9], True), ((1, 2, 3, 6, 9), False),
+        ((9, 6, 4, 2, 1), False), ((1, 2, 4, 6, 9, 9), False), ((1, 2, 4, 6), False),
+        ((1, 2, 4, 6, 10), False), ((-1, 2, 4, 6, 9), False), ((), False),
+    ])
+    def test_membership_over_gap_tuples(self, gaps, member):
+        assert (gaps in Witnesses(self.PATTERNS)) is member
+
+    def test_report_stores_patterns(self):
+        report = enumerate_gap_functions(hull_of(PRETZEL))
+        assert report.witnesses == Witnesses(self.PATTERNS)
