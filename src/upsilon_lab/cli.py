@@ -181,11 +181,13 @@ def _int_text(n: int) -> str:
 def _json_chunks(obj, indent: str = ""):
     """Indent-2 JSON text of obj, chunk by chunk, as json.dumps(obj, indent=2) writes it.
 
-    A list of plain ints (the gaps, values and witnesses that make up most
-    of a report) is one chunk; any other container yields one chunk per
-    entry.  restorability.Witnesses is written as a list of gap lists, each
-    pattern converted only as it is written.  Floats, Fractions, sets and
-    non-str keys raise TypeError.
+    A list of plain ints (the gaps and values that make up most of a
+    report) is one chunk; any other container yields one chunk per entry.
+    restorability.Witnesses is written as a list of gap lists, one chunk per
+    witness, each joined straight from the strings its step pattern selects
+    (Witnesses.gap_strings), so no gap tuple is built.  A malformed pattern
+    raises InvalidStepPattern; floats, Fractions, sets and non-str keys
+    raise TypeError.
 
     >>> print("".join(_json_chunks({"gaps": (1, 2, 5), "ok": True, "name": None})))
     {
@@ -206,12 +208,12 @@ def _json_chunks(obj, indent: str = ""):
         yield "true" if obj else "false"
     elif type(obj) is int:
         yield _int_text(obj)
-    elif isinstance(obj, (list, tuple, restorability.Witnesses)):
+    elif isinstance(obj, (list, tuple)):
         if not obj:
             yield "[]"
             return
         inner = indent + "  "
-        if type(obj) is not restorability.Witnesses and all(type(x) is int for x in obj):
+        if all(type(x) is int for x in obj):
             try:
                 body = (",\n" + inner).join(map(repr, obj))
             except ValueError:  # an int past the digit limit
@@ -237,6 +239,18 @@ def _json_chunks(obj, indent: str = ""):
             yield from _json_chunks(value, inner)
             sep = ",\n" + inner
         yield "\n" + indent + "}"
+    elif isinstance(obj, restorability.Witnesses):
+        if not obj:
+            yield "[]"
+            return
+        inner = indent + "  "
+        opening, gap_sep, closing = "[\n" + inner + "  ", ",\n" + inner + "  ", "\n" + inner + "]"
+        sep = "[\n" + inner
+        for gaps in obj.gap_strings():
+            body = gap_sep.join(gaps)
+            yield sep + (opening + body + closing if body else "[]")
+            sep = ",\n" + inner
+        yield "\n" + indent + "]"
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 

@@ -41,7 +41,10 @@ sparse backward table of completion counts that stores only counts below
 the cap.
 
 A profile is a byte pattern: 2g bytes, each 0 (flat) or 2 (up).  A report
-keeps the patterns and converts each to a gap sequence only when it is read.
+keeps the patterns and converts each to a gap sequence only when it is read;
+the CLI writes each witness's JSON text straight from its pattern through
+Witnesses.gap_strings, with no gap tuple in between.  Both paths check
+the pattern with _check_step_pattern.
 """
 
 from __future__ import annotations
@@ -94,10 +97,28 @@ class Witnesses(Sequence):
     def __iter__(self):
         return map(_pattern_to_gaps, self._patterns)
 
+    def gap_strings(self):
+        """Each witness's gaps in order as decimal strings, each pattern checked first.
+
+        The strings str(a) are built once per call, up to the longest pattern.
+
+        >>> [list(gaps) for gaps in Witnesses([bytes([2, 0, 0, 2, 2, 0]), b""]).gap_strings()]
+        [['1', '2', '5'], []]
+        """
+        labels = []
+        for steps in self._patterns:
+            _check_step_pattern(steps)
+            if len(steps) > len(labels):
+                labels += map(str, range(len(labels), len(steps)))
+            yield compress(labels, steps[::-1])
+
     def __contains__(self, gaps) -> bool:
-        gaps = tuple(gaps)
+        try:
+            gaps = tuple(gaps)
+        except TypeError:
+            return False
         n = 2 * len(gaps)
-        if list(gaps) != sorted(set(gaps)) or not all(0 <= a < n for a in gaps):
+        if not all(type(a) is int and 0 <= a < n for a in gaps) or list(gaps) != sorted(set(gaps)):
             return False
         steps = bytearray(n)
         for a in gaps:
@@ -338,14 +359,11 @@ def _mirrored(half: bytes) -> bytes:
     return half + half.translate(_FLIP)[::-1]
 
 
-def _pattern_to_gaps(steps: bytes) -> tuple[int, ...]:
-    """The gap sequence of a 0/2 step pattern: up step j of n = 2g is gap n - 1 - j.
+def _check_step_pattern(steps: bytes) -> None:
+    """Raise InvalidStepPattern unless the pattern is a gap sequence's steps.
 
-    Raises InvalidStepPattern unless the pattern has g flat and g up steps,
-    starts up (top gap 2g - 1) and ends flat (no gap at 0).
-
-    >>> _pattern_to_gaps(bytes([2, 0, 0, 2, 2, 0]))  # T(3,4)
-    (1, 2, 5)
+    That is g flat (0) and g up (2) bytes, the first rising (top gap 2g - 1)
+    and the last flat (no gap at 0).  An empty pattern is the unknot's.
     """
     n = len(steps)
     g = n // 2
@@ -355,7 +373,16 @@ def _pattern_to_gaps(steps: bytes) -> tuple[int, ...]:
         raise InvalidStepPattern(f"the first step must rise (top gap {2 * g - 1})")
     if g and steps[-1] != 0:
         raise InvalidStepPattern("the final step must be flat (no gap at 0)")
-    return tuple(compress(range(n), steps[::-1]))
+
+
+def _pattern_to_gaps(steps: bytes) -> tuple[int, ...]:
+    """The gap sequence of a checked 0/2 step pattern: up step j of n = 2g is gap n - 1 - j.
+
+    >>> _pattern_to_gaps(bytes([2, 0, 0, 2, 2, 0]))  # T(3,4)
+    (1, 2, 5)
+    """
+    _check_step_pattern(steps)
+    return tuple(compress(range(len(steps)), steps[::-1]))
 
 
 def enumerate_gap_functions(

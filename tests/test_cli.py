@@ -15,8 +15,10 @@ import pytest
 from upsilon_lab import cli
 from upsilon_lab.census import sample_census_path
 from upsilon_lab.cli import build_parser, main
+from upsilon_lab.errors import InvalidStepPattern
 from upsilon_lab.family import catalog_names
 from upsilon_lab.piecewise import PLFunction
+from upsilon_lab.restorability import Witnesses
 
 
 def run_cli(capsys, *argv):
@@ -499,6 +501,8 @@ REPORTS = [
     ["seifert", "decide", "--e0", "0", "--r=-3/7,-1/3,-1/2"],
     ["braid", "--named", "K1", "--n", "3"],
     ["census", "scan", "sample"],
+    ["restore", "--family", "K1", "--n", "3", "--all"],  # 10,000 witnesses, at the cap
+    ["restore", "--torus", "13,23"],  # symmetric witnesses cut by rank
 ]
 
 
@@ -512,12 +516,43 @@ class TestJsonChunks:
         assert "".join(cli._json_chunks(data)) == json.dumps(data, indent=2, default=list)
 
     def test_witnesses_are_written_as_gap_lists(self):
-        from upsilon_lab.restorability import Witnesses
-
         patterns = [bytes([2, 0, 0, 2, 2, 0]), bytes([2, 0])]
         value = {"witnesses": Witnesses(patterns), "empty": Witnesses()}
         assert "".join(cli._json_chunks(value)) == json.dumps(
             {"witnesses": [[1, 2, 5], [1]], "empty": []}, indent=2)
+
+    def test_nested_witnesses_match_json_dumps(self):
+        patterns = [bytes([2, 0, 0, 2, 2, 0]), bytes([2, 0, 2, 0, 0, 2, 2, 0])]
+        value = {"outer": [{"witnesses": Witnesses(patterns)}, 7]}
+        gaps = [[1, 2, 5], [1, 2, 5, 7]]
+        assert "".join(cli._json_chunks(value)) == json.dumps(
+            {"outer": [{"witnesses": gaps}, 7]}, indent=2)
+
+    @pytest.mark.parametrize("patterns, gaps", [
+        ([b""], [[]]),
+        ([b"", b""], [[], []]),
+        ([bytes([2, 0]), b"", bytes([2, 0, 0, 2, 2, 0]), bytes([2, 0, 2, 0])],
+         [[1], [], [1, 2, 5], [1, 3]]),
+        ([bytes([2, 2, 0, 2, 0, 0, 2, 0, 2, 0, 2, 0]), bytes([2, 0])],
+         [[1, 3, 5, 8, 10, 11], [1]]),
+    ], ids=["genus-0", "two-genus-0", "mixed-lengths", "long-then-short"])
+    def test_witness_edge_cases_match_json_dumps(self, patterns, gaps):
+        assert list(Witnesses(patterns)) == [tuple(x) for x in gaps]
+        for value, expected in ((Witnesses(patterns), gaps),
+                                ([[Witnesses(patterns)]], [[gaps]])):
+            assert "".join(cli._json_chunks(value)) == json.dumps(expected, indent=2)
+
+    @pytest.mark.parametrize("pattern", [bytes([0, 2]), bytes([2, 0, 0]), bytes([2, 1]),
+                                         bytes([0, 2, 2, 0]), bytes([2, 0, 2, 0, 0, 2])])
+    def test_malformed_witness_pattern_raises(self, pattern):
+        with pytest.raises(InvalidStepPattern):
+            "".join(cli._json_chunks({"witnesses": Witnesses([bytes([2, 0]), pattern])}))
+
+    def test_witnesses_stream_one_chunk_each(self, monkeypatch):
+        patterns = [bytes([2, 0, 0, 2, 2, 0]), bytes([2, 0, 2, 0]), bytes([2, 0])] * 4
+        assert len(list(cli._json_chunks(Witnesses(patterns)))) >= len(patterns)
+        data = emitted(monkeypatch, "restore", "--family", "K1", "--n", "3", "--all")
+        assert len(list(cli._json_chunks(data))) >= len(data["witnesses"]) == 10_000
 
     @pytest.mark.parametrize("value", [10**4299, -(10**4300), 7**30000, [3**20000 + 1]],
                              ids=["4300-digits", "negative-4301", "25353-digits", "in-list"])

@@ -511,6 +511,8 @@ class TestWitnessesSequence:
         ((1, 2, 4, 6, 9), True), ([1, 2, 5, 6, 9], True), ((1, 2, 3, 6, 9), False),
         ((9, 6, 4, 2, 1), False), ((1, 2, 4, 6, 9, 9), False), ((1, 2, 4, 6), False),
         ((1, 2, 4, 6, 10), False), ((-1, 2, 4, 6, 9), False), ((), False),
+        ((1, "a"), False), ((1.0, 2.0, 5.0), False), ((1.0, 2.0, 4.0, 6.0, 9.0), False),
+        (5, False), ("12469", False),
     ])
     def test_membership_over_gap_tuples(self, gaps, member):
         assert (gaps in Witnesses(self.PATTERNS)) is member
