@@ -13,10 +13,15 @@ rewriting column i-1 of the running product from its neighbouring columns c:
     sigma_i:     t*c[i-2] - t*c[i-1] + c[i]
     sigma_i^-1:  c[i-2] - t^-1*c[i-1] + t^-1*c[i]
 
-where a column outside the matrix counts as zero.  The determinant is taken
-by fraction-free elimination directly over the Laurent ring, and the unit
-ambiguity is fixed by shifting the minimum exponent to 0 and scaling the
-sign so that Delta(1) = +1.
+where a column outside the matrix counts as zero.  Each column is one plain
+dict of integer coefficients keyed by e * (s-1) + row for the term t^e of
+that row, so a factor t^k is a shift of every key by k * (s-1) and a letter
+builds one new dict; the keys become Laurent polynomials only once, at the
+end.  The determinant is taken by fraction-free elimination directly over
+the Laurent ring, and the unit ambiguity is fixed by shifting the minimum
+exponent to 0 and scaling the sign so that Delta(1) = +1.  Its cost grows
+faster than the cube of the strand count, so a closure with more than
+MAX_STRANDS strands is refused before it is built.
 
 This gives an independent oracle for every Alexander polynomial stored with a braid
 word elsewhere in the package.
@@ -27,8 +32,13 @@ from __future__ import annotations
 import re
 from typing import Iterable
 
-from .errors import DisconnectedClosure, NotAKnot, NotPositiveBraid, UnknownName
+from .errors import NotAKnot, TooManyStrands, UnknownName
 from .laurent import IntLaurentPoly, determinant
+
+# The most strands a closure may have for the Burau determinant.  On the
+# unknot word 1, 2, ..., s-1, alexander_of_closure took about 0.16 s at
+# s = 32, 1.6 s at 64 and 3.5 s at 80 (CPython 3.11, a shared 2-CPU host).
+MAX_STRANDS = 32
 
 
 class BraidWord:
@@ -113,56 +123,55 @@ class BraidWord:
     def is_knot_closure(self) -> bool:
         return self.closure_components() == 1
 
-    def stabilized(self) -> "BraidWord":
-        """Embed into B_{strands+1} and append sigma_strands (Markov move)."""
-        return BraidWord(self._strands + 1, self._letters + (self._strands,))
-
-    def positive_braid_genus(self) -> int:
-        """Seifert genus of the closure of a positive word: (c - s + 1)/2.
-
-        Requires every letter positive and a connected (single-component)
-        closure, where the Bennequin surface realizes the genus.
-        """
-        if any(x < 0 for x in self._letters):
-            raise NotPositiveBraid("word contains inverse letters")
-        if not self.is_knot_closure():
-            raise DisconnectedClosure(
-                f"closure has {self.closure_components()} components"
-            )
-        return (len(self._letters) - self._strands + 1) // 2
-
     # -- Burau ---------------------------------------------------------------------
 
     def reduced_burau(self) -> list[list[IntLaurentPoly]]:
         """Product of reduced Burau matrices, (s-1) x (s-1) over Z[t, t^-1].
 
-        Each letter +-i rewrites column j = i-1 in place, row by row: sigma_i
-        gives t*c[j-1] - t*c[j] + c[j+1] and its inverse c[j-1] - t^-1*c[j] +
-        t^-1*c[j+1], a column outside the matrix counting as zero.
+        Column j of the running product is one dict {e * (s-1) + row: coeff}
+        for the term coeff * t^e in that row, so multiplying a column by t^k
+        adds k * (s-1) to its keys.  Each letter +-i builds a new column
+        j = i-1 from its neighbours: sigma_i gives t*c[j-1] - t*c[j] + c[j+1]
+        and its inverse c[j-1] - t^-1*c[j] + t^-1*c[j+1], a column outside the
+        matrix counting as zero and cancelled terms deleted.  The keys are
+        decoded once at the end by divmod(key, s-1), whose floor division
+        gives the right (e, row) for negative e too.
 
         >>> BraidWord(2, [1, 1, 1]).reduced_burau()
         [[IntLaurentPoly('-t^3')]]
         """
         n = self._strands - 1
-        one, zero = IntLaurentPoly.one(), IntLaurentPoly.zero()
-        matrix = [[one if i == j else zero for j in range(n)] for i in range(n)]
+        columns = [{j: 1} for j in range(n)]
         for letter in self._letters:
             j = abs(letter) - 1
-            left, mid, right = (1, 1, 0) if letter > 0 else (0, -1, -1)
-            for row in matrix:
-                entry = -row[j].shifted(mid)
-                if j > 0:
-                    entry = entry + row[j - 1].shifted(left)
-                if j + 1 < n:
-                    entry = entry + row[j + 1].shifted(right)
-                row[j] = entry
-        return matrix
+            left, mid, right = (n, n, 0) if letter > 0 else (0, -n, -n)
+            column = {key + mid: -c for key, c in columns[j].items()}
+            for k, shift in ((j - 1, left), (j + 1, right)):
+                if 0 <= k < n:
+                    for key, c in columns[k].items():
+                        key += shift
+                        new = column.get(key, 0) + c
+                        if new:
+                            column[key] = new
+                        else:
+                            del column[key]
+            columns[j] = column
+        entries: list[list[dict[int, int]]] = [[{} for _ in range(n)] for _ in range(n)]
+        for j, column in enumerate(columns):
+            for key, c in column.items():
+                e, row = divmod(key, n)
+                entries[row][j][e] = c
+        return [[IntLaurentPoly(terms) for terms in row] for row in entries]
 
     def alexander_of_closure(self) -> IntLaurentPoly:
         """Alexander polynomial of the closure, normalized so Delta(1) = +1."""
         if not self.is_knot_closure():
             raise NotAKnot(
                 f"closure has {self.closure_components()} components, need 1"
+            )
+        if self._strands > MAX_STRANDS:
+            raise TooManyStrands(
+                f"{self._strands} strands, above the limit of {MAX_STRANDS} for the Burau determinant"
             )
         n = self._strands - 1
         burau = self.reduced_burau()
@@ -191,6 +200,11 @@ _FAMILY_PREFIX = (2, 1, 3, 2)
 _FAMILY_TWIST = (1, 2, 3)
 _FAMILY_SUFFIX = (2, 3) * 6
 
+_CENSUS_WORDS = {
+    "t09847": (2, 1, 3, 2) * 3 + (2, 1, 1, 2) + (1,),
+    "v2871": (2, 1, 3, 2) * 3 + (2, 1, 1, 2) + (1, 1, 1),
+}
+
 _NAME_WITH_ARG = re.compile(r"^(K[12])\((\d+)\)$")
 
 # The largest twist value n (genus 6n + 6 = 60,006): K1(n) and K2(n) grow with n.
@@ -209,14 +223,20 @@ def family_braid(which: str, n: int) -> BraidWord:
 
 
 def named_braid(name: str, n: int | None = None) -> BraidWord:
-    """Built-in words: "t09847", "v2871", "K1"/"K2" (with n), or "K1(3)" style."""
+    """Built-in words: "t09847", "v2871", "K1"/"K2" (with n), or "K1(3)" style.
+
+    n is the twist parameter of a bare "K1"/"K2"; any other name given an n
+    raises ValueError rather than ignoring it.
+    """
     match = _NAME_WITH_ARG.match(name)
     if match:
+        if n is not None:
+            raise ValueError(f"{name} already carries its twist parameter; give no separate n")
         name, n = match.group(1), int(match.group(2))
-    if name == "t09847":
-        return BraidWord(4, (2, 1, 3, 2) * 3 + (2, 1, 1, 2) + (1,))
-    if name == "v2871":
-        return BraidWord(4, (2, 1, 3, 2) * 3 + (2, 1, 1, 2) + (1, 1, 1))
+    if name in _CENSUS_WORDS:
+        if n is not None:
+            raise ValueError(f"{name} takes no twist parameter n")
+        return BraidWord(4, _CENSUS_WORDS[name])
     if name in ("K1", "K2"):
         if n is None:
             raise UnknownName(f"{name} needs the twist parameter n, e.g. {name}(2)")

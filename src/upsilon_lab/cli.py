@@ -317,6 +317,18 @@ def _cmd_seifert(args: argparse.Namespace) -> int:
 
 
 def _cmd_braid(args: argparse.Namespace) -> int:
+    given = [flag for flag, present in (
+        ("--named", args.named is not None),
+        ("--json", args.json is not None),
+        ("--strands/--word", args.strands is not None or args.word is not None),
+    ) if present]
+    if len(given) != 1:
+        raise _UsageError(
+            "give exactly one of --named NAME, --json SPEC or --strands S --word W, "
+            f"got {len(given)}: {', '.join(given) or 'none'}"
+        )
+    if args.n is not None and args.named is None:
+        raise _UsageError("--n goes only with --named K1 or K2")
     if args.named is not None:
         word = braids.named_braid(args.named, args.n)
     elif args.json is not None:
@@ -324,14 +336,14 @@ def _cmd_braid(args: argparse.Namespace) -> int:
             word = braids.BraidWord.from_json(json.loads(args.json))
         except (ValueError, TypeError, KeyError) as exc:
             raise _UsageError(f"bad --json value: {exc}") from exc
-    elif args.strands is not None and args.word is not None:
+    elif args.strands is None or args.word is None:
+        raise _UsageError("--strands and --word go together")
+    else:
         try:
             letters = [int(x) for x in args.word.split(",")]
         except ValueError as exc:
             raise _UsageError(f"bad --word value {args.word!r}") from exc
         word = braids.BraidWord(args.strands, letters)
-    else:
-        raise _UsageError("give --named NAME, --json SPEC, or --strands S --word W")
     delta = word.alexander_of_closure()
     _emit(
         {

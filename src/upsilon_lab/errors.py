@@ -25,12 +25,11 @@ class NotAKnot(UpsilonLabError):
     """The braid closure has more than one component."""
 
 
-class NotPositiveBraid(UpsilonLabError):
-    """Operation requires a braid word with positive letters only."""
+class TooManyStrands(UpsilonLabError):
+    """The braid has more strands than braids.MAX_STRANDS allows for the Burau determinant.
 
-
-class DisconnectedClosure(UpsilonLabError):
-    """The braid closure is not connected."""
+    Raised after the component check, before any matrix is built.
+    """
 
 
 class NotLSpaceForm(UpsilonLabError):

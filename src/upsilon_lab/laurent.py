@@ -234,7 +234,9 @@ class IntLaurentPoly:
 
         Runs synthetic division from the lowest exponent up and raises
         NonExactDivision at the first position where the remainder cannot be
-        cancelled; that exponent is recorded on the exception.
+        cancelled; that exponent is recorded on the exception.  Each quotient
+        step subtracts only the divisor's nonzero terms, so t^s - 1 costs two
+        updates per step, not s + 1.
         """
         if d.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
@@ -243,9 +245,9 @@ class IntLaurentPoly:
         n_lo, n_hi = self.min_exp, self.max_exp
         d_lo, d_hi = d.min_exp, d.max_exp
         rem = [self._terms.get(e, 0) for e in range(n_lo, n_hi + 1)]
-        div = [d._terms.get(e, 0) for e in range(d_lo, d_hi + 1)]
-        d0 = div[0]
-        width = len(div)
+        div = [(e - d_lo, c) for e, c in d._terms.items()]
+        d0 = d._terms[d_lo]
+        width = d_hi - d_lo + 1
         q_offset = n_lo - d_lo
         quotient: dict[int, int] = {}
         for i, c in enumerate(rem):
@@ -262,7 +264,7 @@ class IntLaurentPoly:
                 )
             f = c // d0
             quotient[q_offset + i] = f
-            for j, dc in enumerate(div):
+            for j, dc in div:
                 rem[i + j] -= f * dc
         return IntLaurentPoly(quotient)
 

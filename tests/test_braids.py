@@ -5,13 +5,15 @@ import random
 
 import pytest
 
-from upsilon_lab.braids import MAX_TWIST, BraidWord, family_braid, named_braid, torus_braid
-from upsilon_lab.errors import (
-    DisconnectedClosure,
-    NotAKnot,
-    NotPositiveBraid,
-    UnknownName,
+from upsilon_lab.braids import (
+    MAX_STRANDS,
+    MAX_TWIST,
+    BraidWord,
+    family_braid,
+    named_braid,
+    torus_braid,
 )
+from upsilon_lab.errors import NotAKnot, TooManyStrands, UnknownName
 from upsilon_lab.laurent import IntLaurentPoly
 
 from test_laurent import K1_N1, K2_N1
@@ -39,6 +41,24 @@ def positive_family_word(which: str, n: int) -> BraidWord:
     else:
         letters = prefix + twist[:-1] + (2, 3) * 6
     return BraidWord(4, letters)
+
+
+def stabilized(word: BraidWord) -> BraidWord:
+    """Embed into B_{s+1} and append sigma_s (Markov stabilization)."""
+    return BraidWord(word.strands + 1, word.letters + (word.strands,))
+
+
+def positive_braid_genus(word: BraidWord) -> int:
+    """Seifert genus (c - s + 1)/2 of a positive word closing to a knot.
+
+    The Bennequin surface of such a closure realizes the genus.
+    """
+    assert all(x > 0 for x in word.letters) and word.is_knot_closure(), word
+    return (len(word.letters) - word.strands + 1) // 2
+
+
+def inverse(word: BraidWord) -> BraidWord:
+    return BraidWord(word.strands, [-x for x in reversed(word.letters)])
 
 
 class TestValidation:
@@ -90,26 +110,18 @@ class TestExponentSum:
 
 class TestPositiveBraidGenus:
     def test_trefoil(self):
-        assert BraidWord(2, [1, 1, 1]).positive_braid_genus() == 1
+        assert positive_braid_genus(BraidWord(2, [1, 1, 1])) == 1
 
     def test_unknot(self):
-        assert BraidWord(2, [1]).positive_braid_genus() == 0
+        assert positive_braid_genus(BraidWord(2, [1])) == 0
 
     @pytest.mark.parametrize("which", ["K1", "K2"])
     @pytest.mark.parametrize("n", [1, 2])
     def test_family_positive_words(self, which, n):
         word = positive_family_word(which, n)
-        assert word.positive_braid_genus() == 6 * n + 6
+        assert positive_braid_genus(word) == 6 * n + 6
         # The cancelled word closes to the same knot.
         assert word.alexander_of_closure() == family_braid(which, n).alexander_of_closure()
-
-    def test_rejects_inverse_letters(self):
-        with pytest.raises(NotPositiveBraid):
-            BraidWord(2, [1, -1, 1]).positive_braid_genus()
-
-    def test_rejects_disconnected_closure(self):
-        with pytest.raises(DisconnectedClosure):
-            BraidWord(3, [1]).positive_braid_genus()
 
 
 def generator_matrix(strands: int, letter: int) -> list[list[IntLaurentPoly]]:
@@ -165,6 +177,17 @@ class TestBurauAgainstGeneratorProduct:
             word = BraidWord(strands, letters)
             assert word.reduced_burau() == generator_product(word), word
 
+    def test_random_words_on_many_strands_mostly_inverse(self):
+        # Mostly inverse letters drive exponents negative, so the column keys
+        # e * (s-1) + row go below zero and must decode by floor division.
+        rng = random.Random(13)
+        for strands in (7, 8):
+            for _ in range(6):
+                letters = [(1 if rng.random() < 0.25 else -1) * rng.randint(1, strands - 1)
+                           for _ in range(rng.randint(1, 40))]
+                word = BraidWord(strands, letters)
+                assert word.reduced_burau() == generator_product(word), word
+
     @pytest.mark.parametrize("which", ["K1", "K2"])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_family_words(self, which, n):
@@ -182,6 +205,17 @@ class TestBurauMatrices:
         assert (
             BraidWord(4, [1, 3]).reduced_burau() == BraidWord(4, [3, 1]).reduced_burau()
         )
+
+    @pytest.mark.parametrize("strands", range(2, 9))
+    @pytest.mark.parametrize("k", range(-2, 3))
+    def test_full_twist_powers_are_scalar(self, strands, k):
+        # The full twist (sigma_1 ... sigma_{s-1})^s is central and maps to t^s * I.
+        twist = torus_braid(strands, strands)
+        power = twist.letters * k if k >= 0 else inverse(twist).letters * -k
+        n = strands - 1
+        expected = [[IntLaurentPoly.monomial(k * strands) if r == c else IntLaurentPoly.zero()
+                     for c in range(n)] for r in range(n)]
+        assert BraidWord(strands, power).reduced_burau() == expected
 
     def test_inverse_letters_cancel(self):
         for s in (2, 3, 4):
@@ -249,7 +283,16 @@ class TestClosureProperties:
         rng = random.Random(18)
         for _ in range(40):
             word = random_knot_word(rng)
-            assert word.stabilized().alexander_of_closure() == word.alexander_of_closure()
+            assert stabilized(word).alexander_of_closure() == word.alexander_of_closure()
+
+    def test_conjugation_invariance(self):
+        rng = random.Random(19)
+        for _ in range(20):
+            word = random_knot_word(rng)
+            u = BraidWord(word.strands, [rng.choice((1, -1)) * rng.randint(1, word.strands - 1)
+                                         for _ in range(rng.randint(1, 6))])
+            conjugate = BraidWord(word.strands, u.letters + word.letters + inverse(u).letters)
+            assert conjugate.alexander_of_closure() == word.alexander_of_closure(), (word, u)
 
     def test_degree_is_twice_genus_for_positive_catalog_words(self):
         words = [
@@ -263,12 +306,31 @@ class TestClosureProperties:
         ]
         for word in words:
             delta = word.alexander_of_closure()
-            assert delta.max_exp == 2 * word.positive_braid_genus(), word
+            assert delta.max_exp == 2 * positive_braid_genus(word), word
+
+
+class TestStrandBound:
+    def test_largest_accepted_unknot_word_answers(self):
+        word = BraidWord(MAX_STRANDS, range(1, MAX_STRANDS))
+        assert word.alexander_of_closure() == IntLaurentPoly.one()
+
+    def test_one_more_strand_is_refused(self):
+        with pytest.raises(TooManyStrands, match=f"above the limit of {MAX_STRANDS}"):
+            BraidWord(MAX_STRANDS + 1, range(1, MAX_STRANDS + 1)).alexander_of_closure()
+
+    def test_component_count_is_checked_first(self):
+        with pytest.raises(NotAKnot):
+            BraidWord(MAX_STRANDS + 1, [1]).alexander_of_closure()
 
 
 class TestNamedBraids:
     def test_arg_in_name(self):
         assert named_braid("K1(2)") == family_braid("K1", 2)
+
+    @pytest.mark.parametrize("name", ["t09847", "v2871", "K1(3)", "K2(1)"])
+    def test_parameter_given_twice_or_to_a_fixed_word(self, name):
+        with pytest.raises(ValueError, match="twist parameter"):
+            named_braid(name, 5)
 
     def test_missing_parameter(self):
         with pytest.raises(UnknownName):

@@ -14,6 +14,7 @@ import pytest
 
 from upsilon_lab import cli
 from upsilon_lab.census import sample_census_path
+from upsilon_lab.braids import MAX_STRANDS
 from upsilon_lab.cli import build_parser, main
 from upsilon_lab.errors import InvalidStepPattern
 from upsilon_lab.family import catalog_names
@@ -132,6 +133,39 @@ class TestExitCodes:
         assert time.perf_counter() - start < 0.5
         assert code == 2 and out == ""
         assert f"closure has {10**18 - 1} components, need 1" in err
+
+    @pytest.mark.parametrize("flag", ["braid", "invariants"])
+    def test_too_many_strands_exits_quickly(self, capsys, flag):
+        # The unknot word 1, ..., s-1 closes to a knot, so only the strand bound stops it.
+        strands = MAX_STRANDS + 1
+        letters = list(range(1, strands))
+        argv = (["braid", "--strands", str(strands), "--word", ",".join(map(str, letters))]
+                if flag == "braid"
+                else ["invariants", "--braid", json.dumps({"strands": strands, "word": letters})])
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and out == ""
+        assert f"TooManyStrands: {strands} strands, above the limit of {MAX_STRANDS}" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--named", "K1(3)", "--n", "5"], "already carries its twist parameter"),
+        (["--named", "t09847", "--n", "5"], "takes no twist parameter n"),
+        (["--named", "v2871", "--strands", "3", "--word", "1"], "got 2: --named, --strands/--word"),
+        (["--json", '{"strands":2,"word":[1,1,1]}', "--strands", "3", "--word", "1,2"],
+         "got 2: --json, --strands/--word"),
+        (["--json", '{"strands":2,"word":[1,1,1]}', "--named", "K1", "--n", "1"],
+         "got 2: --named, --json"),
+        (["--json", '{"strands":2,"word":[1,1,1]}', "--n", "2"], "--n goes only with --named"),
+        (["--strands", "2", "--word", "1,1,1", "--n", "2"], "--n goes only with --named"),
+        (["--strands", "2"], "--strands and --word go together"),
+        ([], "got 0: none"),
+    ], ids=["name-with-n-and-n", "fixed-name-with-n", "named-and-word", "json-and-word",
+            "json-and-named", "json-with-n", "word-with-n", "strands-alone", "nothing"])
+    def test_braid_inputs_are_exclusive(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "braid", *argv)
+        assert code == 2 and out == ""
+        assert message in err
 
     @pytest.mark.parametrize("argv, message", [
         (["family", "verify", "--n", str(10**18)], "n values must be from 1 to 10000"),

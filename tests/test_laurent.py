@@ -89,7 +89,75 @@ class TestMul:
         assert quartic * a2_n2 == poly({28: 1, 24: -1})
 
 
+def dense_exact_div(p: IntLaurentPoly, d: IntLaurentPoly) -> IntLaurentPoly:
+    """Synthetic division stepping over every exponent of the divisor, zeros included.
+
+    Raises NonExactDivision at the same exponent as IntLaurentPoly.exact_div.
+    """
+    if p.is_zero:
+        return p
+    n_lo, d_lo = p.min_exp, d.min_exp
+    rem = [p.coeff(e) for e in range(n_lo, p.max_exp + 1)]
+    div = [d.coeff(e) for e in range(d_lo, d.max_exp + 1)]
+    quotient = {}
+    for i, c in enumerate(rem):
+        if not c:
+            continue
+        if i + len(div) > len(rem) or c % div[0]:
+            raise NonExactDivision("dense", exponent=n_lo + i)
+        quotient[n_lo - d_lo + i] = c // div[0]
+        for j, dc in enumerate(div):
+            rem[i + j] -= c // div[0] * dc
+    return IntLaurentPoly(quotient)
+
+
+# Divisors with interior zeros: t^s - 1 (the closure denominator) and a Bareiss
+# pivot shape, 1 - t^168 + t^169, from the K1(40) Burau matrix.
+SPARSE_DIVISORS = [
+    *(IntLaurentPoly.monomial(s) - 1 for s in (2, 4, 7, 40)),
+    poly({0: 1, 168: -1, 169: 1}),
+    poly({-5: 3, 2: -2, 30: 1}),
+]
+
+
 class TestExactDiv:
+    @pytest.mark.parametrize("d", SPARSE_DIVISORS, ids=str)
+    def test_sparse_divisor_matches_dense(self, d):
+        rng = random.Random(str(d))
+        for _ in range(20):
+            q = random_poly(rng, max_terms=8, exp_range=(-50, 200))
+            if q.is_zero:
+                continue
+            p = q * d
+            assert p.exact_div(d) == dense_exact_div(p, d) == q
+
+    @pytest.mark.parametrize("d", SPARSE_DIVISORS, ids=str)
+    def test_sparse_divisor_nonexact_exponent_matches_dense(self, d):
+        rng = random.Random(str(d))
+        for _ in range(20):
+            p = random_poly(rng, max_terms=8, exp_range=(-50, 400)) * d + random_poly(rng, 3, (-60, 450))
+            try:
+                expected = dense_exact_div(p, d)
+            except NonExactDivision as dense_err:
+                with pytest.raises(NonExactDivision) as err:
+                    p.exact_div(d)
+                assert err.value.exponent == dense_err.exponent
+            else:
+                assert p.exact_div(d) == expected
+
+    def test_nonexact_past_the_divisor_reach(self):
+        # (t^3 - 1) + t^5: the quotient term 1 leaves t^5, too high for t^3 - 1 to cancel.
+        with pytest.raises(NonExactDivision, match="nonzero remainder") as err:
+            poly({0: -1, 3: 1, 5: 1}).exact_div(poly({0: -1, 3: 1}))
+        assert err.value.exponent == 5
+
+    def test_nonexact_coefficient_with_interior_zeros(self):
+        # 2 + t + t^20 over 2 - t^10: after the quotient term 1, t has odd coefficient.
+        with pytest.raises(NonExactDivision, match="not divisible by 2") as err:
+            poly({0: 2, 1: 1, 20: 1}).exact_div(poly({0: 2, 10: -1}))
+        assert err.value.exponent == 1
+
+
     def test_linear(self):
         assert poly({0: 1, 2: -1}).exact_div(poly({0: 1, 1: -1})) == poly({0: 1, 1: 1})
 
