@@ -17,8 +17,11 @@ def knot(name: str) -> IntLaurentPoly:
         return IntLaurentPoly.from_pairs([[0, 1]])
     if name == "T(17,49)":
         return torus_semigroup(17, 49).to_alexander()
-    if name == "K1(40)":
-        return family.alexander_closed_form(family.FamilyKnot("K1", 40))
+    if name == "T(26,41)":
+        return torus_semigroup(26, 41).to_alexander()
+    if name in ("K1(40)", "K2(80)"):
+        which, n = name[:2], int(name[3:-1])
+        return family.alexander_closed_form(family.FamilyKnot(which, n))
     return family.catalog_knot(name).alexander
 
 
@@ -71,6 +74,9 @@ SVG_SHA256 = {
     ("K1(40)", "hull"): "4ef02837f071838ea57f2a388fa67df0b78ae353910d1c8db12b5a3fa0c9b1f1",
     ("K1(40)", "upsilon"): "c35c81df244c001451429b9d6d34e33f2a9299b8be6a3f1df50e9d8d3abbf568",
     ("K1(40)", "gapfn,hull,upsilon"): "2a78b4086b44598a6aa22c4fc2172dd4040fec34731d2aa18bb3b511cf53c21f",
+    # The top of the genus ladder: g = 500 and g = 486.
+    ("T(26,41)", "gapfn,hull,upsilon"): "4f3375388c2b77a65fdeb53a1dc8ae4c91377027f43ca5ff3febb96186a1eb82",
+    ("K2(80)", "gapfn,hull,upsilon"): "b6cbd0d38ae601fedd62687ade8b0689fc915197740f032884a3c4e922816160",
 }
 
 
