@@ -21,7 +21,8 @@ end.  The determinant is taken by fraction-free elimination directly over
 the Laurent ring, and the unit ambiguity is fixed by shifting the minimum
 exponent to 0 and scaling the sign so that Delta(1) = +1.  Its cost grows
 faster than the cube of the strand count, so a closure with more than
-MAX_STRANDS strands is refused before it is built.
+MAX_STRANDS strands is refused before it is built; the CLI also refuses a
+word of its own with more than MAX_LETTERS letters.
 
 This gives an independent oracle for every Alexander polynomial stored with a braid
 word elsewhere in the package.
@@ -39,6 +40,14 @@ from .laurent import IntLaurentPoly, determinant
 # unknot word 1, 2, ..., s-1, alexander_of_closure took about 0.16 s at
 # s = 32, 1.6 s at 64 and 3.5 s at 80 (CPython 3.11, a shared 2-CPU host).
 MAX_STRANDS = 32
+
+# The most letters a braid word given on the command line may have.  The
+# cost grows faster than the cube of the length: the worst of three
+# knot-closing words (random signs, or all positive) of 99 to 100 letters
+# took 0.003 s on 3 strands, 0.03 s on 5 and 1.5 s on 32, against 3.5 s at
+# 127 letters on 32 strands (CPython 3.11, a shared 2-CPU host).  Named
+# family words are bounded by MAX_TWIST instead.
+MAX_LETTERS = 100
 
 
 class BraidWord:
@@ -161,7 +170,7 @@ class BraidWord:
             for key, c in column.items():
                 e, row = divmod(key, n)
                 entries[row][j][e] = c
-        return [[IntLaurentPoly(terms) for terms in row] for row in entries]
+        return [[IntLaurentPoly._from_terms(terms) for terms in row] for row in entries]
 
     def alexander_of_closure(self) -> IntLaurentPoly:
         """Alexander polynomial of the closure, normalized so Delta(1) = +1."""

@@ -20,7 +20,7 @@ import sys
 from json.encoder import encode_basestring_ascii
 
 from . import braids, census, family, restorability, seifert, svgplot
-from .errors import GenusTooLarge, UpsilonLabError
+from .errors import GenusTooLarge, UpsilonLabError, WordTooLong
 from .invariants import gap_function_of, hull_of, knot_invariants
 from .laurent import IntLaurentPoly
 from .piecewise import legendre_fenchel
@@ -95,7 +95,8 @@ def _resolve_knot_spec(args: argparse.Namespace) -> tuple[str | None, IntLaurent
         name = f"{args.family}({args.n})"
     elif kind == "braid":
         try:
-            word = braids.BraidWord.from_json(json.loads(args.braid))
+            spec = json.loads(args.braid)
+            word = _user_braid(spec["strands"], spec["word"])
         except (ValueError, TypeError, KeyError) as exc:
             raise _UsageError(f"bad --braid value: {exc}") from exc
         delta = word.alexander_of_closure()
@@ -114,6 +115,18 @@ def _resolve_knot_spec(args: argparse.Namespace) -> tuple[str | None, IntLaurent
         genus = sum(b - a for a, b in gap_runs(delta))  # NotLSpaceForm unless deg = 2g
         raise GenusTooLarge(f"the polynomial has genus {genus}, above the limit of {MAX_GENUS}")
     return name, delta
+
+
+def _user_braid(strands, letters) -> braids.BraidWord:
+    """A braid word given on the command line, refused past MAX_LETTERS letters before it is built.
+
+    Named words (braids.named_braid) are bounded by MAX_TWIST instead.
+    """
+    if len(letters) > braids.MAX_LETTERS:
+        raise WordTooLong(
+            f"the braid word has {len(letters)} letters, above the limit of {braids.MAX_LETTERS}"
+        )
+    return braids.BraidWord(strands, letters)
 
 
 # Each twist value is a full verification, so a range holds at most this many.
@@ -182,7 +195,9 @@ def _json_chunks(obj, indent: str = ""):
     """Indent-2 JSON text of obj, chunk by chunk, as json.dumps(obj, indent=2) writes it.
 
     A list of plain ints (the gaps and values that make up most of a
-    report) is one chunk; any other container yields one chunk per entry.
+    report) or of plain strs (the [p, q] vertex pairs, slopes, name groups
+    and warnings) is one chunk; any other container yields one chunk per
+    entry.
     restorability.Witnesses is written as a list of gap lists, one chunk per
     witness, each joined straight from the strings its step pattern selects
     (Witnesses.gap_strings), so no gap tuple is built.  A malformed pattern
@@ -213,11 +228,15 @@ def _json_chunks(obj, indent: str = ""):
             yield "[]"
             return
         inner = indent + "  "
-        if all(type(x) is int for x in obj):
-            try:
-                body = (",\n" + inner).join(map(repr, obj))
-            except ValueError:  # an int past the digit limit
-                body = (",\n" + inner).join(map(_int_text, obj))
+        kind = type(obj[0])
+        if (kind is int or kind is str) and all(type(x) is kind for x in obj):
+            if kind is str:
+                body = (",\n" + inner).join(map(encode_basestring_ascii, obj))
+            else:
+                try:
+                    body = (",\n" + inner).join(map(repr, obj))
+                except ValueError:  # an int past the digit limit
+                    body = (",\n" + inner).join(map(_int_text, obj))
             yield "[\n" + inner + body + "\n" + indent + "]"
             return
         sep = "[\n" + inner
@@ -333,7 +352,8 @@ def _cmd_braid(args: argparse.Namespace) -> int:
         word = braids.named_braid(args.named, args.n)
     elif args.json is not None:
         try:
-            word = braids.BraidWord.from_json(json.loads(args.json))
+            spec = json.loads(args.json)
+            word = _user_braid(spec["strands"], spec["word"])
         except (ValueError, TypeError, KeyError) as exc:
             raise _UsageError(f"bad --json value: {exc}") from exc
     elif args.strands is None or args.word is None:
@@ -343,7 +363,7 @@ def _cmd_braid(args: argparse.Namespace) -> int:
             letters = [int(x) for x in args.word.split(",")]
         except ValueError as exc:
             raise _UsageError(f"bad --word value {args.word!r}") from exc
-        word = braids.BraidWord(args.strands, letters)
+        word = _user_braid(args.strands, letters)
     delta = word.alexander_of_closure()
     _emit(
         {

@@ -32,6 +32,13 @@ class TooManyStrands(UpsilonLabError):
     """
 
 
+class WordTooLong(UpsilonLabError):
+    """A braid word from the command line has more than braids.MAX_LETTERS letters.
+
+    Raised before the word is built.
+    """
+
+
 class NotLSpaceForm(UpsilonLabError):
     """Polynomial is not in L-space form (alternating +-1 coefficients).
 

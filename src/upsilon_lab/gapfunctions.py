@@ -10,6 +10,7 @@ search exploits.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Iterable
 
 from .errors import InvalidStepPattern
@@ -83,9 +84,17 @@ class GapFunction:
 
     @classmethod
     def from_semigroup(cls, s: FormalSemigroup) -> "GapFunction":
-        """Sample 2J(-k) = 2I(g - k) at k = -g..g."""
+        """Sample 2J(-k) = 2I(g - k) at k = -g..g, in one pass over the gaps.
+
+        As k rises, m = g - k falls from 2g to 0, and I(m) steps up by one at
+        each gap m; so the samples are running sums of a step list with a 2
+        at index 2g - a for each gap a.
+        """
         g = s.genus
-        return cls(2 * s.count_gaps_at_least(g - k) for k in range(-g, g + 1))
+        steps = [0] * (2 * g + 1)
+        for a in s.gaps:
+            steps[2 * g - a] = 2
+        return cls(accumulate(steps))
 
     def to_semigroup(self) -> FormalSemigroup:
         """Invert the construction: i is a gap iff I(i) > I(i + 1).

@@ -51,6 +51,17 @@ class IntLaurentPoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _from_terms(cls, terms: dict[int, int]) -> "IntLaurentPoly":
+        """Wrap a dict of int exponents to nonzero int coefficients, unchecked.
+
+        Only for terms this package has just computed; input goes through
+        IntLaurentPoly(...) or from_pairs, which validate every term.
+        """
+        result = cls.__new__(cls)
+        result._terms = terms
+        return result
+
+    @classmethod
     def zero(cls) -> "IntLaurentPoly":
         return cls()
 
@@ -159,16 +170,12 @@ class IntLaurentPoly:
                 out[exp] = new
             elif exp in out:
                 del out[exp]
-        result = IntLaurentPoly.__new__(IntLaurentPoly)
-        result._terms = out
-        return result
+        return IntLaurentPoly._from_terms(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "IntLaurentPoly":
-        result = IntLaurentPoly.__new__(IntLaurentPoly)
-        result._terms = {e: -c for e, c in self._terms.items()}
-        return result
+        return IntLaurentPoly._from_terms({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: "IntLaurentPoly | int") -> "IntLaurentPoly":
         if isinstance(other, int):
@@ -182,9 +189,9 @@ class IntLaurentPoly:
 
     def __mul__(self, other: "IntLaurentPoly | int") -> "IntLaurentPoly":
         if isinstance(other, int):
-            result = IntLaurentPoly.__new__(IntLaurentPoly)
-            result._terms = {e: c * other for e, c in self._terms.items()} if other else {}
-            return result
+            return IntLaurentPoly._from_terms(
+                {e: c * other for e, c in self._terms.items()} if other else {}
+            )
         if not isinstance(other, IntLaurentPoly):
             return NotImplemented
         out: dict[int, int] = {}
@@ -196,9 +203,7 @@ class IntLaurentPoly:
                     out[e] = new
                 elif e in out:
                     del out[e]
-        result = IntLaurentPoly.__new__(IntLaurentPoly)
-        result._terms = out
-        return result
+        return IntLaurentPoly._from_terms(out)
 
     __rmul__ = __mul__
 
@@ -216,9 +221,7 @@ class IntLaurentPoly:
 
     def shifted(self, k: int) -> "IntLaurentPoly":
         """Multiply by t^k."""
-        result = IntLaurentPoly.__new__(IntLaurentPoly)
-        result._terms = {e + k: c for e, c in self._terms.items()}
-        return result
+        return IntLaurentPoly._from_terms({e + k: c for e, c in self._terms.items()})
 
     def __call__(self, x: int | Fraction) -> Fraction:
         """Evaluate at a nonzero rational (or at 0 if no negative exponents)."""
@@ -266,7 +269,7 @@ class IntLaurentPoly:
             quotient[q_offset + i] = f
             for j, dc in div:
                 rem[i + j] -= f * dc
-        return IntLaurentPoly(quotient)
+        return IntLaurentPoly._from_terms(quotient)
 
     # -- knot-theoretic normal forms ----------------------------------------
 
@@ -280,9 +283,7 @@ class IntLaurentPoly:
 
     def reversed(self) -> "IntLaurentPoly":
         """Substitute t -> t^-1."""
-        result = IntLaurentPoly.__new__(IntLaurentPoly)
-        result._terms = {-e: c for e, c in self._terms.items()}
-        return result
+        return IntLaurentPoly._from_terms({-e: c for e, c in self._terms.items()})
 
     def unit_equal(self, other: "IntLaurentPoly") -> bool:
         """Equality up to units +-t^i, decided by comparing normal forms."""

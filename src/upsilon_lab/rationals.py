@@ -49,7 +49,8 @@ def fixed6(value: Fraction | int) -> str:
     """Fixed-point decimal with 6 digits, computed in integer arithmetic.
 
     Used only for SVG coordinates (presentation, not data), where byte-exact
-    deterministic output matters.
+    deterministic output matters.  An exact int, the common case, is its
+    digits and ".000000"; a Fraction (or a bool) takes the rounding route.
 
     >>> fixed6(Fraction(1, 3))
     '0.333333'
@@ -58,6 +59,8 @@ def fixed6(value: Fraction | int) -> str:
     >>> fixed6(-7)
     '-7.000000'
     """
+    if type(value) is int:
+        return f"{value}.000000"
     # int and Fraction both carry numerator and denominator; no Fraction is built.
     n, d = value.numerator * 10**6, value.denominator
     # Round half away from zero so the sign never flips the digit pattern.

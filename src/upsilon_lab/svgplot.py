@@ -2,9 +2,14 @@
 
 Output is a plain polyline drawing with integer axis ticks, byte-identical
 for identical input: no timestamps, no randomness.  Pixel maps only add and
-multiply exact values, so integer bounds and ticks give int pixels, rational
-data gives Fractions, and rationals.fixed6 formats both exactly.  The
-6-digit coordinates are presentation only; JSON carries the exact rationals.
+multiply exact values, and every panel's bounds, unit and offset are ints, so
+int data gives int pixels.  A polyline turns each integral Fraction vertex
+coordinate (PLFunction stores Fractions) into an int first, so the gap and
+hull panels run on ints alone; only non-integral Upsilon vertices give
+Fraction pixels.  rationals.fixed6 formats both exactly, an int by its digits
+alone.  A tick line formats its constant half once per axis and one pixel
+value per tick.  The 6-digit coordinates are presentation only; JSON carries
+the exact rationals.
 
 Gap function and hull share one integer-grid panel; Upsilon, living on
 [0, 2] with fractional breakpoints, gets its own panel stacked below.
@@ -42,7 +47,10 @@ class _Panel:
         attrs = f'fill="none" stroke="{stroke}" stroke-width="2"'
         if dashed:
             attrs += ' stroke-dasharray="6,4"'
-        body = " ".join(f"{fixed6(self.px(x))},{fixed6(self.py(y))}" for x, y in points)
+        px, py = self.px, self.py
+        body = " ".join(
+            f"{fixed6(px(_whole(x)))},{fixed6(py(_whole(y)))}" for x, y in points
+        )
         self.elements.append(f'<polyline {attrs} points="{body}"/>')
 
     def axes_and_ticks(self) -> None:
@@ -57,18 +65,26 @@ class _Panel:
             f'<line {grey} x1="{fixed6(self.px(y_axis_x))}" y1="{fixed6(self.py(self.y_min))}" '
             f'x2="{fixed6(self.px(y_axis_x))}" y2="{fixed6(self.py(self.y_max))}"/>'
         )
+        # An x tick varies only in x1 = x2, a y tick only in y1 = y2; the rest is formatted once.
+        cy = self.py(x_axis_y)
+        head = f'<line {grey} x1="'
+        mid = f'" y1="{fixed6(cy - 3)}" x2="'
+        tail = f'" y2="{fixed6(cy + 3)}"/>'
         for x in range(math.ceil(self.x_min), math.floor(self.x_max) + 1):
-            cx, cy = self.px(x), self.py(x_axis_y)
-            self.elements.append(
-                f'<line {grey} x1="{fixed6(cx)}" y1="{fixed6(cy - 3)}" '
-                f'x2="{fixed6(cx)}" y2="{fixed6(cy + 3)}"/>'
-            )
+            cx = fixed6(self.px(x))
+            self.elements.append(f"{head}{cx}{mid}{cx}{tail}")
+        cx = self.px(y_axis_x)
+        head = f'<line {grey} x1="{fixed6(cx - 3)}" y1="'
+        mid = f'" x2="{fixed6(cx + 3)}" y2="'
+        tail = '"/>'
         for y in range(math.ceil(self.y_min), math.floor(self.y_max) + 1):
-            cx, cy = self.px(y_axis_x), self.py(y)
-            self.elements.append(
-                f'<line {grey} x1="{fixed6(cx - 3)}" y1="{fixed6(cy)}" '
-                f'x2="{fixed6(cx + 3)}" y2="{fixed6(cy)}"/>'
-            )
+            cy = fixed6(self.py(y))
+            self.elements.append(f"{head}{cy}{mid}{cy}{tail}")
+
+
+def _whole(v):
+    """An integral Fraction as an int, so pixel arithmetic stays on ints; anything else unchanged."""
+    return v.numerator if v.denominator == 1 else v
 
 
 def _clipped_points(f: PLFunction, x_lo: int, x_hi: int) -> list:

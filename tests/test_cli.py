@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 import re
 import shlex
 import subprocess
@@ -12,14 +13,15 @@ from pathlib import Path
 
 import pytest
 
-from upsilon_lab import cli
+from upsilon_lab import cli, family
 from upsilon_lab.census import sample_census_path
-from upsilon_lab.braids import MAX_STRANDS
+from upsilon_lab.braids import MAX_LETTERS, MAX_STRANDS, MAX_TWIST
 from upsilon_lab.cli import build_parser, main
 from upsilon_lab.errors import InvalidStepPattern
 from upsilon_lab.family import catalog_names
 from upsilon_lab.piecewise import PLFunction
 from upsilon_lab.restorability import Witnesses
+from upsilon_lab.semigroups import torus_semigroup
 
 
 def run_cli(capsys, *argv):
@@ -78,6 +80,26 @@ class TestInvariants:
         for key in ("hull", "upsilon"):
             f = PLFunction.from_json(report[key])
             assert f.to_json() == report[key]
+
+
+def knot_word(strands: int, length: int) -> list[int]:
+    """A knot-closing word: sigma_1 ... sigma_{s-1}, then squares of seeded random letters."""
+    rng = random.Random(length)
+    letters = list(range(1, strands))
+    while len(letters) < length:
+        x = rng.choice((1, -1)) * rng.randint(1, strands - 1)
+        letters += [x, x]
+    return letters
+
+
+BRAID_ENTRY_POINTS = ["braid-word", "braid-json", "invariants-braid"]
+
+
+def braid_argv(entry: str, strands: int, letters: list[int]) -> list[str]:
+    spec = json.dumps({"strands": strands, "word": letters})
+    if entry == "braid-word":
+        return ["braid", "--strands", str(strands), "--word", ",".join(map(str, letters))]
+    return ["braid", "--json", spec] if entry == "braid-json" else ["invariants", "--braid", spec]
 
 
 class TestExitCodes:
@@ -147,6 +169,35 @@ class TestExitCodes:
         assert time.perf_counter() - start < 0.5
         assert code == 2 and out == ""
         assert f"TooManyStrands: {strands} strands, above the limit of {MAX_STRANDS}" in err
+
+    @pytest.mark.parametrize("entry", BRAID_ENTRY_POINTS)
+    @pytest.mark.parametrize("strands, length", [(32, MAX_LETTERS + 1), (5, 10 * MAX_LETTERS)],
+                             ids=["one-past-the-limit", "ten-times-the-limit"])
+    def test_overlong_braid_word_exits_quickly(self, capsys, entry, strands, length):
+        # The Burau route took 2.3 s on the 1,000-letter word below; the length is checked first.
+        letters = knot_word(strands, length)
+        assert len(letters) == length
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *braid_argv(entry, strands, letters))
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and out == ""
+        assert err == (f"error: WordTooLong: the braid word has {length} letters, "
+                       f"above the limit of {MAX_LETTERS}\n")
+
+    @pytest.mark.parametrize("entry", BRAID_ENTRY_POINTS)
+    def test_longest_accepted_braid_word_answers(self, capsys, entry):
+        # (sigma_1 sigma_2)^50 closes to T(3,50), an L-space knot, so invariants answers too.
+        letters = [1, 2] * (MAX_LETTERS // 2)
+        assert len(letters) == MAX_LETTERS
+        report = run_json(capsys, *braid_argv(entry, 3, letters))
+        assert report["alexander"] == torus_semigroup(3, MAX_LETTERS // 2).to_alexander().to_pairs()
+
+    def test_named_words_are_not_bounded_by_the_letter_limit(self, capsys):
+        # K1(MAX_TWIST) has 12 * MAX_TWIST + 17 letters; MAX_TWIST bounds it instead.
+        report = run_json(capsys, "braid", "--named", "K1", "--n", str(MAX_TWIST))
+        assert len(report["braid"]["word"]) == 12 * MAX_TWIST + 17 > MAX_LETTERS
+        assert report["alexander"] == family.alexander_closed_form(
+            family.FamilyKnot("K1", MAX_TWIST)).to_pairs()
 
     @pytest.mark.parametrize("argv, message", [
         (["--named", "K1(3)", "--n", "5"], "already carries its twist parameter"),
@@ -607,6 +658,21 @@ class TestJsonChunks:
     ])
     def test_edge_values_match_json_dumps(self, value):
         assert "".join(cli._json_chunks(value)) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [
+        [], [""], ["", ""], ['say "hi"', "back\\slash", "tab\tnew\nline"],
+        ["K1(3)", "Υ(t)", "ünïcode", "bell\x07", "\U0001d4b0"],
+        ["3", 7, "-2/3"], [7, "3"], ["x", None, True],
+        {"pairs": [["0", "-1/2"], ["2", "0"]], "slopes": ["1/2", "0", "-1"]},
+    ], ids=["empty", "empty-string", "two-empty-strings", "escapes", "non-ascii",
+            "str-then-int", "int-then-str", "str-then-literals", "nested"])
+    def test_string_lists_match_json_dumps(self, value):
+        assert "".join(cli._json_chunks(value)) == json.dumps(value, indent=2)
+
+    def test_string_list_is_one_chunk(self):
+        chunks = list(cli._json_chunks({"names": ["T(3,4)", "Υ"], "mixed": ["a", 1]}))
+        assert chunks[1] == '[\n    "T(3,4)",\n    "\\u03a5"\n  ]'
+        assert len(chunks) > 6  # the mixed list is written entry by entry
 
     def test_emit_streams_per_entry(self, capsys):
         cli._emit({"witnesses": [(1, 2, 5), (1, 3, 5)], "unique": False})

@@ -1,13 +1,14 @@
 """Gap function construction, inversion, and symmetry, against table data."""
 
 import itertools
+import math
 
 import pytest
 
 from upsilon_lab.errors import InvalidStepPattern
 from upsilon_lab.gapfunctions import GapFunction
 from upsilon_lab.laurent import IntLaurentPoly
-from upsilon_lab.semigroups import FormalSemigroup
+from upsilon_lab.semigroups import FormalSemigroup, torus_semigroup
 
 from test_semigroups import all_gap_sequences
 
@@ -22,6 +23,12 @@ def oracle_values(gaps, g):
         m = g - k
         out.append(2 * sum(1 for i in explicit if i >= m))
     return tuple(out)
+
+
+def bisect_values(s: FormalSemigroup) -> tuple[int, ...]:
+    """The former construction: one count_gaps_at_least bisect per sample."""
+    g = s.genus
+    return tuple(2 * s.count_gaps_at_least(g - k) for k in range(-g, g + 1))
 
 
 class TestFromSemigroup:
@@ -46,6 +53,19 @@ class TestFromSemigroup:
             for gaps in all_gap_sequences(g):
                 gf = GapFunction.from_semigroup(FormalSemigroup(gaps))
                 assert gf.values == oracle_values(gaps, g), gaps
+
+    def test_one_pass_matches_bisect_formula_exhaustive(self):
+        for g in range(10):
+            for gaps in all_gap_sequences(g):
+                s = FormalSemigroup(gaps)
+                assert GapFunction.from_semigroup(s).values == bisect_values(s), gaps
+
+    def test_one_pass_matches_bisect_formula_on_torus_knots(self):
+        # Every T(p, q), 1 < p < q coprime, of genus at most 500.
+        for p, q in ((p, q) for p in range(2, 33) for q in range(p + 1, 1002)
+                     if math.gcd(p, q) == 1 and (p - 1) * (q - 1) <= 1000):
+            s = torus_semigroup(p, q)
+            assert GapFunction.from_semigroup(s).values == bisect_values(s), (p, q)
 
     def test_rays(self):
         gf = GapFunction.from_semigroup(FormalSemigroup([1, 2, 5]))

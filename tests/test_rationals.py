@@ -24,6 +24,13 @@ def test_ints():
         assert fixed6(n) == fixed6_oracle(n) == f"{n}.000000"
 
 
+@pytest.mark.parametrize("value", [10**30, -(10**30), True, False],
+                         ids=["big", "big-negative", "true", "false"])
+def test_int_fast_path_matches_the_general_route(value):
+    # Exact ints print as digits plus ".000000"; a bool takes the rounding route.
+    assert fixed6(value) == fixed6_oracle(value)
+
+
 @pytest.mark.parametrize("d", range(1, 65))
 def test_fractions_by_denominator(d):
     for n in range(-3 * d - 7, 3 * d + 8):
