@@ -191,13 +191,31 @@ def _int_text(n: int) -> str:
     return "-" * (n < 0) + "".join(reversed(parts))
 
 
+def _flat_text(items, indent: str) -> str | None:
+    """JSON text of a non-empty list of plain ints only or plain strs only; None for any other."""
+    kinds = set(map(type, items))
+    if len(kinds) != 1:
+        return None
+    inner = indent + "  "
+    if str in kinds:
+        body = (",\n" + inner).join(map(encode_basestring_ascii, items))
+    elif int in kinds:
+        try:
+            body = (",\n" + inner).join(map(repr, items))
+        except ValueError:  # an int past the digit limit
+            body = (",\n" + inner).join(map(_int_text, items))
+    else:
+        return None
+    return "[\n" + inner + body + "\n" + indent + "]"
+
+
 def _json_chunks(obj, indent: str = ""):
     """Indent-2 JSON text of obj, chunk by chunk, as json.dumps(obj, indent=2) writes it.
 
-    A list of plain ints (the gaps and values that make up most of a
-    report) or of plain strs (the [p, q] vertex pairs, slopes, name groups
-    and warnings) is one chunk; any other container yields one chunk per
-    entry.
+    A list of plain ints only (the gaps, values and [exponent, coefficient]
+    pairs that make up most of a report) or of plain strs only (the [p, q]
+    vertex pairs, slopes, name groups and warnings) is one chunk, formatted
+    without a generator; any other container yields one chunk per entry.
     restorability.Witnesses is written as a list of gap lists, one chunk per
     witness, each joined straight from the strings its step pattern selects
     (Witnesses.gap_strings), so no gap tuple is built.  A malformed pattern
@@ -227,22 +245,20 @@ def _json_chunks(obj, indent: str = ""):
         if not obj:
             yield "[]"
             return
-        inner = indent + "  "
-        kind = type(obj[0])
-        if (kind is int or kind is str) and all(type(x) is kind for x in obj):
-            if kind is str:
-                body = (",\n" + inner).join(map(encode_basestring_ascii, obj))
-            else:
-                try:
-                    body = (",\n" + inner).join(map(repr, obj))
-                except ValueError:  # an int past the digit limit
-                    body = (",\n" + inner).join(map(_int_text, obj))
-            yield "[\n" + inner + body + "\n" + indent + "]"
+        text = _flat_text(obj, indent)
+        if text is not None:
+            yield text
             return
+        inner = indent + "  "
         sep = "[\n" + inner
         for item in obj:
             yield sep
-            yield from _json_chunks(item, inner)
+            # A flat entry, such as an [exponent, coefficient] pair, needs no generator.
+            text = _flat_text(item, inner) if isinstance(item, (list, tuple)) else None
+            if text is None:
+                yield from _json_chunks(item, inner)
+            else:
+                yield text
             sep = ",\n" + inner
         yield "\n" + indent + "]"
     elif isinstance(obj, dict):

@@ -83,7 +83,7 @@ class _Panel:
 
 
 def _whole(v):
-    """An integral Fraction as an int, so pixel arithmetic stays on ints; anything else unchanged."""
+    """An integral Fraction as an int, so the pixel arithmetic stays on ints; else v unchanged."""
     return v.numerator if v.denominator == 1 else v
 
 

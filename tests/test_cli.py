@@ -664,9 +664,12 @@ class TestJsonChunks:
         ["K1(3)", "Υ(t)", "ünïcode", "bell\x07", "\U0001d4b0"],
         ["3", 7, "-2/3"], [7, "3"], ["x", None, True],
         {"pairs": [["0", "-1/2"], ["2", "0"]], "slopes": ["1/2", "0", "-1"]},
+        [[0, 1], [1, -1], (2, 1), [], [10**30, -7]],
+        [["a", 1], [True], [None], [[1]], [False, 0], ["b"]],
     ], ids=["empty", "empty-string", "two-empty-strings", "escapes", "non-ascii",
-            "str-then-int", "int-then-str", "str-then-literals", "nested"])
-    def test_string_lists_match_json_dumps(self, value):
+            "str-then-int", "int-then-str", "str-then-literals", "nested", "flat-entries",
+            "non-flat-entries"])
+    def test_flat_lists_match_json_dumps(self, value):
         assert "".join(cli._json_chunks(value)) == json.dumps(value, indent=2)
 
     def test_string_list_is_one_chunk(self):
