@@ -42,11 +42,12 @@ from .laurent import IntLaurentPoly, determinant
 MAX_STRANDS = 32
 
 # The most letters a braid word given on the command line may have.  The
-# cost grows faster than the cube of the length: the worst of three
-# knot-closing words (random signs, or all positive) of 99 to 100 letters
-# took 0.003 s on 3 strands, 0.03 s on 5 and 1.5 s on 32, against 3.5 s at
-# 127 letters on 32 strands (CPython 3.11, a shared 2-CPU host).  Named
-# family words are bounded by MAX_TWIST instead.
+# cost grows about as the square of the length on 5 strands and the cube on
+# 32: the worst of three knot-closing words (random signs, or all positive)
+# of 99 to 100 letters took 0.003 s on 3 strands, 0.03 s on 5 and 1.5 s on
+# 32, against 3.5 s at 127 letters on 32 strands and 7.6 s at 2,000 letters
+# on 5 (CPython 3.11, a shared 2-CPU host).  Named family words are bounded
+# by MAX_TWIST instead.
 MAX_LETTERS = 100
 
 
