@@ -39,10 +39,9 @@ from .restorability import (
     enumerate_gap_functions,
     is_restorable,
     designed_family_alexander,
-    designed_family_check,
 )
 from .seifert import LSpaceVerdict, SeifertForm, coprime_obstruction, decide, negate, normalize
-from .semigroups import FormalSemigroup, genus_of, surgery_threshold_of, torus_semigroup
+from .semigroups import FormalSemigroup, torus_semigroup
 
 __version__ = "0.1.0"
 
@@ -70,7 +69,6 @@ __all__ = [
     "enumerate_gap_functions",
     "family_braid",
     "gap_function_of",
-    "genus_of",
     "hull_closed_form",
     "hull_of",
     "hull_vertices",
@@ -82,10 +80,8 @@ __all__ = [
     "negate",
     "normalize",
     "designed_family_alexander",
-    "designed_family_check",
     "semigroup_closed_form",
     "semigroup_of",
-    "surgery_threshold_of",
     "torus_braid",
     "torus_semigroup",
     "upsilon_of",

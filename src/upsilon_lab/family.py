@@ -90,37 +90,28 @@ TRI_ALEXANDER_K2 = TriLaurentPoly(
 )
 
 
-def _block(start: int, step: int, count: int, drop: int) -> dict[int, int]:
-    """sum_{i=0}^{count-1} (t^{start+step*i} - t^{start-drop+step*i}) as terms."""
-    terms: dict[int, int] = {}
+def _block(terms: dict[int, int], start: int, step: int, count: int, drop: int) -> None:
+    """Add sum_{i=0}^{count-1} (t^{start+step*i} - t^{start-drop+step*i}) to terms."""
     for i in range(count):
         hi = start + step * i
-        lo = hi - drop
         terms[hi] = terms.get(hi, 0) + 1
-        terms[lo] = terms.get(lo, 0) - 1
-    return terms
+        terms[hi - drop] = terms.get(hi - drop, 0) - 1
 
 
 def alexander_closed_form(knot: FamilyKnot) -> IntLaurentPoly:
     """The block-sum closed form of the family Alexander polynomial."""
     n = knot.n
-    total = IntLaurentPoly.one()
-    shared = [
-        _block(8 * n + 12, 4, n + 1, 1),   # t^{8n+12+4i} - t^{8n+11+4i}, i = 0..n
-        _block(8 * n + 9, 0, 1, 1),        # t^{8n+9} - t^{8n+8}
-        _block(4, 4, n, 3),                # t^{4+4i} - t^{1+4i}, i = 0..n-1
-        _block(4 * n + 3, 0, 1, 2),        # t^{4n+3} - t^{4n+1}
-    ]
+    terms = {0: 1}
+    _block(terms, 8 * n + 12, 4, n + 1, 1)   # t^{8n+12+4i} - t^{8n+11+4i}, i = 0..n
+    _block(terms, 8 * n + 9, 0, 1, 1)        # t^{8n+9} - t^{8n+8}
+    _block(terms, 4, 4, n, 3)                # t^{4+4i} - t^{1+4i}, i = 0..n-1
+    _block(terms, 4 * n + 3, 0, 1, 2)        # t^{4n+3} - t^{4n+1}
     if knot.which == "K1":
-        middle = [_block(4 * n + 6, 4, n + 1, 2)]          # t^{4n+6+4i} - t^{4n+4+4i}
+        _block(terms, 4 * n + 6, 4, n + 1, 2)    # t^{4n+6+4i} - t^{4n+4+4i}
     else:
-        middle = [
-            _block(4 * n + 8, 2, 2 * n, 1),                # t^{4n+8+2i} - t^{4n+7+2i}
-            _block(4 * n + 6, 0, 1, 2),                    # t^{4n+6} - t^{4n+4}
-        ]
-    for terms in shared + middle:
-        total = total + IntLaurentPoly(terms)
-    return total
+        _block(terms, 4 * n + 8, 2, 2 * n, 1)    # t^{4n+8+2i} - t^{4n+7+2i}
+        _block(terms, 4 * n + 6, 0, 1, 2)        # t^{4n+6} - t^{4n+4}
+    return IntLaurentPoly(terms)
 
 
 def alexander_via_torres(knot: FamilyKnot) -> IntLaurentPoly:

@@ -3,8 +3,9 @@
 A PLFunction is a polyline with strictly increasing rational x-coordinates,
 either extended to the whole line by two rays (left_slope on the left of the
 first vertex, right_slope on the right of the last) or restricted to the
-closed interval spanned by its vertices.  All coordinates are Fractions;
-there is no floating point anywhere.
+closed interval spanned by its vertices.  Every coordinate, slope and value
+follows one rule (_exact): an int when it is integral, else a Fraction.
+There is no floating point anywhere.
 
 Construction canonicalizes: collinear interior vertices are dropped, and on
 the full line a leading/trailing vertex collinear with its ray is absorbed
@@ -28,19 +29,24 @@ from typing import Iterable, Sequence
 from .errors import NotConvex, OutOfDomain, RaysInconsistent
 from .rationals import format_rational, parse_rational
 
-Point = tuple[Fraction, Fraction]
-
-
-def _slope(a: Point, b: Point) -> Fraction:
-    return (b[1] - a[1]) / (b[0] - a[0])
+Point = tuple[int | Fraction, int | Fraction]
 
 
 def _exact(v) -> int | Fraction:
-    """An int unchanged, anything else as a Fraction."""
-    return v if type(v) is int else Fraction(v)
+    """The number rule of every PL coordinate: an int when integral, else a Fraction."""
+    if type(v) is int:
+        return v
+    if type(v) is not Fraction:
+        v = Fraction(v)
+    return v.numerator if v.denominator == 1 else v
 
 
-def _cross(o: Point, a: Point, b: Point) -> Fraction:
+def _slope(a: Point, b: Point) -> int | Fraction:
+    # Fraction(dy, dx), not dy / dx: int / int would be float division.
+    return _exact(Fraction(b[1] - a[1], b[0] - a[0]))
+
+
+def _cross(o: Point, a: Point, b: Point) -> int | Fraction:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
@@ -49,7 +55,9 @@ class PLFunction:
 
     >>> f = PLFunction([(0, 0), (1, 1)], left_slope=-1, right_slope=1)
     >>> f(Fraction(-2))
-    Fraction(2, 1)
+    2
+    >>> f(Fraction(1, 2))
+    Fraction(1, 2)
     >>> f == PLFunction([(0, 0), (1, 1), (2, 2)], left_slope=-1, right_slope=1)
     True
     """
@@ -72,20 +80,18 @@ class PLFunction:
             raise ValueError("give both ray slopes (full line) or neither (interval)")
         on_line = left_slope is not None
         if on_line:
-            ls, rs = Fraction(left_slope), Fraction(right_slope)
+            ls, rs = _exact(left_slope), _exact(right_slope)
         elif len(pts) < 2:
             raise ValueError("an interval-domain function needs at least two vertices")
         else:
             ls = rs = None
 
-        # Drop interior vertices collinear with their neighbours (ints swept as ints),
-        # then make the kept ones Fractions before any slope: int / int is a float.
+        # Drop interior vertices collinear with their neighbours.
         kept: list = []
         for p in pts:
             while len(kept) >= 2 and _cross(kept[-2], kept[-1], p) == 0:
                 kept.pop()
             kept.append(p)
-        kept = [(Fraction(x), Fraction(y)) for x, y in kept]
         if on_line:
             # A head/tail vertex sitting on its ray is not a real breakpoint.
             while len(kept) >= 2 and _slope(kept[0], kept[1]) == ls:
@@ -103,11 +109,11 @@ class PLFunction:
         return self._vertices
 
     @property
-    def left_slope(self) -> Fraction | None:
+    def left_slope(self) -> int | Fraction | None:
         return self._left_slope
 
     @property
-    def right_slope(self) -> Fraction | None:
+    def right_slope(self) -> int | Fraction | None:
         return self._right_slope
 
     @property
@@ -115,16 +121,16 @@ class PLFunction:
         return self._left_slope is not None
 
     @property
-    def domain(self) -> tuple[Fraction, Fraction] | None:
+    def domain(self) -> tuple[int | Fraction, int | Fraction] | None:
         """None for the full line, else the closed interval (lo, hi)."""
         if self.on_line:
             return None
         return (self._vertices[0][0], self._vertices[-1][0])
 
-    def segment_slopes(self) -> list[Fraction]:
+    def segment_slopes(self) -> list[int | Fraction]:
         return [_slope(a, b) for a, b in zip(self._vertices, self._vertices[1:])]
 
-    def slope_sequence(self) -> list[Fraction]:
+    def slope_sequence(self) -> list[int | Fraction]:
         """All slopes left to right, rays included on the full line."""
         slopes = self.segment_slopes()
         if self.on_line:
@@ -158,24 +164,24 @@ class PLFunction:
 
     # -- evaluation ------------------------------------------------------------
 
-    def __call__(self, x: Fraction | int) -> Fraction:
-        xf = Fraction(x)
+    def __call__(self, x: Fraction | int) -> int | Fraction:
+        xf = _exact(x)
         pts = self._vertices
         if xf < pts[0][0]:
             if not self.on_line:
                 raise OutOfDomain(f"{xf} lies left of the domain start {pts[0][0]}")
             x0, y0 = pts[0]
-            return y0 + self._left_slope * (xf - x0)
+            return _exact(y0 + self._left_slope * (xf - x0))
         if xf > pts[-1][0]:
             if not self.on_line:
                 raise OutOfDomain(f"{xf} lies right of the domain end {pts[-1][0]}")
             x0, y0 = pts[-1]
-            return y0 + self._right_slope * (xf - x0)
+            return _exact(y0 + self._right_slope * (xf - x0))
         i = bisect_right([p[0] for p in pts], xf) - 1
         if i == len(pts) - 1:
             return pts[-1][1]
-        (x0, y0), (x1, y1) = pts[i], pts[i + 1]
-        return y0 + (y1 - y0) * (xf - x0) / (x1 - x0)
+        x0, y0 = pts[i]
+        return _exact(y0 + _slope(pts[i], pts[i + 1]) * (xf - x0))
 
     # -- serialization -----------------------------------------------------------
 
@@ -223,10 +229,9 @@ def lower_convex_envelope(
     the left ray is steeper than the first hull segment or the right ray
     shallower than the last.
 
-    Integer coordinates stay plain ints through the sweep (gap-function
-    samples always are), so the cross products are exact machine-int
-    arithmetic; the Fraction conversion happens in PLFunction, which
-    converts only the vertices it keeps.
+    Samples, slopes and the result follow PLFunction's number rule: an
+    integral value is an int, so gap-function samples (always ints) give a
+    sweep and a hull on ints alone.
     """
     pts = [(_exact(x), _exact(y)) for x, y in samples]
     if not pts:
@@ -234,7 +239,7 @@ def lower_convex_envelope(
     for a, b in zip(pts, pts[1:]):
         if b[0] <= a[0]:
             raise ValueError("sample x-coordinates must be strictly increasing")
-    ls, rs = Fraction(left_slope), Fraction(right_slope)
+    ls, rs = _exact(left_slope), _exact(right_slope)
     hull = _lower_hull(pts)
     if len(hull) == 1:
         if ls > rs:
@@ -242,14 +247,11 @@ def lower_convex_envelope(
                 f"left slope {ls} exceeds right slope {rs} at a single hull point"
             )
     else:
-        # Fraction(dy) / dx, not _slope: int / int would be float division.
-        first = Fraction(hull[1][1] - hull[0][1]) / (hull[1][0] - hull[0][0])
-        last = Fraction(hull[-1][1] - hull[-2][1]) / (hull[-1][0] - hull[-2][0])
-        if ls > first:
+        if ls > _slope(hull[0], hull[1]):
             raise RaysInconsistent(
                 f"left ray slope {ls} cuts below the sample at x={hull[1][0]}"
             )
-        if rs < last:
+        if rs < _slope(hull[-2], hull[-1]):
             raise RaysInconsistent(
                 f"right ray slope {rs} cuts below the sample at x={hull[-2][0]}"
             )

@@ -39,10 +39,7 @@ def format_rational(value: Fraction | int) -> str:
     >>> format_rational(Fraction(4, 2))
     '2'
     """
-    f = Fraction(value)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    return str(Fraction(value))
 
 
 def fixed6(value: Fraction | int) -> str:

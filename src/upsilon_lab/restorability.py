@@ -187,12 +187,11 @@ def _validate_hull(hull: PLFunction) -> int:
         if y.denominator != 1 or y < 0 or y % 2 != 0:
             raise MalformedHull(f"vertex height {y} at x = {x} is not an even integer >= 0")
     x0, y0 = verts[0]
-    xm, ym = verts[-1]
+    g, ym = verts[-1]
     if y0 != 0:
         raise MalformedHull(f"leftmost vertex must sit at height 0, got {y0}")
-    if xm != -x0:
-        raise MalformedHull(f"vertex range [{x0}, {xm}] is not symmetric about 0")
-    g = int(xm)
+    if g != -x0:
+        raise MalformedHull(f"vertex range [{x0}, {g}] is not symmetric about 0")
     if g < 0:
         raise MalformedHull("degenerate vertex range")
     if ym != 2 * g:
@@ -211,7 +210,7 @@ def _bounds(hull: PLFunction) -> tuple[list[int], list[int]]:
     >>> _bounds(hull)
     ([0, 1, 2, 2, 4, 5, 6], [0, 2, 2, 2, 6, 6, 6])
     """
-    verts = [(int(x), int(y)) for x, y in hull.vertices]
+    verts = hull.vertices
     lo, hi = [0], [0]
     for (x0, y0), (x1, y1) in zip(verts, verts[1:]):
         dx, dy = x1 - x0, y1 - y0
@@ -247,7 +246,7 @@ def _count_work(f: int, u: int) -> int:
     return (k * (f + u)) ** 2 if min(f, u) >= 2 * k else 0
 
 
-def _counts(verts: list[tuple[int, int]]) -> tuple[int, int]:
+def _counts(verts: Sequence[tuple[int, int]]) -> tuple[int, int]:
     """Exact (total, symmetric) profile counts over the hull with these integer vertices.
 
     >>> _counts([(-3, 0), (0, 2), (3, 6)])  # T(3,4)
@@ -402,7 +401,7 @@ def enumerate_gap_functions(
     g = _validate_hull(hull)
     if g > MAX_GENUS:
         raise GenusTooLarge(f"the hull has genus {g}, above the limit of {MAX_GENUS}")
-    total, symmetric = _counts([(int(x), int(y)) for x, y in hull.vertices])
+    total, symmetric = _counts(hull.vertices)
     lo, hi = _bounds(hull)
     truncated = total > max_solutions
     if not symmetric_only:
@@ -449,8 +448,3 @@ def designed_family_alexander(m: int) -> IntLaurentPoly:
     return IntLaurentPoly(
         {0: 1, 1: -1, m: 1, m + 1: -1, m + 2: 1, 2 * m + 1: -1, 2 * m + 2: 1}
     )
-
-
-def designed_family_check(m: int, **kwargs) -> RestorabilityReport:
-    """Restorability report for the designed family; unique for every m >= 3."""
-    return is_restorable(designed_family_alexander(m), **kwargs)

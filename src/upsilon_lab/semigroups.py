@@ -233,13 +233,3 @@ def torus_semigroup(p: int, q: int) -> FormalSemigroup:
                 reachable[i] = True
     gaps = [e for e in range(1, bound) if not reachable[e]]
     return FormalSemigroup(gaps)
-
-
-def genus_of(delta: IntLaurentPoly) -> int:
-    """Genus read from an L-space-form polynomial: deg/2."""
-    return FormalSemigroup.from_alexander(delta).genus
-
-
-def surgery_threshold_of(delta: IntLaurentPoly) -> int:
-    """2g - 1, the smallest L-space surgery slope."""
-    return FormalSemigroup.from_alexander(delta).surgery_threshold

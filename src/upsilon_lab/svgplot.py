@@ -3,12 +3,11 @@
 Output is a plain polyline drawing with integer axis ticks, byte-identical
 for identical input: no timestamps, no randomness.  Pixel maps only add and
 multiply exact values, and every panel's bounds, unit and offset are ints, so
-int data gives int pixels.  A polyline turns each integral Fraction vertex
-coordinate (PLFunction stores Fractions) into an int first, so the gap and
-hull panels run on ints alone; only non-integral Upsilon vertices give
-Fraction pixels.  rationals.fixed6 formats both exactly, an int by its digits
-alone.  A tick line formats its constant half once per axis and one pixel
-value per tick.  The 6-digit coordinates are presentation only; JSON carries
+int data gives int pixels.  PLFunction stores an integral coordinate as an
+int, so the gap and hull panels run on ints alone; only non-integral Upsilon
+vertices give Fraction pixels.  rationals.fixed6 formats both exactly, an int
+by its digits alone.  A tick line formats its constant half once per axis and
+one pixel value per tick.  The 6-digit coordinates are presentation only; JSON carries
 the exact rationals.
 
 Gap function and hull share one integer-grid panel; Upsilon, living on
@@ -48,9 +47,7 @@ class _Panel:
         if dashed:
             attrs += ' stroke-dasharray="6,4"'
         px, py = self.px, self.py
-        body = " ".join(
-            f"{fixed6(px(_whole(x)))},{fixed6(py(_whole(y)))}" for x, y in points
-        )
+        body = " ".join(f"{fixed6(px(x))},{fixed6(py(y))}" for x, y in points)
         self.elements.append(f'<polyline {attrs} points="{body}"/>')
 
     def axes_and_ticks(self) -> None:
@@ -80,11 +77,6 @@ class _Panel:
         for y in range(math.ceil(self.y_min), math.floor(self.y_max) + 1):
             cy = fixed6(self.py(y))
             self.elements.append(f"{head}{cy}{mid}{cy}{tail}")
-
-
-def _whole(v):
-    """An integral Fraction as an int, so the pixel arithmetic stays on ints; else v unchanged."""
-    return v.numerator if v.denominator == 1 else v
 
 
 def _clipped_points(f: PLFunction, x_lo: int, x_hi: int) -> list:

@@ -26,7 +26,6 @@ from upsilon_lab.restorability import (
     enumerate_gap_functions,
     is_restorable,
     designed_family_alexander,
-    designed_family_check,
 )
 from upsilon_lab.semigroups import FormalSemigroup
 
@@ -141,7 +140,7 @@ def test_criterion_6_non_uniqueness():
 def test_criterion_7_designed_family():
     check = timed(5.0)
     for m in range(3, 11):
-        assert designed_family_check(m).unique, m
+        assert is_restorable(designed_family_alexander(m)).unique, m
     assert designed_family_alexander(3) == catalog_knot("T(3,5)").alexander
     elapsed = check("designed family")
     print(f"PASS criterion 7: designed family restorable for m=3..10 ({elapsed:.2f}s)")

@@ -13,6 +13,9 @@ from upsilon_lab.piecewise import (
     lower_convex_envelope,
 )
 
+from test_invariants import TORUS_LADDER as INVARIANTS_LADDER
+from test_invariants import all_gap_sequences
+
 PRETZEL_SAMPLES = [(-5, 0), (-4, 2), (-3, 2), (-2, 2), (-1, 4), (0, 4),
                    (1, 6), (2, 6), (3, 8), (4, 10), (5, 10)]
 PRETZEL_HULL = PLFunction([(-5, 0), (-2, 2), (2, 6), (5, 10)], 0, 2)
@@ -137,8 +140,46 @@ def envelope_gap_functions():
     return gfs + symmetric_gap_functions(random.Random(31), 60, 40)
 
 
+def pl_numbers(f):
+    """Every number f stores or returns: vertices, slopes, domain and values."""
+    xs = [x for x, _ in f.vertices]
+    probes = xs + [F(a + b, 2) for a, b in zip(xs, xs[1:])] + [F(xs[0])]
+    if f.on_line:
+        probes += [xs[0] - 1, xs[-1] + F(1, 2)]
+    yield from (c for vertex in f.vertices for c in vertex)
+    yield from f.slope_sequence()
+    yield from f.domain or ()
+    yield from (f(t) for t in probes)
+
+
+def assert_number_rule(f):
+    """An int exactly when integral, otherwise a Fraction with denominator > 1."""
+    for v in pl_numbers(f):
+        assert type(v) is int or (type(v) is F and v.denominator > 1), (v, f)
+
+
+def number_types(f):
+    return [tuple(map(type, vertex)) for vertex in f.vertices], list(map(type, f.slope_sequence()))
+
+
+def assert_pipeline_follows_the_rule(delta):
+    """hull_of equals invariants.hull_vertices, types included; hull and Upsilon keep the rule."""
+    from upsilon_lab.invariants import hull_of, hull_vertices, upsilon_of
+
+    hull, ints = hull_of(delta), hull_vertices(delta)
+    assert hull.vertices == ints, delta
+    assert number_types(hull)[0] == [tuple(map(type, v)) for v in ints] == [(int, int)] * len(ints)
+    assert_number_rule(hull)
+    assert_number_rule(upsilon_of(delta))
+
+
+# The torus ladder of test_invariants, and T(26,41) (g = 500) from the top of the plot ladder.
+TORUS_LADDER = INVARIANTS_LADDER + ((26, 41),)
+
+
 class TestEnvelopeSampleTypes:
-    """Integer samples are swept as ints; the result must not depend on it."""
+    """Every coordinate, ray slope, segment slope and value of a PLFunction is an
+    int exactly when it is integral, else a Fraction; int and Fraction input agree."""
 
     @pytest.mark.parametrize("gf", envelope_gap_functions())
     def test_int_and_fraction_samples_agree(self, gf):
@@ -146,24 +187,93 @@ class TestEnvelopeSampleTypes:
         assert all(type(x) is int and type(y) is int for x, y in samples)
         as_fractions = [(F(x), F(y)) for x, y in samples]
         env = lower_convex_envelope(samples, 0, 2)
-        assert env == lower_convex_envelope(as_fractions, F(0), F(2))
-        assert all(type(c) is F for vertex in env.vertices for c in vertex)
-        assert type(env.left_slope) is F and type(env.right_slope) is F
-        assert all(type(s) is F for s in env.slope_sequence())
-        pl = PLFunction(samples, 0, 2)
-        assert pl == PLFunction(as_fractions, F(0), F(2))
-        assert all(type(c) is F for vertex in pl.vertices for c in vertex)
+        from_fractions = lower_convex_envelope(as_fractions, F(0), F(2))
+        assert env == from_fractions
+        assert number_types(env) == number_types(from_fractions)
+        assert all(type(c) is int for vertex in env.vertices for c in vertex)
+        assert type(env.left_slope) is int and type(env.right_slope) is int
+        assert_number_rule(env)
+        pl, pl_from_fractions = PLFunction(samples, 0, 2), PLFunction(as_fractions, F(0), F(2))
+        assert pl == pl_from_fractions
+        assert number_types(pl) == number_types(pl_from_fractions)
+        assert_number_rule(pl)
+        upsilon = legendre_fenchel(env)
+        assert number_types(upsilon) == number_types(legendre_fenchel(from_fractions))
+        assert_number_rule(upsilon)
 
     def test_non_integral_fraction_samples(self):
         # Scaling both axes by 1/3 scales the hull's vertices and keeps its slopes.
         thirds = [(F(x, 3), F(y, 3)) for x, y in PRETZEL_SAMPLES]
         expected = PLFunction([(F(x, 3), F(y, 3)) for x, y in PRETZEL_HULL.vertices], 0, 2)
-        assert lower_convex_envelope(thirds, 0, 2) == expected
+        env = lower_convex_envelope(thirds, 0, 2)
+        assert env == expected
+        assert env.vertices[0] == (F(-5, 3), 0) and type(env.vertices[0][1]) is int
+        assert_number_rule(env)
         # Integer x with non-integral y: slopes scale by 1/3.
         mixed = [(x, F(y, 3)) for x, y in PRETZEL_SAMPLES]
         env = lower_convex_envelope(mixed, 0, F(2, 3))
         assert env == PLFunction([(x, F(y, 3)) for x, y in PRETZEL_HULL.vertices], 0, F(2, 3))
-        assert all(type(c) is F for vertex in env.vertices for c in vertex)
+        assert [x for x, _ in env.vertices] == [-5, -2, 2, 5]
+        assert env.slope_sequence() == [0, F(2, 9), F(1, 3), F(4, 9), F(2, 3)]
+        assert_number_rule(env)
+        assert_number_rule(legendre_fenchel(env))
+
+    def test_integral_fractions_are_stored_as_ints(self):
+        f = PLFunction([(F(-4, 2), F(0)), (F(6, 3), F(4))], F(0), F(2, 1))
+        assert f.vertices == ((-2, 0), (2, 4))
+        assert number_types(f) == ([(int, int), (int, int)], [int, int, int])
+        assert type(f(F(6))) is int and f(F(6)) == 12
+        assert f(F(1, 2)) == F(5, 2)
+        assert_number_rule(f)
+
+    def test_legendre_fenchel(self):
+        upsilon = legendre_fenchel(PRETZEL_HULL)
+        assert upsilon.vertices == PRETZEL_UPSILON.vertices
+        assert number_types(upsilon)[0] == [(int, int), (F, F), (int, int), (F, F), (int, int)]
+        # An interval-domain conjugate has the domain endpoints as its (int) rays.
+        hull = legendre_fenchel(upsilon)
+        assert number_types(hull) == number_types(PRETZEL_HULL)
+        assert type(hull.left_slope) is int and type(hull.right_slope) is int
+        for f in catalog_hulls() + [UNKNOT_HULL, T34_HULL]:
+            assert_number_rule(f)
+            assert_number_rule(legendre_fenchel(f))
+
+    @pytest.mark.parametrize("g", range(9))
+    def test_every_gap_sequence_up_to_genus_8(self, g):
+        from upsilon_lab.semigroups import FormalSemigroup
+
+        for gaps in all_gap_sequences(g):
+            assert_pipeline_follows_the_rule(FormalSemigroup(gaps).to_alexander())
+
+    @pytest.mark.parametrize("p,q", TORUS_LADDER)
+    def test_torus_ladder(self, p, q):
+        from upsilon_lab.semigroups import torus_semigroup
+
+        assert_pipeline_follows_the_rule(torus_semigroup(p, q).to_alexander())
+
+    def test_no_float_anywhere(self):
+        from upsilon_lab.family import catalog_knot, catalog_names
+        from upsilon_lab.invariants import hull_of, knot_invariants, upsilon_of
+        from upsilon_lab.semigroups import torus_semigroup
+
+        def walk(obj):
+            if isinstance(obj, dict):
+                for v in obj.values():
+                    yield from walk(v)
+            elif isinstance(obj, (list, tuple)):
+                for v in obj:
+                    yield from walk(v)
+            else:
+                yield obj
+
+        deltas = [catalog_knot(name).alexander for name in catalog_names()]
+        deltas += [torus_semigroup(p, q).to_alexander() for p, q in TORUS_LADDER[:6]]
+        # Int vertices whose slopes and midpoint values are not integral: int / int traps.
+        traps = [PLFunction([(0, 0), (2, 1), (3, 3)]), PLFunction([(0, 0), (3, 1)], 0, 1)]
+        for f in traps + [g(d) for d in deltas for g in (hull_of, upsilon_of)]:
+            assert not any(isinstance(v, float) for v in pl_numbers(f)), f
+        for delta in deltas:
+            assert not any(isinstance(v, float) for v in walk(knot_invariants(delta))), delta
 
 
 class TestLegendreFenchel:

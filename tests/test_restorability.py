@@ -24,7 +24,6 @@ from upsilon_lab.restorability import (
     enumerate_gap_functions,
     is_restorable,
     designed_family_alexander,
-    designed_family_check,
 )
 from upsilon_lab.semigroups import FormalSemigroup, torus_semigroup
 
@@ -112,6 +111,14 @@ class TestKnownAnswers:
         k1_gaps = FormalSemigroup.from_alexander(k1).gaps
         assert k2_gaps in report.witnesses
         assert k1_gaps in report.witnesses
+
+    @pytest.mark.parametrize("symmetric_only", [True, False])
+    def test_integral_fraction_hull_reports_like_the_int_hull(self, symmetric_only):
+        ints = PLFunction([(-3, 0), (0, 2), (3, 6)], 0, 2)  # T(3,4)
+        fractions = PLFunction([(F(-3), F(0)), (F(0), F(2)), (F(3), F(6))], F(0), F(2))
+        want = enumerate_gap_functions(ints, symmetric_only).to_json()
+        assert enumerate_gap_functions(fractions, symmetric_only).to_json() == want
+        assert want["witnesses"] == ((1, 2, 5),)
 
 
 class TestWitnessSemantics:
@@ -311,7 +318,7 @@ class TestMalformedHulls:
 class TestDesignedFamily:
     @pytest.mark.parametrize("m", list(range(3, 11)))
     def test_unique_for_all_m(self, m):
-        report = designed_family_check(m)
+        report = is_restorable(designed_family_alexander(m))
         assert report.unique
         assert report.total_count == 1
 
@@ -331,7 +338,7 @@ class TestDesignedFamily:
         # Hull pieces: 0, then 2/m, 1, (2m-2)/m, 2 with vertices at
         # -m-1, -1, 1, m+1.
         m = 10
-        report = designed_family_check(m)
+        report = is_restorable(designed_family_alexander(m))
         expected = PLFunction(
             [(-m - 1, 0), (-1, 2), (1, 4), (m + 1, 2 * m + 2)], 0, 2
         )

@@ -266,16 +266,6 @@ class TestGenusAndThreshold:
         assert s.surgery_threshold == 9
 
 
-class TestStandaloneHelpers:
-    def test_genus_of(self):
-        from upsilon_lab.semigroups import genus_of, surgery_threshold_of
-
-        assert genus_of(PRETZEL) == 5
-        assert surgery_threshold_of(PRETZEL) == 9
-        assert genus_of(IntLaurentPoly.one()) == 0
-        assert surgery_threshold_of(IntLaurentPoly.one()) == -1
-
-
 class TestJson:
     def test_round_trip(self):
         s = FormalSemigroup([1, 2, 5])
