@@ -98,10 +98,6 @@ class BraidWord:
     def to_json(self) -> dict:
         return {"strands": self._strands, "word": list(self._letters)}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "BraidWord":
-        return cls(data["strands"], data["word"])
-
     # -- combinatorics ---------------------------------------------------------
 
     def exponent_sum(self) -> int:

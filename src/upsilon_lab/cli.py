@@ -24,7 +24,7 @@ from .errors import GenusTooLarge, UpsilonLabError, WordTooLong
 from .invariants import gap_function_of, hull_of, knot_invariants
 from .laurent import IntLaurentPoly
 from .piecewise import legendre_fenchel
-from .rationals import parse_rational
+from .rationals import int_text, parse_rational
 from .semigroups import MAX_GENUS, gap_runs, torus_semigroup
 
 EXIT_OK = 0
@@ -169,28 +169,6 @@ def _positive_count(text: str) -> int:
     )
 
 
-# Below the smallest limit sys.set_int_max_str_digits accepts (640).
-_DIGIT_CHUNK = 10**600
-
-
-def _int_text(n: int) -> str:
-    """repr(n), also past sys.get_int_max_str_digits(): exact counts run to thousands of digits.
-
-    >>> _int_text(-7 * 10**1200) == "-7" + "0" * 1200
-    True
-    """
-    try:
-        return repr(n)
-    except ValueError:
-        pass
-    rest, parts = abs(n), []
-    while rest >= _DIGIT_CHUNK:
-        rest, low = divmod(rest, _DIGIT_CHUNK)
-        parts.append(f"{low:0600d}")
-    parts.append(repr(rest))
-    return "-" * (n < 0) + "".join(reversed(parts))
-
-
 def _flat_text(items, indent: str) -> str | None:
     """JSON text of a non-empty list of plain ints only or plain strs only; None for any other."""
     kinds = set(map(type, items))
@@ -203,7 +181,7 @@ def _flat_text(items, indent: str) -> str | None:
         try:
             body = (",\n" + inner).join(map(repr, items))
         except ValueError:  # an int past the digit limit
-            body = (",\n" + inner).join(map(_int_text, items))
+            body = (",\n" + inner).join(map(int_text, items))
     else:
         return None
     return "[\n" + inner + body + "\n" + indent + "]"
@@ -240,7 +218,7 @@ def _json_chunks(obj, indent: str = ""):
     elif obj is True or obj is False:
         yield "true" if obj else "false"
     elif type(obj) is int:
-        yield _int_text(obj)
+        yield int_text(obj)
     elif isinstance(obj, (list, tuple)):
         if not obj:
             yield "[]"

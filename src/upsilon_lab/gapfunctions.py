@@ -142,10 +142,3 @@ class GapFunction:
 
     def to_json(self) -> dict:
         return {"genus": self.genus, "values": list(self._values)}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "GapFunction":
-        gf = cls(data["values"])
-        if "genus" in data and int(data["genus"]) != gf.genus:
-            raise ValueError("genus field disagrees with value count")
-        return gf

@@ -26,7 +26,7 @@ class IntLaurentPoly:
     >>> p = IntLaurentPoly({0: 1, 1: -1})
     >>> p * IntLaurentPoly({0: 1, 1: 1})
     IntLaurentPoly('1 - t^2')
-    >>> (p ** 2)(2)
+    >>> (p * p)(2)
     Fraction(1, 1)
     """
 
@@ -207,18 +207,6 @@ class IntLaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "IntLaurentPoly":
-        if n < 0:
-            raise ValueError("negative powers are not defined for polynomials")
-        result = IntLaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def shifted(self, k: int) -> "IntLaurentPoly":
         """Multiply by t^k."""
         return IntLaurentPoly._from_terms({e + k: c for e, c in self._terms.items()})
@@ -341,14 +329,6 @@ class TriLaurentPoly:
                 elif key in data:
                     del data[key]
         self._terms = data
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable) -> "TriLaurentPoly":
-        """Build from JSON-style [[[i, j, k], coefficient], ...] pairs."""
-        return cls(((tuple(m), int(c)) for m, c in pairs))
-
-    def to_pairs(self) -> list:
-        return [[list(m), self._terms[m]] for m in sorted(self._terms)]
 
     def __len__(self) -> int:
         return len(self._terms)

@@ -6,15 +6,21 @@ floats, so JSON output can be diffed exactly.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def parse_rational(text: str | int) -> Fraction:
-    """Parse "p/q" or "p" (ints also accepted) into a Fraction.
+    """Parse the forms format_rational writes, "p" or "p/q", into a Fraction.
 
-    A zero denominator is bad input like any other: ValueError.
+    An optional sign and surrounding whitespace are allowed; ints are also
+    accepted.  Anything else (an exponent, a decimal point, an underscore) is
+    bad input, as is a zero denominator: ValueError, before any big number is
+    built.
 
-    >>> parse_rational("-2/3")
+    >>> parse_rational(" -2/3 ")
     Fraction(-2, 3)
     >>> parse_rational("7")
     Fraction(7, 1)
@@ -22,24 +28,59 @@ def parse_rational(text: str | int) -> Fraction:
     Traceback (most recent call last):
     ...
     ValueError: zero denominator in '1/0'
+    >>> parse_rational("1e10000000")
+    Traceback (most recent call last):
+    ...
+    ValueError: expected p or p/q in whole numbers, got '1e10000000'
     """
     if isinstance(text, int):
         return Fraction(text)
+    match = _RATIONAL.fullmatch(text.strip())
+    if match is None:
+        raise ValueError(f"expected p or p/q in whole numbers, got {text!r}")
+    num, den = match.groups()
+    den = 1 if den is None else int(den)
+    if den == 0:
+        raise ValueError(f"zero denominator in {text!r}")
+    return Fraction(int(num), den)
+
+
+# Below the smallest limit sys.set_int_max_str_digits accepts (640).
+_DIGIT_CHUNK = 10**600
+
+
+def int_text(n: int) -> str:
+    """repr(n), also past sys.get_int_max_str_digits(): exact counts run to thousands of digits.
+
+    >>> int_text(-7 * 10**1200) == "-7" + "0" * 1200
+    True
+    """
     try:
-        return Fraction(text.strip())
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+        return repr(n)
+    except ValueError:
+        pass
+    rest, parts = abs(n), []
+    while rest >= _DIGIT_CHUNK:
+        rest, low = divmod(rest, _DIGIT_CHUNK)
+        parts.append(f"{low:0600d}")
+    parts.append(repr(rest))
+    return "-" * (n < 0) + "".join(reversed(parts))
 
 
 def format_rational(value: Fraction | int) -> str:
-    """Render a rational as "p" or "p/q" with q > 0.
+    """Render a rational as "p" or "p/q" with q > 0, also past the int digit limit.
 
     >>> format_rational(Fraction(-2, 3))
     '-2/3'
     >>> format_rational(Fraction(4, 2))
     '2'
     """
-    return str(Fraction(value))
+    try:
+        return str(Fraction(value))
+    except ValueError:  # a part past sys.get_int_max_str_digits()
+        f = Fraction(value)
+        text = int_text(f.numerator)
+        return text if f.denominator == 1 else f"{text}/{int_text(f.denominator)}"
 
 
 def fixed6(value: Fraction | int) -> str:

@@ -1,28 +1,33 @@
 """The arithmetic L-space test for small Seifert fibered spaces.
 
 M(e0; r1, r2, r3) denotes e0-surgery on the unknot with three meridians
-carrying (-1/r_i)-surgeries.  Two normalization moves preserve the manifold:
-shifting a ratio by 1 against e0, and reversing orientation (negate
-everything).  After normalizing the ratios into [0, 1), the only criterion
-implemented here applies to the shape
+carrying (-1/r_i)-surgeries.  Shifting a ratio by 1 against e0 and reversing
+orientation (negate everything) preserve the manifold.  With the ratios
+normalized into [0, 1), the criterion implemented here reads: for
+M(-1; r1 >= r2 >= r3 > 0), if no coprime pair m > a > 0 has a/m > r1,
+(m-a)/m > r2 and 1/m > r3, the manifold (either orientation) is an L-space.
+Only this sufficient direction is implemented: an obstruction pair or an
+unusable normal form yields Undecided, never a negative verdict.
 
-    M(-1; r1 >= r2 >= r3 > 0):
+The search has a closed form.  An admissible a/m lies in (r1, 1 - r2), and
+the fraction of least denominator there is the simplest one, p/q, unique at
+that denominator and in lowest terms (Graham-Knuth-Patashnik, Concrete
+Mathematics 4.5).  So a pair exists exactly when r1 < 1 - r2 and 1/q > r3,
+and (q, p) is the least.  A Stern-Brocot descent finds p/q with one divmod
+per continued-fraction term, jumping each run of same-side steps at once:
+Euclid's cost on r1 and 1 - r2, whatever r3 is.
 
-if no coprime pair m > a > 0 satisfies a/m > r1, (m-a)/m > r2 and 1/m > r3,
-the manifold (with either orientation) is an L-space.  Only this sufficiency
-direction is implemented: an obstruction pair or an unusable normal form
-yields Undecided, never a negative verdict, because the converse is not
-established by this criterion.
-
-Every LSpace verdict carries the full empty-search certificate: the m range
-implied by 1/m > r3 and, per m, why no admissible a exists.
+An LSpace certificate holds m_max (the largest m with 1/m > r3) and either
+simplest = null, as r1 >= 1 - r2, or simplest = "p/q" with its Stern-Brocot
+parents a/b < p/q < c/d as neighbours.  Check in O(1) that bc - ad = 1,
+a/b <= r1, c/d >= 1 - r2 and b + d > m_max: every fraction strictly between
+a/b and c/d has denominator at least b + d, so no m <= m_max admits an a.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .errors import BadOrdering
 from .rationals import format_rational
@@ -72,41 +77,47 @@ def normalize(s: SeifertForm) -> SeifertForm:
     return SeifertForm(e0, tuple(nonzero + zeros))
 
 
-def coprime_obstruction(
-    r1: Fraction, r2: Fraction, r3: Fraction, with_certificate: bool = False
-):
-    """Search for coprime m > a > 0 with a/m > r1, (m-a)/m > r2, 1/m > r3.
+def _simplest_parents(lo: Fraction, hi: Fraction) -> tuple[int, int, int, int]:
+    """Parents a/b < c/d of the simplest (a+c)/(b+d) in (lo, hi), 0 < lo < hi < 1.
 
-    Requires 1 >= r1 >= r2 >= r3 > 0 (the r3 > 0 bound makes the search
-    finite: m < 1/r3).  Returns the lexicographically least pair (m, a) or
-    None; with_certificate additionally returns the per-m exhaustion record.
+    >>> _simplest_parents(Fraction(1, 3), Fraction(1, 2))
+    (1, 3, 1, 2)
     """
+    # The first term is 0 as lo < 1: start from its convergents and (1/hi, 1/lo).
+    p0, q0, p1, q1 = 1, 0, 0, 1
+    xn, xd, yn, yd = hi.denominator, hi.numerator, lo.denominator, lo.numerator
+    while True:
+        t, r = divmod(xn, xd)
+        if (t + 1) * yd < yn:  # t + 1 lies in the interval: the last term
+            a, b, c, d = t * p1 + p0, t * q1 + q0, p1, q1
+            return (a, b, c, d) if a * d < b * c else (c, d, a, b)
+        p0, q0, p1, q1 = p1, q1, t * p1 + p0, t * q1 + q0
+        # (x, y) -> (1/(y - t), 1/(x - t)); yd = 0 stands for infinity.
+        xn, xd, yn, yd = yd, yn - t * yd, xd, r
+
+
+def _search(r1: Fraction, r2: Fraction, r3: Fraction) -> tuple[tuple | None, dict | None]:
+    """The least obstruction pair, or None and the certificate of its absence."""
     if not (1 >= r1 >= r2 >= r3 >= 0):
         raise BadOrdering(f"need 1 >= r1 >= r2 >= r3 >= 0, got {r1}, {r2}, {r3}")
     if r3 == 0:
         raise BadOrdering("r3 = 0 leaves the search unbounded; reject upstream")
-    inv = 1 / r3
-    m_max = inv.numerator // inv.denominator
-    if inv.denominator == 1:
-        m_max -= 1  # strict inequality 1/m > r3
-    certificate = {"m_max": m_max, "per_m": []}
-    for m in range(2, m_max + 1):
-        # a/m > r1 and (m-a)/m > r2 pin a to the open interval (r1*m, (1-r2)*m).
-        lo = r1 * m
-        hi = (1 - r2) * m
-        candidates = [a for a in range(1, m) if lo < a < hi]
-        coprime = [a for a in candidates if gcd(a, m) == 1]
-        if coprime:
-            pair = (m, coprime[0])
-            return (pair, certificate) if with_certificate else pair
-        if not candidates:
-            reason = (
-                f"no integer a with {format_rational(lo)} < a < {format_rational(hi)}"
-            )
-        else:
-            reason = f"candidates {candidates} all share a factor with {m}"
-        certificate["per_m"].append({"m": m, "reason": reason})
-    return (None, certificate) if with_certificate else None
+    m_max = (r3.denominator - 1) // r3.numerator  # the largest m with 1/m > r3
+    if r1 >= 1 - r2:
+        return None, {"m_max": m_max, "simplest": None, "neighbours": None}
+    a, b, c, d = _simplest_parents(r1, 1 - r2)
+    if b + d <= m_max:
+        return (b + d, a + c), None
+    simplest, left, right = (format_rational(Fraction(*f)) for f in ((a + c, b + d), (a, b), (c, d)))
+    return None, {"m_max": m_max, "simplest": simplest, "neighbours": [left, right]}
+
+
+def coprime_obstruction(r1: Fraction, r2: Fraction, r3: Fraction) -> tuple[int, int] | None:
+    """The least coprime (m, a), m > a > 0, with a/m > r1, (m-a)/m > r2, 1/m > r3.
+
+    Needs 1 >= r1 >= r2 >= r3 > 0.  It is (q, p) if 1/q > r3, else None.
+    """
+    return _search(r1, r2, r3)[0]
 
 
 @dataclass(frozen=True)
@@ -125,12 +136,7 @@ class LSpaceVerdict:
 
 
 def decide(s: SeifertForm) -> LSpaceVerdict:
-    """Try the criterion on the manifold and on its reverse.
-
-    Certifies LSpace when either side normalizes to (-1; r1 >= r2 >= r3 > 0)
-    and the coprime-pair search comes back empty; otherwise reports why each
-    side was unusable.  Never claims NotLSpace.
-    """
+    """LSpace if M or -M normalizes to (-1; r1 >= r2 >= r3 > 0) with no pair, else Undecided."""
     blockers = []
     for side, form in (("M", s), ("-M", negate(s))):
         ns = normalize(form)
@@ -141,18 +147,9 @@ def decide(s: SeifertForm) -> LSpaceVerdict:
         if r3 == 0:
             blockers.append(f"{side} has a zero ratio after normalization")
             continue
-        pair, certificate = coprime_obstruction(r1, r2, r3, with_certificate=True)
+        pair, fields = _search(r1, r2, r3)
         if pair is None:
-            certificate = {
-                "side": side,
-                "normalized": ns.to_json(),
-                "m_range": [2, certificate["m_max"]],
-                "per_m": certificate["per_m"],
-            }
-            return LSpaceVerdict(
-                True,
-                f"empty coprime-pair search for {side} = {ns}",
-                certificate,
-            )
+            certificate = {"side": side, "normalized": ns.to_json(), **fields}
+            return LSpaceVerdict(True, f"empty coprime-pair search for {side} = {ns}", certificate)
         blockers.append(f"{side} = {ns} admits obstruction pair (m, a) = {pair}")
     return LSpaceVerdict(False, "; ".join(blockers))

@@ -172,13 +172,6 @@ class FormalSemigroup:
     def to_json(self) -> dict:
         return {"genus": self.genus, "gaps": list(self._gaps)}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "FormalSemigroup":
-        s = cls(data["gaps"])
-        if "genus" in data and int(data["genus"]) != s.genus:
-            raise ValueError("genus field disagrees with gap count")
-        return s
-
 
 def gap_runs(delta: IntLaurentPoly) -> list[tuple[int, int]]:
     """The gaps of an L-space-form polynomial as half-open runs [a, b).

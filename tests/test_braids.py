@@ -81,8 +81,6 @@ class TestValidation:
     def test_whole_numbers_only(self, strands, letters):
         with pytest.raises(TypeError):
             BraidWord(strands, letters)
-        with pytest.raises(TypeError):
-            BraidWord.from_json({"strands": strands, "word": letters})
 
 
 class TestClosureComponents:

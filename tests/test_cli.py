@@ -496,6 +496,15 @@ class TestSeifert:
         assert code == 2
         assert "zero denominator" in err
 
+    @pytest.mark.parametrize("ratio", ["1e10000000", "1e100000000", "1.5", "1_000", "\u0661/2"])
+    def test_only_the_written_forms_parse(self, capsys, ratio):
+        # An exponent is refused from its text: "1e10000000" no longer builds 10**(10**7).
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "seifert", "decide", "--e0", "-1", "--r", f"{ratio},1/2,1/3")
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and out == ""
+        assert "expected p or p/q in whole numbers" in err
+
 
 class TestBraid:
     def test_named_word(self, capsys):
@@ -584,6 +593,7 @@ REPORTS = [
     *(["restore", "--catalog", name, "--all"] for name in catalog_names()),
     ["family", "verify", "--n", "1..3"],
     ["seifert", "decide", "--e0", "0", "--r=-3/7,-1/3,-1/2"],
+    ["seifert", "decide", "--e0", "0", "--r", " 1/3,-1/3,-1/4"],
     ["braid", "--named", "K1", "--n", "3"],
     ["census", "scan", "sample"],
     ["restore", "--family", "K1", "--n", "3", "--all"],  # 10,000 witnesses, at the cap

@@ -167,9 +167,3 @@ class TestPLBridge:
             for k in range(-g - 2, g + 3):
                 assert f(k) == gf.value_at(k), (gaps, k)
             assert all(s in (0, 2) for s in f.slope_sequence())
-
-
-class TestJson:
-    def test_round_trip(self):
-        gf = GapFunction((0, 2, 2, 2, 4))
-        assert GapFunction.from_json(gf.to_json()) == gf

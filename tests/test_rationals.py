@@ -1,10 +1,11 @@
-"""fixed6 in integer arithmetic against the Fraction-based formula it replaced."""
+"""fixed6 in integer arithmetic against the Fraction-based formula it replaced, and
+parse_rational bounded to the forms format_rational writes."""
 
 from fractions import Fraction as F
 
 import pytest
 
-from upsilon_lab.rationals import fixed6
+from upsilon_lab.rationals import fixed6, format_rational, int_text, parse_rational
 
 
 def fixed6_oracle(value) -> str:
@@ -53,3 +54,22 @@ def test_half_way_rounds_away_from_zero(value, text):
 @pytest.mark.parametrize("value", [F(-1, 3 * 10**6), F(-1, 10**7), F(-499_999, 10**12)])
 def test_small_negatives_print_without_sign(value):
     assert fixed6(value) == fixed6_oracle(value) == "0.000000"
+
+
+def test_parse_reads_back_what_format_writes():
+    for value in (F(0), F(7), F(-2, 3), F(10**30 + 1, 3), F(-1, 10**12)):
+        assert parse_rational(format_rational(value)) == value
+        assert parse_rational(f" +{format_rational(abs(value))}\t") == abs(value)
+
+
+@pytest.mark.parametrize("text", ["1e3", "1E3", "1.5", ".5", "1_000", "1/-2", "1 /2", "", "/2", "2/",
+                                  "\u0661", "inf", "nan"])
+def test_parse_refuses_other_forms(text):
+    with pytest.raises(ValueError, match="expected p or p/q"):
+        parse_rational(text)
+
+
+def test_format_past_the_int_digit_limit():
+    big = 10**5000 + 1
+    assert format_rational(F(-big, 3)) == "-" + int_text(big) + "/3"
+    assert format_rational(big) == int_text(big) == "1" + "0" * 4999 + "1"

@@ -1,12 +1,16 @@
 """Seifert-form normalization and the coprime-pair L-space criterion."""
 
+import json
 import random
+import time
 from fractions import Fraction as F
 from math import gcd
 
 import pytest
 
+from upsilon_lab.cli import main
 from upsilon_lab.errors import BadOrdering
+from upsilon_lab.rationals import int_text
 from upsilon_lab.seifert import (
     SeifertForm,
     coprime_obstruction,
@@ -57,6 +61,31 @@ def naive_obstruction(r1, r2, r3, m_cap=1000):
     return None
 
 
+def assert_certificate(cert):
+    """The O(1) check that no m <= m_max has an admissible a."""
+    assert cert["side"] in ("M", "-M") and cert["normalized"]["e0"] == -1
+    r1, r2, r3 = (F(r) for r in cert["normalized"]["ratios"])
+    assert 1 > r1 >= r2 >= r3 > 0
+    m_max = cert["m_max"]
+    assert F(1, m_max) > r3 >= F(1, m_max + 1)
+    if cert["simplest"] is None:
+        assert cert["neighbours"] is None and r1 >= 1 - r2
+        return
+    left, right = (F(r) for r in cert["neighbours"])
+    a, b, c, d = left.numerator, left.denominator, right.numerator, right.denominator
+    assert b * c - a * d == 1
+    assert left <= r1 and right >= 1 - r2 and b + d > m_max
+    assert cert["simplest"] == f"{a + c}/{b + d}"
+
+
+def fibonacci_pair(digits):
+    """Consecutive Fibonacci numbers F(n), F(n + 1), F(n) the first with this many digits."""
+    a, b, least = 1, 2, 10 ** (digits - 1)
+    while a < least:
+        a, b = b, a + b
+    return a, b
+
+
 class TestCoprimeObstruction:
     def test_no_pair_for_tight_bounds(self):
         assert coprime_obstruction(F(2, 3), F(1, 2), F(1, 3)) is None
@@ -75,15 +104,23 @@ class TestCoprimeObstruction:
 
     def test_agrees_with_naive_search(self):
         rng = random.Random(12)
-        for _ in range(300):
-            vals = sorted(
-                (F(rng.randint(0, 40), rng.randint(1, 40)) for _ in range(3)),
-                reverse=True,
-            )
-            r1, r2, r3 = (min(v, F(1)) for v in vals)
-            if r3 < F(1, 1000):
-                continue
-            assert coprime_obstruction(r1, r2, r3) == naive_obstruction(r1, r2, r3)
+        shapes = {"r1 = 1": 0, "r1 + r2 >= 1": 0, "pair": 0, "no pair": 0}
+        for i in range(1200):
+            dens = [rng.randint(1, 40) for _ in range(3)]
+            r1, r2, r3 = sorted((F(rng.randint(1, d), d) for d in dens), reverse=True)
+            if i % 3 == 0:  # widen the draws past the empty interval (r1, 1 - r2)
+                r1 = max(r1, 1 - r2) if i % 2 else F(1)
+            pair = coprime_obstruction(r1, r2, r3)
+            assert pair == naive_obstruction(r1, r2, r3), (r1, r2, r3)
+            shape = "r1 = 1" if r1 == 1 else "r1 + r2 >= 1" if r1 + r2 >= 1 else None
+            shapes[shape or ("no pair" if pair is None else "pair")] += 1
+        assert min(shapes.values()) >= 20, shapes
+
+    def test_least_pair_is_the_simplest_fraction(self):
+        # (L, 2/3) with L just below 2/3: the simplest fraction is 1111111111111/1666666666667.
+        r1 = F(1111111111109, 1666666666664)
+        assert coprime_obstruction(r1, F(1, 3), F(1, 10**13)) == (1666666666667, 1111111111111)
+        assert coprime_obstruction(r1, F(1, 3), F(1, 1666666666667)) is None
 
 
 class TestDecide:
@@ -91,7 +128,8 @@ class TestDecide:
         verdict = decide(SeifertForm(0, (F(1, 3), F(-1, 3), F(-1, 4))))
         assert verdict.is_lspace
         assert verdict.certificate["side"] == "-M"
-        assert verdict.certificate["per_m"]
+        assert verdict.certificate["simplest"] is None  # 2/3 + 1/3 >= 1
+        assert_certificate(verdict.certificate)
 
     def test_connected_summand_family(self):
         verdict = decide(SeifertForm(0, (F(1, 2), F(-1, 3), F(2, 5))))
@@ -107,7 +145,7 @@ class TestDecide:
     def test_pretzel_cover_instances(self, n):
         verdict = decide(SeifertForm(0, (F(1, 3), F(-1, 3), F(-1, n - 1))))
         assert verdict.is_lspace
-        assert verdict.certificate["m_range"][0] == 2
+        assert_certificate(verdict.certificate)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_montesinos_summand_instances(self, n):
@@ -127,15 +165,56 @@ class TestDecide:
             ratios = tuple(F(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(3))
             verdict = decide(SeifertForm(rng.randint(-2, 1), ratios))
             if verdict.is_lspace:
-                cert = verdict.certificate
-                assert cert is not None
-                assert cert["side"] in ("M", "-M")
-                assert cert["m_range"][1] - cert["m_range"][0] + 1 == len(cert["per_m"]) or (
-                    cert["m_range"][1] < cert["m_range"][0] and not cert["per_m"]
-                )
+                assert verdict.certificate is not None
+                assert_certificate(verdict.certificate)
 
     def test_json_shape(self):
         verdict = decide(SeifertForm(0, (F(1, 3), F(-1, 3), F(-1, 4))))
         data = verdict.to_json()
         assert data["verdict"] == "LSpace"
         assert "certificate" in data
+
+
+class TestClosedFormScale:
+    """The cost follows the size of r1 and 1 - r2, never 1/r3."""
+
+    @pytest.mark.parametrize("ratios, simplest", [
+        ("1/2,1/2,1/1000000000000", None),
+        ("1111111111109/1666666666664,1/3,1/1000000000000", "1111111111111/1666666666667"),
+    ])
+    def test_tiny_r3_answers_at_once(self, capsys, ratios, simplest):
+        start = time.perf_counter()
+        code = main(["seifert", "decide", "--e0", "-1", "--r", ratios])
+        assert time.perf_counter() - start < 0.5
+        out = capsys.readouterr().out
+        assert code == 0 and len(out) < 1024
+        report = json.loads(out)
+        assert report["verdict"] == "LSpace"
+        assert report["certificate"]["m_max"] == 10**12 - 1
+        assert report["certificate"]["simplest"] == simplest
+        assert_certificate(report["certificate"])
+
+    def test_fibonacci_ratios_of_4000_digits(self, capsys):
+        # F(n)/F(n+1) and F(n+1)/F(n+2) are adjacent: about 19,000 continued-fraction
+        # terms lead to the simplest fraction between them, F(n+2)/F(n+3).
+        f0, f1 = fibonacci_pair(4000)
+        f2, f3 = f0 + f1, f0 + 2 * f1
+        lo, hi = sorted((F(f0, f1), F(f1, f2)))
+        code = main(["seifert", "decide", "--e0", "-1", "--r", f"{lo},{1 - hi},1/3"])
+        assert code == 0
+        cert = json.loads(capsys.readouterr().out)["certificate"]
+        assert cert["simplest"] == f"{f2}/{f3}"
+        assert_certificate(cert)
+
+    def test_simplest_fraction_past_the_int_digit_limit(self, capsys):
+        # Ratios of at most 4,300 digits (all int() reads by default) whose simplest
+        # fraction has a 4,301-digit denominator: still LSpace, exit 0.
+        f0, f1 = fibonacci_pair(4300)
+        while f0 + 2 * f1 < 10**4300:
+            f0, f1 = f1, f0 + f1
+        f2, f3 = f0 + f1, f0 + 2 * f1
+        lo, hi = sorted((F(f0, f1), F(f1, f2)))
+        code = main(["seifert", "decide", "--e0", "-1", "--r", f"{lo},{1 - hi},1/1000"])
+        assert code == 0
+        cert = json.loads(capsys.readouterr().out)["certificate"]
+        assert cert["simplest"] == f"{f2}/{int_text(f3)}" and len(int_text(f3)) == 4301

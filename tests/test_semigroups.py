@@ -264,13 +264,3 @@ class TestGenusAndThreshold:
         s = FormalSemigroup.from_alexander(PRETZEL)
         assert s.genus == 5
         assert s.surgery_threshold == 9
-
-
-class TestJson:
-    def test_round_trip(self):
-        s = FormalSemigroup([1, 2, 5])
-        assert FormalSemigroup.from_json(s.to_json()) == s
-
-    def test_genus_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            FormalSemigroup.from_json({"genus": 2, "gaps": [1, 2, 5]})
