@@ -6,8 +6,11 @@ Input is JSON lines, one record per knot:
 
 Records are grouped by canonical Alexander polynomial and by Upsilon.  The
 Upsilon key is the integer vertex tuple of the gap function's convex
-envelope (invariants.hull_vertices), built in O(terms) from the gap runs,
-once per record, when its CensusRecord is made.
+envelope.  parse_census_line validates a line in one pass over its
+[exponent, coefficient] list: it checks the types and merges the terms,
+sorts the exponents once, checks the L-space shape and deg = 2g, and reads
+the gap runs off the sorted exponents, so Delta and the hull are built in
+O(terms) with no second validation.
 The key is exact: every envelope has rays of slope 0 and 2, so its vertices
 determine it; Upsilon is its Legendre-Fenchel transform, and the transform
 is an involution on convex functions.  So two records have equal hulls
@@ -26,30 +29,69 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import NotLSpaceForm, UpsilonLabError
-from .invariants import hull_vertices
+from .invariants import _corners, hull_vertices
 from .laurent import IntLaurentPoly
+from .piecewise import _lower_hull
 
 
 @dataclass(frozen=True)
 class CensusRecord:
+    """One census knot; the hull is swept from delta unless it is given."""
+
     name: str
     delta: IntLaurentPoly
-    hull: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    hull: tuple[tuple[int, int], ...] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "hull", hull_vertices(self.delta))
+        if self.hull is None:
+            object.__setattr__(self, "hull", hull_vertices(self.delta))
 
 
 def parse_census_line(line: str) -> CensusRecord:
+    """One JSON line to a record, validated in one pass over its terms.
+
+    The checks raise what IntLaurentPoly.from_pairs, is_lspace_form and the
+    degree check of semigroups.gap_runs raise, in that order: a TypeError
+    for a non-int entry, then an UpsilonLabError and a NotLSpaceForm that
+    name the record.
+    """
     data = json.loads(line)
     name = str(data["name"])
-    delta = IntLaurentPoly.from_pairs(data["alexander"])
-    if not delta.is_lspace_form():
+    terms: dict[int, int] = {}
+    for e, c in data["alexander"]:
+        if type(e) is not int:
+            raise TypeError(f"exponent {e!r} is not an int")
+        if type(c) is not int:
+            raise TypeError(f"coefficient {c!r} is not an int")
+        if e in terms:
+            c += terms[e]
+            if c:
+                terms[e] = c
+            else:
+                del terms[e]
+        elif c:
+            terms[e] = c
+    exps = sorted(terms)
+    n = len(exps)
+    signs = [terms[e] for e in exps]
+    # 1 - t + t^{a_2} - ... + t^{a_{n-1}}: +1 at even positions, -1 at odd ones.
+    if not (
+        n % 2
+        and exps[0] == 0
+        and signs[::2].count(1) + signs[1::2].count(-1) == n
+        and (n == 1 or exps[1] == 1)
+        and exps[-1] % 2 == 0
+    ):
         raise UpsilonLabError(f"record {name!r}: polynomial is not in L-space form")
-    try:
-        return CensusRecord(name, delta)
-    except NotLSpaceForm as exc:
-        raise NotLSpaceForm(f"record {name!r}: {exc}") from None
+    # The sum of coefficients is 0 on each gap run [exps[i], exps[i + 1]), i odd.
+    opens, closes = exps[1::2], exps[2::2]
+    genus = sum(closes) - sum(opens)
+    if 2 * genus != exps[-1]:
+        raise NotLSpaceForm(
+            f"record {name!r}: degree {exps[-1]} does not equal twice the gap count {genus}"
+        )
+    hull = tuple(_lower_hull(_corners(list(zip(opens, closes)))))
+    return CensusRecord(name, IntLaurentPoly._from_terms(terms), hull)
 
 
 def load_census(path: str | Path) -> tuple[list[CensusRecord], list[str]]:
@@ -70,8 +112,8 @@ def load_census(path: str | Path) -> tuple[list[CensusRecord], list[str]]:
 def scan_census(records: Iterable[CensusRecord]) -> dict:
     """Group records by canonical Alexander and by Upsilon, via the hull.
 
-    Both keys are canonical, hashable objects: hull_vertices only accepts
-    polynomials with minimum exponent 0 and constant term 1, and its sweep
+    Both keys are canonical, hashable objects: a hull is only built for a
+    polynomial with minimum exponent 0 and constant term 1, and its sweep
     drops collinear vertices.  Output order is independent of
     input order: names within a group are sorted, and so are the groups.
     """

@@ -111,7 +111,7 @@ def alexander_closed_form(knot: FamilyKnot) -> IntLaurentPoly:
     else:
         _block(terms, 4 * n + 8, 2, 2 * n, 1)    # t^{4n+8+2i} - t^{4n+7+2i}
         _block(terms, 4 * n + 6, 0, 1, 2)        # t^{4n+6} - t^{4n+4}
-    return IntLaurentPoly(terms)
+    return IntLaurentPoly._from_terms({e: c for e, c in terms.items() if c})
 
 
 def alexander_via_torres(knot: FamilyKnot) -> IntLaurentPoly:

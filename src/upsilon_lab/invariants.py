@@ -12,7 +12,9 @@ x = g - b, at height 2 * #{gaps >= b}.  The chain is therefore
                -> Upsilon (legendre_fenchel).
 
 hull_vertices stops at the integer hull, which is the census's Upsilon key;
-hull_of and upsilon_of build the PLFunctions.  The formal semigroup and the
+census.parse_census_line builds the same key from the runs of its one
+validated pass over a record, with _corners and the same sweep.  hull_of
+and upsilon_of build the PLFunctions.  The formal semigroup and the
 2g + 1 gap-function samples are built only for the report fields that print
 them (knot_invariants) and for plot's gap-function panel; the dense route
 GapFunction.envelope stays as the tests' oracle.  All rationals in the

@@ -54,7 +54,8 @@ class IntLaurentPoly:
     def _from_terms(cls, terms: dict[int, int]) -> "IntLaurentPoly":
         """Wrap a dict of int exponents to nonzero int coefficients, unchecked.
 
-        Only for terms this package has just computed; input goes through
+        Only for terms this package has just computed or checked itself (as
+        census.parse_census_line does); other input goes through
         IntLaurentPoly(...) or from_pairs, which validate every term.
         """
         result = cls.__new__(cls)

@@ -210,7 +210,13 @@ def _lower_hull(pts: list) -> list:
     """Monotone-chain lower hull of points sorted by x, collinear ones dropped."""
     hull: list = []
     for p in pts:
-        while len(hull) >= 2 and _cross(hull[-2], hull[-1], p) <= 0:
+        x, y = p
+        while len(hull) >= 2:
+            # _cross(hull[-2], hull[-1], p) > 0, written out: the sweep's hot loop.
+            ox, oy = hull[-2]
+            ax, ay = hull[-1]
+            if (ax - ox) * (y - oy) > (ay - oy) * (x - ox):
+                break
             hull.pop()
         hull.append(p)
     return hull

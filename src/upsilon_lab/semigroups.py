@@ -108,11 +108,13 @@ class FormalSemigroup:
 
         The gate here is the partial-sum structure itself (which is the
         alternating property seen through the expansion) plus deg = 2g, so
-        the round trip with to_alexander covers every valid gap sequence;
-        the stricter shape predicate stays in
-        IntLaurentPoly.is_lspace_form for boundary validation.  Both checks
-        run on the terms (gap_runs) before any gap is built, so the cost
-        follows the term count and the genus, never the degree alone.
+        the round trip with to_alexander covers every valid gap sequence.
+        The stricter shape (first sign change at exponent 1) is checked
+        where input arrives: by IntLaurentPoly.is_lspace_form for CLI
+        polynomials, and inside census.parse_census_line's one pass for
+        census lines.  Both checks here run on the terms (gap_runs) before
+        any gap is built, so the cost follows the term count and the genus,
+        never the degree alone.
         """
         return cls.from_gap_runs(gap_runs(delta))
 
@@ -127,7 +129,7 @@ class FormalSemigroup:
         for a in self._gaps:
             terms[a + 1] = terms.get(a + 1, 0) + 1
             terms[a] = terms.get(a, 0) - 1
-        return IntLaurentPoly(terms)
+        return IntLaurentPoly._from_terms({e: c for e, c in terms.items() if c})
 
     # -- predicates -----------------------------------------------------------
 

@@ -14,11 +14,13 @@ from upsilon_lab.census import (
     sample_census_path,
     scan_census,
 )
+from upsilon_lab.errors import NotLSpaceForm, UpsilonLabError
+from upsilon_lab.family import FamilyKnot, alexander_closed_form
 from upsilon_lab.gapfunctions import GapFunction
 from upsilon_lab.invariants import hull_vertices
 from upsilon_lab.laurent import IntLaurentPoly
 from upsilon_lab.piecewise import PLFunction, legendre_fenchel
-from upsilon_lab.semigroups import FormalSemigroup
+from upsilon_lab.semigroups import FormalSemigroup, torus_semigroup
 
 P = IntLaurentPoly.from_pairs
 
@@ -84,8 +86,6 @@ class TestGrouping:
         # The last record reuses K2(1)'s name with K1(1)'s polynomial.  Keyed
         # by name it overwrote K2(1)'s Alexander key and the Upsilon-equal,
         # Alexander-distinct pair vanished.
-        from upsilon_lab.family import FamilyKnot, alexander_closed_form
-
         k1 = alexander_closed_form(FamilyKnot("K1", 1))
         k2 = alexander_closed_form(FamilyKnot("K2", 1))
         records = [CensusRecord("a", k1), CensusRecord("b", k2), CensusRecord("b", k1)]
@@ -137,19 +137,27 @@ class TestGrouping:
         assert scan_census(records)["upsilon_duplicate_groups"] == [["K1(1)", "K2(1)"]]
 
     def test_one_gap_runs_walk_per_record(self, monkeypatch):
+        # The one-pass parse re-validates nothing: a load and a scan of the
+        # sample walk no gap runs, run no shape predicate and build no
+        # polynomial through the validating constructor.
         from upsilon_lab import semigroups
 
         calls = []
+
+        def counting(label, fn):
+            return lambda *args: calls.append(label) or fn(*args)
+
         walk = semigroups.gap_runs
         # Count the walk under every name a package module binds it to.
         for module in list(sys.modules.values()):
             if module.__name__.startswith("upsilon_lab") and getattr(module, "gap_runs", None) is walk:
-                monkeypatch.setattr(module, "gap_runs",
-                                    lambda delta: calls.append(delta) or walk(delta))
+                monkeypatch.setattr(module, "gap_runs", counting("gap_runs", walk))
+        for attr in ("is_lspace_form", "__init__"):
+            monkeypatch.setattr(IntLaurentPoly, attr, counting(attr, getattr(IntLaurentPoly, attr)))
         records, _ = load_census(sample_census_path())
         scan_census(records)
         assert len(records) == 10
-        assert calls == [r.delta for r in records]
+        assert calls == []
 
 
 class TestParsing:
@@ -195,3 +203,136 @@ class TestParsing:
         record = parse_census_line('{"name": "T(2,3)", "alexander": [[0,1],[1,-1],[2,1]]}')
         assert record.name == "T(2,3)"
         assert record.delta == P([[0, 1], [1, -1], [2, 1]])
+
+
+def three_step_parse(line: str) -> CensusRecord:
+    """The route the one-pass parse must agree with: from_pairs, is_lspace_form, CensusRecord."""
+    data = json.loads(line)
+    name = str(data["name"])
+    delta = IntLaurentPoly.from_pairs(data["alexander"])
+    if not delta.is_lspace_form():
+        raise UpsilonLabError(f"record {name!r}: polynomial is not in L-space form")
+    try:
+        return CensusRecord(name, delta)
+    except NotLSpaceForm as exc:
+        raise NotLSpaceForm(f"record {name!r}: {exc}") from None
+
+
+def outcome(parse, line: str):
+    """(name, delta, hull) of a parsed line, or the exception type and text load_census would print."""
+    try:
+        record = parse(line)
+    except (UpsilonLabError, ValueError, KeyError, TypeError) as exc:
+        return type(exc), str(exc)
+    return record.name, record.delta, record.hull
+
+
+def record_line(name: str, alexander) -> str:
+    return json.dumps({"name": name, "alexander": alexander})
+
+
+TORUS_LADDER = [(2, 3), (2, 5), (3, 4), (3, 5), (3, 7), (4, 5), (2, 25), (5, 7), (4, 9),
+                (5, 12), (7, 9), (7, 13), (11, 13), (13, 23), (21, 52)]
+
+MALFORMED = {
+    "merge-to-valid": [[0, 1], [1, -2], [1, 1], [2, 1]],
+    "merge-to-two": [[0, 1], [1, -1], [2, 1], [2, 1]],
+    "cancel-to-valid": [[0, 1], [3, 1], [1, -1], [3, -1], [2, 1]],
+    "cancel-to-even-count": [[0, 1], [1, -1], [2, 1], [2, -1]],
+    "cancel-everything": [[0, 1], [0, -1]],
+    "zero-coefficient": [[0, 1], [1, -1], [5, 0], [2, 1]],
+    "zero-only": [[0, 0]],
+    "zero-after-term": [[0, 1], [1, -1], [2, 1], [1, 0]],
+    "true-coefficient": [[0, True], [1, -1], [2, 1]],
+    "true-exponent": [[0, 1], [True, -1], [2, 1]],
+    "float-coefficient": [[0, 1.0], [1, -1], [2, 1]],
+    "float-exponent": [[0, 1], [1.0, -1], [2, 1]],
+    "string-entry": [[0, 1], [1, "-1"], [2, 1]],
+    "null-entry": [[None, 1]],
+    "type-error-after-bad-shape": [[0, 2], [1, 1], [2, 1.5]],
+    "type-error-after-good-shape": [[0, 1], [1, -1], [2, 1], [0, 0.0]],
+    "unsorted": [[2, 1], [0, 1], [1, -1]],
+    "three-element-pair": [[0, 1, 2]],
+    "one-element-pair": [[0, 1], [1]],
+    "int-pair": [[0, 1], 5],
+    "dict-alexander": {"0": 1},
+    "dict-two-char-key": {"01": 1},
+    "empty-dict-alexander": {},
+    "empty-alexander": [],
+    "string-alexander": "01",
+    "int-alexander": 5,
+    "null-alexander": None,
+    "degree-mismatch": [[0, 1], [1, -1], [4, 1]],
+    "huge-degree-mismatch": [[0, 1], [1, -1], [10**30, 1]],
+    "first-gap-not-1": [[0, 1], [2, -1], [4, 1]],
+    "even-term-count": [[0, 1], [1, -1]],
+    "even-term-count-even-top": [[0, 1], [1, -1], [2, 1], [4, -1]],
+    "not-alternating": [[0, 1], [1, -1], [2, -1], [3, 1], [4, 1]],
+    "coefficient-two": [[0, 1], [1, -2], [2, 2]],
+    "constant-not-one": [[0, 2]],
+    "constant-minus-one": [[0, -1], [1, 1], [2, -1]],
+    "min-exponent-not-0": [[1, 1], [2, -1], [3, 1]],
+    "negative-exponents": [[-2, 1], [-1, -1], [0, 1]],
+    "odd-top": [[0, 1], [1, -1], [3, 1]],
+    "unknot": [[0, 1]],
+}
+
+ODD_LINES = [
+    "not even json",
+    "[1, 2]",
+    "7",
+    json.dumps({"alexander": [[0, 1]]}),
+    json.dumps({"name": "nopoly"}),
+    json.dumps({"name": 7, "alexander": [[0, 1], [1, -1], [2, 1]]}),
+    json.dumps({"name": None, "alexander": [[0, 1], [1, 0.5]]}),
+    json.dumps({"name": ["x"], "alexander": [[0, 1], [1, -1], [4, 1]]}),
+]
+
+
+class TestOnePassOracle:
+    """parse_census_line agrees with the three-step route on records and on every warning."""
+
+    def assert_agree(self, line: str):
+        new, old = outcome(parse_census_line, line), outcome(three_step_parse, line)
+        assert new == old
+        if not isinstance(new[0], type):
+            assert all(type(c) is int for vertex in new[2] for c in vertex)
+            assert new[1].to_pairs() == old[1].to_pairs()
+
+    def test_every_gap_sequence_to_genus_10(self):
+        seen = 0
+        for g in range(11):
+            for gaps in all_gap_sequences(g):
+                self.assert_agree(record_line(str(gaps), FormalSemigroup(gaps).to_alexander().to_pairs()))
+                seen += 1
+        assert seen == 66198
+
+    def test_torus_ladder_and_family(self):
+        lines = [record_line(f"T{p},{q}", torus_semigroup(p, q).to_alexander().to_pairs())
+                 for p, q in TORUS_LADDER]
+        lines += [record_line(f"{which}({n})", alexander_closed_form(FamilyKnot(which, n)).to_pairs())
+                  for which in ("K1", "K2") for n in (1, 2, 3)]
+        for line in lines:
+            self.assert_agree(line)
+        assert all(not isinstance(outcome(parse_census_line, line)[0], type) for line in lines)
+
+    @pytest.mark.parametrize("kind", sorted(MALFORMED))
+    def test_malformed_kind(self, kind):
+        self.assert_agree(record_line(kind, MALFORMED[kind]))
+
+    @pytest.mark.parametrize("line", ODD_LINES)
+    def test_odd_line(self, line):
+        self.assert_agree(line)
+
+    def test_warnings_are_the_same_text(self, tmp_path, monkeypatch):
+        lines = [record_line(kind, pairs) for kind, pairs in sorted(MALFORMED.items())] + ODD_LINES
+        path = tmp_path / "census.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        records, warnings = load_census(path)
+        monkeypatch.setattr("upsilon_lab.census.parse_census_line", three_step_parse)
+        old_records, old_warnings = load_census(path)
+        assert warnings == old_warnings
+        assert (len(records), len(warnings)) == (7, 41)
+        assert [(r.name, r.delta, r.hull) for r in records] == [
+            (r.name, r.delta, r.hull) for r in old_records
+        ]
