@@ -297,7 +297,6 @@ class TestOnePassOracle:
         assert new == old
         if not isinstance(new[0], type):
             assert all(type(c) is int for vertex in new[2] for c in vertex)
-            assert new[1].to_pairs() == old[1].to_pairs()
 
     def test_every_gap_sequence_to_genus_10(self):
         seen = 0
