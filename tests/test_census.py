@@ -86,6 +86,8 @@ class TestGrouping:
         # The last record reuses K2(1)'s name with K1(1)'s polynomial.  Keyed
         # by name it overwrote K2(1)'s Alexander key and the Upsilon-equal,
         # Alexander-distinct pair vanished.
+        from upsilon_lab.family import FamilyKnot, alexander_closed_form
+
         k1 = alexander_closed_form(FamilyKnot("K1", 1))
         k2 = alexander_closed_form(FamilyKnot("K2", 1))
         records = [CensusRecord("a", k1), CensusRecord("b", k2), CensusRecord("b", k1)]
