@@ -6,11 +6,10 @@ Input is JSON lines, one record per knot:
 
 Records are grouped by canonical Alexander polynomial and by Upsilon.  The
 Upsilon key is the integer vertex tuple of the gap function's convex
-envelope.  parse_census_line validates a line in one pass over its
-[exponent, coefficient] list: it checks the types and merges the terms,
-sorts the exponents once, checks the L-space shape and deg = 2g, and reads
-the gap runs off the sorted exponents, so Delta and the hull are built in
-O(terms) with no second validation.
+envelope.  parse_census_line validates each term once (from_pairs), then
+takes the gap runs from semigroups.lspace_runs, the one gate on the L-space
+shape 1 - t + t^{a_2} - ... + t^{2g} and deg = 2g, so Delta and the hull are
+built in O(terms) with no second validation.
 The key is exact: every envelope has rays of slope 0 and 2, so its vertices
 determine it; Upsilon is its Legendre-Fenchel transform, and the transform
 is an involution on convex functions.  So two records have equal hulls
@@ -32,6 +31,7 @@ from .errors import NotLSpaceForm, UpsilonLabError
 from .invariants import _corners, hull_vertices
 from .laurent import IntLaurentPoly
 from .piecewise import _lower_hull
+from .semigroups import lspace_runs
 
 
 @dataclass(frozen=True)
@@ -48,50 +48,22 @@ class CensusRecord:
 
 
 def parse_census_line(line: str) -> CensusRecord:
-    """One JSON line to a record, validated in one pass over its terms.
+    """One JSON line to a record: from_pairs, the lspace_runs gate, then the hull sweep.
 
-    The checks raise what IntLaurentPoly.from_pairs, is_lspace_form and the
-    degree check of semigroups.gap_runs raise, in that order: a TypeError
-    for a non-int entry, then an UpsilonLabError and a NotLSpaceForm that
-    name the record.
+    Raises a TypeError for a non-int entry, then an UpsilonLabError for a
+    shape other than the L-space shape or a NotLSpaceForm for deg != 2g,
+    both naming the record.
     """
     data = json.loads(line)
     name = str(data["name"])
-    terms: dict[int, int] = {}
-    for e, c in data["alexander"]:
-        if type(e) is not int:
-            raise TypeError(f"exponent {e!r} is not an int")
-        if type(c) is not int:
-            raise TypeError(f"coefficient {c!r} is not an int")
-        if e in terms:
-            c += terms[e]
-            if c:
-                terms[e] = c
-            else:
-                del terms[e]
-        elif c:
-            terms[e] = c
-    exps = sorted(terms)
-    n = len(exps)
-    signs = [terms[e] for e in exps]
-    # 1 - t + t^{a_2} - ... + t^{a_{n-1}}: +1 at even positions, -1 at odd ones.
-    if not (
-        n % 2
-        and exps[0] == 0
-        and signs[::2].count(1) + signs[1::2].count(-1) == n
-        and (n == 1 or exps[1] == 1)
-        and exps[-1] % 2 == 0
-    ):
+    delta = IntLaurentPoly.from_pairs(data["alexander"])
+    try:
+        runs = lspace_runs(delta)
+    except NotLSpaceForm as exc:
+        raise NotLSpaceForm(f"record {name!r}: {exc}") from None
+    if runs is None:
         raise UpsilonLabError(f"record {name!r}: polynomial is not in L-space form")
-    # The sum of coefficients is 0 on each gap run [exps[i], exps[i + 1]), i odd.
-    opens, closes = exps[1::2], exps[2::2]
-    genus = sum(closes) - sum(opens)
-    if 2 * genus != exps[-1]:
-        raise NotLSpaceForm(
-            f"record {name!r}: degree {exps[-1]} does not equal twice the gap count {genus}"
-        )
-    hull = tuple(_lower_hull(_corners(list(zip(opens, closes)))))
-    return CensusRecord(name, IntLaurentPoly._from_terms(terms), hull)
+    return CensusRecord(name, delta, tuple(_lower_hull(_corners(runs))))
 
 
 def load_census(path: str | Path) -> tuple[list[CensusRecord], list[str]]:

@@ -25,7 +25,7 @@ from .invariants import gap_function_of, hull_of, knot_invariants
 from .laurent import IntLaurentPoly
 from .piecewise import legendre_fenchel
 from .rationals import int_text, parse_rational
-from .semigroups import MAX_GENUS, gap_runs, torus_semigroup
+from .semigroups import MAX_GENUS, lspace_runs, torus_semigroup
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -107,12 +107,12 @@ def _resolve_knot_spec(args: argparse.Namespace) -> tuple[str | None, IntLaurent
     else:  # designed_family
         delta = restorability.designed_family_alexander(args.designed_family)
         name = f"designed_family({args.designed_family})"
-    if not delta.is_lspace_form():
+    if lspace_runs(delta) is None:  # NotLSpaceForm when the shape holds but deg != 2g
         raise _UsageError(
             f"polynomial {delta} is not in L-space form; the pipeline does not apply"
         )
-    if delta.degree // 2 > MAX_GENUS:
-        genus = sum(b - a for a, b in gap_runs(delta))  # NotLSpaceForm unless deg = 2g
+    genus = delta.degree // 2
+    if genus > MAX_GENUS:
         raise GenusTooLarge(f"the polynomial has genus {genus}, above the limit of {MAX_GENUS}")
     return name, delta
 

@@ -12,8 +12,8 @@ x = g - b, at height 2 * #{gaps >= b}.  The chain is therefore
                -> Upsilon (legendre_fenchel).
 
 hull_vertices stops at the integer hull, which is the census's Upsilon key;
-census.parse_census_line builds the same key from the runs of its one
-validated pass over a record, with _corners and the same sweep.  hull_of
+census.parse_census_line builds the same key from the runs that
+semigroups.lspace_runs gives it, with _corners and the same sweep.  hull_of
 and upsilon_of build the PLFunctions.  The formal semigroup and the
 2g + 1 gap-function samples are built only for the report fields that print
 them (knot_invariants) and for plot's gap-function panel; the dense route
@@ -39,8 +39,11 @@ def gap_function_of(delta: IntLaurentPoly) -> GapFunction:
 
 
 def _corners(runs: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """The gap function's convex corners from its gap runs: top run first, then (g, 2g)."""
-    g = sum(b - a for a, b in runs)
+    """The gap function's convex corners from its gap runs: top run first, then (g, 2g).
+
+    The runs come from gap_runs or lspace_runs, so the last one ends at deg = 2g.
+    """
+    g = runs[-1][1] // 2 if runs else 0
     corners = []
     below = 0  # gaps at or above the current run's end
     for a, b in reversed(runs):

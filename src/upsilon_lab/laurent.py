@@ -36,16 +36,19 @@ class IntLaurentPoly:
         data: dict[int, int] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for exp, coeff in items:
-            if not isinstance(exp, int) or isinstance(exp, bool):
+            # Exactly int: a bool (or any other int subclass) is refused.
+            if type(exp) is not int:
                 raise TypeError(f"exponent {exp!r} is not an int")
-            if not isinstance(coeff, int) or isinstance(coeff, bool):
+            if type(coeff) is not int:
                 raise TypeError(f"coefficient {coeff!r} is not an int")
-            if coeff:
-                new = data.get(exp, 0) + coeff
-                if new:
-                    data[exp] = new
-                elif exp in data:
+            if exp in data:
+                coeff += data[exp]
+                if coeff:
+                    data[exp] = coeff
+                else:
                     del data[exp]
+            elif coeff:
+                data[exp] = coeff
         self._terms = data
 
     # -- constructors ------------------------------------------------------
@@ -54,9 +57,9 @@ class IntLaurentPoly:
     def _from_terms(cls, terms: dict[int, int]) -> "IntLaurentPoly":
         """Wrap a dict of int exponents to nonzero int coefficients, unchecked.
 
-        Only for terms this package has just computed or checked itself (as
-        census.parse_census_line does); other input goes through
-        IntLaurentPoly(...) or from_pairs, which validate every term.
+        Only for terms this package has just computed itself; other input
+        goes through IntLaurentPoly(...) or from_pairs, which validate every
+        term.
         """
         result = cls.__new__(cls)
         result._terms = terms
@@ -83,9 +86,10 @@ class IntLaurentPoly:
         """Build from JSON-style [[exponent, coefficient], ...] pairs.
 
         Entries must be ints: a float such as 2.7 raises TypeError here
-        instead of being truncated.
+        instead of being truncated.  Any iterable is read as pairs, a dict
+        or a string too.
         """
-        return cls((e, c) for e, c in pairs)
+        return cls(iter(pairs))
 
     def to_pairs(self) -> list[list[int]]:
         """JSON form: [exponent, coefficient] pairs sorted by exponent."""
@@ -283,31 +287,6 @@ class IntLaurentPoly:
     def is_symmetric(self) -> bool:
         """True iff p(t^-1) equals p up to units +-t^i."""
         return self.unit_equal(self.reversed())
-
-    def is_lspace_form(self) -> bool:
-        """Check the shape 1 - t^{a_1} + t^{a_2} - ... + t^{a_k}.
-
-        True iff the polynomial is in knot-normal form with coefficients
-        alternating +1, -1 (starting and ending at +1), the first sign change
-        at exponent 1, an even top exponent, and value 1 at t = 1.
-        """
-        if self.is_zero:
-            return False
-        exps = sorted(self._terms)
-        if exps[0] != 0 or self._terms[0] != 1:
-            return False
-        for i, e in enumerate(exps):
-            if self._terms[e] != (1 if i % 2 == 0 else -1):
-                return False
-        if len(exps) == 1:
-            return True
-        if len(exps) % 2 == 0:
-            return False
-        if exps[1] != 1:
-            return False
-        if exps[-1] % 2 != 0:
-            return False
-        return True
 
 
 class TriLaurentPoly:

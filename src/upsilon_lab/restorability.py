@@ -430,8 +430,10 @@ def is_restorable(
     """Whether the Alexander polynomial is recoverable from its Upsilon.
 
     Counts the symmetric profiles over the envelope of its gap function;
-    unique = True means no other L-space-form polynomial shares the Upsilon
-    invariant.
+    unique = True means no other symmetric formal gap sequence (top gap
+    2g - 1, gap 1 not required) shares the Upsilon invariant.  The count is
+    over formal candidates, so it can exceed the count of L-space-shape
+    polynomials: T(2,5) has symmetric_count 2, one witness being 1 - t^2 + t^4.
     """
     return enumerate_gap_functions(hull_of(delta), symmetric_only=True, max_solutions=max_solutions)
 

@@ -1,4 +1,4 @@
-"""Formal semigroups of L-space-form Alexander polynomials.
+"""Formal semigroups of Alexander polynomials, and the L-space gate.
 
 Expanding Delta(t)/(1-t) as a power series yields sum_{s in S} t^s for a set
 S of nonnegative integers, the formal semigroup.  Its complement in Z splits
@@ -9,6 +9,12 @@ sign test.
 
 Despite the name, the set S need not be closed under addition; the closure
 test below reports a witness pair when it is not.
+
+Two notions of "L-space form" meet here.  A formal gap sequence needs only
+a_g = 2g - 1; gap_runs, FormalSemigroup and the restorability search work
+with those.  The Alexander polynomial of an L-space knot also has gap 1: it
+has the shape 1 - t + t^{a_2} - ... + t^{2g} (Hedden-Watson), and
+lspace_runs alone decides that shape.
 """
 
 from __future__ import annotations
@@ -108,13 +114,12 @@ class FormalSemigroup:
 
         The gate here is the partial-sum structure itself (which is the
         alternating property seen through the expansion) plus deg = 2g, so
-        the round trip with to_alexander covers every valid gap sequence.
-        The stricter shape (first sign change at exponent 1) is checked
-        where input arrives: by IntLaurentPoly.is_lspace_form for CLI
-        polynomials, and inside census.parse_census_line's one pass for
-        census lines.  Both checks here run on the terms (gap_runs) before
-        any gap is built, so the cost follows the term count and the genus,
-        never the degree alone.
+        the round trip with to_alexander covers every formal gap sequence,
+        including those without gap 1.  The stricter L-space shape (first
+        sign change at exponent 1) is lspace_runs, which the command line
+        and the census apply where input arrives.  Both checks here run on
+        the terms (gap_runs) before any gap is built, so the cost follows
+        the term count and the genus, never the degree alone.
         """
         return cls.from_gap_runs(gap_runs(delta))
 
@@ -176,7 +181,7 @@ class FormalSemigroup:
 
 
 def gap_runs(delta: IntLaurentPoly) -> list[tuple[int, int]]:
-    """The gaps of an L-space-form polynomial as half-open runs [a, b).
+    """The gaps of a polynomial with partial coefficient sums in {0, 1}, as runs [a, b).
 
     The partial coefficient sums change only at the terms, so the gaps (the
     exponents where the sum is 0) run from each -1 term at a up to the next
@@ -200,12 +205,49 @@ def gap_runs(delta: IntLaurentPoly) -> list[tuple[int, int]]:
         exps.append(e)
     if psum != 1:
         raise NotLSpaceForm(f"Delta(1) = {psum}, expected 1")
-    # Every term moves the sum between 1 and 0, so odd-indexed terms open a run.
-    runs = list(zip(exps[1::2], exps[2::2]))
-    genus = sum(b - a for a, b in runs)
+    return _runs_of_alternating(exps)
+
+
+def lspace_runs(delta: IntLaurentPoly) -> list[tuple[int, int]] | None:
+    """The gap runs of a polynomial of the shape 1 - t + t^{a_2} - ... + t^{2g}, else None.
+
+    The shape: coefficients alternating +1, -1 from +1 at exponent 0, an odd
+    number of terms, the first sign change at exponent 1 and an even top
+    exponent.  Any other shape gives None, so each caller words its own
+    refusal; the shape with deg != 2g raises NotLSpaceForm as gap_runs does.
+
+    >>> lspace_runs(IntLaurentPoly({0: 1, 1: -1, 3: 1, 5: -1, 6: 1}))
+    [(1, 3), (5, 6)]
+    >>> lspace_runs(IntLaurentPoly({0: 1, 2: -1, 4: 1})) is None
+    True
+    """
+    # The term dict is read directly: sorting its int keys costs about a quarter
+    # of sorting delta.items() pairs, and every census record passes here.
+    terms = delta._terms
+    exps = sorted(terms)
+    n = len(exps)
+    if not (
+        n % 2
+        and exps[0] == 0
+        and (n == 1 or exps[1] == 1)
+        and exps[-1] % 2 == 0
+        and [terms[e] for e in exps] == [1, -1] * (n // 2) + [1]
+    ):
+        return None
+    return _runs_of_alternating(exps)
+
+
+def _runs_of_alternating(exps: list[int]) -> list[tuple[int, int]]:
+    """The runs [exps[i], exps[i + 1]), i odd, of sorted terms alternating +1, -1 from 0.
+
+    Every term moves the partial sum between 1 and 0, so odd-indexed terms
+    open a run.  Raises NotLSpaceForm unless deg = 2g.
+    """
+    opens, closes = exps[1::2], exps[2::2]
+    genus = sum(closes) - sum(opens)
     if 2 * genus != exps[-1]:
         raise NotLSpaceForm(f"degree {exps[-1]} does not equal twice the gap count {genus}")
-    return runs
+    return list(zip(opens, closes))
 
 
 def torus_semigroup(p: int, q: int) -> FormalSemigroup:

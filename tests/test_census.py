@@ -139,9 +139,9 @@ class TestGrouping:
         assert scan_census(records)["upsilon_duplicate_groups"] == [["K1(1)", "K2(1)"]]
 
     def test_one_gap_runs_walk_per_record(self, monkeypatch):
-        # The one-pass parse re-validates nothing: a load and a scan of the
-        # sample walk no gap runs, run no shape predicate and build no
-        # polynomial through the validating constructor.
+        # Each record is validated once: a load and a scan of the sample build
+        # each polynomial once through the validating constructor, then pass
+        # it through the lspace_runs gate once, and walk no gap runs.
         from upsilon_lab import semigroups
 
         calls = []
@@ -149,17 +149,17 @@ class TestGrouping:
         def counting(label, fn):
             return lambda *args: calls.append(label) or fn(*args)
 
-        walk = semigroups.gap_runs
-        # Count the walk under every name a package module binds it to.
-        for module in list(sys.modules.values()):
-            if module.__name__.startswith("upsilon_lab") and getattr(module, "gap_runs", None) is walk:
-                monkeypatch.setattr(module, "gap_runs", counting("gap_runs", walk))
-        for attr in ("is_lspace_form", "__init__"):
-            monkeypatch.setattr(IntLaurentPoly, attr, counting(attr, getattr(IntLaurentPoly, attr)))
+        # Count each function under every name a package module binds it to.
+        for attr in ("gap_runs", "lspace_runs"):
+            fn = getattr(semigroups, attr)
+            for module in list(sys.modules.values()):
+                if module.__name__.startswith("upsilon_lab") and getattr(module, attr, None) is fn:
+                    monkeypatch.setattr(module, attr, counting(attr, fn))
+        monkeypatch.setattr(IntLaurentPoly, "__init__", counting("__init__", IntLaurentPoly.__init__))
         records, _ = load_census(sample_census_path())
         scan_census(records)
         assert len(records) == 10
-        assert calls == []
+        assert calls == ["__init__", "lspace_runs"] * 10
 
 
 class TestParsing:
@@ -207,12 +207,34 @@ class TestParsing:
         assert record.delta == P([[0, 1], [1, -1], [2, 1]])
 
 
+def is_lspace_form(delta: IntLaurentPoly) -> bool:
+    """The shape predicate IntLaurentPoly.is_lspace_form applied before semigroups.lspace_runs."""
+    if delta.is_zero:
+        return False
+    terms = dict(delta.items())
+    exps = sorted(terms)
+    if exps[0] != 0 or terms[0] != 1:
+        return False
+    for i, e in enumerate(exps):
+        if terms[e] != (1 if i % 2 == 0 else -1):
+            return False
+    if len(exps) == 1:
+        return True
+    if len(exps) % 2 == 0:
+        return False
+    if exps[1] != 1:
+        return False
+    if exps[-1] % 2 != 0:
+        return False
+    return True
+
+
 def three_step_parse(line: str) -> CensusRecord:
     """The route the one-pass parse must agree with: from_pairs, is_lspace_form, CensusRecord."""
     data = json.loads(line)
     name = str(data["name"])
     delta = IntLaurentPoly.from_pairs(data["alexander"])
-    if not delta.is_lspace_form():
+    if not is_lspace_form(delta):
         raise UpsilonLabError(f"record {name!r}: polynomial is not in L-space form")
     try:
         return CensusRecord(name, delta)

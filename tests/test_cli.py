@@ -273,6 +273,41 @@ class TestExitCodes:
         assert report["genus"] == 10_000 and report["semigroup_closed"] is True
 
 
+class TestLSpaceGate:
+    """One gate on the knot specification: the same stderr line from every pipeline command."""
+
+    @pytest.mark.parametrize("argv", [
+        ["invariants"],
+        ["restore"],
+        ["plot", "--what", "hull"],
+    ], ids=["invariants", "restore", "plot"])
+    @pytest.mark.parametrize("alexander, message", [
+        ("[[0,1],[1,-2],[2,1]]",
+         "error: polynomial 1 - 2*t + t^2 is not in L-space form; the pipeline does not apply\n"),
+        ("[[0,1],[1,-1],[4,1]]",
+         "error: NotLSpaceForm: degree 4 does not equal twice the gap count 3\n"),
+        (SPARSE_HUGE_GENUS,
+         "error: GenusTooLarge: the polynomial has genus 1000001, above the limit of 100000\n"),
+    ], ids=["not-lspace-shape", "degree-not-2g", "genus-past-cap"])
+    def test_refusal_text(self, capsys, tmp_path, argv, alexander, message):
+        out = tmp_path / "x.svg"
+        if argv[0] == "plot":
+            argv = [*argv, "--out", str(out)]
+        code, stdout, err = run_cli(capsys, *argv, "--alexander", alexander)
+        assert (code, stdout, err) == (2, "", message)
+        assert not out.exists()
+
+    def test_gate_runs_before_the_plot_kinds(self, capsys, tmp_path):
+        # The gate runs where the knot specification is read, before plot's own checks.
+        code, stdout, err = run_cli(capsys, "plot", "--what", "bogus", "--out", str(tmp_path / "x.svg"),
+                                    "--alexander", "[[0,1],[1,-1],[4,1]]")
+        assert (code, stdout, err) == (
+            2, "", "error: NotLSpaceForm: degree 4 does not equal twice the gap count 3\n")
+        code, _, err = run_cli(capsys, "plot", "--what", "bogus", "--out", str(tmp_path / "x.svg"),
+                               "--torus", "3,4")
+        assert (code, err) == (2, "error: unknown plot kinds: bogus\n")
+
+
 def test_genus_cap_admits_the_largest_twist():
     from upsilon_lab.braids import MAX_TWIST
     from upsilon_lab.semigroups import MAX_GENUS

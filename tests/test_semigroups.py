@@ -1,12 +1,15 @@
 """Formal semigroups: conversions, closure test, torus semigroups, symmetry."""
 
 import itertools
+import random
 
 import pytest
 
 from upsilon_lab.errors import BadParameters, NotLSpaceForm
 from upsilon_lab.laurent import IntLaurentPoly
-from upsilon_lab.semigroups import FormalSemigroup, gap_runs, torus_semigroup
+from upsilon_lab.semigroups import FormalSemigroup, gap_runs, lspace_runs, torus_semigroup
+
+from test_laurent import K2_N1
 
 P = IntLaurentPoly.from_pairs
 
@@ -113,6 +116,78 @@ class TestToAlexander:
             for gaps in all_gap_sequences(g):
                 s = FormalSemigroup(gaps)
                 assert FormalSemigroup.from_alexander(s.to_alexander()) == s
+
+
+class TestLSpaceForm:
+    """lspace_runs: the gap runs for the shape 1 - t + t^{a_2} - ... + t^{2g}, else None."""
+
+    def test_torus_34(self):
+        assert lspace_runs(P([[0, 1], [1, -1], [3, 1], [5, -1], [6, 1]])) == [(1, 3), (5, 6)]
+
+    def test_coefficient_two_rejected(self):
+        assert lspace_runs(P([[0, 1], [1, -2], [2, 2], [3, -2], [4, 1]])) is None
+
+    def test_family_k2_at_n1(self):
+        assert lspace_runs(K2_N1) is not None
+
+    def test_unknot(self):
+        assert lspace_runs(IntLaurentPoly.one()) == []
+
+    def test_odd_top_degree_rejected(self):
+        assert lspace_runs(IntLaurentPoly({0: 1, 1: -1, 3: 1})) is None
+
+    def test_first_gap_must_be_one(self):
+        assert lspace_runs(IntLaurentPoly({0: 1, 2: -1, 4: 1})) is None
+
+    def test_lspace_implies_symmetric_over_random_gap_sets(self):
+        # Symmetric gap sequences generate L-space-form polynomials; those
+        # polynomials must test symmetric and take value 1 at t = 1.
+        rng = random.Random(23)
+        found = 0
+        while found < 50:
+            g = rng.randint(1, 7)
+            members = set()
+            for s in range(1, 2 * g):
+                if rng.random() < 0.5:
+                    members.add(s)
+            gaps = sorted(s for s in range(1, 2 * g) if s not in members)
+            try:
+                sg = FormalSemigroup(gaps)
+            except ValueError:
+                continue
+            if not sg.symmetry_check():
+                continue
+            delta = sg.to_alexander()
+            if lspace_runs(delta) is None:
+                continue
+            found += 1
+            assert delta(1) == 1
+            assert delta.is_symmetric()
+
+    def test_agrees_with_gap_runs(self):
+        # Every polynomial with exponents 0..6 and coefficients in -1..2: the
+        # gate gives the runs exactly when gap_runs succeeds with gap 1 (or no
+        # gap), and raises only where gap_runs raises the same degree text.
+        seen = {"runs": 0, "raised": 0, "formal without gap 1": 0, "rejected": 0}
+        for coeffs in itertools.product(range(-1, 3), repeat=7):
+            delta = IntLaurentPoly(dict(enumerate(coeffs)))
+            try:
+                runs, error = gap_runs(delta), None
+            except NotLSpaceForm as exc:
+                runs, error = None, str(exc)
+            try:
+                got = lspace_runs(delta)
+            except NotLSpaceForm as exc:
+                assert str(exc) == error, coeffs
+                seen["raised"] += 1
+                continue
+            if runs is not None and (not runs or runs[0][0] == 1):
+                assert got == runs, coeffs
+                seen["runs"] += 1
+            else:
+                assert got is None, coeffs
+                seen["formal without gap 1" if runs is not None else "rejected"] += 1
+        assert seen == {"runs": 6, "raised": 6, "formal without gap 1": 4, "rejected": 16368}
 
 
 class TestInvariantEnforcement:
