@@ -1,13 +1,18 @@
-"""The hull from gap-run corners against the dense route through every sample."""
+"""The hull from gap-run corners against the dense route through every sample, and the
+report's bytes and Upsilon fields pinned."""
 
+import hashlib
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
-from upsilon_lab.family import FamilyKnot, alexander_closed_form
+from upsilon_lab.cli import main
+from upsilon_lab.family import FamilyKnot, alexander_closed_form, catalog_names
 from upsilon_lab.gapfunctions import GapFunction
-from upsilon_lab.invariants import hull_of, hull_vertices
+from upsilon_lab.invariants import hull_of, hull_vertices, knot_invariants, upsilon_of
+from upsilon_lab.laurent import IntLaurentPoly
 from upsilon_lab.restorability import designed_family_alexander
 from upsilon_lab.semigroups import FormalSemigroup, torus_semigroup
 
@@ -93,3 +98,57 @@ def test_one_gap_runs_walk_per_report(monkeypatch):
         report = knot_invariants(delta)
         assert report["hull"] == hull_of(delta).to_json()  # hull_of walks again, once
     assert calls == [d for delta in deltas for d in (delta, delta)]
+
+
+# -- the report's bytes and its Upsilon fields -----------------------------------------
+
+# sha256 of `invariants` stdout, so no report field can move by a byte.
+REPORT_SPECS = {name: ["--catalog", name] for name in catalog_names()}
+REPORT_SPECS.update({
+    "T(26,41)": ["--torus", "26,41"],
+    "K1(80)": ["--family", "K1", "--n", "80"],
+    "K2(80)": ["--family", "K2", "--n", "80"],
+})
+REPORT_SHA256 = {
+    "T(3,4)": "4d80da51b9ddaebd1ce08bcc02b9d9c43331f2156e26b7719f3aeed9facbd7aa",
+    "T(3,5)": "75f0a5dc4ef40cbab385bfb17fb342c925c656345bcaecb88d41c1301cc6b767",
+    "cable_alt_237": "33bb592e2b7651b511e00250fa530978984670171f83085ec8fd8e6878ecdabb",
+    "pretzel_237": "c42d78c34caffdc070a8368154057f27b57123bf8946c2278abd3b9a3cf0b3ae",
+    "t09847": "46207f841ca85e3437207b001d16580a9b0ea3b5ee5bfbe310dfca01a4d000a0",
+    "v2871": "ea722f06f008005587b78a40ca430aaf4883af4cd095dc12494c1212d459ac7f",
+    # The top of the genus ladder: g = 500, 486 and 486.
+    "T(26,41)": "f87af9efef445cd4cb5b7ec8607b4f448f6cb353bb5d35fa1385e6056cb5180c",
+    "K1(80)": "1b6604110c9e20e44fe8e0d8e1db0907f4977fb1a3332e3a73691c080191d77b",
+    "K2(80)": "0aba35a1f8eab60b7afc7c2d5ff07e58072b0b32a166b9521c08c3d9133f78d3",
+}
+
+
+def test_every_catalog_knot_report_is_pinned():
+    assert set(catalog_names()) <= set(REPORT_SHA256) == set(REPORT_SPECS)
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_SHA256))
+def test_report_bytes(capsys, name):
+    assert main(["invariants", *REPORT_SPECS[name]]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == REPORT_SHA256[name]
+
+
+def assert_upsilon_fields(delta: IntLaurentPoly):
+    report = knot_invariants(delta)
+    upsilon = upsilon_of(delta)
+    assert report["upsilon_slopes"] == [str(Fraction(s)) for s in upsilon.segment_slopes()]
+    assert report["upsilon_breakpoints"] == [
+        [str(Fraction(x)), str(Fraction(y))] for x, y in upsilon.vertices
+    ]
+
+
+def test_upsilon_fields_on_every_gap_sequence_up_to_genus_8():
+    for g in range(9):
+        for gaps in all_gap_sequences(g):
+            assert_upsilon_fields(FormalSemigroup(gaps).to_alexander())
+
+
+@pytest.mark.parametrize("p,q", TORUS_LADDER + ((26, 41),))
+def test_upsilon_fields_on_the_torus_ladder(p, q):
+    assert_upsilon_fields(torus_semigroup(p, q).to_alexander())

@@ -291,6 +291,14 @@ class TestLegendreFenchel:
         with pytest.raises(NotConvex):
             legendre_fenchel(zigzag)
 
+    @pytest.mark.parametrize("f", [
+        PLFunction([(0, 0), (1, 2), (2, 2)]),  # interval domain, slopes 2 then 0
+        PLFunction([(0, 0)], 2, 0),  # one vertex, left ray steeper than the right
+    ], ids=["interval-zigzag", "one-vertex-rays"])
+    def test_not_convex_rejected_off_the_line_zigzag(self, f):
+        with pytest.raises(NotConvex):
+            legendre_fenchel(f)
+
     def test_biconjugation_on_catalog_hulls(self):
         for hull in catalog_hulls() + [UNKNOT_HULL]:
             upsilon = legendre_fenchel(hull)

@@ -73,3 +73,30 @@ def test_format_past_the_int_digit_limit():
     big = 10**5000 + 1
     assert format_rational(F(-big, 3)) == "-" + int_text(big) + "/3"
     assert format_rational(big) == int_text(big) == "1" + "0" * 4999 + "1"
+
+
+def format_rational_oracle(value) -> str:
+    """The former route: str(Fraction(value)), with int_text past the int digit limit."""
+    try:
+        return str(F(value))
+    except ValueError:
+        f = F(value)
+        text = int_text(f.numerator)
+        return text if f.denominator == 1 else f"{text}/{int_text(f.denominator)}"
+
+
+@pytest.mark.parametrize("value", [
+    0, 7, -7, 10**30, -(10**30), True, False, F(0), F(4, 2), F(-2, 3), F(10**30 + 1, 3),
+    F(-1, 10**12), 10**4300, -(10**5000 + 1), F(10**4400 + 1, 7), F(-3, 10**4301 + 1),
+], ids=["0", "7", "-7", "big", "big-negative", "true", "false", "F0", "F4/2", "F-2/3",
+        "Fbig/3", "F-1/big", "4301-digits", "negative-5001-digits", "Fpast-limit/7",
+        "F-3/past-limit"])
+def test_format_matches_the_fraction_route(value):
+    assert format_rational(value) == format_rational_oracle(value)
+
+
+def test_format_matches_the_fraction_route_on_small_values():
+    for n in range(-200, 201):
+        assert format_rational(n) == format_rational_oracle(n)
+        for d in range(1, 30):
+            assert format_rational(F(n, d)) == format_rational_oracle(F(n, d))
