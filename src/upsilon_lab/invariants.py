@@ -78,11 +78,13 @@ def knot_invariants(delta: IntLaurentPoly, name: str | None = None) -> dict:
     """Everything the pipeline knows about one polynomial, JSON-ready.
 
     The gap runs are derived once and feed both the semigroup and the hull.
+    Upsilon's vertex strings are formatted once and shared with upsilon_breakpoints.
     """
     runs = gap_runs(delta)
     semigroup = FormalSemigroup.from_gap_runs(runs)
     hull = lower_convex_envelope(_corners(runs), 0, 2)
     upsilon = legendre_fenchel(hull)
+    upsilon_json = upsilon.to_json()
     closed, witness = semigroup.is_closed_under_addition()
     report = {
         "name": name,
@@ -92,11 +94,10 @@ def knot_invariants(delta: IntLaurentPoly, name: str | None = None) -> dict:
         "semigroup": semigroup.to_json(),
         "gap_function": GapFunction.from_semigroup(semigroup).to_json(),
         "hull": hull.to_json(),
-        "upsilon": upsilon.to_json(),
-        "upsilon_breakpoints": [
-            [format_rational(x), format_rational(y)] for x, y in upsilon.vertices
-        ],
-        "upsilon_slopes": [format_rational(s) for s in upsilon.segment_slopes()],
+        "upsilon": upsilon_json,
+        "upsilon_breakpoints": upsilon_json["vertices"],
+        # Upsilon's slopes are the hull's vertex x-coordinates (the transform swaps roles).
+        "upsilon_slopes": [format_rational(x) for x, _ in hull.vertices],
         "semigroup_closed": closed,
         "closure_witness": list(witness) if witness else None,
         "symmetric": delta.is_symmetric(),

@@ -273,16 +273,11 @@ def legendre_fenchel(f: PLFunction) -> PLFunction:
     of an interval-domain function is finite everywhere and its rays have
     the domain endpoints as slopes.  Conjugating twice returns f.
     """
-    if not f.is_convex():
+    slopes = f.slope_sequence()
+    if any(a >= b for a, b in zip(slopes, slopes[1:])):
         raise NotConvex("Legendre-Fenchel transform requires a convex function")
     verts = f.vertices
     if f.on_line:
-        slopes = f.slope_sequence()
-        out = [(slopes[0], slopes[0] * verts[0][0] - verts[0][1])]
-        for i in range(1, len(slopes)):
-            x, y = verts[i - 1]
-            out.append((slopes[i], slopes[i] * x - y))
-        return PLFunction(out)
-    seg = f.segment_slopes()
-    out = [(s, s * verts[i][0] - verts[i][1]) for i, s in enumerate(seg)]
-    return PLFunction(out, verts[0][0], verts[-1][0])
+        # The left ray's slope is attained at the first vertex, slope i >= 1 at vertex i - 1.
+        return PLFunction([(s, s * x - y) for s, (x, y) in zip(slopes, (verts[0], *verts))])
+    return PLFunction([(s, s * x - y) for s, (x, y) in zip(slopes, verts)], *f.domain)

@@ -75,12 +75,9 @@ def format_rational(value: Fraction | int) -> str:
     >>> format_rational(Fraction(4, 2))
     '2'
     """
-    try:
-        return str(Fraction(value))
-    except ValueError:  # a part past sys.get_int_max_str_digits()
-        f = Fraction(value)
-        text = int_text(f.numerator)
-        return text if f.denominator == 1 else f"{text}/{int_text(f.denominator)}"
+    # int and Fraction both carry numerator and denominator; no Fraction is built.
+    text = int_text(value.numerator)
+    return text if value.denominator == 1 else f"{text}/{int_text(value.denominator)}"
 
 
 def fixed6(value: Fraction | int) -> str:
