@@ -196,9 +196,9 @@ def _json_chunks(obj, indent: str = ""):
     without a generator; any other container yields one chunk per entry.
     restorability.Witnesses is written as a list of gap lists, one chunk per
     witness, each joined straight from the strings its step pattern selects
-    (Witnesses.gap_strings), so no gap tuple is built.  A malformed pattern
-    raises InvalidStepPattern; floats, Fractions, sets and non-str keys
-    raise TypeError.
+    (Witnesses.gap_strings), so no gap tuple is built; each pattern was
+    checked when its Witnesses was built.  Floats, Fractions, sets and
+    non-str keys raise TypeError.
 
     >>> print("".join(_json_chunks({"gaps": (1, 2, 5), "ok": True, "name": None})))
     {

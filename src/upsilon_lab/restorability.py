@@ -43,8 +43,9 @@ the cap.
 A profile is a byte pattern: 2g bytes, each 0 (flat) or 2 (up).  A report
 keeps the patterns and converts each to a gap sequence only when it is read;
 the CLI writes each witness's JSON text straight from its pattern through
-Witnesses.gap_strings, with no gap tuple in between.  Both paths check
-the pattern with _check_step_pattern.
+Witnesses.gap_strings, with no gap tuple in between.  A Witnesses checks
+each pattern with _check_step_pattern once, when it is built, so neither
+path checks again.
 """
 
 from __future__ import annotations
@@ -75,6 +76,8 @@ class Witnesses(Sequence):
 
     A read-only sequence of gap tuples: len, iteration, indexing, `in` over
     gap tuples, and equality with another Witnesses or a tuple of gap tuples.
+    Each pattern is checked when the Witnesses is built: a malformed one
+    raises InvalidStepPattern there.
 
     >>> w = Witnesses([bytes([2, 0, 0, 2, 2, 0])])  # T(3,4)
     >>> len(w), w[0], (1, 2, 5) in w, (1, 2, 4) in w, w == ((1, 2, 5),)
@@ -85,6 +88,8 @@ class Witnesses(Sequence):
 
     def __init__(self, patterns=()):
         self._patterns = tuple(patterns)
+        for steps in self._patterns:
+            _check_step_pattern(steps)
 
     def __len__(self) -> int:
         return len(self._patterns)
@@ -98,7 +103,7 @@ class Witnesses(Sequence):
         return map(_pattern_to_gaps, self._patterns)
 
     def gap_strings(self):
-        """Each witness's gaps in order as decimal strings, each pattern checked first.
+        """Each witness's gaps in order as decimal strings.
 
         The strings str(a) are built once per call, up to the longest pattern.
 
@@ -107,7 +112,6 @@ class Witnesses(Sequence):
         """
         labels = []
         for steps in self._patterns:
-            _check_step_pattern(steps)
             if len(steps) > len(labels):
                 labels += map(str, range(len(labels), len(steps)))
             yield compress(labels, steps[::-1])
@@ -160,6 +164,11 @@ class RestorabilityReport:
     budget_exhausted: bool
 
     def to_json(self) -> dict:
+        """The report as a dict; "witnesses" stays a Witnesses, not a list.
+
+        cli._emit writes it as a list of gap lists; json.dumps needs
+        default=list to read it.
+        """
         return {
             "hull": self.hull.to_json(),
             "total_count": self.total_count,
@@ -380,7 +389,6 @@ def _pattern_to_gaps(steps: bytes) -> tuple[int, ...]:
     >>> _pattern_to_gaps(bytes([2, 0, 0, 2, 2, 0]))  # T(3,4)
     (1, 2, 5)
     """
-    _check_step_pattern(steps)
     return tuple(compress(range(len(steps)), steps[::-1]))
 
 

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from upsilon_lab import restorability
 from upsilon_lab.errors import CountTooCostly, InvalidStepPattern, MalformedHull
 from upsilon_lab.family import FamilyKnot, alexander_closed_form
 from upsilon_lab.gapfunctions import GapFunction
@@ -241,10 +242,10 @@ class TestStepPatternHelpers:
                 expected = gapfn.to_semigroup().gaps
             except InvalidStepPattern:
                 with pytest.raises(InvalidStepPattern):
-                    _pattern_to_gaps(pattern)
+                    Witnesses([pattern])
                 continue
             valid += 1
-            assert _pattern_to_gaps(pattern) == expected, pattern
+            assert Witnesses([pattern])[0] == expected, pattern
             assert _is_symmetric_pattern(pattern) == gapfn.is_symmetric(), pattern
         assert valid == (math.comb(2 * g - 2, g - 1) if g else 1)  # one per gap sequence
 
@@ -256,9 +257,9 @@ class TestStepPatternHelpers:
                 expected = GapFunction(step_values(pattern)).to_semigroup().gaps
             except (ValueError, InvalidStepPattern):
                 with pytest.raises(InvalidStepPattern):
-                    _pattern_to_gaps(pattern)
+                    Witnesses([pattern])
             else:
-                assert _pattern_to_gaps(pattern) == expected
+                assert Witnesses([pattern])[0] == expected
 
     @pytest.mark.parametrize("pattern", [
         b"\x02", b"\x02\x00\x00", b"\x00\x02", b"\x02\x02\x00\x02",
@@ -266,7 +267,7 @@ class TestStepPatternHelpers:
     ])
     def test_invalid_patterns_raise(self, pattern):
         with pytest.raises(InvalidStepPattern):
-            _pattern_to_gaps(pattern)
+            Witnesses([pattern])
 
 
 class TestKeepOnlyListed:
@@ -527,3 +528,16 @@ class TestWitnessesSequence:
     def test_report_stores_patterns(self):
         report = enumerate_gap_functions(hull_of(PRETZEL))
         assert report.witnesses == Witnesses(self.PATTERNS)
+
+    def test_patterns_are_checked_once_when_built(self, monkeypatch):
+        checked = []
+        check = restorability._check_step_pattern
+        monkeypatch.setattr(restorability, "_check_step_pattern",
+                            lambda steps: checked.append(steps) or check(steps))
+        w = Witnesses(self.PATTERNS)
+        assert checked == list(self.PATTERNS)
+        assert [list(g) for g in w.gap_strings()] == [[str(a) for a in gaps] for gaps in w]
+        assert w[0] in w and w[1] == tuple(w)[1]
+        assert len(checked) == 2  # reads and writes check nothing
+        enumerate_gap_functions(hull_of(PRETZEL))  # one check per listed witness
+        assert checked[2:] == list(self.PATTERNS)
