@@ -31,7 +31,11 @@ class GapFunction:
     __slots__ = ("_values",)
 
     def __init__(self, values: Iterable[int]):
-        vals = tuple(int(v) for v in values)
+        """Values must be ints: 2.9, "2" or True raises TypeError, never truncated."""
+        vals = tuple(values)
+        for v in vals:
+            if type(v) is not int:
+                raise TypeError(f"value {v!r} is not an int")
         if len(vals) % 2 != 1:
             raise ValueError("need an odd number of values (arguments -g..g)")
         g = (len(vals) - 1) // 2

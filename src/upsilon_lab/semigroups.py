@@ -43,7 +43,11 @@ class FormalSemigroup:
     __slots__ = ("_gaps",)
 
     def __init__(self, gaps: Iterable[int] = ()):
-        gap_list = [int(a) for a in gaps]
+        """Gaps must be ints: 2.7, "2" or True raises TypeError, never truncated."""
+        gap_list = list(gaps)
+        for a in gap_list:
+            if type(a) is not int:
+                raise TypeError(f"gap {a!r} is not an int")
         for prev, cur in zip(gap_list, gap_list[1:]):
             if cur <= prev:
                 raise ValueError("gap sequence must be strictly increasing")

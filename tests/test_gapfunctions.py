@@ -84,6 +84,15 @@ class TestInvariants:
         with pytest.raises(ValueError):
             GapFunction([0, 1, 2])  # odd step
 
+    @pytest.mark.parametrize("values, bad", [
+        ([0.0, 2.9, 2], "0.0"), ([0, 2.9, 2], "2.9"), (["0", "2", "2"], "'0'"),
+        ([False, 2, 2], "False"), ([0, True, 2], "True"),
+    ], ids=["floats", "float", "strings", "false", "true"])
+    def test_non_int_values_refused(self, values, bad):
+        # int() would turn [0.0, 2.9, 2] into the values (0, 2, 2).
+        with pytest.raises(TypeError, match=f"value {bad} is not an int"):
+            GapFunction(values)
+
     def test_generated_values_always_valid(self):
         for g in range(7):
             for gaps in all_gap_sequences(g):

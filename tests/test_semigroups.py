@@ -203,6 +203,15 @@ class TestInvariantEnforcement:
         with pytest.raises(ValueError):
             FormalSemigroup([1, 1, 3])
 
+    @pytest.mark.parametrize("gaps, bad", [
+        ([1, 2.7, 5], "2.7"), ([1, 2.0, 5], "2.0"), (["1", "2", "5"], "'1'"),
+        ([True], "True"), ([1, 2, 5.0], "5.0"),
+    ], ids=["float", "integral-float", "strings", "true", "float-top-gap"])
+    def test_non_int_gaps_refused(self, gaps, bad):
+        # int() would turn [1, 2.7, 5] into T(3,4)'s gaps (1, 2, 5).
+        with pytest.raises(TypeError, match=f"gap {bad} is not an int"):
+            FormalSemigroup(gaps)
+
 
 def closure_pairwise(s: FormalSemigroup):
     """The pairwise closure check the bit-mask one replaced, kept as its oracle."""
