@@ -1,0 +1,81 @@
+#!/usr/bin/env python3
+"""One digest over everything the benchmark's operations print and write.
+
+    python3 tools/output_digest.py --seed 1
+
+Generates every operation of the four benchmark workloads, plus the census
+defect probes, through bench/workloads.py, and runs each once through
+``upsilon_lab.cli.main`` in this process.  Input files and SVG output go to
+one fixed directory under the system temp directory, because file paths
+appear in warnings on stderr; nothing is written under the repository.
+
+Prints, per workload, the op count and a histogram of exit codes, then one
+sha256 over each op's exit code, stdout, stderr and SVG bytes, in op order.
+Two trees print the same digest exactly when their outputs are
+byte-identical on these inputs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import shutil
+import sys
+import tempfile
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+import workloads  # noqa: E402
+from upsilon_lab import cli  # noqa: E402
+
+WORKDIR = Path(tempfile.gettempdir()) / "upsilon-lab-output-digest"
+
+
+def run(op: workloads.Op) -> tuple[object, str, str, bytes]:
+    """Exit code, stdout, stderr and SVG bytes (empty if none) of one op."""
+    op.write_files()
+    svg = Path(op.ref["out"]) if op.kind == "plot" else None
+    if svg is not None:
+        svg.unlink(missing_ok=True)
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(op.argv)
+    except SystemExit as exc:
+        rc = exc.code
+    data = svg.read_bytes() if svg is not None and svg.exists() else b""
+    return rc, out.getvalue(), err.getvalue(), data
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args(argv)
+    shutil.rmtree(WORKDIR, ignore_errors=True)
+    WORKDIR.mkdir(parents=True)
+    pools = {name: workloads.generate(name, args.seed, str(WORKDIR)) for name in workloads.WORKLOADS}
+    pools["census_defect_probes"] = workloads.census_defect_probes(args.seed, str(WORKDIR))
+    digest = hashlib.sha256()
+    try:
+        for name, ops in pools.items():
+            codes = Counter()
+            for op in ops:
+                rc, stdout, stderr, svg = run(op)
+                codes[rc] += 1
+                for part in (repr(rc).encode(), stdout.encode(), stderr.encode(), svg):
+                    digest.update(len(part).to_bytes(8, "big") + part)
+            histogram = ", ".join(f"{rc}: {n}" for rc, n in sorted(codes.items(), key=repr))
+            print(f"{name}: {len(ops)} ops, exit codes {{{histogram}}}")
+    finally:
+        shutil.rmtree(WORKDIR, ignore_errors=True)
+    print(f"sha256 {digest.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
