@@ -723,6 +723,38 @@ class TestJsonChunks:
         assert chunks[1] == '[\n    "T(3,4)",\n    "\\u03a5"\n  ]'
         assert len(chunks) > 6  # the mixed list is written entry by entry
 
+    @pytest.mark.parametrize("value", [
+        [[0, 1], [1, -1], [2, 1]], [["0", "-1/2"], ["2", "0"]], [[7]], {"rows": [[1, 2], [3, 4]]},
+        [[1, 2], [3], [4, 5]], [[1, 2], [], [3, 4]], [[], []],
+        [[1, "a"], [2, "b"]], [[1, 2], ["a", "b"]],
+        [[True, False], [False, True]], [[1, True], [0, 1]],
+        [(1, 2), (3, 4)], ((1, 2), [3, 4]), ([5, 6],),
+        [["Υ(t)", "ünïcode"], ['say "hi"', "back\\slash"], ["tab\tnew\nline", "\U0001d4b0"]],
+        [[None, 1], [None, 2]], [[[1]], [[2]]], [[1, 2], {"a": 1}], [[1, 2], 3],
+    ], ids=["int-rows", "str-rows", "one-row", "nested", "ragged", "empty-row", "all-empty",
+            "mixed-in-row", "mixed-across-rows", "bools", "int-and-bool",
+            "tuples", "tuple-of-rows", "one-tuple-row", "escapes-and-non-ascii",
+            "none", "deeper", "row-then-dict", "row-then-int"])
+    def test_rows_match_json_dumps(self, value):
+        assert "".join(cli._json_chunks(value)) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [[[1, 10**4300], [2, 3]], [[-(7**6000)], [0]]],
+                             ids=["4301-digits", "negative-5071-digits"])
+    def test_row_int_past_the_digit_limit(self, value):
+        text = "".join(cli._json_chunks(value))
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert text == json.dumps(value, indent=2)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    @pytest.mark.parametrize("value", [[[1.5, 2], [3, 4]], [[Fraction(1, 2)], [1]]],
+                             ids=["float", "fraction"])
+    def test_rows_of_non_json_values_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            "".join(cli._json_chunks(value))
+
     def test_emit_streams_per_entry(self, capsys):
         cli._emit({"witnesses": [(1, 2, 5), (1, 3, 5)], "unique": False})
         assert capsys.readouterr().out == json.dumps(

@@ -355,3 +355,86 @@ class TestJson:
         assert back == f
         assert f.to_json()["domain"] == ["0", "2"]
         assert f.to_json()["left_slope"] is None
+
+
+def assert_same_pl(f, expected):
+    """Equal vertices and rays, each coordinate and slope of the same type."""
+    assert f == expected, (f, expected)
+    assert [tuple(map(type, v)) for v in f.vertices] == [tuple(map(type, v)) for v in expected.vertices]
+    assert (type(f.left_slope), type(f.right_slope)) == (
+        type(expected.left_slope), type(expected.right_slope))
+
+
+def assert_trusted_routes(delta):
+    """hull_of, upsilon_of and GapFunction.to_pl equal the validating constructor's result."""
+    from upsilon_lab.invariants import gap_function_of, hull_of, upsilon_of
+
+    hull, upsilon, gf = hull_of(delta), upsilon_of(delta), gap_function_of(delta)
+    assert_same_pl(hull, PLFunction(hull.vertices, 0, 2))
+    assert_same_pl(upsilon, PLFunction(upsilon.vertices))
+    assert_same_pl(gf.to_pl(), PLFunction(gf.samples(), 0, 2))
+    assert_same_pl(legendre_fenchel(upsilon), hull)
+
+
+def step_pattern_gap_functions(g):
+    """Every GapFunction of genus g: each choice of g up steps among 2g, flat heads and
+    rising tails (which the rays absorb) included."""
+    from itertools import accumulate, combinations
+
+    for ups in combinations(range(2 * g), g):
+        steps = [0] * (2 * g)
+        for i in ups:
+            steps[i] = 2
+        yield GapFunction(accumulate(steps, initial=0))
+
+
+class TestTrustedRoutes:
+    """The report path builds canonical vertices itself and skips the constructor's sweep;
+    the constructor on the same vertices (or samples) is the oracle."""
+
+    @pytest.mark.parametrize("g", range(9))
+    def test_every_gap_sequence_up_to_genus_8(self, g):
+        from upsilon_lab.semigroups import FormalSemigroup
+
+        for gaps in all_gap_sequences(g):
+            assert_trusted_routes(FormalSemigroup(gaps).to_alexander())
+
+    @pytest.mark.parametrize("g", range(7))
+    def test_every_step_pattern_up_to_genus_6(self, g):
+        count = 0
+        for gf in step_pattern_gap_functions(g):
+            samples = gf.samples()
+            assert_same_pl(gf.to_pl(), PLFunction(samples, 0, 2))
+            hull = lower_convex_envelope(samples, 0, 2)
+            assert_same_pl(hull, PLFunction(hull.vertices, 0, 2))
+            upsilon = legendre_fenchel(hull)
+            assert_same_pl(upsilon, PLFunction(upsilon.vertices))
+            assert_same_pl(legendre_fenchel(upsilon), hull)
+            count += 1
+        assert count == (1, 2, 6, 20, 70, 252, 924)[g]
+
+    @pytest.mark.parametrize("p,q", TORUS_LADDER)
+    def test_torus_ladder(self, p, q):
+        from upsilon_lab.semigroups import torus_semigroup
+
+        assert_trusted_routes(torus_semigroup(p, q).to_alexander())
+
+    @pytest.mark.parametrize("which", ["K1", "K2"])
+    def test_family_members(self, which):
+        from upsilon_lab.family import FamilyKnot, alexander_closed_form
+
+        for n in range(1, 6):
+            assert_trusted_routes(alexander_closed_form(FamilyKnot(which, n)))
+
+    def test_fraction_samples(self):
+        thirds = [(F(x, 3), F(y, 3)) for x, y in PRETZEL_SAMPLES]
+        hull = lower_convex_envelope(thirds, 0, 2)
+        assert_same_pl(hull, PLFunction(hull.vertices, 0, 2))
+        assert_same_pl(legendre_fenchel(hull), PLFunction(legendre_fenchel(hull).vertices))
+
+    def test_interval_domain_with_fraction_vertices(self):
+        f = PLFunction([(F(-1, 2), F(1, 3)), (F(1, 3), 0), (F(5, 2), F(7, 4))])
+        conjugate = legendre_fenchel(f)
+        assert_same_pl(conjugate, PLFunction(conjugate.vertices, F(-1, 2), F(5, 2)))
+        assert_same_pl(legendre_fenchel(conjugate), f)
+        assert_same_pl(legendre_fenchel(PRETZEL_UPSILON), PRETZEL_HULL)

@@ -503,6 +503,29 @@ class TestRankWalk:
             assert len(every.witnesses) == cap
 
 
+class TestWalkMadePatterns:
+    # enumerate_gap_functions lists the walk's patterns without checking them again,
+    # so every pattern it can list must pass the check.
+
+    @staticmethod
+    def assert_listed_patterns_are_valid(hull):
+        for symmetric_only in (True, False):
+            for cap in (1, 3, 10**4):
+                report = enumerate_gap_functions(hull, symmetric_only, max_solutions=cap)
+                for steps in report.witnesses._patterns:
+                    restorability._check_step_pattern(steps)
+
+    @pytest.mark.parametrize("g", range(9))
+    def test_every_hull_up_to_genus_8(self, g):
+        for hull in distinct_hulls(g):
+            self.assert_listed_patterns_are_valid(hull)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_family_members(self, n):
+        for delta in (k1(n), k2(n)):
+            self.assert_listed_patterns_are_valid(knot_hull(delta))
+
+
 class TestWitnessesSequence:
     PATTERNS = (bytes([2, 0, 0, 2, 0, 2, 0, 2, 2, 0]), bytes([2, 0, 0, 2, 2, 0, 0, 2, 2, 0]))  # pretzel
 
