@@ -17,6 +17,7 @@ import functools
 import json
 import re
 import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from . import braids, census, family, restorability, seifert, svgplot
@@ -187,13 +188,41 @@ def _flat_text(items, indent: str) -> str | None:
     return "[\n" + inner + body + "\n" + indent + "]"
 
 
+def _rows_text(rows, indent: str) -> str | None:
+    """JSON text of a list of non-empty flat rows of one length, all plain ints or all
+    plain strs (the [exponent, coefficient] pairs and [p, q] vertices); None for any other.
+
+    One row template, repeated and joined once, is formatted %-wise in one call.
+    """
+    lengths = set(map(len, rows)) if set(map(type, rows)) <= {list, tuple} else ()
+    if len(lengths) != 1 or 0 in lengths:
+        return None
+    cells = tuple(chain.from_iterable(rows))
+    kinds = set(map(type, cells))
+    if kinds == {str}:
+        cell, cells = "%s", tuple(map(encode_basestring_ascii, cells))
+    elif kinds == {int}:
+        cell = "%d"
+    else:
+        return None
+    inner, cell_indent = indent + "  ", indent + "    "
+    row = "[\n" + cell_indent + (",\n" + cell_indent).join([cell] * len(rows[0])) + "\n" + inner + "]"
+    try:
+        body = (",\n" + inner).join([row] * len(rows)) % cells
+    except ValueError:  # an int past the digit limit: written entry by entry
+        return None
+    return "[\n" + inner + body + "\n" + indent + "]"
+
+
 def _json_chunks(obj, indent: str = ""):
     """Indent-2 JSON text of obj, chunk by chunk, as json.dumps(obj, indent=2) writes it.
 
-    A list of plain ints only (the gaps, values and [exponent, coefficient]
-    pairs that make up most of a report) or of plain strs only (the [p, q]
-    vertex pairs, slopes, name groups and warnings) is one chunk, formatted
-    without a generator; any other container yields one chunk per entry.
+    A list of plain ints only (the gaps and values that make up most of a
+    report) or of plain strs only (slopes, name groups and warnings) is one
+    chunk, formatted without a generator; so is a list of non-empty flat
+    rows of one length, all ints or all strs (the [exponent, coefficient]
+    pairs and the [p, q] vertex pairs), joined once (_rows_text).  Any other
+    container yields one chunk per entry.
     restorability.Witnesses is written as a list of gap lists, one chunk per
     witness, each joined straight from the strings its step pattern selects
     (Witnesses.gap_strings), so no gap tuple is built; each pattern was
@@ -223,7 +252,7 @@ def _json_chunks(obj, indent: str = ""):
         if not obj:
             yield "[]"
             return
-        text = _flat_text(obj, indent)
+        text = _flat_text(obj, indent) or _rows_text(obj, indent)
         if text is not None:
             yield text
             return

@@ -131,8 +131,19 @@ class GapFunction:
     # -- bridges to the PL world --------------------------------------------------
 
     def to_pl(self) -> PLFunction:
-        """Unit-interval interpolation as a PLFunction with rays 0 and 2."""
-        return PLFunction(self.samples(), 0, 2)
+        """Unit-interval interpolation as a PLFunction with rays 0 and 2.
+
+        Its vertices are the two ends and every sample where the 0/2 step
+        changes, so no interior vertex is collinear and only the ray
+        absorption is left to do.
+        """
+        vals, g = self._values, self.genus
+        verts = [(-g, 0)]
+        verts += [(k - g, vals[k]) for k in range(1, 2 * g)
+                  if vals[k - 1] + vals[k + 1] != 2 * vals[k]]
+        if g:
+            verts.append((g, 2 * g))
+        return PLFunction._canonical(verts, 0, 2)
 
     def envelope(self) -> PLFunction:
         """Lower convex envelope, swept over all 2g + 1 samples.

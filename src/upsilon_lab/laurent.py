@@ -122,8 +122,12 @@ class IntLaurentPoly:
         return self._terms.get(exp, 0)
 
     def items(self) -> Iterator[tuple[int, int]]:
-        """Terms as (exponent, coefficient), sorted by exponent."""
-        return iter(sorted(self._terms.items()))
+        """Terms as (exponent, coefficient), sorted by exponent.
+
+        The int keys are sorted, not the pairs: about a quarter of the cost.
+        """
+        terms = self._terms
+        return ((e, terms[e]) for e in sorted(terms))
 
     def __len__(self) -> int:
         return len(self._terms)

@@ -7,10 +7,13 @@ closed interval spanned by its vertices.  Every coordinate, slope and value
 follows one rule (_exact): an int when it is integral, else a Fraction.
 There is no floating point anywhere.
 
-Construction canonicalizes: collinear interior vertices are dropped, and on
-the full line a leading/trailing vertex collinear with its ray is absorbed
-into the ray.  Equality of canonical forms therefore decides equality of
-functions.
+The public constructor canonicalizes: collinear interior vertices are
+dropped, and on the full line a leading/trailing vertex collinear with its
+ray is absorbed into the ray.  Equality of canonical forms therefore decides
+equality of functions.  The package's own builders (the envelope, the
+transform and GapFunction.to_pl) make vertices that are already exact,
+strictly increasing and free of collinear interior points, and hand them to
+PLFunction._canonical, which does only the ray absorption.
 
 The two nontrivial operations are the lower convex envelope of a sampled
 function (monotone-chain lower hull) and the Legendre-Fenchel transform
@@ -92,13 +95,28 @@ class PLFunction:
             while len(kept) >= 2 and _cross(kept[-2], kept[-1], p) == 0:
                 kept.pop()
             kept.append(p)
-        if on_line:
+        self._fill(kept, ls, rs)
+
+    @classmethod
+    def _canonical(cls, pts: list, ls=None, rs=None) -> "PLFunction":
+        """The trusted constructor, for vertices the package has just built.
+
+        pts must follow the number rule, have strictly increasing x and no
+        collinear interior vertex; ls and rs are exact, both given or both
+        None.  Only the ray absorption runs.
+        """
+        f = object.__new__(cls)
+        f._fill(pts, ls, rs)
+        return f
+
+    def _fill(self, pts: list, ls, rs) -> None:
+        if ls is not None:
             # A head/tail vertex sitting on its ray is not a real breakpoint.
-            while len(kept) >= 2 and _slope(kept[0], kept[1]) == ls:
-                kept.pop(0)
-            while len(kept) >= 2 and _slope(kept[-2], kept[-1]) == rs:
-                kept.pop()
-        self._vertices = tuple(kept)
+            while len(pts) >= 2 and _slope(pts[0], pts[1]) == ls:
+                pts.pop(0)
+            while len(pts) >= 2 and _slope(pts[-2], pts[-1]) == rs:
+                pts.pop()
+        self._vertices = tuple(pts)
         self._left_slope = ls
         self._right_slope = rs
 
@@ -230,7 +248,8 @@ def lower_convex_envelope(
     """Greatest convex function below the sampled polyline and its two rays.
 
     The samples (sorted by x) are swept once with a monotone-chain lower
-    hull; collinear candidates are dropped, so the result is canonical.
+    hull; collinear candidates are dropped, so the hull is canonical as
+    built and only the ray absorption runs on it.
     Raises RaysInconsistent when a ray would cut below a sample, i.e. when
     the left ray is steeper than the first hull segment or the right ray
     shallower than the last.
@@ -261,7 +280,7 @@ def lower_convex_envelope(
             raise RaysInconsistent(
                 f"right ray slope {rs} cuts below the sample at x={hull[-2][0]}"
             )
-    return PLFunction(hull, ls, rs)
+    return PLFunction._canonical(hull, ls, rs)
 
 
 def legendre_fenchel(f: PLFunction) -> PLFunction:
@@ -272,6 +291,11 @@ def legendre_fenchel(f: PLFunction) -> PLFunction:
     interval it is attained at the corresponding vertex of f; the conjugate
     of an interval-domain function is finite everywhere and its rays have
     the domain endpoints as slopes.  Conjugating twice returns f.
+
+    The result is canonical as built: its vertex x-coordinates are f's
+    slopes, which the NotConvex check proves strictly increasing, and its
+    slopes are f's vertex x-coordinates, which strictly increase too, so no
+    vertex of it is collinear with its neighbours.
     """
     slopes = f.slope_sequence()
     if any(a >= b for a, b in zip(slopes, slopes[1:])):
@@ -279,5 +303,7 @@ def legendre_fenchel(f: PLFunction) -> PLFunction:
     verts = f.vertices
     if f.on_line:
         # The left ray's slope is attained at the first vertex, slope i >= 1 at vertex i - 1.
-        return PLFunction([(s, s * x - y) for s, (x, y) in zip(slopes, (verts[0], *verts))])
-    return PLFunction([(s, s * x - y) for s, (x, y) in zip(slopes, verts)], *f.domain)
+        pairs = zip(slopes, (verts[0], *verts))
+        return PLFunction._canonical([(s, _exact(s * x - y)) for s, (x, y) in pairs])
+    pairs = zip(slopes, verts)
+    return PLFunction._canonical([(s, _exact(s * x - y)) for s, (x, y) in pairs], *f.domain)

@@ -43,9 +43,12 @@ the cap.
 A profile is a byte pattern: 2g bytes, each 0 (flat) or 2 (up).  A report
 keeps the patterns and converts each to a gap sequence only when it is read;
 the CLI writes each witness's JSON text straight from its pattern through
-Witnesses.gap_strings, with no gap tuple in between.  A Witnesses checks
-each pattern with _check_step_pattern once, when it is built, so neither
-path checks again.
+Witnesses.gap_strings, with no gap tuple in between.  A Witnesses built
+from outside checks each pattern with _check_step_pattern once, so neither
+path checks again.  The walk's own patterns, and a slice of a Witnesses,
+are wrapped unchecked (Witnesses._trusted): _walk makes every pattern
+within the hull's bounds, which start at 0 and end at 2g, with the first
+step rising and the last one flat.
 """
 
 from __future__ import annotations
@@ -91,12 +94,19 @@ class Witnesses(Sequence):
         for steps in self._patterns:
             _check_step_pattern(steps)
 
+    @classmethod
+    def _trusted(cls, patterns) -> "Witnesses":
+        """A Witnesses over patterns already checked, or made by _walk: none is checked again."""
+        w = object.__new__(cls)
+        w._patterns = tuple(patterns)
+        return w
+
     def __len__(self) -> int:
         return len(self._patterns)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return Witnesses(self._patterns[index])
+            return Witnesses._trusted(self._patterns[index])
         return _pattern_to_gaps(self._patterns[index])
 
     def __iter__(self):
@@ -425,7 +435,7 @@ def enumerate_gap_functions(
         hull=hull,
         total_count=total,
         symmetric_count=symmetric,
-        witnesses=Witnesses(kept),
+        witnesses=Witnesses._trusted(kept),
         unique=symmetric == 1,
         budget_exhausted=truncated,
     )

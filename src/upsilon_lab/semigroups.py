@@ -225,8 +225,8 @@ def lspace_runs(delta: IntLaurentPoly) -> list[tuple[int, int]] | None:
     >>> lspace_runs(IntLaurentPoly({0: 1, 2: -1, 4: 1})) is None
     True
     """
-    # The term dict is read directly: sorting its int keys costs about a quarter
-    # of sorting delta.items() pairs, and every census record passes here.
+    # The term dict is read directly: the shape test needs the sorted exponents
+    # as one list, and every census record passes here.
     terms = delta._terms
     exps = sorted(terms)
     n = len(exps)

@@ -759,8 +759,14 @@ class TestJsonChunks:
         cli._emit({"witnesses": [(1, 2, 5), (1, 3, 5)], "unique": False})
         assert capsys.readouterr().out == json.dumps(
             {"witnesses": [[1, 2, 5], [1, 3, 5]], "unique": False}, indent=2) + "\n"
+        # A list of equal-length flat rows is one chunk.
         chunks = list(cli._json_chunks({"witnesses": [(1, 2, 5), (1, 3, 5)]}))
+        assert chunks[1] == json.dumps([[1, 2, 5], [1, 3, 5]], indent=2).replace("\n", "\n  ")
+        assert len(chunks) == 3
+        # Any other list still yields one chunk per entry.
+        chunks = list(cli._json_chunks({"witnesses": [(1, 2, 5), (1, 3)]}))
         assert chunks[2] == "[\n      1,\n      2,\n      5\n    ]"
+        assert chunks[3:5] == [",\n    ", "[\n      1,\n      3\n    ]"]
 
     @pytest.mark.parametrize("value", [
         1.5, [Fraction(1, 2)], {"s": {1, 2}}, {1: "int key"}, {"deep": [{"x": 0.0}]},

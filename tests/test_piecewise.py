@@ -360,7 +360,8 @@ class TestJson:
 def assert_same_pl(f, expected):
     """Equal vertices and rays, each coordinate and slope of the same type."""
     assert f == expected, (f, expected)
-    assert [tuple(map(type, v)) for v in f.vertices] == [tuple(map(type, v)) for v in expected.vertices]
+    types = [[tuple(map(type, v)) for v in h.vertices] for h in (f, expected)]
+    assert types[0] == types[1]
     assert (type(f.left_slope), type(f.right_slope)) == (
         type(expected.left_slope), type(expected.right_slope))
 

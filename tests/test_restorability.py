@@ -562,5 +562,7 @@ class TestWitnessesSequence:
         assert [list(g) for g in w.gap_strings()] == [[str(a) for a in gaps] for gaps in w]
         assert w[0] in w and w[1] == tuple(w)[1]
         assert len(checked) == 2  # reads and writes check nothing
-        enumerate_gap_functions(hull_of(PRETZEL))  # one check per listed witness
-        assert checked[2:] == list(self.PATTERNS)
+        enumerate_gap_functions(hull_of(PRETZEL))  # the walk's patterns are not checked again
+        assert len(checked) == 2
+        flipped = w[::-1]  # a slice is not checked again
+        assert len(checked) == 2 and list(flipped) == list(w)[::-1]
