@@ -226,7 +226,7 @@ def _json_chunks(obj, indent: str = ""):
     restorability.Witnesses is written as a list of gap lists, one chunk per
     witness, each joined straight from the strings its step pattern selects
     (Witnesses.gap_strings), so no gap tuple is built; each pattern was
-    checked when its Witnesses was built.  Floats, Fractions, sets and
+    checked when its Witnesses was built from outside, or made by the walk.  Floats, Fractions, sets and
     non-str keys raise TypeError.
 
     >>> print("".join(_json_chunks({"gaps": (1, 2, 5), "ok": True, "name": None})))

@@ -103,7 +103,7 @@ class PLFunction:
 
         pts must follow the number rule, have strictly increasing x and no
         collinear interior vertex; ls and rs are exact, both given or both
-        None.  Only the ray absorption runs.
+        None.  Only the ray absorption runs, trimming the list pts in place.
         """
         f = object.__new__(cls)
         f._fill(pts, ls, rs)
