@@ -31,7 +31,7 @@ word elsewhere in the package.
 from __future__ import annotations
 
 import re
-from typing import Iterable
+from collections.abc import Iterable
 
 from .errors import NotAKnot, TooManyStrands, UnknownName
 from .laurent import IntLaurentPoly, determinant

@@ -23,9 +23,8 @@ with a warning, never fatal.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterable
+import os
+from collections.abc import Iterable
 
 from .errors import NotLSpaceForm, UpsilonLabError
 from .invariants import _corners, hull_vertices
@@ -34,17 +33,41 @@ from .piecewise import _lower_hull
 from .semigroups import lspace_runs
 
 
-@dataclass(frozen=True)
 class CensusRecord:
-    """One census knot; the hull is swept from delta unless it is given."""
+    """One census knot; the hull is swept from delta unless it is given.
+
+    Immutable.  ==, hash and repr read name and delta only: the hull is a
+    function of delta.
+    """
+
+    __slots__ = ("name", "delta", "hull")
 
     name: str
     delta: IntLaurentPoly
-    hull: tuple[tuple[int, int], ...] | None = field(default=None, repr=False, compare=False)
+    hull: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
-        if self.hull is None:
-            object.__setattr__(self, "hull", hull_vertices(self.delta))
+    def __init__(self, name: str, delta: IntLaurentPoly,
+                 hull: tuple[tuple[int, int], ...] | None = None):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "hull", hull_vertices(delta) if hull is None else hull)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name, self.delta) == (other.name, other.delta)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name, self.delta))
+
+    def __repr__(self):
+        return f"CensusRecord(name={self.name!r}, delta={self.delta!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def parse_census_line(line: str) -> CensusRecord:
@@ -66,7 +89,7 @@ def parse_census_line(line: str) -> CensusRecord:
     return CensusRecord(name, delta, tuple(_lower_hull(_corners(runs))))
 
 
-def load_census(path: str | Path) -> tuple[list[CensusRecord], list[str]]:
+def load_census(path: str | os.PathLike[str]) -> tuple[list[CensusRecord], list[str]]:
     """Read a JSON-lines census file; malformed records become warnings."""
     records: list[CensusRecord] = []
     warnings: list[str] = []
@@ -119,6 +142,8 @@ def scan_census(records: Iterable[CensusRecord]) -> dict:
     }
 
 
-def sample_census_path() -> Path:
+def sample_census_path() -> pathlib.Path:
     """Path of the bundled 10-record sample file."""
-    return Path(__file__).resolve().parent / "data" / "census_sample.jsonl"
+    import pathlib  # here, not at the top: nothing else needs it, and it slows a cold start
+
+    return pathlib.Path(__file__).resolve().parent / "data" / "census_sample.jsonl"

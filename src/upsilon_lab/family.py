@@ -21,7 +21,6 @@ sequence, Upsilon), kept mutually consistent by check_catalog_entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import braids
@@ -32,18 +31,44 @@ from .piecewise import PLFunction, legendre_fenchel
 from .semigroups import FormalSemigroup
 
 
-@dataclass(frozen=True)
 class FamilyKnot:
-    """One member of the twist family: which in {"K1", "K2"}, 1 <= n <= MAX_TWIST."""
+    """One member of the twist family: which in {"K1", "K2"}, 1 <= n <= MAX_TWIST.
+
+    Immutable; compares, hashes and prints by (which, n).
+    """
+
+    __slots__ = ("which", "n")
 
     which: str
     n: int
 
-    def __post_init__(self):
-        if self.which not in ("K1", "K2"):
-            raise ValueError(f"which must be K1 or K2, got {self.which!r}")
-        if not 1 <= self.n <= braids.MAX_TWIST:
-            raise ValueError(f"twist parameter n must be from 1 to {braids.MAX_TWIST}, got {self.n}")
+    def __init__(self, which: str, n: int):
+        if which not in ("K1", "K2"):
+            raise ValueError(f"which must be K1 or K2, got {which!r}")
+        # Exactly int: a bool or a float would pass the range check below.
+        if type(n) is not int:
+            raise TypeError(f"twist parameter n must be an int, got {n!r}")
+        if not 1 <= n <= braids.MAX_TWIST:
+            raise ValueError(f"twist parameter n must be from 1 to {braids.MAX_TWIST}, got {n}")
+        object.__setattr__(self, "which", which)
+        object.__setattr__(self, "n", n)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.which, self.n) == (other.which, other.n)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.which, self.n))
+
+    def __repr__(self):
+        return f"FamilyKnot(which={self.which!r}, n={self.n!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __str__(self) -> str:
         return f"{self.which}({self.n})"
@@ -181,18 +206,68 @@ def hull_closed_form(n: int) -> PLFunction:
 BURAU_MAX_N = 2
 
 
-@dataclass(frozen=True)
 class CheckResult:
+    """One assertion's outcome.  Immutable; compares, hashes and prints by (ok, detail)."""
+
+    __slots__ = ("ok", "detail")
+
     ok: bool
     detail: str
 
+    def __init__(self, ok: bool, detail: str):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "detail", detail)
 
-@dataclass(frozen=True)
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.ok, self.detail) == (other.ok, other.detail)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.ok, self.detail))
+
+    def __repr__(self):
+        return f"CheckResult(ok={self.ok!r}, detail={self.detail!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 class FamilyVerification:
-    """Per-assertion outcome of the family-pair verification at one n."""
+    """Per-assertion outcome of the family-pair verification at one n.
+
+    Immutable; compares and prints by (n, checks).  hash() raises TypeError,
+    as checks is a dict.
+    """
+
+    __slots__ = ("n", "checks")
 
     n: int
     checks: dict[str, CheckResult]
+
+    def __init__(self, n: int, checks: dict[str, CheckResult]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "checks", checks)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n, self.checks) == (other.n, other.checks)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.n, self.checks))
+
+    def __repr__(self):
+        return f"FamilyVerification(n={self.n!r}, checks={self.checks!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @property
     def ok(self) -> bool:
@@ -290,15 +365,46 @@ def verify_family_pair(n: int) -> FamilyVerification:
 # -- catalog ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class CatalogEntry:
-    """A fixed knot with every representation known for it."""
+    """A fixed knot with every representation known for it.
+
+    Immutable; compares, hashes and prints by all five fields.
+    """
+
+    __slots__ = ("name", "alexander", "braid", "gaps", "upsilon")
 
     name: str
     alexander: IntLaurentPoly
-    braid: braids.BraidWord | None = None
-    gaps: tuple[int, ...] | None = None
-    upsilon: PLFunction | None = None
+    braid: braids.BraidWord | None
+    gaps: tuple[int, ...] | None
+    upsilon: PLFunction | None
+
+    def __init__(self, name: str, alexander: IntLaurentPoly, braid: braids.BraidWord | None = None,
+                 gaps: tuple[int, ...] | None = None, upsilon: PLFunction | None = None):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "alexander", alexander)
+        object.__setattr__(self, "braid", braid)
+        object.__setattr__(self, "gaps", gaps)
+        object.__setattr__(self, "upsilon", upsilon)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.name, self.alexander, self.braid, self.gaps, self.upsilon)
+                    == (other.name, other.alexander, other.braid, other.gaps, other.upsilon))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name, self.alexander, self.braid, self.gaps, self.upsilon))
+
+    def __repr__(self):
+        return (f"CatalogEntry(name={self.name!r}, alexander={self.alexander!r}, "
+                f"braid={self.braid!r}, gaps={self.gaps!r}, upsilon={self.upsilon!r})")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _poly(pairs) -> IntLaurentPoly:

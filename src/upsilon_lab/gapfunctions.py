@@ -10,8 +10,8 @@ search exploits.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from itertools import accumulate
-from typing import Iterable
 
 from .errors import InvalidStepPattern
 from .piecewise import PLFunction, lower_convex_envelope

@@ -14,8 +14,8 @@ x -> t^a, y -> t^b, z -> t^c.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
 
 from .errors import NonExactDivision
 
@@ -305,7 +305,15 @@ class TriLaurentPoly:
         data: dict[tuple[int, int, int], int] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for mono, coeff in items:
-            key = (int(mono[0]), int(mono[1]), int(mono[2]))
+            key = tuple(mono)
+            if len(key) != 3:
+                raise ValueError(f"monomial {mono!r} does not have three exponents")
+            # Exactly int, as in IntLaurentPoly: a bool, float or str is refused.
+            for exp in key:
+                if type(exp) is not int:
+                    raise TypeError(f"exponent {exp!r} is not an int")
+            if type(coeff) is not int:
+                raise TypeError(f"coefficient {coeff!r} is not an int")
             if coeff:
                 new = data.get(key, 0) + int(coeff)
                 if new:

@@ -26,8 +26,8 @@ on convex functions, and cheap.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .errors import NotConvex, OutOfDomain, RaysInconsistent
 from .rationals import format_rational, parse_rational

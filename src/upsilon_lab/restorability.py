@@ -54,7 +54,6 @@ step rising and the last one flat.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import compress, islice, takewhile
 from math import comb, gcd, prod
 from operator import mul
@@ -153,7 +152,6 @@ class Witnesses(Sequence):
         return f"Witnesses({list(self)!r})"
 
 
-@dataclass(frozen=True)
 class RestorabilityReport:
     """Exact profile counts over one hull, and the listed witnesses.
 
@@ -164,7 +162,11 @@ class RestorabilityReport:
     with symmetric_only=False.  budget_exhausted means total_count exceeds
     max_solutions, so the list may be cut short.  The witnesses are stored
     as byte patterns, so memory follows the list, not the counts.
+
+    Immutable; compares, hashes and prints by all six fields.
     """
+
+    __slots__ = ("hull", "total_count", "symmetric_count", "witnesses", "unique", "budget_exhausted")
 
     hull: PLFunction
     total_count: int
@@ -172,6 +174,38 @@ class RestorabilityReport:
     witnesses: Witnesses
     unique: bool
     budget_exhausted: bool
+
+    def __init__(self, hull: PLFunction, total_count: int, symmetric_count: int,
+                 witnesses: Witnesses, unique: bool, budget_exhausted: bool):
+        object.__setattr__(self, "hull", hull)
+        object.__setattr__(self, "total_count", total_count)
+        object.__setattr__(self, "symmetric_count", symmetric_count)
+        object.__setattr__(self, "witnesses", witnesses)
+        object.__setattr__(self, "unique", unique)
+        object.__setattr__(self, "budget_exhausted", budget_exhausted)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.hull, self.total_count, self.symmetric_count, self.witnesses,
+                     self.unique, self.budget_exhausted)
+                    == (other.hull, other.total_count, other.symmetric_count, other.witnesses,
+                        other.unique, other.budget_exhausted))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.hull, self.total_count, self.symmetric_count, self.witnesses,
+                     self.unique, self.budget_exhausted))
+
+    def __repr__(self):
+        return (f"RestorabilityReport(hull={self.hull!r}, total_count={self.total_count!r}, "
+                f"symmetric_count={self.symmetric_count!r}, witnesses={self.witnesses!r}, "
+                f"unique={self.unique!r}, budget_exhausted={self.budget_exhausted!r})")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def to_json(self) -> dict:
         """The report as a dict; "witnesses" stays a Witnesses, not a list.

@@ -26,16 +26,19 @@ a/b and c/d has denominator at least b + d, so no m <= m_max admits an a.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BadOrdering
 from .rationals import format_rational
 
 
-@dataclass(frozen=True)
 class SeifertForm:
-    """A small Seifert presentation M(e0; r1, r2, r3); ratios auto-reduced."""
+    """A small Seifert presentation M(e0; r1, r2, r3); ratios auto-reduced.
+
+    Immutable; compares, hashes and prints by (e0, ratios).
+    """
+
+    __slots__ = ("e0", "ratios")
 
     e0: int
     ratios: tuple[Fraction, Fraction, Fraction]
@@ -46,6 +49,23 @@ class SeifertForm:
         if len(rs) != 3:
             raise ValueError("exactly three ratios required")
         object.__setattr__(self, "ratios", rs)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.e0, self.ratios) == (other.e0, other.ratios)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.e0, self.ratios))
+
+    def __repr__(self):
+        return f"SeifertForm(e0={self.e0!r}, ratios={self.ratios!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __str__(self) -> str:
         body = ", ".join(format_rational(r) for r in self.ratios)
@@ -120,13 +140,42 @@ def coprime_obstruction(r1: Fraction, r2: Fraction, r3: Fraction) -> tuple[int, 
     return _search(r1, r2, r3)[0]
 
 
-@dataclass(frozen=True)
 class LSpaceVerdict:
-    """Either a certified LSpace or Undecided with the blocking reason."""
+    """Either a certified LSpace or Undecided with the blocking reason.
+
+    Immutable; compares and prints by all three fields.  hash() raises
+    TypeError when the certificate is a dict.
+    """
+
+    __slots__ = ("is_lspace", "detail", "certificate")
 
     is_lspace: bool
     detail: str
-    certificate: dict | None = None
+    certificate: dict | None
+
+    def __init__(self, is_lspace: bool, detail: str, certificate: dict | None = None):
+        object.__setattr__(self, "is_lspace", is_lspace)
+        object.__setattr__(self, "detail", detail)
+        object.__setattr__(self, "certificate", certificate)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.is_lspace, self.detail, self.certificate)
+                    == (other.is_lspace, other.detail, other.certificate))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.is_lspace, self.detail, self.certificate))
+
+    def __repr__(self):
+        return (f"LSpaceVerdict(is_lspace={self.is_lspace!r}, detail={self.detail!r}, "
+                f"certificate={self.certificate!r})")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def to_json(self) -> dict:
         out = {"verdict": "LSpace" if self.is_lspace else "Undecided", "detail": self.detail}

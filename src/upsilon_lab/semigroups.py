@@ -20,8 +20,8 @@ lspace_runs alone decides that shape.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Iterable
 from math import gcd
-from typing import Iterable
 
 from .errors import BadParameters, GenusTooLarge, NotLSpaceForm
 from .laurent import IntLaurentPoly

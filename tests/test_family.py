@@ -54,6 +54,12 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             FamilyKnot("K2", MAX_TWIST + 1)
 
+    @pytest.mark.parametrize("n", [True, 1.0, 2.5, "1", None])
+    def test_n_must_be_exactly_int(self, n):
+        # True and 1.0 compare within range: True used to build "K1(True)".
+        with pytest.raises(TypeError, match="must be an int"):
+            FamilyKnot("K1", n)
+
 
 class TestTorresDerivation:
     def test_fixture_checksums(self):

@@ -204,6 +204,35 @@ class TestSubstitute:
         assert p.substitute(0, 0, 0) == poly({0: 5})
 
 
+class TestTriLaurentValidation:
+    def test_silent_conversion_example_is_refused(self):
+        # int() used to read this as 1 + 2*t + t^2 after substitute(1, 0, 0).
+        with pytest.raises(TypeError):
+            TriLaurentPoly({(1.7, 0, 0): 2.9, ("2", 0, 0): True, (0, 0, 0, 5): 1})
+
+    @pytest.mark.parametrize("mono, coeff, match", [
+        ((1.0, 0, 0), 1, "exponent 1.0 is not an int"),
+        ((0, "2", 0), 1, "exponent '2' is not an int"),
+        ((0, 0, True), 1, "exponent True is not an int"),
+        ((0, 0, 0), 2.0, "coefficient 2.0 is not an int"),
+        ((0, 0, 0), True, "coefficient True is not an int"),
+        ((0, 0, 0), "1", "coefficient '1' is not an int"),
+    ])
+    def test_non_int_entries_rejected(self, mono, coeff, match):
+        with pytest.raises(TypeError, match=match):
+            TriLaurentPoly({mono: coeff})
+
+    @pytest.mark.parametrize("mono", [(0, 0, 0, 5), (1, 2), ()])
+    def test_monomial_of_wrong_length_rejected(self, mono):
+        with pytest.raises(ValueError, match="three exponents"):
+            TriLaurentPoly([(mono, 1)])
+
+    def test_pairs_and_mapping_agree(self):
+        terms = {(1, 0, 0): 2, (0, -1, 2): -3}
+        assert TriLaurentPoly(terms.items()) == TriLaurentPoly(terms)
+        assert TriLaurentPoly([([1, 0, 0], 2)]) == TriLaurentPoly({(1, 0, 0): 2})
+
+
 class TestNormalize:
     def test_negative_unit(self):
         assert poly({-1: -1, 0: 1}).knot_normalized() == poly({0: 1, 1: -1})

@@ -12,7 +12,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from upsilon_lab.braids import MAX_TWIST, BraidWord
+from upsilon_lab.braids import BraidWord
 from upsilon_lab.census import CensusRecord
 from upsilon_lab.family import CatalogEntry, CheckResult, FamilyKnot, FamilyVerification
 from upsilon_lab.laurent import IntLaurentPoly
@@ -180,12 +180,3 @@ class TestDefaultsAndHull:
         assert type(s.e0) is int and s.ratios == (F(1, 2), F(1), F(0))
         with pytest.raises(ValueError, match="exactly three ratios"):
             SeifertForm(0, (F(1, 2), F(1, 3)))
-
-    @pytest.mark.parametrize("which, n", [("K3", 1), ("k1", 1), ("K1", 0), ("K2", MAX_TWIST + 1)])
-    def test_family_knot_range(self, which, n):
-        with pytest.raises(ValueError):
-            FamilyKnot(which, n)
-
-    def test_family_knot_bounds_are_accepted(self):
-        assert str(FamilyKnot("K1", 1)) == "K1(1)"
-        assert str(FamilyKnot("K2", MAX_TWIST)) == f"K2({MAX_TWIST})"
