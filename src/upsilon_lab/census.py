@@ -69,6 +69,9 @@ class CensusRecord:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return (CensusRecord, (self.name, self.delta, self.hull))
+
 
 def parse_census_line(line: str) -> CensusRecord:
     """One JSON line to a record: from_pairs, the lspace_runs gate, then the hull sweep.

@@ -70,6 +70,9 @@ class FamilyKnot:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return (FamilyKnot, (self.which, self.n))
+
     def __str__(self) -> str:
         return f"{self.which}({self.n})"
 
@@ -235,6 +238,9 @@ class CheckResult:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return (CheckResult, (self.ok, self.detail))
+
 
 class FamilyVerification:
     """Per-assertion outcome of the family-pair verification at one n.
@@ -268,6 +274,9 @@ class FamilyVerification:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return (FamilyVerification, (self.n, self.checks))
 
     @property
     def ok(self) -> bool:
@@ -405,6 +414,9 @@ class CatalogEntry:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return (CatalogEntry, (self.name, self.alexander, self.braid, self.gaps, self.upsilon))
 
 
 def _poly(pairs) -> IntLaurentPoly:

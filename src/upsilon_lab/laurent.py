@@ -294,7 +294,11 @@ class IntLaurentPoly:
 
 
 class TriLaurentPoly:
-    """An integer Laurent polynomial in three variables x, y, z."""
+    """An integer Laurent polynomial in three variables x, y, z.
+
+    Each monomial is a triple of int exponents and each coefficient an int:
+    another type raises TypeError, a monomial of another length ValueError.
+    """
 
     __slots__ = ("_terms",)
 
@@ -315,7 +319,7 @@ class TriLaurentPoly:
             if type(coeff) is not int:
                 raise TypeError(f"coefficient {coeff!r} is not an int")
             if coeff:
-                new = data.get(key, 0) + int(coeff)
+                new = data.get(key, 0) + coeff
                 if new:
                     data[key] = new
                 elif key in data:

@@ -207,6 +207,10 @@ class RestorabilityReport:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return (RestorabilityReport, (self.hull, self.total_count, self.symmetric_count,
+                                      self.witnesses, self.unique, self.budget_exhausted))
+
     def to_json(self) -> dict:
         """The report as a dict; "witnesses" stays a Witnesses, not a list.
 

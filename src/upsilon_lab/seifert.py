@@ -67,6 +67,9 @@ class SeifertForm:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return (SeifertForm, (self.e0, self.ratios))
+
     def __str__(self) -> str:
         body = ", ".join(format_rational(r) for r in self.ratios)
         return f"M({self.e0}; {body})"
@@ -176,6 +179,9 @@ class LSpaceVerdict:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return (LSpaceVerdict, (self.is_lspace, self.detail, self.certificate))
 
     def to_json(self) -> dict:
         out = {"verdict": "LSpace" if self.is_lspace else "Undecided", "detail": self.detail}

@@ -8,6 +8,8 @@ hashes by its fields, prints as Name(field=value, ...) and refuses
 assignment and deletion.
 """
 
+import copy
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -150,6 +152,13 @@ def test_refuses_assignment_and_deletion(name):
     assert repr(a) == before
 
 
+@each_class
+def test_copy_and_pickle_round_trip(name):
+    a = CASES[name][0]()
+    for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert type(b) is type(a) and b == a and repr(b) == repr(a)
+
+
 class TestDefaultsAndHull:
     def test_census_record_sweeps_the_hull_when_not_given(self):
         assert CensusRecord("3_1", TREFOIL).hull == ((-1, 0), (1, 2))
@@ -161,6 +170,7 @@ class TestDefaultsAndHull:
         a, b = CensusRecord("3_1", TREFOIL), CensusRecord("3_1", TREFOIL, ((0, 0),))
         assert a == b and hash(a) == hash(b)
         assert repr(b) == repr(a)
+        assert pickle.loads(pickle.dumps(b)).hull == ((0, 0),)
 
     def test_catalog_entry_defaults(self):
         e = CatalogEntry("3_1", TREFOIL)
