@@ -217,7 +217,8 @@ class TestTriLaurentValidation:
         ((0, 0, 0), 2.0, "coefficient 2.0 is not an int"),
         ((0, 0, 0), True, "coefficient True is not an int"),
         ((0, 0, 0), "1", "coefficient '1' is not an int"),
-    ])
+    ], ids=["float-exponent", "str-exponent", "bool-exponent", "float-coefficient",
+            "bool-coefficient", "str-coefficient"])
     def test_non_int_entries_rejected(self, mono, coeff, match):
         with pytest.raises(TypeError, match=match):
             TriLaurentPoly({mono: coeff})
