@@ -30,17 +30,19 @@ from .errors import NotLSpaceForm, UpsilonLabError
 from .invariants import _corners, hull_vertices
 from .laurent import IntLaurentPoly
 from .piecewise import _lower_hull
+from .records import Record
 from .semigroups import lspace_runs
 
 
-class CensusRecord:
+class CensusRecord(Record):
     """One census knot; the hull is swept from delta unless it is given.
 
-    Immutable.  ==, hash and repr read name and delta only: the hull is a
-    function of delta.
+    ==, hash and repr read name and delta only: the hull is a function of
+    delta.
     """
 
     __slots__ = ("name", "delta", "hull")
+    _compared = ("name", "delta")
 
     name: str
     delta: IntLaurentPoly
@@ -51,26 +53,6 @@ class CensusRecord:
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "hull", hull_vertices(delta) if hull is None else hull)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.name, self.delta) == (other.name, other.delta)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.name, self.delta))
-
-    def __repr__(self):
-        return f"CensusRecord(name={self.name!r}, delta={self.delta!r})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):  # copy and pickle rebuild through __init__
-        return (CensusRecord, (self.name, self.delta, self.hull))
 
 
 def parse_census_line(line: str) -> CensusRecord:
@@ -93,7 +75,10 @@ def parse_census_line(line: str) -> CensusRecord:
 
 
 def load_census(path: str | os.PathLike[str]) -> tuple[list[CensusRecord], list[str]]:
-    """Read a JSON-lines census file; malformed records become warnings."""
+    """Read a JSON-lines census file; malformed records become warnings.
+
+    So does a line nested too deeply for json.loads, which raises RecursionError.
+    """
     records: list[CensusRecord] = []
     warnings: list[str] = []
     with open(path, "r", encoding="utf-8") as handle:
@@ -102,7 +87,7 @@ def load_census(path: str | os.PathLike[str]) -> tuple[list[CensusRecord], list[
                 continue
             try:
                 records.append(parse_census_line(line))
-            except (UpsilonLabError, ValueError, KeyError, TypeError) as exc:
+            except (UpsilonLabError, ValueError, KeyError, TypeError, RecursionError) as exc:
                 warnings.append(f"line {lineno}: skipped ({exc})")
     return records, warnings
 

@@ -79,7 +79,7 @@ def _resolve_knot_spec(args: argparse.Namespace) -> tuple[str | None, IntLaurent
         try:
             pairs = json.loads(args.alexander)
             delta = IntLaurentPoly.from_pairs(pairs)
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, RecursionError) as exc:  # RecursionError: JSON nested too deeply
             raise _UsageError(f"bad --alexander value: {exc}") from exc
         name = None
     elif kind == "torus":
@@ -98,7 +98,7 @@ def _resolve_knot_spec(args: argparse.Namespace) -> tuple[str | None, IntLaurent
         try:
             spec = json.loads(args.braid)
             word = _user_braid(spec["strands"], spec["word"])
-        except (ValueError, TypeError, KeyError) as exc:
+        except (ValueError, TypeError, KeyError, RecursionError) as exc:
             raise _UsageError(f"bad --braid value: {exc}") from exc
         delta = word.alexander_of_closure()
         name = None
@@ -377,7 +377,7 @@ def _cmd_braid(args: argparse.Namespace) -> int:
         try:
             spec = json.loads(args.json)
             word = _user_braid(spec["strands"], spec["word"])
-        except (ValueError, TypeError, KeyError) as exc:
+        except (ValueError, TypeError, KeyError, RecursionError) as exc:
             raise _UsageError(f"bad --json value: {exc}") from exc
     elif args.strands is None or args.word is None:
         raise _UsageError("--strands and --word go together")

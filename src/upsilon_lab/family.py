@@ -28,14 +28,12 @@ from .errors import UnknownName
 from .invariants import hull_of, semigroup_of, upsilon_of
 from .laurent import IntLaurentPoly, TriLaurentPoly
 from .piecewise import PLFunction, legendre_fenchel
+from .records import Record
 from .semigroups import FormalSemigroup
 
 
-class FamilyKnot:
-    """One member of the twist family: which in {"K1", "K2"}, 1 <= n <= MAX_TWIST.
-
-    Immutable; compares, hashes and prints by (which, n).
-    """
+class FamilyKnot(Record):
+    """One member of the twist family: which in {"K1", "K2"}, 1 <= n <= MAX_TWIST."""
 
     __slots__ = ("which", "n")
 
@@ -52,26 +50,6 @@ class FamilyKnot:
             raise ValueError(f"twist parameter n must be from 1 to {braids.MAX_TWIST}, got {n}")
         object.__setattr__(self, "which", which)
         object.__setattr__(self, "n", n)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.which, self.n) == (other.which, other.n)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.which, self.n))
-
-    def __repr__(self):
-        return f"FamilyKnot(which={self.which!r}, n={self.n!r})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):  # copy and pickle rebuild through __init__
-        return (FamilyKnot, (self.which, self.n))
 
     def __str__(self) -> str:
         return f"{self.which}({self.n})"
@@ -209,8 +187,8 @@ def hull_closed_form(n: int) -> PLFunction:
 BURAU_MAX_N = 2
 
 
-class CheckResult:
-    """One assertion's outcome.  Immutable; compares, hashes and prints by (ok, detail)."""
+class CheckResult(Record):
+    """One assertion's outcome."""
 
     __slots__ = ("ok", "detail")
 
@@ -221,32 +199,11 @@ class CheckResult:
         object.__setattr__(self, "ok", ok)
         object.__setattr__(self, "detail", detail)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.ok, self.detail) == (other.ok, other.detail)
-        return NotImplemented
 
-    def __hash__(self):
-        return hash((self.ok, self.detail))
-
-    def __repr__(self):
-        return f"CheckResult(ok={self.ok!r}, detail={self.detail!r})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):  # copy and pickle rebuild through __init__
-        return (CheckResult, (self.ok, self.detail))
-
-
-class FamilyVerification:
+class FamilyVerification(Record):
     """Per-assertion outcome of the family-pair verification at one n.
 
-    Immutable; compares and prints by (n, checks).  hash() raises TypeError,
-    as checks is a dict.
+    hash() raises TypeError, as checks is a dict.
     """
 
     __slots__ = ("n", "checks")
@@ -257,26 +214,6 @@ class FamilyVerification:
     def __init__(self, n: int, checks: dict[str, CheckResult]):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "checks", checks)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.n, self.checks) == (other.n, other.checks)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.n, self.checks))
-
-    def __repr__(self):
-        return f"FamilyVerification(n={self.n!r}, checks={self.checks!r})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):  # copy and pickle rebuild through __init__
-        return (FamilyVerification, (self.n, self.checks))
 
     @property
     def ok(self) -> bool:
@@ -374,11 +311,8 @@ def verify_family_pair(n: int) -> FamilyVerification:
 # -- catalog ----------------------------------------------------------------------
 
 
-class CatalogEntry:
-    """A fixed knot with every representation known for it.
-
-    Immutable; compares, hashes and prints by all five fields.
-    """
+class CatalogEntry(Record):
+    """A fixed knot with every representation known for it."""
 
     __slots__ = ("name", "alexander", "braid", "gaps", "upsilon")
 
@@ -395,28 +329,6 @@ class CatalogEntry:
         object.__setattr__(self, "braid", braid)
         object.__setattr__(self, "gaps", gaps)
         object.__setattr__(self, "upsilon", upsilon)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.name, self.alexander, self.braid, self.gaps, self.upsilon)
-                    == (other.name, other.alexander, other.braid, other.gaps, other.upsilon))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.name, self.alexander, self.braid, self.gaps, self.upsilon))
-
-    def __repr__(self):
-        return (f"CatalogEntry(name={self.name!r}, alexander={self.alexander!r}, "
-                f"braid={self.braid!r}, gaps={self.gaps!r}, upsilon={self.upsilon!r})")
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):  # copy and pickle rebuild through __init__
-        return (CatalogEntry, (self.name, self.alexander, self.braid, self.gaps, self.upsilon))
 
 
 def _poly(pairs) -> IntLaurentPoly:

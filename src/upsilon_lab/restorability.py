@@ -62,6 +62,7 @@ from .errors import CountTooCostly, GenusTooLarge, InvalidStepPattern, Malformed
 from .invariants import hull_of
 from .laurent import IntLaurentPoly
 from .piecewise import PLFunction
+from .records import Record
 from .semigroups import MAX_GENUS
 
 DEFAULT_MAX_SOLUTIONS = 10_000
@@ -152,7 +153,7 @@ class Witnesses(Sequence):
         return f"Witnesses({list(self)!r})"
 
 
-class RestorabilityReport:
+class RestorabilityReport(Record):
     """Exact profile counts over one hull, and the listed witnesses.
 
     total_count and symmetric_count are exact, so unique (exactly one
@@ -162,8 +163,6 @@ class RestorabilityReport:
     with symmetric_only=False.  budget_exhausted means total_count exceeds
     max_solutions, so the list may be cut short.  The witnesses are stored
     as byte patterns, so memory follows the list, not the counts.
-
-    Immutable; compares, hashes and prints by all six fields.
     """
 
     __slots__ = ("hull", "total_count", "symmetric_count", "witnesses", "unique", "budget_exhausted")
@@ -183,33 +182,6 @@ class RestorabilityReport:
         object.__setattr__(self, "witnesses", witnesses)
         object.__setattr__(self, "unique", unique)
         object.__setattr__(self, "budget_exhausted", budget_exhausted)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.hull, self.total_count, self.symmetric_count, self.witnesses,
-                     self.unique, self.budget_exhausted)
-                    == (other.hull, other.total_count, other.symmetric_count, other.witnesses,
-                        other.unique, other.budget_exhausted))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.hull, self.total_count, self.symmetric_count, self.witnesses,
-                     self.unique, self.budget_exhausted))
-
-    def __repr__(self):
-        return (f"RestorabilityReport(hull={self.hull!r}, total_count={self.total_count!r}, "
-                f"symmetric_count={self.symmetric_count!r}, witnesses={self.witnesses!r}, "
-                f"unique={self.unique!r}, budget_exhausted={self.budget_exhausted!r})")
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):  # copy and pickle rebuild through __init__
-        return (RestorabilityReport, (self.hull, self.total_count, self.symmetric_count,
-                                      self.witnesses, self.unique, self.budget_exhausted))
 
     def to_json(self) -> dict:
         """The report as a dict; "witnesses" stays a Witnesses, not a list.

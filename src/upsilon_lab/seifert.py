@@ -29,13 +29,16 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import BadOrdering
-from .rationals import format_rational
+from .rationals import format_rational, parse_rational
+from .records import Record
 
 
-class SeifertForm:
+class SeifertForm(Record):
     """A small Seifert presentation M(e0; r1, r2, r3); ratios auto-reduced.
 
-    Immutable; compares, hashes and prints by (e0, ratios).
+    e0 is an int or a whole Fraction.  Each ratio is an int, a Fraction or a
+    "p" or "p/q" string (rationals.parse_rational, so no exponent is read).
+    A float, a bool or any other type is refused with TypeError, not rounded.
     """
 
     __slots__ = ("e0", "ratios")
@@ -43,32 +46,18 @@ class SeifertForm:
     e0: int
     ratios: tuple[Fraction, Fraction, Fraction]
 
-    def __init__(self, e0: int, ratios):
-        object.__setattr__(self, "e0", int(e0))
-        rs = tuple(Fraction(r) for r in ratios)
+    def __init__(self, e0: int | Fraction, ratios):
+        if isinstance(e0, Fraction):
+            if e0.denominator != 1:
+                raise ValueError(f"e0 must be a whole number, got {e0}")
+            e0 = e0.numerator
+        elif type(e0) is not int:
+            raise TypeError(f"e0 must be an int, got {e0!r}")
+        object.__setattr__(self, "e0", e0)
+        rs = tuple(_ratio(r) for r in ratios)
         if len(rs) != 3:
             raise ValueError("exactly three ratios required")
         object.__setattr__(self, "ratios", rs)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.e0, self.ratios) == (other.e0, other.ratios)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.e0, self.ratios))
-
-    def __repr__(self):
-        return f"SeifertForm(e0={self.e0!r}, ratios={self.ratios!r})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):  # copy and pickle rebuild through __init__
-        return (SeifertForm, (self.e0, self.ratios))
 
     def __str__(self) -> str:
         body = ", ".join(format_rational(r) for r in self.ratios)
@@ -76,6 +65,14 @@ class SeifertForm:
 
     def to_json(self) -> dict:
         return {"e0": self.e0, "ratios": [format_rational(r) for r in self.ratios]}
+
+
+def _ratio(r) -> Fraction:
+    if isinstance(r, str):
+        return parse_rational(r)
+    if isinstance(r, (int, Fraction)) and not isinstance(r, bool):
+        return Fraction(r)
+    raise TypeError(f"a ratio must be an int, a Fraction or a 'p/q' string, got {r!r}")
 
 
 def negate(s: SeifertForm) -> SeifertForm:
@@ -143,11 +140,10 @@ def coprime_obstruction(r1: Fraction, r2: Fraction, r3: Fraction) -> tuple[int, 
     return _search(r1, r2, r3)[0]
 
 
-class LSpaceVerdict:
+class LSpaceVerdict(Record):
     """Either a certified LSpace or Undecided with the blocking reason.
 
-    Immutable; compares and prints by all three fields.  hash() raises
-    TypeError when the certificate is a dict.
+    hash() raises TypeError when the certificate is a dict.
     """
 
     __slots__ = ("is_lspace", "detail", "certificate")
@@ -160,28 +156,6 @@ class LSpaceVerdict:
         object.__setattr__(self, "is_lspace", is_lspace)
         object.__setattr__(self, "detail", detail)
         object.__setattr__(self, "certificate", certificate)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.is_lspace, self.detail, self.certificate)
-                    == (other.is_lspace, other.detail, other.certificate))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.is_lspace, self.detail, self.certificate))
-
-    def __repr__(self):
-        return (f"LSpaceVerdict(is_lspace={self.is_lspace!r}, detail={self.detail!r}, "
-                f"certificate={self.certificate!r})")
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):  # copy and pickle rebuild through __init__
-        return (LSpaceVerdict, (self.is_lspace, self.detail, self.certificate))
 
     def to_json(self) -> dict:
         out = {"verdict": "LSpace" if self.is_lspace else "Undecided", "detail": self.detail}

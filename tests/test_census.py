@@ -201,6 +201,16 @@ class TestParsing:
         assert len(warnings) == 1 and warnings[0].startswith("line 2") and reason in warnings[0]
         assert scan_census(records)["records"] == 1
 
+    def test_deeply_nested_line_is_a_warning(self, tmp_path):
+        # json.loads raises RecursionError on it, which used to abort the whole load.
+        good = [json.dumps({"name": name, "alexander": [[0, 1], [1, -1], [2, 1]]})
+                for name in ("a", "b")]
+        path = tmp_path / "census.jsonl"
+        path.write_text("\n".join([good[0], "[" * 60_000 + "]" * 60_000, good[1]]) + "\n")
+        records, warnings = load_census(path)
+        assert scan_census(records)["records"] == 2
+        assert len(warnings) == 1 and warnings[0].startswith("line 2: skipped")
+
     def test_parse_line(self):
         record = parse_census_line('{"name": "T(2,3)", "alexander": [[0,1],[1,-1],[2,1]]}')
         assert record.name == "T(2,3)"

@@ -148,6 +148,15 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "is not an int" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("flag", [("invariants", "--alexander"), ("invariants", "--braid"),
+                                      ("braid", "--json")],
+                             ids=["invariants-alexander", "invariants-braid", "braid-json"])
+    def test_deeply_nested_json_is_usage_error(self, capsys, flag):
+        # json.loads raises RecursionError here, which used to exit 3 as an internal error.
+        code, out, err = run_cli(capsys, *flag, "[" * 60_000 + "]" * 60_000)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: bad {flag[1]} value: ") and err.count("\n") == 1
+
     def test_huge_strand_count_exits_quickly(self, capsys):
         # One letter on 10**18 strands: the untouched strands are counted, not walked.
         start = time.perf_counter()

@@ -9,7 +9,9 @@ assignment and deletion.
 """
 
 import copy
+import inspect
 import pickle
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -19,6 +21,7 @@ from upsilon_lab.census import CensusRecord
 from upsilon_lab.family import CatalogEntry, CheckResult, FamilyKnot, FamilyVerification
 from upsilon_lab.laurent import IntLaurentPoly
 from upsilon_lab.piecewise import PLFunction
+from upsilon_lab.records import Record
 from upsilon_lab.restorability import RestorabilityReport, Witnesses
 from upsilon_lab.seifert import LSpaceVerdict, SeifertForm
 
@@ -159,6 +162,14 @@ def test_copy_and_pickle_round_trip(name):
         assert type(b) is type(a) and b == a and repr(b) == repr(a)
 
 
+@each_class
+def test_init_parameters_are_the_slots_in_order(name):
+    # Record's __reduce__ passes the slots positionally to __init__, and repr lists them.
+    cls = type(CASES[name][0]())
+    assert tuple(inspect.signature(cls).parameters) == cls.__slots__
+    assert {c.__name__ for c in Record.__subclasses__()} == set(CASES)
+
+
 class TestDefaultsAndHull:
     def test_census_record_sweeps_the_hull_when_not_given(self):
         assert CensusRecord("3_1", TREFOIL).hull == ((-1, 0), (1, 2))
@@ -190,3 +201,22 @@ class TestDefaultsAndHull:
         assert type(s.e0) is int and s.ratios == (F(1, 2), F(1), F(0))
         with pytest.raises(ValueError, match="exactly three ratios"):
             SeifertForm(0, (F(1, 2), F(1, 3)))
+
+    @pytest.mark.parametrize("e0, ratios, error", [
+        (F(7, 2), (1, 1, 1), ValueError),  # used to truncate to M(3; ...)
+        (1.7, (1, 1, 1), TypeError),       # used to truncate to M(1; ...)
+        (True, (1, 1, 1), TypeError),
+        (0, (0.1, F(1, 3), F(1, 5)), TypeError),  # used to become a 2**55-denominator Fraction
+        (0, (True, F(1, 3), F(1, 5)), TypeError),
+        (0, ("1.5", "1/3", "1/5"), ValueError),
+    ], ids=["half-e0", "float-e0", "bool-e0", "float-ratio", "bool-ratio", "decimal-ratio"])
+    def test_seifert_form_refuses_what_it_would_round(self, e0, ratios, error):
+        with pytest.raises(error):
+            SeifertForm(e0, ratios)
+
+    def test_seifert_form_reads_no_exponent(self):
+        # Fraction("1e-10000000") builds 10**(10**7) first; this took 12 s.
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="expected p or p/q"):
+            SeifertForm(0, ("1e-10000000", "1/3", "1/5"))
+        assert time.perf_counter() - start < 0.5
