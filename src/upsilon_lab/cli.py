@@ -224,10 +224,11 @@ def _json_chunks(obj, indent: str = ""):
     pairs and the [p, q] vertex pairs), joined once (_rows_text).  Any other
     container yields one chunk per entry.
     restorability.Witnesses is written as a list of gap lists, one chunk per
-    witness, each joined straight from the strings its step pattern selects
-    (Witnesses.gap_strings), so no gap tuple is built; each pattern was
-    checked when its Witnesses was built from outside, or made by the walk.  Floats, Fractions, sets and
-    non-str keys raise TypeError.
+    witness, each the texts of its pieces' step runs joined
+    (Witnesses.gap_texts), so each run's gaps are formatted once and no gap
+    tuple or flat pattern is built; each pattern was checked when its
+    Witnesses was built from outside, or made by the walk.  Floats,
+    Fractions, sets and non-str keys raise TypeError.
 
     >>> print("".join(_json_chunks({"gaps": (1, 2, 5), "ok": True, "name": None})))
     {
@@ -288,8 +289,7 @@ def _json_chunks(obj, indent: str = ""):
         inner = indent + "  "
         opening, gap_sep, closing = "[\n" + inner + "  ", ",\n" + inner + "  ", "\n" + inner + "]"
         sep = "[\n" + inner
-        for gaps in obj.gap_strings():
-            body = gap_sep.join(gaps)
+        for body in obj.gap_texts(gap_sep):
             yield sep + (opening + body + closing if body else "[]")
             sep = ",\n" + inner
         yield "\n" + indent + "]"

@@ -92,13 +92,16 @@ class GapFunction:
 
         As k rises, m = g - k falls from 2g to 0, and I(m) steps up by one at
         each gap m; so the samples are running sums of a step list with a 2
-        at index 2g - a for each gap a.
+        at index 2g - a for each gap a.  A FormalSemigroup's gaps make a
+        valid profile, so the values are not checked again.
         """
         g = s.genus
         steps = [0] * (2 * g + 1)
         for a in s.gaps:
             steps[2 * g - a] = 2
-        return cls(accumulate(steps))
+        gf = object.__new__(cls)
+        gf._values = tuple(accumulate(steps))
+        return gf
 
     def to_semigroup(self) -> FormalSemigroup:
         """Invert the construction: i is a gap iff I(i) > I(i + 1).

@@ -17,8 +17,12 @@ semigroups.lspace_runs gives it, with _corners and the same sweep.  hull_of
 and upsilon_of build the PLFunctions.  The formal semigroup and the
 2g + 1 gap-function samples are built only for the report fields that print
 them (knot_invariants) and for plot's gap-function panel; the dense route
-GapFunction.envelope stays as the tests' oracle.  All rationals in the
-report are exact "p/q" strings.
+GapFunction.envelope stays as the tests' oracle.  Each stage trusts the one
+before it: the corners reach the sweep with no number or order check
+(lower_convex_envelope's trusted=True), FormalSemigroup.from_gap_runs and
+GapFunction.from_semigroup wrap what they build unchecked, and only the
+public constructors check their input.  All rationals in the report are
+exact "p/q" strings.
 """
 
 from __future__ import annotations
@@ -66,7 +70,7 @@ def hull_vertices(delta: IntLaurentPoly) -> tuple[tuple[int, int], ...]:
 
 def hull_of(delta: IntLaurentPoly) -> PLFunction:
     """The gap function's convex envelope, with rays of slope 0 and 2."""
-    return lower_convex_envelope(_corners(gap_runs(delta)), 0, 2)
+    return lower_convex_envelope(_corners(gap_runs(delta)), 0, 2, trusted=True)
 
 
 def upsilon_of(delta: IntLaurentPoly) -> PLFunction:
@@ -82,7 +86,7 @@ def knot_invariants(delta: IntLaurentPoly, name: str | None = None) -> dict:
     """
     runs = gap_runs(delta)
     semigroup = FormalSemigroup.from_gap_runs(runs)
-    hull = lower_convex_envelope(_corners(runs), 0, 2)
+    hull = lower_convex_envelope(_corners(runs), 0, 2, trusted=True)
     upsilon = legendre_fenchel(hull)
     upsilon_json = upsilon.to_json()
     closed, witness = semigroup.is_closed_under_addition()

@@ -244,6 +244,8 @@ def lower_convex_envelope(
     samples: Iterable[Sequence],
     left_slope: Fraction | int,
     right_slope: Fraction | int,
+    *,
+    trusted: bool = False,
 ) -> PLFunction:
     """Greatest convex function below the sampled polyline and its two rays.
 
@@ -256,14 +258,19 @@ def lower_convex_envelope(
 
     Samples, slopes and the result follow PLFunction's number rule: an
     integral value is an int, so gap-function samples (always ints) give a
-    sweep and a hull on ints alone.
+    sweep and a hull on ints alone.  trusted=True is for the package's own
+    corners (invariants._corners): a non-empty list of int pairs with
+    strictly increasing x, swept as given, with no number or order check.
     """
-    pts = [(_exact(x), _exact(y)) for x, y in samples]
-    if not pts:
-        raise ValueError("need at least one sample")
-    for a, b in zip(pts, pts[1:]):
-        if b[0] <= a[0]:
-            raise ValueError("sample x-coordinates must be strictly increasing")
+    if trusted:
+        pts = samples
+    else:
+        pts = [(_exact(x), _exact(y)) for x, y in samples]
+        if not pts:
+            raise ValueError("need at least one sample")
+        for a, b in zip(pts, pts[1:]):
+            if b[0] <= a[0]:
+                raise ValueError("sample x-coordinates must be strictly increasing")
     ls, rs = _exact(left_slope), _exact(right_slope)
     hull = _lower_hull(pts)
     if len(hull) == 1:

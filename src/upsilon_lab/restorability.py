@@ -33,28 +33,38 @@ Witnesses are listed in lexicographic step order, flat before up.  The walk
 refills the remaining steps greedily (flat where the value already reaches
 lo, else up), yields the profile, then backtracks to the deepest flat step
 that may rise (value + 2 <= hi) and refills from there.  A report lists the
-profiles of rank below max_solutions: every one with --all (the walk stops
-after max_solutions), else the symmetric ones, found by walking only the g
-left steps and mirroring each.  When the cap cuts the list, the symmetric
-walk stops at the first profile whose rank reaches it; the rank comes from a
-sparse backward table of completion counts that stores only counts below
-the cap.
+profiles of rank below max_solutions.  With --all that is every profile, and
+the same pinning makes the list a product: the steps are cut at hull
+vertices into pieces, each holding one segment of more than one path
+(segments of one path join the piece before them), and the profiles in walk
+order are the product of the pieces' paths in walk order, the last piece
+varying fastest.  Each piece is walked once, and only as far as the first
+max_solutions profiles reach: ceil(max_solutions / later) paths, where
+later is the product of the later pieces' counts (_counts gives the
+segment counts).  Otherwise the report lists the symmetric profiles, found
+by walking only the g left steps and mirroring each.  When the cap cuts
+that list, the symmetric walk stops at the first profile whose rank
+reaches it; the rank comes from a sparse backward table of completion
+counts that stores only counts below the cap.
 
-A profile is a byte pattern: 2g bytes, each 0 (flat) or 2 (up).  A report
-keeps the patterns and converts each to a gap sequence only when it is read;
-the CLI writes each witness's JSON text straight from its pattern through
-Witnesses.gap_strings, with no gap tuple in between.  A Witnesses built
-from outside checks each pattern with _check_step_pattern once, so neither
-path checks again.  The walk's own patterns, and a slice of a Witnesses,
-are wrapped unchecked (Witnesses._trusted): _walk makes every pattern
-within the hull's bounds, which start at 0 and end at 2g, with the first
-step rising and the last one flat.
+A profile is a byte pattern: 2g bytes, each 0 (flat) or 2 (up).  A
+Witnesses keeps its pieces, each a tuple of paths (partial patterns), and
+joins the full patterns only when it is read as a sequence; the symmetric
+walk's list, and a Witnesses built from outside, is one piece of full
+patterns.  The CLI writes each witness's JSON text by joining the texts of
+its paths, each made once per path (Witnesses.gap_texts), so with --all it
+neither builds a gap tuple nor joins a pattern.  A Witnesses built from
+outside checks each pattern with _check_step_pattern once, so neither
+reading nor writing checks again.  The walk's own paths, and a slice of a
+Witnesses, are wrapped unchecked (Witnesses._trusted and _product): _walk
+keeps every path within the hull's bounds, which start at 0 and end at 2g,
+so each joined pattern has its first step rising and its last one flat.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from itertools import compress, islice, takewhile
+from itertools import compress, islice, product, takewhile
 from math import comb, gcd, prod
 from operator import mul
 
@@ -82,27 +92,55 @@ class Witnesses(Sequence):
     Each pattern is checked when the Witnesses is built: a malformed one
     raises InvalidStepPattern there.
 
+    The patterns are kept as pieces, each a tuple of partial step patterns
+    (paths); the patterns are the first len(self) entries of the product of
+    the pieces, each entry joined.  A Witnesses built here or by the
+    symmetric walk is one piece, the patterns themselves.  The --all walk
+    makes one piece per stretch of hull segments (when the listed profiles
+    vary in more than one), and the joined patterns are built only when the
+    sequence is read.
+
     >>> w = Witnesses([bytes([2, 0, 0, 2, 2, 0])])  # T(3,4)
     >>> len(w), w[0], (1, 2, 5) in w, (1, 2, 4) in w, w == ((1, 2, 5),)
     (1, (1, 2, 5), True, False, True)
     """
 
-    __slots__ = ("_patterns",)
+    __slots__ = ("_pieces", "_count", "_flat")
 
     def __init__(self, patterns=()):
-        self._patterns = tuple(patterns)
-        for steps in self._patterns:
+        patterns = tuple(patterns)
+        for steps in patterns:
             _check_step_pattern(steps)
+        self._pieces, self._count, self._flat = (patterns,), len(patterns), patterns
 
     @classmethod
     def _trusted(cls, patterns) -> "Witnesses":
         """A Witnesses over patterns already checked, or made by _walk: none is checked again."""
+        patterns = tuple(patterns)
+        return cls._product((patterns,), len(patterns))
+
+    @classmethod
+    def _product(cls, pieces: tuple[tuple[bytes, ...], ...], count: int) -> "Witnesses":
+        """The first count entries of the product of the pieces, each joined into one pattern.
+
+        A single piece holds exactly count paths.  Otherwise the pieces come
+        from the walk: each holds paths of one length, and every path rises
+        somewhere.
+        """
         w = object.__new__(cls)
-        w._patterns = tuple(patterns)
+        w._pieces, w._count = pieces, count
+        w._flat = pieces[0] if len(pieces) == 1 else None
         return w
 
+    @property
+    def _patterns(self) -> tuple[bytes, ...]:
+        """The flat patterns, joined from the pieces on the first read."""
+        if self._flat is None:
+            self._flat = tuple(islice(map(b"".join, product(*self._pieces)), self._count))
+        return self._flat
+
     def __len__(self) -> int:
-        return len(self._patterns)
+        return self._count
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -112,19 +150,26 @@ class Witnesses(Sequence):
     def __iter__(self):
         return map(_pattern_to_gaps, self._patterns)
 
-    def gap_strings(self):
-        """Each witness's gaps in order as decimal strings.
+    def gap_texts(self, sep: str):
+        """Each witness's gaps in order as decimal strings joined by sep.
 
-        The strings str(a) are built once per call, up to the longest pattern.
+        With several pieces, the text of each piece's path is made once, and
+        a witness joins the texts of its paths last piece first, since later
+        steps hold lower gaps.
 
-        >>> [list(gaps) for gaps in Witnesses([bytes([2, 0, 0, 2, 2, 0]), b""]).gap_strings()]
-        [['1', '2', '5'], []]
+        >>> list(Witnesses([bytes([2, 0, 0, 2, 2, 0]), b""]).gap_texts(", "))
+        ['1, 2, 5', '']
         """
-        labels = []
-        for steps in self._patterns:
-            if len(steps) > len(labels):
-                labels += map(str, range(len(labels), len(steps)))
-            yield compress(labels, steps[::-1])
+        widths = [max(map(len, paths), default=0) for paths in self._pieces]
+        labels = list(map(str, range(sum(widths))))
+        if len(widths) == 1:
+            return (sep.join(compress(labels, steps[::-1])) for steps in self._pieces[0])
+        texts, start = [], len(labels)
+        for paths, width in zip(self._pieces, widths):
+            start -= width  # the piece's steps, last first, are gaps start, start + 1, ...
+            below = labels[start : start + width]
+            texts.append([sep.join(compress(below, path[::-1])) for path in paths])
+        return (sep.join(parts[::-1]) for parts in islice(product(*texts), self._count))
 
     def __contains__(self, gaps) -> bool:
         try:
@@ -275,13 +320,16 @@ def _count_work(f: int, u: int) -> int:
     return (k * (f + u)) ** 2 if min(f, u) >= 2 * k else 0
 
 
-def _counts(verts: Sequence[tuple[int, int]]) -> tuple[int, int]:
-    """Exact (total, symmetric) profile counts over the hull with these integer vertices.
+def _counts(verts: Sequence[tuple[int, int]]) -> tuple[list[int], int, int]:
+    """Exact profile counts over the hull with these integer vertices.
+
+    Returns the count of each segment (left to right), their product (the
+    total) and the symmetric count.
 
     >>> _counts([(-3, 0), (0, 2), (3, 6)])  # T(3,4)
-    (1, 1)
+    ([1, 1], 1, 1)
     >>> _counts([(-5, 0), (-2, 2), (2, 6), (5, 10)])  # pretzel (-2, 3, 7)
-    (2, 2)
+    ([1, 2, 1], 2, 2)
     """
     spans = list(zip(verts, verts[1:]))
     segments = [(x1 - x0 - (y1 - y0) // 2, (y1 - y0) // 2) for (x0, y0), (x1, y1) in spans]
@@ -293,16 +341,40 @@ def _counts(verts: Sequence[tuple[int, int]]) -> tuple[int, int]:
     counts = [_segment_count(f, u) for f, u in segments]
     total = prod(counts)
     if {(-x, y - 2 * x) for x, y in verts} != set(verts):
-        return total, 0
+        return counts, total, 0
     symmetric = prod(c for (_, (x1, _)), c in zip(spans, counts) if x1 <= 0)
     middle = [x1 for (x0, _), (x1, _) in spans if x0 < 0 < x1]  # slope 1 on [-a, a]
-    return total, symmetric * prod(comb(a, a // 2) for a in middle)
+    return counts, total, symmetric * prod(comb(a, a // 2) for a in middle)
+
+
+def _pieces(verts: Sequence[tuple[int, int]], counts: list[int]) -> list[tuple[int, int, int]]:
+    """The step ranges [start, stop) the --all walk lists one by one, with their counts.
+
+    A piece ends at a hull vertex and holds one segment of more than one
+    path; a segment of one path joins the piece before it (the first
+    piece, if none is before it).  With no such segment the whole range is
+    one piece.
+
+    >>> _pieces([(-5, 0), (-2, 2), (2, 6), (5, 10)], [1, 2, 1])  # pretzel (-2, 3, 7)
+    [(0, 10, 2)]
+    >>> _pieces([(-12, 0), (-8, 2), (-2, 6), (2, 10), (8, 18), (12, 24)], [1, 3, 2, 3, 1])  # K1(1)
+    [(0, 10, 3), (10, 14, 2), (14, 24, 3)]
+    """
+    g = verts[-1][0]
+    pieces, start, count = [], 0, 1
+    for (x0, _), c in zip(verts, counts):
+        if c > 1 and count > 1:
+            pieces.append((start, x0 + g, count))
+            start, count = x0 + g, 1
+        count *= c
+    pieces.append((start, 2 * g, count))
+    return pieces
 
 
 def _walk(lo: list[int], hi: list[int]):
-    """Every step pattern between the bounds, as bytes of 0/2, flat before up."""
+    """Every step pattern between the bounds from lo[0], as bytes of 0/2, flat before up."""
     n = len(lo) - 1
-    vals = [0] * (n + 1)  # vals[i] is the profile value at step index i
+    vals = [lo[0]] * (n + 1)  # vals[i] is the profile value at step index i
     steps = bytearray(n)
     i = 0  # steps[:i] are fixed
     while True:
@@ -412,6 +484,31 @@ def _pattern_to_gaps(steps: bytes) -> tuple[int, ...]:
     return tuple(compress(range(len(steps)), steps[::-1]))
 
 
+def _listed(
+    verts: Sequence[tuple[int, int]], counts: list[int], lo: list[int], hi: list[int], cap: int
+) -> Witnesses:
+    """The first cap profiles in walk order, as a product of per-piece walks.
+
+    Profile r of the product takes path r // later of a piece (mod its
+    count), where later is the product of the later pieces' counts, so a
+    piece is walked only to its first ceil(cap / later) paths.  When the
+    cap falls within the last piece's count, every listed profile starts
+    with the first path of each earlier piece and no path is used twice,
+    so the patterns are joined as the last piece is walked.
+    """
+    *front, (start, stop, last) = _pieces(verts, counts)
+    walks = [_walk(lo[a : b + 1], hi[a : b + 1]) for a, b, _ in front]
+    tail = _walk(lo[start : stop + 1], hi[start : stop + 1])
+    if cap <= last or not front:
+        head = b"".join(map(next, walks))  # the first path of each earlier piece
+        return Witnesses._trusted(map(head.__add__, islice(tail, cap)))
+    kept, later = [tuple(tail)], last
+    for walk, (_, _, count) in zip(reversed(walks), reversed(front)):
+        kept.append(tuple(islice(walk, min(count, -(-cap // later)))))
+        later *= count
+    return Witnesses._product(tuple(reversed(kept)), min(later, cap))
+
+
 def enumerate_gap_functions(
     hull: PLFunction,
     symmetric_only: bool = False,
@@ -429,23 +526,24 @@ def enumerate_gap_functions(
     g = _validate_hull(hull)
     if g > MAX_GENUS:
         raise GenusTooLarge(f"the hull has genus {g}, above the limit of {MAX_GENUS}")
-    total, symmetric = _counts(hull.vertices)
+    counts, total, symmetric = _counts(hull.vertices)
     lo, hi = _bounds(hull)
     truncated = total > max_solutions
     if not symmetric_only:
-        kept = islice(_walk(lo, hi), max_solutions)
+        witnesses = _listed(hull.vertices, counts, lo, hi, max_solutions)
     elif not symmetric:
-        kept = ()
+        witnesses = Witnesses()
     else:
         kept = map(_mirrored, _walk(lo[: g + 1], hi[: g + 1]))
         if truncated:
             table = _completions_below(lo, hi, max_solutions)
             kept = takewhile(lambda s: _rank(s, lo, table, max_solutions) < max_solutions, kept)
+        witnesses = Witnesses._trusted(kept)
     return RestorabilityReport(
         hull=hull,
         total_count=total,
         symmetric_count=symmetric,
-        witnesses=Witnesses._trusted(kept),
+        witnesses=witnesses,
         unique=symmetric == 1,
         budget_exhausted=truncated,
     )

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Iterable
+from itertools import chain, starmap
 from math import gcd
 
 from .errors import BadParameters, GenusTooLarge, NotLSpaceForm
@@ -129,8 +130,13 @@ class FormalSemigroup:
 
     @classmethod
     def from_gap_runs(cls, runs: Iterable[tuple[int, int]]) -> "FormalSemigroup":
-        """The semigroup whose gaps are the half-open runs [a, b), as gap_runs returns them."""
-        return cls(e for a, b in runs for e in range(a, b))
+        """The semigroup whose gaps are the half-open runs [a, b), as gap_runs returns them.
+
+        gap_runs has checked those runs, so the gaps are not checked again.
+        """
+        s = object.__new__(cls)
+        s._gaps = tuple(chain.from_iterable(starmap(range, runs)))
+        return s
 
     def to_alexander(self) -> IntLaurentPoly:
         """Restore Delta = 1 + (t - 1) * sum_i t^{a_i}."""

@@ -100,6 +100,54 @@ def test_one_gap_runs_walk_per_report(monkeypatch):
     assert calls == [d for delta in deltas for d in (delta, delta)]
 
 
+# -- the trusted stage constructors on the report path -------------------------------
+
+
+def assert_trusted_stages_match_the_checked_ones(delta):
+    """from_gap_runs (through from_alexander) and from_semigroup build what the
+    validating constructors accept and build.  The trusted sweep is checked against
+    the dense route by assert_matches_dense_route."""
+    semigroup = FormalSemigroup.from_alexander(delta)
+    assert semigroup == FormalSemigroup(list(semigroup.gaps)) and type(semigroup.gaps) is tuple
+    gapfn = GapFunction.from_semigroup(semigroup)
+    assert gapfn == GapFunction(list(gapfn.values)) and type(gapfn.values) is tuple
+
+
+def test_trusted_stages_on_every_gap_sequence_up_to_genus_8():
+    for g in range(9):
+        for gaps in all_gap_sequences(g):
+            assert_trusted_stages_match_the_checked_ones(FormalSemigroup(gaps).to_alexander())
+
+
+@pytest.mark.parametrize("p,q", TORUS_LADDER)
+def test_trusted_stages_on_the_torus_ladder(p, q):
+    assert_trusted_stages_match_the_checked_ones(torus_semigroup(p, q).to_alexander())
+
+
+def test_report_path_checks_nothing_it_built(monkeypatch):
+    # knot_invariants builds each stage from the one before; only the input is checked.
+    from upsilon_lab import piecewise
+    from upsilon_lab.invariants import _corners
+    from upsilon_lab.semigroups import gap_runs
+
+    deltas = [torus_semigroup(p, q).to_alexander() for p, q in TORUS_LADDER[4:]]
+    calls = []
+    for cls in (FormalSemigroup, GapFunction):
+        init = cls.__init__
+        monkeypatch.setattr(cls, "__init__", lambda self, *a, init=init, **k: (
+            calls.append(type(self).__name__), init(self, *a, **k))[1])
+    exact = piecewise._exact
+    monkeypatch.setattr(piecewise, "_exact", lambda v: calls.append("_exact") or exact(v))
+    for delta in deltas:
+        knot_invariants(delta)
+        assert "FormalSemigroup" not in calls and "GapFunction" not in calls
+        calls.clear()
+        hull_of(delta)
+        # The slopes and the ray checks, never a corner: far fewer calls than corners.
+        assert len(calls) <= 8 < len(_corners(gap_runs(delta))), delta
+        calls.clear()
+
+
 # -- the report's bytes and its Upsilon fields -----------------------------------------
 
 # sha256 of `invariants` stdout, so no report field can move by a byte.

@@ -107,6 +107,13 @@ class TestLowerConvexEnvelope:
         with pytest.raises(RaysInconsistent):
             lower_convex_envelope([(0, 0), (1, 2)], 0, 1)
 
+    @pytest.mark.parametrize("samples", [[], [(1, 0), (0, 2)], [(0, 0), (0, 2)]],
+                             ids=["empty", "decreasing", "repeated"])
+    def test_samples_are_checked_unless_trusted(self, samples):
+        # trusted=True is only for the package's own sorted int corners.
+        with pytest.raises(ValueError):
+            lower_convex_envelope(samples, 0, 2)
+
     def test_single_point(self):
         assert lower_convex_envelope([(0, 0)], 0, 2) == UNKNOT_HULL
 

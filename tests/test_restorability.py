@@ -559,10 +559,114 @@ class TestWitnessesSequence:
                             lambda steps: checked.append(steps) or check(steps))
         w = Witnesses(self.PATTERNS)
         assert checked == list(self.PATTERNS)
-        assert [list(g) for g in w.gap_strings()] == [[str(a) for a in gaps] for gaps in w]
+        assert list(w.gap_texts(", ")) == [", ".join(map(str, gaps)) for gaps in w]
         assert w[0] in w and w[1] == tuple(w)[1]
         assert len(checked) == 2  # reads and writes check nothing
         enumerate_gap_functions(hull_of(PRETZEL))  # the walk's patterns are not checked again
         assert len(checked) == 2
         flipped = w[::-1]  # a slice is not checked again
         assert len(checked) == 2 and list(flipped) == list(w)[::-1]
+
+
+class TestPieceRoute:
+    # --all lists a product of per-piece walks; the single-range walk is the reference.
+
+    CAPS = (1, 2, 3, 10, 50, 10**4)
+
+    @staticmethod
+    def assert_lists_the_walk(hull, cap):
+        report = enumerate_gap_functions(hull, symmetric_only=False, max_solutions=cap)
+        flat = Witnesses._trusted(itertools.islice(_walk(*_bounds(hull)), cap))
+        assert report.witnesses._patterns == flat._patterns, (hull, cap)
+        assert len(report.witnesses) == len(flat)
+        assert list(report.witnesses.gap_texts(", ")) == list(flat.gap_texts(", ")), (hull, cap)
+
+    @pytest.mark.parametrize("g", range(9))
+    def test_every_hull_up_to_genus_8(self, g):
+        for hull in distinct_hulls(g):
+            for cap in self.CAPS:
+                self.assert_lists_the_walk(hull, cap)
+
+    @pytest.mark.parametrize("name", CAPPED)
+    def test_capped_inputs(self, name):
+        for cap in self.CAPS:
+            self.assert_lists_the_walk(knot_hull(CAPPED[name]), cap)
+
+    def test_family_hull_is_cut_at_every_many_path_segment(self):
+        hull = knot_hull(k1(2))
+        assert restorability._pieces(hull.vertices, restorability._counts(hull.vertices)[0]) == [
+            (0, 8, 4), (8, 14, 3), (14, 22, 14), (22, 28, 3), (28, 36, 4)]
+        assert len(enumerate_gap_functions(hull).witnesses._pieces) == 5
+
+    @pytest.mark.parametrize("cap", [1, 3, 4])
+    def test_one_varying_piece_is_joined_at_once(self, cap):
+        # K1(2)'s last piece has 4 paths: up to 4 profiles vary in it alone.
+        witnesses = enumerate_gap_functions(knot_hull(k1(2)), max_solutions=cap).witnesses
+        assert len(witnesses._pieces) == 1 and len(witnesses) == cap
+
+    @pytest.mark.parametrize("cap", [5, 7, 50, 2016])
+    def test_product_form_reads_like_the_flat_form(self, cap):
+        product_form = enumerate_gap_functions(knot_hull(k1(2)), max_solutions=cap).witnesses
+        assert len(product_form._pieces) == 5 and product_form._flat is None
+        flat = Witnesses(product_form._patterns)
+        gaps = tuple(flat)
+        assert len(flat._pieces) == 1
+        assert product_form == flat and flat == product_form and product_form == gaps
+        assert hash(product_form) == hash(flat) == hash(gaps)
+        assert len(product_form) == len(flat) == cap
+        for i in (0, cap // 2, cap - 1, -1, -cap):
+            assert product_form[i] == flat[i] == gaps[i]
+        for cut in (slice(None), slice(1, None), slice(None, None, -1), slice(0, cap, 3)):
+            assert product_form[cut] == flat[cut] == gaps[cut]
+        assert list(reversed(product_form)) == list(reversed(flat)) == list(reversed(gaps))
+        assert product_form.index(gaps[-1]) == flat.index(gaps[-1]) == cap - 1
+        assert gaps[0] in product_form and gaps[-1] in product_form
+        assert (1, 2, 5) not in product_form and (1, 2, 5) not in flat
+        assert repr(product_form) == repr(flat)
+
+
+class TestPieceWalkWork:
+    # An --all report walks each piece only as far as the listed profiles reach.
+
+    CAPS = (1, 2, 3, 7, 10, 50, 1000, 10**4)
+
+    @staticmethod
+    def piece_count(hull):
+        return len(restorability._pieces(hull.vertices, restorability._counts(hull.vertices)[0]))
+
+    @staticmethod
+    def hulls():
+        for g in range(9):
+            yield from distinct_hulls(g)
+        for n in (1, 2, 3, 10):
+            yield knot_hull(k1(n))
+            yield knot_hull(k2(n))
+        for p, q in ((2, 5), (3, 7), (5, 9), (9, 11), (13, 23)):
+            yield knot_hull(torus(p, q))
+
+    @pytest.fixture
+    def walked(self, monkeypatch):
+        yields = []
+        walk = restorability._walk
+
+        def counting(lo, hi):
+            for steps in walk(lo, hi):
+                yields.append(steps)
+                yield steps
+
+        monkeypatch.setattr(restorability, "_walk", counting)
+        return yields
+
+    def test_walks_at_most_listed_plus_pieces(self, walked):
+        for hull in self.hulls():
+            for cap in self.CAPS:
+                walked.clear()
+                witnesses = enumerate_gap_functions(hull, max_solutions=cap).witnesses
+                assert len(walked) <= len(witnesses) + self.piece_count(hull), (hull, cap)
+
+    def test_one_solution_walks_one_path_per_piece(self, walked):
+        for hull in self.hulls():
+            walked.clear()
+            witnesses = enumerate_gap_functions(hull, max_solutions=1).witnesses
+            assert len(walked) == self.piece_count(hull), hull
+            assert len(witnesses) == 1
