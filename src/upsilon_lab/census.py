@@ -77,15 +77,19 @@ def parse_census_line(line: str) -> CensusRecord:
 def load_census(path: str | os.PathLike[str]) -> tuple[list[CensusRecord], list[str]]:
     """Read a JSON-lines census file; malformed records become warnings.
 
-    So does a line nested too deeply for json.loads, which raises RecursionError.
+    So does a line nested too deeply for json.loads, which raises RecursionError,
+    and a line that is not valid UTF-8: its bytes are read as lone surrogates,
+    and decoding them again raises UnicodeDecodeError.
     """
     records: list[CensusRecord] = []
     warnings: list[str] = []
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
             try:
+                if not line.isascii():
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
                 records.append(parse_census_line(line))
             except (UpsilonLabError, ValueError, KeyError, TypeError, RecursionError) as exc:
                 warnings.append(f"line {lineno}: skipped ({exc})")

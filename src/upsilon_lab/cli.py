@@ -2,8 +2,10 @@
 
 Subcommands: invariants, restore, family, seifert, braid, census, plot.
 Every report is JSON on stdout with rationals as exact "p/q" strings.
-_emit writes it through one streaming encoder, byte-identical to
-json.dumps(indent=2), that accepts only ints, strings, booleans and None.
+_emit writes it one top-level entry at a time, each as the text that
+_json_text builds, byte-identical to json.dumps(indent=2); it accepts only
+ints, strings, booleans and None.  Only restore witnesses stream, one write
+per witness (_witness_chunks).
 
 Exit codes: 0 on success (and all in-scope assertions passing), 1 when an
 asserted verification fails, 2 on usage or input validation errors, 3 on an
@@ -57,23 +59,14 @@ def _add_knot_spec_arguments(parser: argparse.ArgumentParser, designed_family: b
 
 def _resolve_knot_spec(args: argparse.Namespace) -> tuple[str | None, IntLaurentPoly]:
     """Turn the exactly-one spec flag into (name, polynomial)."""
-    given = []
-    if args.alexander is not None:
-        given.append("alexander")
-    if args.torus is not None:
-        given.append("torus")
-    if args.family is not None:
-        given.append("family")
-    if args.braid is not None:
-        given.append("braid")
-    if args.catalog is not None:
-        given.append("catalog")
-    if getattr(args, "designed_family", None) is not None:
-        given.append("designed_family")
+    kinds = ("alexander", "torus", "family", "braid", "catalog", "designed_family")
+    given = [kind for kind in kinds if getattr(args, kind, None) is not None]
     if len(given) != 1:
         raise _UsageError(
             f"give exactly one knot specification, got {len(given)}: {', '.join(given) or 'none'}"
         )
+    if args.n is not None and args.family is None:
+        raise _UsageError("--n goes only with --family")
     kind = given[0]
     if kind == "alexander":
         try:
@@ -146,9 +139,11 @@ def _parse_n_range(text: str) -> list[int]:
             count = len(values)
     except ValueError as exc:
         raise _UsageError(f"bad n range {text!r}: use N, A..B, or a comma list") from exc
+    if count < 1:
+        raise _UsageError(f"n range {text!r} is empty")
     if count > MAX_N_VALUES:
         raise _UsageError(f"n range {text!r} holds {count} values; at most {MAX_N_VALUES} allowed")
-    if not values or any(not 1 <= v <= braids.MAX_TWIST for v in values):
+    if any(not 1 <= v <= braids.MAX_TWIST for v in values):
         raise _UsageError(f"n values must be from 1 to {braids.MAX_TWIST}, got {text!r}")
     return list(values)
 
@@ -170,136 +165,110 @@ def _positive_count(text: str) -> int:
     )
 
 
-def _flat_text(items, indent: str) -> str | None:
-    """JSON text of a non-empty list of plain ints only or plain strs only; None for any other."""
-    kinds = set(map(type, items))
-    if len(kinds) != 1:
-        return None
-    inner = indent + "  "
-    if str in kinds:
-        body = (",\n" + inner).join(map(encode_basestring_ascii, items))
-    elif int in kinds:
-        try:
-            body = (",\n" + inner).join(map(repr, items))
-        except ValueError:  # an int past the digit limit
-            body = (",\n" + inner).join(map(int_text, items))
-    else:
-        return None
-    return "[\n" + inner + body + "\n" + indent + "]"
-
-
-def _rows_text(rows, indent: str) -> str | None:
-    """JSON text of a list of non-empty flat rows of one length, all plain ints or all
-    plain strs (the [exponent, coefficient] pairs and [p, q] vertices); None for any other.
-
-    One row template, repeated and joined once, is formatted %-wise in one call.
+def _uniform_text(items, indent: str) -> str | None:
+    """JSON text of a non-empty list of plain ints only or plain strs only, or of
+    non-empty flat rows of one length, all plain ints or all plain strs (the
+    [exponent, coefficient] pairs and [p, q] vertices); None for any other.
+    A flat list is a row of width 0; the row template, repeated and joined
+    once, is formatted %-wise in one call.
     """
-    lengths = set(map(len, rows)) if set(map(type, rows)) <= {list, tuple} else ()
-    if len(lengths) != 1 or 0 in lengths:
-        return None
-    cells = tuple(chain.from_iterable(rows))
-    kinds = set(map(type, cells))
+    width, cells = 0, items
+    kinds = set(map(type, items))
+    if kinds <= {list, tuple}:
+        widths = set(map(len, items))
+        if len(widths) != 1 or 0 in widths:
+            return None
+        (width,) = widths
+        cells = tuple(chain.from_iterable(items))
+        kinds = set(map(type, cells))
     if kinds == {str}:
         cell, cells = "%s", tuple(map(encode_basestring_ascii, cells))
     elif kinds == {int}:
-        cell = "%d"
+        cell, cells = "%d", tuple(cells)
     else:
         return None
     inner, cell_indent = indent + "  ", indent + "    "
-    row = "[\n" + cell_indent + (",\n" + cell_indent).join([cell] * len(rows[0])) + "\n" + inner + "]"
+    row = ("[\n" + cell_indent + (",\n" + cell_indent).join([cell] * width) + "\n" + inner + "]"
+           if width else cell)
     try:
-        body = (",\n" + inner).join([row] * len(rows)) % cells
+        body = (",\n" + inner).join([row] * len(items)) % cells
     except ValueError:  # an int past the digit limit: written entry by entry
         return None
     return "[\n" + inner + body + "\n" + indent + "]"
 
 
-def _json_chunks(obj, indent: str = ""):
-    """Indent-2 JSON text of obj, chunk by chunk, as json.dumps(obj, indent=2) writes it.
+def _json_text(obj, indent: str = "") -> str:
+    """Indent-2 JSON text of obj, as json.dumps(obj, indent=2) writes it.
 
-    A list of plain ints only (the gaps and values that make up most of a
-    report) or of plain strs only (slopes, name groups and warnings) is one
-    chunk, formatted without a generator; so is a list of non-empty flat
-    rows of one length, all ints or all strs (the [exponent, coefficient]
-    pairs and the [p, q] vertex pairs), joined once (_rows_text).  Any other
-    container yields one chunk per entry.
-    restorability.Witnesses is written as a list of gap lists, one chunk per
-    witness, each the texts of its pieces' step runs joined
-    (Witnesses.gap_texts), so each run's gaps are formatted once and no gap
-    tuple or flat pattern is built; each pattern was checked when its
-    Witnesses was built from outside, or made by the walk.  Floats,
-    Fractions, sets and non-str keys raise TypeError.
+    Lists that _uniform_text takes (most of a report) are formatted in one
+    call; any other container is written entry by entry, and a Witnesses as
+    the list of gap lists that _witness_chunks writes.  Floats, Fractions,
+    sets and non-str keys raise TypeError.
 
-    >>> print("".join(_json_chunks({"gaps": (1, 2, 5), "ok": True, "name": None})))
-    {
-      "gaps": [
-        1,
-        2,
-        5
-      ],
-      "ok": true,
-      "name": null
-    }
+    >>> _json_text({"gaps": (1, 2), "name": None})
+    '{\\n  "gaps": [\\n    1,\\n    2\\n  ],\\n  "name": null\\n}'
     """
     if isinstance(obj, str):
-        yield encode_basestring_ascii(obj)
-    elif obj is None:
-        yield "null"
-    elif obj is True or obj is False:
-        yield "true" if obj else "false"
-    elif type(obj) is int:
-        yield int_text(obj)
-    elif isinstance(obj, (list, tuple)):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True or obj is False:
+        return "true" if obj else "false"
+    if type(obj) is int:
+        return int_text(obj)
+    inner = indent + "  "
+    if isinstance(obj, (list, tuple)):
         if not obj:
-            yield "[]"
-            return
-        text = _flat_text(obj, indent) or _rows_text(obj, indent)
-        if text is not None:
-            yield text
-            return
-        inner = indent + "  "
-        sep = "[\n" + inner
-        for item in obj:
-            yield sep
-            # A flat entry, such as an [exponent, coefficient] pair, needs no generator.
-            text = _flat_text(item, inner) if isinstance(item, (list, tuple)) else None
-            if text is None:
-                yield from _json_chunks(item, inner)
-            else:
-                yield text
-            sep = ",\n" + inner
-        yield "\n" + indent + "]"
-    elif isinstance(obj, dict):
+            return "[]"
+        text = _uniform_text(obj, indent)
+        if text is None:
+            entries = [_json_text(item, inner) for item in obj]
+            text = "[\n" + inner + (",\n" + inner).join(entries) + "\n" + indent + "]"
+        return text
+    if isinstance(obj, dict):
         if not obj:
-            yield "{}"
-            return
-        inner = indent + "  "
-        sep = "{\n" + inner
-        for key, value in obj.items():
-            if not isinstance(key, str):
-                raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
-            yield sep + encode_basestring_ascii(key) + ": "
-            yield from _json_chunks(value, inner)
-            sep = ",\n" + inner
-        yield "\n" + indent + "}"
-    elif isinstance(obj, restorability.Witnesses):
-        if not obj:
-            yield "[]"
-            return
-        inner = indent + "  "
-        opening, gap_sep, closing = "[\n" + inner + "  ", ",\n" + inner + "  ", "\n" + inner + "]"
-        sep = "[\n" + inner
-        for body in obj.gap_texts(gap_sep):
-            yield sep + (opening + body + closing if body else "[]")
-            sep = ",\n" + inner
-        yield "\n" + indent + "]"
-    else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+            return "{}"
+        # encode_basestring_ascii raises TypeError on a key that is not a str.
+        entries = [encode_basestring_ascii(key) + ": " + _json_text(value, inner)
+                   for key, value in obj.items()]
+        return "{\n" + inner + (",\n" + inner).join(entries) + "\n" + indent + "}"
+    if isinstance(obj, restorability.Witnesses):
+        return "".join(_witness_chunks(obj, indent))
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _witness_chunks(witnesses: restorability.Witnesses, indent: str):
+    """The JSON text of witnesses as a list of gap lists, one chunk per witness.
+
+    Each chunk joins the texts of its pieces' step runs (Witnesses.gap_texts),
+    each formatted once, and builds no gap tuple; each pattern was checked when
+    its Witnesses was built from outside, or made by the walk.
+    """
+    if not witnesses:
+        yield "[]"
+        return
+    inner = indent + "  "
+    opening, gap_sep, closing = "[\n" + inner + "  ", ",\n" + inner + "  ", "\n" + inner + "]"
+    sep = "[\n" + inner
+    for body in witnesses.gap_texts(gap_sep):
+        yield sep + (opening + body + closing if body else "[]")
+        sep = ",\n" + inner
+    yield "\n" + indent + "]"
 
 
 def _emit(data: dict) -> None:
-    sys.stdout.writelines(_json_chunks(data))
-    sys.stdout.write("\n")
+    """Write data as _json_text would, plus a newline: one write per top-level entry, and
+    one per witness for a top-level Witnesses, so no whole-report string is built."""
+    write = sys.stdout.write
+    sep = "{\n  "
+    for key, value in data.items():
+        write(sep + encode_basestring_ascii(key) + ": ")
+        if isinstance(value, restorability.Witnesses):
+            sys.stdout.writelines(_witness_chunks(value, "  "))
+        else:
+            write(_json_text(value, "  "))
+        sep = ",\n  "
+    write("\n}\n" if data else "{}\n")
 
 
 def _cmd_invariants(args: argparse.Namespace) -> int:

@@ -211,6 +211,18 @@ class TestParsing:
         assert scan_census(records)["records"] == 2
         assert len(warnings) == 1 and warnings[0].startswith("line 2: skipped")
 
+    def test_line_not_in_utf8_is_a_warning(self, tmp_path):
+        # A byte that is not UTF-8 used to abort the whole load with exit 2.
+        lines = [json.dumps({"name": name, "alexander": [[0, 1], [1, -1], [2, 1]]}).encode()
+                 for name in ("a", "\u03a5")]
+        path = tmp_path / "census.jsonl"
+        path.write_bytes(b"\n".join([lines[0], b'{"name": "b\xff", "alexander": [[0, 1]]}',
+                                      lines[1]]) + b"\n")
+        records, warnings = load_census(path)
+        assert [r.name for r in records] == ["a", "\u03a5"]
+        assert len(warnings) == 1 and warnings[0].startswith("line 2: skipped")
+        assert "can't decode byte 0xff" in warnings[0]
+
     def test_parse_line(self):
         record = parse_census_line('{"name": "T(2,3)", "alexander": [[0,1],[1,-1],[2,1]]}')
         assert record.name == "T(2,3)"

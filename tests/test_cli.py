@@ -1,5 +1,6 @@
 """CLI: reports, exit codes, schema round trips, deterministic SVG output."""
 
+import io
 import json
 import math
 import random
@@ -110,6 +111,13 @@ class TestExitCodes:
     def test_no_spec_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "invariants")
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["invariants", "restore", "plot"])
+    def test_n_without_family_is_usage_error(self, capsys, tmp_path, command):
+        out_args = ["--out", str(tmp_path / "x.svg")] if command == "plot" else []
+        code, out, err = run_cli(capsys, command, "--torus", "2,3", "--n", "5", *out_args)
+        assert code == 2 and out == "" and "--n goes only with --family" in err
+        assert not (tmp_path / "x.svg").exists()
 
     def test_non_lspace_polynomial(self, capsys):
         code, _, err = run_cli(capsys, "invariants", "--alexander", "[[0,1],[1,-2],[2,1]]")
@@ -451,6 +459,11 @@ class TestFamilyVerify:
         code, _, err = run_cli(capsys, "family", "verify", "--n", "0..2")
         assert code == 2
 
+    @pytest.mark.parametrize("text", ["3..1", "2..1"])
+    def test_backward_range_is_empty(self, capsys, text):
+        code, out, err = run_cli(capsys, "family", "verify", "--n", text)
+        assert code == 2 and out == "" and f"n range {text!r} is empty" in err
+
     @pytest.mark.parametrize("text", [f"1..{10**18}", "1..1001", ",".join(["1"] * 1001)],
                              ids=["range-10**18", "range-1001", "list-1001"])
     def test_oversized_range_is_usage_error(self, capsys, monkeypatch, text):
@@ -645,26 +658,42 @@ REPORTS = [
 ]
 
 
+class CountingStdout(io.StringIO):
+    """A stdout that keeps each text handed to write."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
 class TestJsonChunks:
-    """_json_chunks against json.dumps(indent=2), the encoder it replaced."""
+    """_json_text and _emit against json.dumps(indent=2), the encoder they replaced."""
 
     @pytest.mark.parametrize("argv", REPORTS, ids=" ".join)
     def test_reports_match_json_dumps(self, monkeypatch, capsys, argv):
         data = emitted(monkeypatch, *argv)
         # json.dumps reads restore witnesses (a lazy sequence) through default=list.
-        assert "".join(cli._json_chunks(data)) == json.dumps(data, indent=2, default=list)
+        expected = json.dumps(data, indent=2, default=list)
+        assert cli._json_text(data) == expected
+        monkeypatch.undo()
+        cli._emit(data)
+        assert capsys.readouterr().out == expected + "\n"
 
     def test_witnesses_are_written_as_gap_lists(self):
         patterns = [bytes([2, 0, 0, 2, 2, 0]), bytes([2, 0])]
         value = {"witnesses": Witnesses(patterns), "empty": Witnesses()}
-        assert "".join(cli._json_chunks(value)) == json.dumps(
+        assert cli._json_text(value) == json.dumps(
             {"witnesses": [[1, 2, 5], [1]], "empty": []}, indent=2)
 
     def test_nested_witnesses_match_json_dumps(self):
         patterns = [bytes([2, 0, 0, 2, 2, 0]), bytes([2, 0, 2, 0, 0, 2, 2, 0])]
         value = {"outer": [{"witnesses": Witnesses(patterns)}, 7]}
         gaps = [[1, 2, 5], [1, 2, 5, 7]]
-        assert "".join(cli._json_chunks(value)) == json.dumps(
+        assert cli._json_text(value) == json.dumps(
             {"outer": [{"witnesses": gaps}, 7]}, indent=2)
 
     @pytest.mark.parametrize("patterns, gaps", [
@@ -679,7 +708,7 @@ class TestJsonChunks:
         assert list(Witnesses(patterns)) == [tuple(x) for x in gaps]
         for value, expected in ((Witnesses(patterns), gaps),
                                 ([[Witnesses(patterns)]], [[gaps]])):
-            assert "".join(cli._json_chunks(value)) == json.dumps(expected, indent=2)
+            assert cli._json_text(value) == json.dumps(expected, indent=2)
 
     @pytest.mark.parametrize("pattern", [bytes([0, 2]), bytes([2, 0, 0]), bytes([2, 1]),
                                          bytes([0, 2, 2, 0]), bytes([2, 0, 2, 0, 0, 2])])
@@ -690,15 +719,23 @@ class TestJsonChunks:
 
     def test_witnesses_stream_one_chunk_each(self, monkeypatch):
         patterns = [bytes([2, 0, 0, 2, 2, 0]), bytes([2, 0, 2, 0]), bytes([2, 0])] * 4
-        assert len(list(cli._json_chunks(Witnesses(patterns)))) >= len(patterns)
+        chunks = list(cli._witness_chunks(Witnesses(patterns), ""))
+        assert len(chunks) >= len(patterns) and "".join(chunks) == cli._json_text(Witnesses(patterns))
+        # _emit writes a top-level Witnesses at least once per witness, never as one string.
         data = emitted(monkeypatch, "restore", "--family", "K1", "--n", "3", "--all")
-        assert len(list(cli._json_chunks(data))) >= len(data["witnesses"]) == 10_000
+        monkeypatch.undo()
+        stdout = CountingStdout()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        cli._emit(data)
+        assert len(stdout.writes) >= len(data["witnesses"]) == 10_000
+        assert max(map(len, stdout.writes)) < 1_000
+        assert stdout.getvalue() == json.dumps(data, indent=2, default=list) + "\n"
 
     @pytest.mark.parametrize("value", [10**4299, -(10**4300), 7**30000, [3**20000 + 1]],
                              ids=["4300-digits", "negative-4301", "25353-digits", "in-list"])
     def test_ints_past_the_digit_limit(self, value):
         # Exact counts can have tens of thousands of digits; repr stops at 4,300 by default.
-        text = "".join(cli._json_chunks(value))
+        text = cli._json_text(value)
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
         try:
@@ -712,7 +749,7 @@ class TestJsonChunks:
         [[1, 2], [], [[3]], {"k": [False, None, "s", 4]}],
     ])
     def test_edge_values_match_json_dumps(self, value):
-        assert "".join(cli._json_chunks(value)) == json.dumps(value, indent=2)
+        assert cli._json_text(value) == json.dumps(value, indent=2)
 
     @pytest.mark.parametrize("value", [
         [], [""], ["", ""], ['say "hi"', "back\\slash", "tab\tnew\nline"],
@@ -725,12 +762,30 @@ class TestJsonChunks:
             "str-then-int", "int-then-str", "str-then-literals", "nested", "flat-entries",
             "non-flat-entries"])
     def test_flat_lists_match_json_dumps(self, value):
-        assert "".join(cli._json_chunks(value)) == json.dumps(value, indent=2)
+        assert cli._json_text(value) == json.dumps(value, indent=2)
 
-    def test_string_list_is_one_chunk(self):
-        chunks = list(cli._json_chunks({"names": ["T(3,4)", "Υ"], "mixed": ["a", 1]}))
-        assert chunks[1] == '[\n    "T(3,4)",\n    "\\u03a5"\n  ]'
-        assert len(chunks) > 6  # the mixed list is written entry by entry
+    def test_string_list_is_one_chunk(self, monkeypatch):
+        # Flat lists and equal-length rows are each one _uniform_text call; no entry
+        # of theirs reaches _json_text.  Any other list is written entry by entry.
+        uniform, texts = [], []
+
+        def uniform_text(items, indent, real=cli._uniform_text):
+            uniform.append(real(items, indent))
+            return uniform[-1]
+
+        def json_text(obj, indent="", real=cli._json_text):
+            texts.append(obj)
+            return real(obj, indent)
+
+        monkeypatch.setattr(cli, "_uniform_text", uniform_text)
+        monkeypatch.setattr(cli, "_json_text", json_text)
+        value = {"names": ["T(3,4)", "Υ"], "gaps": [1, 2, 5], "rows": [[1, 2], [3, 4]],
+                 "mixed": ["a", 1]}
+        assert cli._json_text(value) == json.dumps(value, indent=2)
+        assert uniform == ['[\n    "T(3,4)",\n    "\\u03a5"\n  ]', "[\n    1,\n    2,\n    5\n  ]",
+                           "[\n    [\n      1,\n      2\n    ],\n    [\n      3,\n      4\n    ]\n  ]",
+                           None]
+        assert texts == [value, *value.values(), "a", 1]
 
     @pytest.mark.parametrize("value", [
         [[0, 1], [1, -1], [2, 1]], [["0", "-1/2"], ["2", "0"]], [[7]], {"rows": [[1, 2], [3, 4]]},
@@ -745,12 +800,12 @@ class TestJsonChunks:
             "tuples", "tuple-of-rows", "one-tuple-row", "escapes-and-non-ascii",
             "none", "deeper", "row-then-dict", "row-then-int"])
     def test_rows_match_json_dumps(self, value):
-        assert "".join(cli._json_chunks(value)) == json.dumps(value, indent=2)
+        assert cli._json_text(value) == json.dumps(value, indent=2)
 
     @pytest.mark.parametrize("value", [[[1, 10**4300], [2, 3]], [[-(7**6000)], [0]]],
                              ids=["4301-digits", "negative-5071-digits"])
     def test_row_int_past_the_digit_limit(self, value):
-        text = "".join(cli._json_chunks(value))
+        text = cli._json_text(value)
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
         try:
@@ -762,27 +817,39 @@ class TestJsonChunks:
                              ids=["float", "fraction"])
     def test_rows_of_non_json_values_raise_type_error(self, value):
         with pytest.raises(TypeError):
-            "".join(cli._json_chunks(value))
+            cli._json_text(value)
 
-    def test_emit_streams_per_entry(self, capsys):
-        cli._emit({"witnesses": [(1, 2, 5), (1, 3, 5)], "unique": False})
-        assert capsys.readouterr().out == json.dumps(
-            {"witnesses": [[1, 2, 5], [1, 3, 5]], "unique": False}, indent=2) + "\n"
-        # A list of equal-length flat rows is one chunk.
-        chunks = list(cli._json_chunks({"witnesses": [(1, 2, 5), (1, 3, 5)]}))
-        assert chunks[1] == json.dumps([[1, 2, 5], [1, 3, 5]], indent=2).replace("\n", "\n  ")
-        assert len(chunks) == 3
-        # Any other list still yields one chunk per entry.
-        chunks = list(cli._json_chunks({"witnesses": [(1, 2, 5), (1, 3)]}))
-        assert chunks[2] == "[\n      1,\n      2,\n      5\n    ]"
-        assert chunks[3:5] == [",\n    ", "[\n      1,\n      3\n    ]"]
+    def test_emit_streams_per_entry(self, monkeypatch):
+        # One write per top-level entry, each holding that entry's whole value.
+        stdout = CountingStdout()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        rows, ragged = [(1, 2, 5), (1, 3, 5)], [(1, 2, 5), (1, 3)]
+        cli._emit({"rows": rows, "ragged": ragged, "unique": False})
+        assert stdout.getvalue() == json.dumps(
+            {"rows": rows, "ragged": ragged, "unique": False}, indent=2) + "\n"
+        assert stdout.writes == [
+            '{\n  "rows": ', json.dumps(rows, indent=2).replace("\n", "\n  "),
+            ',\n  "ragged": ', json.dumps(ragged, indent=2).replace("\n", "\n  "),
+            ',\n  "unique": ', "false", "\n}\n",
+        ]
+
+    def test_emit_empty_report(self, capsys):
+        cli._emit({})
+        assert capsys.readouterr().out == "{}\n"
+
+    def test_non_str_top_level_key_exits_3(self, monkeypatch, capsys):
+        with pytest.raises(TypeError):
+            cli._emit({1: "int key"})
+        monkeypatch.setattr(cli, "knot_invariants", lambda delta, name=None: {("a",): 0})
+        code, _, err = run_cli(capsys, "invariants", "--torus", "2,3")
+        assert code == 3 and err.startswith("error: internal: TypeError: ")
 
     @pytest.mark.parametrize("value", [
         1.5, [Fraction(1, 2)], {"s": {1, 2}}, {1: "int key"}, {"deep": [{"x": 0.0}]},
     ], ids=["float", "fraction", "set", "int-key", "nested-float"])
     def test_non_json_values_raise_type_error(self, value):
         with pytest.raises(TypeError):
-            "".join(cli._json_chunks(value))
+            cli._json_text(value)
 
     def test_non_json_value_exits_3(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "knot_invariants", lambda delta, name=None: {"x": 0.5})
