@@ -32,7 +32,7 @@ from .invariants import (
     semigroup_of,
     upsilon_of,
 )
-from .laurent import IntLaurentPoly, TriLaurentPoly, determinant
+from .laurent import IntLaurentPoly, determinant
 from .piecewise import PLFunction, legendre_fenchel, lower_convex_envelope
 from .restorability import (
     RestorabilityReport,
@@ -57,7 +57,6 @@ __all__ = [
     "PLFunction",
     "RestorabilityReport",
     "SeifertForm",
-    "TriLaurentPoly",
     "alexander_closed_form",
     "alexander_via_burau",
     "alexander_via_torres",

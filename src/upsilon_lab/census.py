@@ -79,11 +79,12 @@ def load_census(path: str | os.PathLike[str]) -> tuple[list[CensusRecord], list[
 
     So does a line nested too deeply for json.loads, which raises RecursionError,
     and a line that is not valid UTF-8: its bytes are read as lone surrogates,
-    and decoding them again raises UnicodeDecodeError.
+    and decoding them again raises UnicodeDecodeError.  A leading UTF-8
+    byte-order mark is dropped.
     """
     records: list[CensusRecord] = []
     warnings: list[str] = []
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
                 continue

@@ -2,10 +2,11 @@
 
 Subcommands: invariants, restore, family, seifert, braid, census, plot.
 Every report is JSON on stdout with rationals as exact "p/q" strings.
-_emit writes it one top-level entry at a time, each as the text that
-_json_text builds, byte-identical to json.dumps(indent=2); it accepts only
-ints, strings, booleans and None.  Only restore witnesses stream, one write
-per witness (_witness_chunks).
+_emit builds the text of every top-level entry with _json_text, then writes
+them one at a time, byte-identical to json.dumps(indent=2); it accepts only
+ints, strings, booleans and None, and writes nothing for a report it cannot
+encode.  Only restore witnesses stream, one write per witness
+(_witness_chunks).
 
 Exit codes: 0 on success (and all in-scope assertions passing), 1 when an
 asserted verification fails, 2 on usage or input validation errors, 3 on an
@@ -258,15 +259,22 @@ def _witness_chunks(witnesses: restorability.Witnesses, indent: str):
 
 def _emit(data: dict) -> None:
     """Write data as _json_text would, plus a newline: one write per top-level entry, and
-    one per witness for a top-level Witnesses, so no whole-report string is built."""
+    one per witness for a top-level Witnesses, so no whole-report string is built.
+
+    Every entry's text, key included, is built before the first write, so a value
+    that cannot be encoded raises TypeError with nothing written.
+    """
+    entries = [(encode_basestring_ascii(key) + ": ",
+                value if isinstance(value, restorability.Witnesses) else _json_text(value, "  "))
+               for key, value in data.items()]
     write = sys.stdout.write
     sep = "{\n  "
-    for key, value in data.items():
-        write(sep + encode_basestring_ascii(key) + ": ")
-        if isinstance(value, restorability.Witnesses):
-            sys.stdout.writelines(_witness_chunks(value, "  "))
+    for head, value in entries:
+        write(sep + head)
+        if isinstance(value, str):
+            write(value)
         else:
-            write(_json_text(value, "  "))
+            sys.stdout.writelines(_witness_chunks(value, "  "))
         sep = ",\n  "
     write("\n}\n" if data else "{}\n")
 

@@ -1,15 +1,9 @@
-"""Exact integer Laurent polynomial arithmetic in one and three variables.
+"""Exact integer Laurent polynomial arithmetic in one variable.
 
-A univariate polynomial is stored sparsely as a mapping from integer
-exponents to nonzero integer coefficients, so t^-1 is as natural as t.
-Coefficients are Python ints (arbitrary precision).  Values are immutable
-after construction and every operation is pure, so instances are safe to
-share between threads.
-
-The trivariate variant exists only to carry the multivariable polynomial of
-a three-component link whose variables x, y, z are the meridians of the
-three components; the single operation it needs is monomial substitution
-x -> t^a, y -> t^b, z -> t^c.
+A polynomial is stored sparsely as a mapping from integer exponents to
+nonzero integer coefficients, so t^-1 is as natural as t.  Coefficients are
+Python ints (arbitrary precision).  Values are immutable after construction
+and every operation is pure, so instances are safe to share between threads.
 """
 
 from __future__ import annotations
@@ -291,66 +285,6 @@ class IntLaurentPoly:
     def is_symmetric(self) -> bool:
         """True iff p(t^-1) equals p up to units +-t^i."""
         return self.unit_equal(self.reversed())
-
-
-class TriLaurentPoly:
-    """An integer Laurent polynomial in three variables x, y, z.
-
-    Each monomial is a triple of int exponents and each coefficient an int:
-    another type raises TypeError, a monomial of another length ValueError.
-    """
-
-    __slots__ = ("_terms",)
-
-    def __init__(
-        self,
-        terms: Mapping[tuple[int, int, int], int] | Iterable[tuple[tuple[int, int, int], int]] = (),
-    ):
-        data: dict[tuple[int, int, int], int] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for mono, coeff in items:
-            key = tuple(mono)
-            if len(key) != 3:
-                raise ValueError(f"monomial {mono!r} does not have three exponents")
-            # Exactly int, as in IntLaurentPoly: a bool, float or str is refused.
-            for exp in key:
-                if type(exp) is not int:
-                    raise TypeError(f"exponent {exp!r} is not an int")
-            if type(coeff) is not int:
-                raise TypeError(f"coefficient {coeff!r} is not an int")
-            if coeff:
-                new = data.get(key, 0) + coeff
-                if new:
-                    data[key] = new
-                elif key in data:
-                    del data[key]
-        self._terms = data
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, TriLaurentPoly):
-            return self._terms == other._terms
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(sorted(self._terms.items())))
-
-    def __repr__(self) -> str:
-        return f"TriLaurentPoly({len(self._terms)} terms)"
-
-    def substitute(self, e_x: int, e_y: int, e_z: int) -> IntLaurentPoly:
-        """Substitute x -> t^e_x, y -> t^e_y, z -> t^e_z and collect."""
-        out: dict[int, int] = {}
-        for (i, j, k), coeff in self._terms.items():
-            e = i * e_x + j * e_y + k * e_z
-            new = out.get(e, 0) + coeff
-            if new:
-                out[e] = new
-            elif e in out:
-                del out[e]
-        return IntLaurentPoly(out)
 
 
 def determinant(rows: list[list[IntLaurentPoly]]) -> IntLaurentPoly:

@@ -223,6 +223,16 @@ class TestParsing:
         assert len(warnings) == 1 and warnings[0].startswith("line 2: skipped")
         assert "can't decode byte 0xff" in warnings[0]
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        # Read as text, the BOM would make json.loads skip the first record.
+        lines = [json.dumps({"name": name, "alexander": [[0, 1], [1, -1], [2, 1]]})
+                 for name in ("a", "b")]
+        path = tmp_path / "census.jsonl"
+        path.write_bytes(b"\xef\xbb\xbf" + "\n".join(lines).encode() + b"\n")
+        records, warnings = load_census(path)
+        assert [r.name for r in records] == ["a", "b"]
+        assert warnings == []
+
     def test_parse_line(self):
         record = parse_census_line('{"name": "T(2,3)", "alexander": [[0,1],[1,-1],[2,1]]}')
         assert record.name == "T(2,3)"

@@ -856,6 +856,15 @@ class TestJsonChunks:
         code, _, err = run_cli(capsys, "invariants", "--torus", "2,3")
         assert code == 3 and err.startswith("error: internal: TypeError: ")
 
+    @pytest.mark.parametrize("report", [{"genus": 1, "x": 0.5}, {"genus": 1, 2: "int key"}],
+                             ids=["float-value", "int-key"])
+    def test_unencodable_report_writes_nothing(self, monkeypatch, capsys, report):
+        # The good entry before the bad one must not reach stdout either.
+        monkeypatch.setattr(cli, "knot_invariants", lambda delta, name=None: report)
+        code, out, err = run_cli(capsys, "invariants", "--torus", "2,3")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: internal: TypeError: ")
+
 
 class TestConsoleEntry:
     def test_module_invocation(self):

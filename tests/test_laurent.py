@@ -5,7 +5,8 @@ import random
 import pytest
 
 from upsilon_lab.errors import NonExactDivision
-from upsilon_lab.laurent import IntLaurentPoly, TriLaurentPoly, determinant
+from upsilon_lab.family import TRI_ALEXANDER_K1
+from upsilon_lab.laurent import IntLaurentPoly, determinant
 
 P = IntLaurentPoly.from_pairs
 
@@ -44,16 +45,7 @@ K2_N1 = P(
 
 PRETZEL = P([[0, 1], [1, -1], [3, 1], [4, -1], [5, 1], [6, -1], [7, 1], [9, -1], [10, 1]])
 
-# Multivariable polynomial of the first surgery link, (x, y, z) exponent triples.
-TRI_K1 = TriLaurentPoly(
-    {
-        (6, 3, 2): 1, (5, 2, 1): 1, (3, 3, 2): -1, (3, 2, 2): 1, (3, 2, 1): -1,
-        (2, 2, 2): -1, (4, 1, 0): 1, (3, 1, 1): 1, (3, 1, 0): -1, (3, 0, 0): 1,
-        (1, 1, 1): -1, (0, 0, 0): -1,
-    }
-)
-
-# TRI_K1 at x -> t, y -> t^4, z -> t^6, substituted term by term.
+# TRI_ALEXANDER_K1 at x -> t, y -> t^4, z -> t^6, substituted term by term.
 TRI_K1_SUB_N1 = P(
     [[0, -1], [3, 1], [7, -1], [8, 1], [11, -1], [13, 1], [17, -1], [19, 1],
      [22, -1], [23, 1], [27, -1], [30, 1]]
@@ -190,48 +182,20 @@ class TestExactDiv:
 
 
 class TestSubstitute:
+    # The Torres route substitutes through the pairs constructor, which
+    # collects repeated exponents and drops the ones that cancel.
     def test_single_monomial(self):
-        p = TriLaurentPoly({(1, 1, 1): 1})
-        assert p.substitute(1, 2, 3) == poly({6: 1})
+        assert IntLaurentPoly([(6, 1), (6, 2), (2, 0), (6, -2)]) == poly({6: 1})
 
     def test_link_polynomial_at_n1(self):
-        assert TRI_K1.substitute(1, 4, 6) == TRI_K1_SUB_N1
-        assert len(TRI_K1.substitute(1, 4, 6)) == 12
+        collapsed = IntLaurentPoly((i + 4 * j + 6 * k, c) for (i, j, k), c in TRI_ALEXANDER_K1)
+        assert collapsed == TRI_K1_SUB_N1
+        assert len(collapsed) == 12
 
     def test_all_zero_exponents_total_coefficients(self):
-        assert TRI_K1.substitute(0, 0, 0) == IntLaurentPoly.zero()
-        p = TriLaurentPoly({(1, 0, 0): 2, (0, 5, 2): 3})
-        assert p.substitute(0, 0, 0) == poly({0: 5})
-
-
-class TestTriLaurentValidation:
-    def test_silent_conversion_example_is_refused(self):
-        # int() used to read this as 1 + 2*t + t^2 after substitute(1, 0, 0).
-        with pytest.raises(TypeError):
-            TriLaurentPoly({(1.7, 0, 0): 2.9, ("2", 0, 0): True, (0, 0, 0, 5): 1})
-
-    @pytest.mark.parametrize("mono, coeff, match", [
-        ((1.0, 0, 0), 1, "exponent 1.0 is not an int"),
-        ((0, "2", 0), 1, "exponent '2' is not an int"),
-        ((0, 0, True), 1, "exponent True is not an int"),
-        ((0, 0, 0), 2.0, "coefficient 2.0 is not an int"),
-        ((0, 0, 0), True, "coefficient True is not an int"),
-        ((0, 0, 0), "1", "coefficient '1' is not an int"),
-    ], ids=["float-exponent", "str-exponent", "bool-exponent", "float-coefficient",
-            "bool-coefficient", "str-coefficient"])
-    def test_non_int_entries_rejected(self, mono, coeff, match):
-        with pytest.raises(TypeError, match=match):
-            TriLaurentPoly({mono: coeff})
-
-    @pytest.mark.parametrize("mono", [(0, 0, 0, 5), (1, 2), ()])
-    def test_monomial_of_wrong_length_rejected(self, mono):
-        with pytest.raises(ValueError, match="three exponents"):
-            TriLaurentPoly([(mono, 1)])
-
-    def test_pairs_and_mapping_agree(self):
-        terms = {(1, 0, 0): 2, (0, -1, 2): -3}
-        assert TriLaurentPoly(terms.items()) == TriLaurentPoly(terms)
-        assert TriLaurentPoly([([1, 0, 0], 2)]) == TriLaurentPoly({(1, 0, 0): 2})
+        assert IntLaurentPoly([(0, 2), (0, 3)]) == poly({0: 5})
+        assert IntLaurentPoly([(0, 2), (0, -2)]).is_zero
+        assert IntLaurentPoly([(0, 2), (0, -2), (0, 4)]) == poly({0: 4})
 
 
 class TestNormalize:
