@@ -29,7 +29,6 @@ from .invariants import (
     hull_of,
     hull_vertices,
     knot_invariants,
-    semigroup_of,
     upsilon_of,
 )
 from .laurent import IntLaurentPoly, determinant
@@ -80,7 +79,6 @@ __all__ = [
     "normalize",
     "designed_family_alexander",
     "semigroup_closed_form",
-    "semigroup_of",
     "torus_braid",
     "torus_semigroup",
     "upsilon_of",

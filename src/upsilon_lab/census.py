@@ -58,12 +58,14 @@ class CensusRecord(Record):
 def parse_census_line(line: str) -> CensusRecord:
     """One JSON line to a record: from_pairs, the lspace_runs gate, then the hull sweep.
 
-    Raises a TypeError for a non-int entry, then an UpsilonLabError for a
-    shape other than the L-space shape or a NotLSpaceForm for deg != 2g,
-    both naming the record.
+    Raises a TypeError for a name that is not a string or a non-int entry,
+    then an UpsilonLabError for a shape other than the L-space shape or a
+    NotLSpaceForm for deg != 2g, both naming the record.
     """
     data = json.loads(line)
-    name = str(data["name"])
+    name = data["name"]
+    if not isinstance(name, str):
+        raise TypeError(f"record name must be a string, got {type(name).__name__}")
     delta = IntLaurentPoly.from_pairs(data["alexander"])
     try:
         runs = lspace_runs(delta)

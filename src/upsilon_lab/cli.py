@@ -89,12 +89,7 @@ def _resolve_knot_spec(args: argparse.Namespace) -> tuple[str | None, IntLaurent
         delta = family.alexander_closed_form(family.FamilyKnot(args.family, args.n))
         name = f"{args.family}({args.n})"
     elif kind == "braid":
-        try:
-            spec = json.loads(args.braid)
-            word = _user_braid(spec["strands"], spec["word"])
-        except (ValueError, TypeError, KeyError, RecursionError) as exc:
-            raise _UsageError(f"bad --braid value: {exc}") from exc
-        delta = word.alexander_of_closure()
+        delta = _json_braid(args.braid, "--braid").alexander_of_closure()
         name = None
     elif kind == "catalog":
         delta = family.catalog_knot(args.catalog).alexander
@@ -106,7 +101,7 @@ def _resolve_knot_spec(args: argparse.Namespace) -> tuple[str | None, IntLaurent
         raise _UsageError(
             f"polynomial {delta} is not in L-space form; the pipeline does not apply"
         )
-    genus = delta.degree // 2
+    genus = delta.max_exp // 2
     if genus > MAX_GENUS:
         raise GenusTooLarge(f"the polynomial has genus {genus}, above the limit of {MAX_GENUS}")
     return name, delta
@@ -122,6 +117,15 @@ def _user_braid(strands, letters) -> braids.BraidWord:
             f"the braid word has {len(letters)} letters, above the limit of {braids.MAX_LETTERS}"
         )
     return braids.BraidWord(strands, letters)
+
+
+def _json_braid(text: str, flag: str) -> braids.BraidWord:
+    """The _user_braid of a '{"strands": S, "word": [...]}' value given to flag."""
+    try:
+        spec = json.loads(text)
+        return _user_braid(spec["strands"], spec["word"])
+    except (ValueError, TypeError, KeyError, RecursionError) as exc:
+        raise _UsageError(f"bad {flag} value: {exc}") from exc
 
 
 # Each twist value is a full verification, so a range holds at most this many.
@@ -351,11 +355,7 @@ def _cmd_braid(args: argparse.Namespace) -> int:
     if args.named is not None:
         word = braids.named_braid(args.named, args.n)
     elif args.json is not None:
-        try:
-            spec = json.loads(args.json)
-            word = _user_braid(spec["strands"], spec["word"])
-        except (ValueError, TypeError, KeyError, RecursionError) as exc:
-            raise _UsageError(f"bad --json value: {exc}") from exc
+        word = _json_braid(args.json, "--json")
     elif args.strands is None or args.word is None:
         raise _UsageError("--strands and --word go together")
     else:

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from . import braids
 from .errors import UnknownName
-from .invariants import hull_of, semigroup_of, upsilon_of
+from .invariants import hull_of, upsilon_of
 from .laurent import IntLaurentPoly
 from .piecewise import PLFunction, legendre_fenchel
 from .records import Record
@@ -328,10 +328,6 @@ class CatalogEntry(Record):
         object.__setattr__(self, "upsilon", upsilon)
 
 
-def _poly(pairs) -> IntLaurentPoly:
-    return IntLaurentPoly.from_pairs(pairs)
-
-
 _CATALOG: dict[str, CatalogEntry] = {}
 
 
@@ -342,7 +338,7 @@ def _register(entry: CatalogEntry) -> None:
 _register(
     CatalogEntry(
         name="pretzel_237",
-        alexander=_poly(
+        alexander=IntLaurentPoly.from_pairs(
             [[0, 1], [1, -1], [3, 1], [4, -1], [5, 1], [6, -1], [7, 1], [9, -1], [10, 1]]
         ),
         gaps=(1, 2, 4, 6, 9),
@@ -356,7 +352,7 @@ _register(
 _register(
     CatalogEntry(
         name="T(3,4)",
-        alexander=_poly([[0, 1], [1, -1], [3, 1], [5, -1], [6, 1]]),
+        alexander=IntLaurentPoly.from_pairs([[0, 1], [1, -1], [3, 1], [5, -1], [6, 1]]),
         braid=braids.torus_braid(3, 4),
         gaps=(1, 2, 5),
         upsilon=PLFunction(
@@ -368,7 +364,9 @@ _register(
 _register(
     CatalogEntry(
         name="T(3,5)",
-        alexander=_poly([[0, 1], [1, -1], [3, 1], [4, -1], [5, 1], [7, -1], [8, 1]]),
+        alexander=IntLaurentPoly.from_pairs(
+            [[0, 1], [1, -1], [3, 1], [4, -1], [5, 1], [7, -1], [8, 1]]
+        ),
         braid=braids.torus_braid(3, 5),
         gaps=(1, 2, 4, 7),
         upsilon=PLFunction(
@@ -381,7 +379,7 @@ _register(
 _register(
     CatalogEntry(
         name="t09847",
-        alexander=_poly(
+        alexander=IntLaurentPoly.from_pairs(
             [[0, 1], [1, -1], [4, 1], [5, -1], [7, 1], [9, -1], [10, 1], [13, -1], [14, 1]]
         ),
         braid=braids.named_braid("t09847"),
@@ -392,7 +390,7 @@ _register(
 _register(
     CatalogEntry(
         name="v2871",
-        alexander=_poly(
+        alexander=IntLaurentPoly.from_pairs(
             [[0, 1], [1, -1], [4, 1], [5, -1], [7, 1], [8, -1], [9, 1],
              [11, -1], [12, 1], [15, -1], [16, 1]]
         ),
@@ -406,7 +404,9 @@ _register(
 _register(
     CatalogEntry(
         name="cable_alt_237",
-        alexander=_poly([[0, 1], [1, -1], [3, 1], [5, -1], [7, 1], [9, -1], [10, 1]]),
+        alexander=IntLaurentPoly.from_pairs(
+            [[0, 1], [1, -1], [3, 1], [5, -1], [7, 1], [9, -1], [10, 1]]
+        ),
         gaps=(1, 2, 5, 6, 9),
         upsilon=PLFunction(
             [(0, 0), (Fraction(2, 3), Fraction(-10, 3)), (1, -4),
@@ -439,7 +439,7 @@ def check_catalog_entry(entry: CatalogEntry) -> None:
     dominate the cost; the tests close every stored word.
     """
     if entry.gaps is not None:
-        gaps = semigroup_of(entry.alexander).gaps
+        gaps = FormalSemigroup.from_alexander(entry.alexander).gaps
         if gaps != entry.gaps:
             raise AssertionError(f"{entry.name}: stored gaps {entry.gaps} != {gaps}")
     if entry.upsilon is not None and upsilon_of(entry.alexander) != entry.upsilon:

@@ -17,12 +17,14 @@ semigroups.lspace_runs gives it, with _corners and the same sweep.  hull_of
 and upsilon_of build the PLFunctions.  The formal semigroup and the
 2g + 1 gap-function samples are built only for the report fields that print
 them (knot_invariants) and for plot's gap-function panel; the dense route
-GapFunction.envelope stays as the tests' oracle.  Each stage trusts the one
-before it: the corners reach the sweep with no number or order check
-(lower_convex_envelope's trusted=True), FormalSemigroup.from_gap_runs and
-GapFunction.from_semigroup wrap what they build unchecked, and only the
-public constructors check their input.  All rationals in the report are
-exact "p/q" strings.
+GapFunction.envelope stays as the tests' oracle.  The report's symmetric
+flag is GapFunction.is_symmetric on the gap function it prints, and its
+upsilon_slopes are the x strings of the hull's JSON vertices.  Each stage
+trusts the one before it: the corners reach the sweep with no number or
+order check (lower_convex_envelope's trusted=True),
+FormalSemigroup.from_gap_runs and GapFunction.from_semigroup wrap what they
+build unchecked, and only the public constructors check their input.  All
+rationals in the report are exact "p/q" strings.
 """
 
 from __future__ import annotations
@@ -30,16 +32,11 @@ from __future__ import annotations
 from .gapfunctions import GapFunction
 from .laurent import IntLaurentPoly
 from .piecewise import PLFunction, _lower_hull, legendre_fenchel, lower_convex_envelope
-from .rationals import format_rational
 from .semigroups import FormalSemigroup, gap_runs
 
 
-def semigroup_of(delta: IntLaurentPoly) -> FormalSemigroup:
-    return FormalSemigroup.from_alexander(delta)
-
-
 def gap_function_of(delta: IntLaurentPoly) -> GapFunction:
-    return GapFunction.from_semigroup(semigroup_of(delta))
+    return GapFunction.from_semigroup(FormalSemigroup.from_alexander(delta))
 
 
 def _corners(runs: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -82,13 +79,14 @@ def knot_invariants(delta: IntLaurentPoly, name: str | None = None) -> dict:
     """Everything the pipeline knows about one polynomial, JSON-ready.
 
     The gap runs are derived once and feed both the semigroup and the hull.
-    Upsilon's vertex strings are formatted once and shared with upsilon_breakpoints.
+    Each JSON form is built once: upsilon_breakpoints and upsilon_slopes reuse its strings.
     """
     runs = gap_runs(delta)
     semigroup = FormalSemigroup.from_gap_runs(runs)
+    gap_function = GapFunction.from_semigroup(semigroup)
     hull = lower_convex_envelope(_corners(runs), 0, 2, trusted=True)
-    upsilon = legendre_fenchel(hull)
-    upsilon_json = upsilon.to_json()
+    hull_json = hull.to_json()
+    upsilon_json = legendre_fenchel(hull).to_json()
     closed, witness = semigroup.is_closed_under_addition()
     report = {
         "name": name,
@@ -96,15 +94,15 @@ def knot_invariants(delta: IntLaurentPoly, name: str | None = None) -> dict:
         "genus": semigroup.genus,
         "surgery_threshold": semigroup.surgery_threshold,
         "semigroup": semigroup.to_json(),
-        "gap_function": GapFunction.from_semigroup(semigroup).to_json(),
-        "hull": hull.to_json(),
+        "gap_function": gap_function.to_json(),
+        "hull": hull_json,
         "upsilon": upsilon_json,
         "upsilon_breakpoints": upsilon_json["vertices"],
         # Upsilon's slopes are the hull's vertex x-coordinates (the transform swaps roles).
-        "upsilon_slopes": [format_rational(x) for x, _ in hull.vertices],
+        "upsilon_slopes": [x for x, _ in hull_json["vertices"]],
         "semigroup_closed": closed,
         "closure_witness": list(witness) if witness else None,
-        "symmetric": delta.is_symmetric(),
+        "symmetric": gap_function.is_symmetric(),
     }
     if name is None:
         del report["name"]

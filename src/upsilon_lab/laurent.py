@@ -107,11 +107,6 @@ class IntLaurentPoly:
             raise ValueError("zero polynomial has no maximum exponent")
         return max(self._terms)
 
-    @property
-    def degree(self) -> int:
-        """Top exponent; alias for max_exp."""
-        return self.max_exp
-
     def coeff(self, exp: int) -> int:
         return self._terms.get(exp, 0)
 

@@ -80,12 +80,7 @@ class _Panel:
 
 
 def _clipped_points(f: PLFunction, x_lo: int, x_hi: int) -> list:
-    pts = [(x, y) for x, y in f.vertices if x_lo <= x <= x_hi]
-    if not pts or pts[0][0] > x_lo:
-        pts.insert(0, (x_lo, f(x_lo)))
-    if pts[-1][0] < x_hi:
-        pts.append((x_hi, f(x_hi)))
-    return pts
+    return [(x_lo, f(x_lo)), *f.vertices, (x_hi, f(x_hi))]
 
 
 def build_svg(
@@ -97,12 +92,10 @@ def build_svg(
     panels: list[_Panel] = []
     offset = 0
     if gapfn is not None or hull is not None:
-        g = 0
-        if gapfn is not None:
-            g = max(g, gapfn.genus)
+        g = gapfn.genus if gapfn is not None else 0
         if hull is not None:
             g = max(g, max((math.floor(abs(x)) for x, _ in hull.vertices), default=0))
-        span = max(g + 1, 2)
+        span = max(g + 1, 2)  # both panel ends lie strictly outside every vertex
         panel = _Panel(-span, span, -1, 2 * g + 2, _UNIT, offset)
         panel.axes_and_ticks()
         if gapfn is not None:

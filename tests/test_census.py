@@ -233,6 +233,20 @@ class TestParsing:
         assert [r.name for r in records] == ["a", "b"]
         assert warnings == []
 
+    @pytest.mark.parametrize("name", [None, {"a": [1]}, 7, ["x"], True])
+    def test_name_that_is_not_a_string_is_a_warning(self, tmp_path, name):
+        # str() used to list these as "None", "{'a': [1]}", "7", "['x']" and "True".
+        lines = [json.dumps({"name": n, "alexander": [[0, 1], [1, -1], [2, 1]]})
+                 for n in ("a", name, "b")]
+        path = tmp_path / "census.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        records, warnings = load_census(path)
+        assert [r.name for r in records] == ["a", "b"]
+        assert len(warnings) == 1 and warnings[0].startswith("line 2: skipped")
+        assert "record name must be a string" in warnings[0]
+        with pytest.raises(TypeError, match="must be a string"):
+            parse_census_line(lines[1])
+
     def test_parse_line(self):
         record = parse_census_line('{"name": "T(2,3)", "alexander": [[0,1],[1,-1],[2,1]]}')
         assert record.name == "T(2,3)"
@@ -264,7 +278,9 @@ def is_lspace_form(delta: IntLaurentPoly) -> bool:
 def three_step_parse(line: str) -> CensusRecord:
     """The route the one-pass parse must agree with: from_pairs, is_lspace_form, CensusRecord."""
     data = json.loads(line)
-    name = str(data["name"])
+    name = data["name"]
+    if not isinstance(name, str):
+        raise TypeError(f"record name must be a string, got {type(name).__name__}")
     delta = IntLaurentPoly.from_pairs(data["alexander"])
     if not is_lspace_form(delta):
         raise UpsilonLabError(f"record {name!r}: polynomial is not in L-space form")
@@ -387,7 +403,7 @@ class TestOnePassOracle:
         monkeypatch.setattr("upsilon_lab.census.parse_census_line", three_step_parse)
         old_records, old_warnings = load_census(path)
         assert warnings == old_warnings
-        assert (len(records), len(warnings)) == (7, 41)
+        assert (len(records), len(warnings)) == (6, 42)
         assert [(r.name, r.delta, r.hull) for r in records] == [
             (r.name, r.delta, r.hull) for r in old_records
         ]

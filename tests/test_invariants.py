@@ -200,3 +200,22 @@ def test_upsilon_fields_on_every_gap_sequence_up_to_genus_8():
 @pytest.mark.parametrize("p,q", TORUS_LADDER + ((26, 41),))
 def test_upsilon_fields_on_the_torus_ladder(p, q):
     assert_upsilon_fields(torus_semigroup(p, q).to_alexander())
+
+
+# -- the report's symmetric flag, against IntLaurentPoly.is_symmetric ---------------------
+
+
+def test_symmetric_flag_on_every_gap_sequence_up_to_genus_8():
+    flags = []
+    for g in range(9):
+        for gaps in all_gap_sequences(g):
+            delta = FormalSemigroup(gaps).to_alexander()
+            flags.append(knot_invariants(delta)["symmetric"])
+            assert flags[-1] == delta.is_symmetric(), gaps
+    assert len(flags) == 4708 and 0 < sum(flags) < len(flags)
+
+
+@pytest.mark.parametrize("p,q", TORUS_LADDER + ((26, 41),))
+def test_symmetric_flag_on_the_torus_ladder(p, q):
+    delta = torus_semigroup(p, q).to_alexander()
+    assert knot_invariants(delta)["symmetric"] is delta.is_symmetric() is True
