@@ -72,6 +72,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             BraidWord(1, [])
 
+    def test_family_member_name(self):
+        with pytest.raises(UnknownName, match="^family member must be K1 or K2, got 'K3'$"):
+            family_braid("K3", 1)
+
+    @pytest.mark.parametrize("p, q", [(1, 3), (3, 0)])
+    def test_torus_parameters(self, p, q):
+        with pytest.raises(ValueError, match="^need p >= 2 and q >= 1$"):
+            torus_braid(p, q)
+
     @pytest.mark.parametrize(
         "strands, letters",
         [(4.9, [2, 1, 3, 2, 1]), (4.0, [1, 2, 3]), (4, [2.9, 1.2, 3.5, 2.1, 1]),

@@ -119,6 +119,16 @@ class TestExitCodes:
         assert code == 2 and out == "" and "--n goes only with --family" in err
         assert not (tmp_path / "x.svg").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["invariants", "--torus", "3"], "error: bad --torus value '3', expected P,Q\n"),
+        (["invariants", "--family", "K1"], "error: --family needs --n\n"),
+        (["family", "verify", "--n", "x"],
+         "error: bad n range 'x': use N, A..B, or a comma list\n"),
+        (["braid", "--strands", "3", "--word", "1,a"], "error: bad --word value '1,a'\n"),
+    ], ids=["torus", "family-without-n", "family-verify-n", "braid-word"])
+    def test_bad_value_refusal_text(self, capsys, argv, message):
+        assert run_cli(capsys, *argv) == (2, "", message)
+
     def test_non_lspace_polynomial(self, capsys):
         code, _, err = run_cli(capsys, "invariants", "--alexander", "[[0,1],[1,-2],[2,1]]")
         assert code == 2 and "L-space form" in err

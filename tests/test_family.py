@@ -1,14 +1,18 @@
 """Twist family: three polynomial derivations, semigroups, hulls, catalog."""
 
+import re
 from fractions import Fraction as F
 
 import pytest
 
+from upsilon_lab import family
 from upsilon_lab.braids import MAX_TWIST
 from upsilon_lab.errors import UnknownName
 from upsilon_lab.family import (
     TRI_ALEXANDER_K1,
     TRI_ALEXANDER_K2,
+    CatalogEntry,
+    CheckResult,
     FamilyKnot,
     alexander_closed_form,
     alexander_via_burau,
@@ -23,6 +27,7 @@ from upsilon_lab.family import (
 from upsilon_lab.gapfunctions import GapFunction
 from upsilon_lab.invariants import upsilon_of
 from upsilon_lab.laurent import IntLaurentPoly
+from upsilon_lab.piecewise import PLFunction
 from upsilon_lab.semigroups import FormalSemigroup, lspace_runs
 
 from test_laurent import K1_N1, K2_N1
@@ -205,6 +210,90 @@ class TestVerifyFamilyPair:
         assert set(data["checks"]) >= {"alexander_distinct", "upsilon_equal"}
 
 
+K1_N1_GAPS = (1, 2, 3, 5, 6, 8, 9, 12, 13, 16, 19, 23)
+
+
+class TestVerifyFamilyPairWording:
+    """Every key, in order, and every pass and failure wording of verify_family_pair.
+
+    Each failure is forced by patching one name that family looks up when it runs.
+    """
+
+    def test_every_pass_detail_at_n1(self):
+        assert verify_family_pair(1).checks == {
+            "alexander_distinct": CheckResult(True, "first differing coefficient at exponent 11"),
+            "semigroup_K1": CheckResult(True, "12 gaps match"),
+            "semigroup_K2": CheckResult(True, "12 gaps match"),
+            "envelope_K1": CheckResult(True, "envelope equals closed-form hull"),
+            "envelope_K2": CheckResult(True, "envelope equals closed-form hull"),
+            "upsilon_equal": CheckResult(True, "equal, nonzero; initial slope -12"),
+            "torres_K1": CheckResult(True, "Torres route matches closed form"),
+            "torres_K2": CheckResult(True, "Torres route matches closed form"),
+            "burau_K1": CheckResult(True, "Burau route matches closed form"),
+            "burau_K2": CheckResult(True, "Burau route matches closed form"),
+            "not_semigroup_K1": CheckResult(True, "witness 4 + 4 = 8 escapes"),
+            "not_semigroup_K2": CheckResult(True, "witness 4 + 4 = 8 escapes"),
+        }
+
+    def test_key_order_past_the_burau_bound(self):
+        assert list(verify_family_pair(3).checks) == [
+            "alexander_distinct", "semigroup_K1", "semigroup_K2", "envelope_K1", "envelope_K2",
+            "upsilon_equal", "torres_K1", "torres_K2", "not_semigroup_K1", "not_semigroup_K2",
+        ]
+
+    def failed(self, key: str, n: int = 1) -> CheckResult:
+        result = verify_family_pair(n)
+        assert not result.ok
+        return result.checks[key]
+
+    def test_closed_forms_coincide(self, monkeypatch):
+        # Equal polynomials have no first differing exponent: only the failure is worded.
+        real = family.alexander_closed_form
+        monkeypatch.setattr(family, "alexander_closed_form",
+                            lambda knot: real(FamilyKnot("K1", knot.n)))
+        assert self.failed("alexander_distinct") == CheckResult(False, "closed forms coincide")
+
+    @pytest.mark.parametrize("gaps, detail", [
+        (K1_N1_GAPS[:-2] + (20, 23), "first gap mismatch: 19"),
+        (K1_N1_GAPS + (25,), "first gap mismatch: gap counts 12 vs 13"),
+    ], ids=["differing-gap", "gap-counts"])
+    def test_semigroup_mismatch(self, monkeypatch, gaps, detail):
+        real = family.semigroup_closed_form
+        monkeypatch.setattr(family, "semigroup_closed_form",
+                            lambda knot: FormalSemigroup(gaps) if knot.which == "K1" else real(knot))
+        assert self.failed("semigroup_K1") == CheckResult(False, detail)
+
+    def test_envelope_mismatch(self, monkeypatch):
+        real = family.hull_closed_form
+        monkeypatch.setattr(family, "hull_closed_form", lambda n: real(n + 1))
+        assert self.failed("envelope_K2") == CheckResult(
+            False,
+            "envelope vertices ((-12, 0), (-8, 2), (-2, 6), (2, 10), (8, 18), (12, 24))"
+            " != ((-18, 0), (-10, 4), (-4, 8), (4, 16), (10, 24), (18, 36))",
+        )
+
+    def test_upsilon_invariants_differ(self, monkeypatch):
+        real = family.hull_of
+        monkeypatch.setattr(family, "hull_of",
+                            lambda delta: real(delta) if delta == K1_N1 else hull_closed_form(2))
+        assert self.failed("upsilon_equal") == CheckResult(False, "Upsilon invariants differ")
+
+    def test_upsilon_identically_zero(self, monkeypatch):
+        monkeypatch.setattr(family, "legendre_fenchel", lambda env: PLFunction([(0, 0), (2, 0)]))
+        assert self.failed("upsilon_equal") == CheckResult(False, "Upsilon is identically zero")
+
+    @pytest.mark.parametrize("route, name", [("torres", "Torres"), ("burau", "Burau")])
+    def test_derivation_route_mismatch(self, monkeypatch, route, name):
+        trefoil = IntLaurentPoly.from_pairs([[0, 1], [1, -1], [2, 1]])
+        monkeypatch.setattr(family, f"alexander_via_{route}", lambda knot: trefoil)
+        assert self.failed(f"{route}_K2") == CheckResult(False, f"{name} gave 1 - t + t^2")
+
+    def test_semigroup_is_closed(self, monkeypatch):
+        monkeypatch.setattr(family.FormalSemigroup, "is_closed_under_addition",
+                            lambda self: (True, None))
+        assert self.failed("not_semigroup_K1") == CheckResult(False, "semigroup is closed")
+
+
 class TestCatalog:
     def test_names(self):
         assert set(catalog_names()) == {
@@ -236,6 +325,19 @@ class TestCatalog:
             check_catalog_entry(entry)
             if entry.braid is not None:
                 assert entry.braid.alexander_of_closure() == entry.alexander, name
+
+    def test_stored_gaps_must_match(self):
+        entry = catalog_knot("T(3,4)")
+        with pytest.raises(AssertionError,
+                           match=re.escape("T(3,4): stored gaps (1, 2, 4) != (1, 2, 5)")):
+            check_catalog_entry(CatalogEntry(entry.name, entry.alexander, gaps=(1, 2, 4)))
+
+    def test_stored_upsilon_must_match(self):
+        entry = catalog_knot("T(3,4)")
+        wrong = catalog_knot("T(3,5)").upsilon
+        with pytest.raises(AssertionError,
+                           match=re.escape("T(3,4): stored Upsilon disagrees with the pipeline")):
+            check_catalog_entry(CatalogEntry(entry.name, entry.alexander, upsilon=wrong))
 
     def test_all_entries_lspace_form_symmetric_unit_value(self):
         for name in catalog_names():

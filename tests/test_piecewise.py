@@ -104,8 +104,12 @@ class TestLowerConvexEnvelope:
             lower_convex_envelope([(0, 0), (1, 2)], 3, 4)
 
     def test_right_ray_cut_raises(self):
-        with pytest.raises(RaysInconsistent):
+        with pytest.raises(RaysInconsistent, match="^right ray slope 1 cuts below the sample at x=0$"):
             lower_convex_envelope([(0, 0), (1, 2)], 0, 1)
+
+    def test_crossed_rays_at_a_single_point_raise(self):
+        with pytest.raises(RaysInconsistent, match="^left slope 3 exceeds right slope 2 at a single"):
+            lower_convex_envelope([(0, 0)], 3, 2)
 
     @pytest.mark.parametrize("samples", [[], [(1, 0), (0, 2)], [(0, 0), (0, 2)]],
                              ids=["empty", "decreasing", "repeated"])

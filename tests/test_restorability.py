@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 from upsilon_lab import restorability
-from upsilon_lab.errors import CountTooCostly, InvalidStepPattern, MalformedHull
+from upsilon_lab.errors import CountTooCostly, GenusTooLarge, InvalidStepPattern, MalformedHull
 from upsilon_lab.family import FamilyKnot, alexander_closed_form
 from upsilon_lab.gapfunctions import GapFunction
 from upsilon_lab.invariants import hull_vertices
@@ -26,7 +26,7 @@ from upsilon_lab.restorability import (
     is_restorable,
     designed_family_alexander,
 )
-from upsilon_lab.semigroups import FormalSemigroup, torus_semigroup
+from upsilon_lab.semigroups import MAX_GENUS, FormalSemigroup, torus_semigroup
 
 P = IntLaurentPoly.from_pairs
 
@@ -298,9 +298,9 @@ class TestMalformedHulls:
             enumerate_gap_functions(PLFunction([(0, 0)], 0, 1))
 
     def test_non_integer_vertex(self):
-        with pytest.raises(MalformedHull):
+        with pytest.raises(MalformedHull, match="^vertex at non-integer x = 1/2$"):
             enumerate_gap_functions(
-                PLFunction([(-2, 0), (F(1, 2), 3), (2, 4)], 0, 2)
+                PLFunction([(-2, 0), (F(1, 2), 1), (2, 4)], 0, 2)
             )
 
     def test_asymmetric_range(self):
@@ -312,8 +312,26 @@ class TestMalformedHulls:
             enumerate_gap_functions(PLFunction([(0, 0), (2, 0)]))
 
     def test_odd_vertex_height(self):
-        with pytest.raises(MalformedHull):
-            enumerate_gap_functions(PLFunction([(-2, 0), (0, 3), (2, 4)], 0, 2))
+        with pytest.raises(MalformedHull, match="^vertex height 1 at x = 0 is not an even"):
+            enumerate_gap_functions(PLFunction([(-2, 0), (0, 1), (2, 4)], 0, 2))
+
+    def test_negative_vertex_height(self):
+        with pytest.raises(MalformedHull, match="^vertex height -2 at x = -2 is not an even"):
+            enumerate_gap_functions(PLFunction([(-2, -2), (0, 0)], 0, 2))
+
+    def test_leftmost_vertex_off_zero(self):
+        with pytest.raises(MalformedHull, match="^leftmost vertex must sit at height 0, got 2$"):
+            enumerate_gap_functions(PLFunction([(-2, 2), (0, 4)], 0, 2))
+
+    def test_rightmost_vertex_off_twice_the_genus(self):
+        with pytest.raises(MalformedHull,
+                           match="^rightmost vertex must sit at height 2g = 4, got 2$"):
+            enumerate_gap_functions(PLFunction([(-2, 0), (2, 2)], 0, 2))
+
+    def test_genus_past_the_cap(self):
+        g = MAX_GENUS + 1
+        with pytest.raises(GenusTooLarge, match=f"^the hull has genus {g}, above the limit"):
+            enumerate_gap_functions(PLFunction([(-g, 0), (g, 2 * g)], 0, 2))
 
 
 class TestDesignedFamily:

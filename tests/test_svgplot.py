@@ -89,3 +89,8 @@ def test_every_catalog_knot_is_pinned():
 def test_svg_bytes(name, what):
     digest = hashlib.sha256(svg_of(name, what).encode()).hexdigest()
     assert digest == SVG_SHA256[name, what]
+
+
+def test_nothing_to_plot():
+    with pytest.raises(ValueError, match="^nothing to plot$"):
+        build_svg()
