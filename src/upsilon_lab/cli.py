@@ -304,13 +304,11 @@ def _cmd_restore(args: argparse.Namespace) -> int:
 def _cmd_family_verify(args: argparse.Namespace) -> int:
     results = [family.verify_family_pair(n) for n in _parse_n_range(args.n)]
     if args.which in ("K1", "K2"):
-
-        def keep(key: str) -> bool:
-            return args.which in key or key == "alexander_distinct"
-
+        # Drop the other member's claims; the pair claims are always kept.
+        other = "_K2" if args.which == "K1" else "_K1"
         results = [
             family.FamilyVerification(
-                r.n, {k: c for k, c in r.checks.items() if keep(k)}
+                r.n, {k: c for k, c in r.checks.items() if not k.endswith(other)}
             )
             for r in results
         ]
