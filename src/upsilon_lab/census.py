@@ -58,11 +58,18 @@ class CensusRecord(Record):
 def parse_census_line(line: str) -> CensusRecord:
     """One JSON line to a record: from_pairs, the lspace_runs gate, then the hull sweep.
 
-    Raises a TypeError for a name that is not a string or a non-int entry,
-    then an UpsilonLabError for a shape other than the L-space shape or a
-    NotLSpaceForm for deg != 2g, both naming the record.
+    Raises a TypeError for a value that is not a JSON object, a ValueError
+    for a missing "name" or "alexander" key, a TypeError for a name that is
+    not a string or a non-int entry, then an UpsilonLabError for a shape
+    other than the L-space shape or a NotLSpaceForm for deg != 2g, both
+    naming the record.
     """
     data = json.loads(line)
+    if not isinstance(data, dict):
+        raise TypeError(f"record must be a JSON object, got {type(data).__name__}")
+    for key in ("name", "alexander"):
+        if key not in data:
+            raise ValueError(f'record has no "{key}" key')
     name = data["name"]
     if not isinstance(name, str):
         raise TypeError(f"record name must be a string, got {type(name).__name__}")
@@ -94,7 +101,7 @@ def load_census(path: str | os.PathLike[str]) -> tuple[list[CensusRecord], list[
                 if not line.isascii():
                     line.encode("utf-8", "surrogateescape").decode("utf-8")
                 records.append(parse_census_line(line))
-            except (UpsilonLabError, ValueError, KeyError, TypeError, RecursionError) as exc:
+            except (UpsilonLabError, ValueError, TypeError, RecursionError) as exc:
                 warnings.append(f"line {lineno}: skipped ({exc})")
     return records, warnings
 

@@ -247,6 +247,22 @@ class TestParsing:
         with pytest.raises(TypeError, match="must be a string"):
             parse_census_line(lines[1])
 
+    def test_record_shape_warnings_name_the_record_not_python(self, tmp_path):
+        # These used to read "list indices must be integers or slices, not str",
+        # "'int' object is not subscriptable" and "'alexander'".
+        good = json.dumps({"name": "a", "alexander": [[0, 1], [1, -1], [2, 1]]})
+        lines = [good, "[1, 2]", "7", json.dumps({"name": "b"}), json.dumps({"alexander": []})]
+        path = tmp_path / "census.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        records, warnings = load_census(path)
+        assert [r.name for r in records] == ["a"]
+        assert warnings == [
+            "line 2: skipped (record must be a JSON object, got list)",
+            "line 3: skipped (record must be a JSON object, got int)",
+            'line 4: skipped (record has no "alexander" key)',
+            'line 5: skipped (record has no "name" key)',
+        ]
+
     def test_parse_line(self):
         record = parse_census_line('{"name": "T(2,3)", "alexander": [[0,1],[1,-1],[2,1]]}')
         assert record.name == "T(2,3)"
@@ -278,6 +294,11 @@ def is_lspace_form(delta: IntLaurentPoly) -> bool:
 def three_step_parse(line: str) -> CensusRecord:
     """The route the one-pass parse must agree with: from_pairs, is_lspace_form, CensusRecord."""
     data = json.loads(line)
+    if not isinstance(data, dict):
+        raise TypeError(f"record must be a JSON object, got {type(data).__name__}")
+    for key in ("name", "alexander"):
+        if key not in data:
+            raise ValueError(f'record has no "{key}" key')
     name = data["name"]
     if not isinstance(name, str):
         raise TypeError(f"record name must be a string, got {type(name).__name__}")
@@ -294,7 +315,7 @@ def outcome(parse, line: str):
     """(name, delta, hull) of a parsed line, or the exception type and text load_census would print."""
     try:
         record = parse(line)
-    except (UpsilonLabError, ValueError, KeyError, TypeError) as exc:
+    except (UpsilonLabError, ValueError, TypeError) as exc:
         return type(exc), str(exc)
     return record.name, record.delta, record.hull
 

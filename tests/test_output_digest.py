@@ -14,8 +14,8 @@ import pytest
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "output_digest.py"
 
 DIGESTS = {
-    1: "d05a82df42cd6996110a1ed3adec618059702be884201d94ce6e975a44b1eba5",
-    2: "55364be6618f53812dee9d45fc52972b91f33647cf28903661cdcf2deeb1e056",
+    1: "a90de5f1d665eee2fae1939883708e35e7d0200aa24deb0b7173733f3cd3513d",
+    2: "96f1cccb65bea115a5590307a0cc4c500cd522c2141705e1838830e608ea3cf1",
 }
 
 
