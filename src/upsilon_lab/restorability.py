@@ -266,8 +266,6 @@ def _validate_hull(hull: PLFunction) -> int:
         raise MalformedHull(f"leftmost vertex must sit at height 0, got {y0}")
     if g != -x0:
         raise MalformedHull(f"vertex range [{x0}, {g}] is not symmetric about 0")
-    if g < 0:
-        raise MalformedHull("degenerate vertex range")
     if ym != 2 * g:
         raise MalformedHull(f"rightmost vertex must sit at height 2g = {2 * g}, got {ym}")
     return g

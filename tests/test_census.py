@@ -248,8 +248,6 @@ class TestParsing:
             parse_census_line(lines[1])
 
     def test_record_shape_warnings_name_the_record_not_python(self, tmp_path):
-        # These used to read "list indices must be integers or slices, not str",
-        # "'int' object is not subscriptable" and "'alexander'".
         good = json.dumps({"name": "a", "alexander": [[0, 1], [1, -1], [2, 1]]})
         lines = [good, "[1, 2]", "7", json.dumps({"name": "b"}), json.dumps({"alexander": []})]
         path = tmp_path / "census.jsonl"
