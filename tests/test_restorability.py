@@ -311,6 +311,10 @@ class TestMalformedHulls:
         with pytest.raises(MalformedHull):
             enumerate_gap_functions(PLFunction([(0, 0), (2, 0)]))
 
+    def test_non_convex_hull(self):
+        with pytest.raises(MalformedHull, match="^hull is not convex$"):
+            enumerate_gap_functions(PLFunction([(-2, 0), (0, 3), (2, 4)], 0, 2))
+
     def test_odd_vertex_height(self):
         with pytest.raises(MalformedHull, match="^vertex height 1 at x = 0 is not an even"):
             enumerate_gap_functions(PLFunction([(-2, 0), (0, 1), (2, 4)], 0, 2))
