@@ -239,33 +239,34 @@ def verify_family_pair(n: int) -> FamilyVerification:
     deltas = {which: alexander_closed_form(knot) for which, knot in knots.items()}
     d1, d2 = deltas.values()
     checks: dict[str, CheckResult] = {}
-
-    def claim(key: str, ok: bool, passed, failed) -> None:
-        # Only the outcome's wording is built: (d1 - d2).min_exp raises when d1 == d2.
-        checks[key] = CheckResult(ok, (passed if ok else failed)())
-
-    claim("alexander_distinct", d1 != d2,
-          lambda: f"first differing coefficient at exponent {(d1 - d2).min_exp}",
-          lambda: "closed forms coincide")
+    # Each detail is built only for the outcome: (d1 - d2).min_exp raises when d1 == d2.
+    ok = d1 != d2
+    checks["alexander_distinct"] = CheckResult(
+        ok, f"first differing coefficient at exponent {(d1 - d2).min_exp}" if ok
+        else "closed forms coincide")
 
     semigroups = {which: FormalSemigroup.from_alexander(d) for which, d in deltas.items()}
     for which, got in semigroups.items():
         want = semigroup_closed_form(knots[which])
-        claim(f"semigroup_{which}", got == want, lambda: f"{got.genus} gaps match",
-              lambda: "first gap mismatch: {}".format(next(
-                  (a for a, b in zip(got.gaps, want.gaps) if a != b),
-                  f"gap counts {got.genus} vs {want.genus}")))
+        ok = got == want
+        checks[f"semigroup_{which}"] = CheckResult(
+            ok, f"{got.genus} gaps match" if ok else "first gap mismatch: {}".format(next(
+                (a for a, b in zip(got.gaps, want.gaps) if a != b),
+                f"gap counts {got.genus} vs {want.genus}")))
 
     hull = hull_closed_form(n)
     envelopes = {which: hull_of(d) for which, d in deltas.items()}
     for which, env in envelopes.items():
-        claim(f"envelope_{which}", env == hull, lambda: "envelope equals closed-form hull",
-              lambda: f"envelope vertices {env.vertices} != {hull.vertices}")
+        ok = env == hull
+        checks[f"envelope_{which}"] = CheckResult(
+            ok, "envelope equals closed-form hull" if ok
+            else f"envelope vertices {env.vertices} != {hull.vertices}")
 
     u1, u2 = map(legendre_fenchel, envelopes.values())
-    claim("upsilon_equal", u1 == u2 != PLFunction([(0, 0), (2, 0)]),
-          lambda: f"equal, nonzero; initial slope {u1.segment_slopes()[0]}",
-          lambda: "Upsilon invariants differ" if u1 != u2 else "Upsilon is identically zero")
+    ok = u1 == u2 != PLFunction([(0, 0), (2, 0)])
+    checks["upsilon_equal"] = CheckResult(
+        ok, f"equal, nonzero; initial slope {u1.segment_slopes()[0]}" if ok
+        else "Upsilon invariants differ" if u1 != u2 else "Upsilon is identically zero")
 
     routes = [("Torres", alexander_via_torres)]
     if n <= BURAU_MAX_N:
@@ -273,14 +274,15 @@ def verify_family_pair(n: int) -> FamilyVerification:
     for route, derive in routes:
         for which, knot in knots.items():
             got = derive(knot)
-            claim(f"{route.lower()}_{which}", got == deltas[which],
-                  lambda: f"{route} route matches closed form", lambda: f"{route} gave {got}")
+            ok = got == deltas[which]
+            checks[f"{route.lower()}_{which}"] = CheckResult(
+                ok, f"{route} route matches closed form" if ok else f"{route} gave {got}")
 
     for which, sg in semigroups.items():
         closed, witness = sg.is_closed_under_addition()
-        claim(f"not_semigroup_{which}", not closed,
-              lambda: f"witness {witness[0]} + {witness[1]} = {witness[0] + witness[1]} escapes",
-              lambda: "semigroup is closed")
+        checks[f"not_semigroup_{which}"] = CheckResult(
+            not closed, "semigroup is closed" if closed
+            else f"witness {witness[0]} + {witness[1]} = {witness[0] + witness[1]} escapes")
 
     return FamilyVerification(n=n, checks=checks)
 
