@@ -26,7 +26,7 @@ import json
 import os
 from collections.abc import Iterable
 
-from .errors import NotLSpaceForm, UpsilonLabError
+from .errors import NotLSpaceForm, UpsilonLabError, json_type
 from .invariants import _corners, hull_vertices
 from .laurent import IntLaurentPoly
 from .piecewise import _lower_hull
@@ -66,13 +66,13 @@ def parse_census_line(line: str) -> CensusRecord:
     """
     data = json.loads(line)
     if not isinstance(data, dict):
-        raise TypeError(f"record must be a JSON object, got {type(data).__name__}")
+        raise TypeError(f"record must be a JSON object, got {json_type(data)}")
     for key in ("name", "alexander"):
         if key not in data:
             raise ValueError(f'record has no "{key}" key')
     name = data["name"]
     if not isinstance(name, str):
-        raise TypeError(f"record name must be a string, got {type(name).__name__}")
+        raise TypeError(f"record name must be a string, got {json_type(name)}")
     delta = IntLaurentPoly.from_pairs(data["alexander"])
     try:
         runs = lspace_runs(delta)
@@ -128,12 +128,19 @@ def scan_census(records: Iterable[CensusRecord]) -> dict:
 
     delta_groups = sorted(names(g) for g in by_delta.values() if len(g) > 1)
     upsilon_groups = sorted(names(g) for g in by_upsilon.values() if len(g) > 1)
+    # Each record's Alexander group index, so a pair compares two ints.
+    delta_index = [0] * len(records)
+    for k, group in enumerate(by_delta.values()):
+        for i in group:
+            delta_index[i] = k
     cross_pairs = []
     for group in by_upsilon.values():
         for j, a in enumerate(group):
+            ka, na = delta_index[a], records[a].name
             for b in group[j + 1 :]:
-                if records[a].delta != records[b].delta:
-                    cross_pairs.append(names([a, b]))
+                if delta_index[b] != ka:
+                    nb = records[b].name
+                    cross_pairs.append([na, nb] if na <= nb else [nb, na])
     cross_pairs.sort()
 
     return {

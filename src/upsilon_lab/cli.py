@@ -5,8 +5,9 @@ Every report is JSON on stdout with rationals as exact "p/q" strings.
 _emit builds the text of every top-level entry with _json_text, then writes
 them one at a time, byte-identical to json.dumps(indent=2); it accepts only
 ints, strings, booleans and None, and writes nothing for a report it cannot
-encode.  Only restore witnesses stream, one write per witness
-(_witness_chunks).
+encode.  Only restore witnesses stream, one block of witnesses per write
+(_witness_chunks): at most _BLOCK_CHARS (64 KiB) of text, or one witness if
+that is longer.
 
 Exit codes: 0 on success (and all in-scope assertions passing), 1 when an
 asserted verification fails, 2 on usage or input validation errors, 3 on an
@@ -20,11 +21,11 @@ import functools
 import json
 import re
 import sys
-from itertools import chain
+from itertools import chain, islice, product
 from json.encoder import encode_basestring_ascii
 
 from . import braids, census, family, restorability, seifert, svgplot
-from .errors import GenusTooLarge, UpsilonLabError, WordTooLong
+from .errors import GenusTooLarge, UpsilonLabError, WordTooLong, json_type
 from .invariants import gap_function_of, hull_of, knot_invariants
 from .laurent import IntLaurentPoly
 from .piecewise import legendre_fenchel
@@ -120,11 +121,30 @@ def _user_braid(strands, letters) -> braids.BraidWord:
 
 
 def _json_braid(text: str, flag: str) -> braids.BraidWord:
-    """The _user_braid of a '{"strands": S, "word": [...]}' value given to flag."""
+    """The _user_braid of a '{"strands": S, "word": [...]}' value given to flag.
+
+    A value that is not such an object is refused in JSON's terms, and so is
+    any other key.
+    """
     try:
         spec = json.loads(text)
-        return _user_braid(spec["strands"], spec["word"])
-    except (ValueError, TypeError, KeyError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deeply
+        raise _UsageError(f"bad {flag} value: {exc}") from exc
+    if not isinstance(spec, dict):
+        raise _UsageError(f"bad {flag} value: must be a JSON object, got {json_type(spec)}")
+    for key in ("strands", "word"):
+        if key not in spec:
+            raise _UsageError(f'bad {flag} value: has no "{key}" key')
+    unknown = [key for key in spec if key not in ("strands", "word")]
+    if unknown:
+        raise _UsageError(f"bad {flag} value: unknown key{'s' * (len(unknown) > 1)} "
+                          + ", ".join(map(json.dumps, unknown)))
+    strands, word = spec["strands"], spec["word"]
+    if not isinstance(word, list):
+        raise _UsageError(f'bad {flag} value: "word" must be a JSON array, got {json_type(word)}')
+    try:
+        return _user_braid(strands, word)
+    except (ValueError, TypeError) as exc:
         raise _UsageError(f"bad {flag} value: {exc}") from exc
 
 
@@ -242,28 +262,79 @@ def _json_text(obj, indent: str = "") -> str:
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _witness_chunks(witnesses: restorability.Witnesses, indent: str):
-    """The JSON text of witnesses as a list of gap lists, one chunk per witness.
+# A witness block holds at most this many characters, or one witness if that is longer.
+_BLOCK_CHARS = 1 << 16
 
-    Each chunk joins the texts of its pieces' step runs (Witnesses.gap_texts),
-    each formatted once, and builds no gap tuple; each pattern was checked when
-    its Witnesses was built from outside, or made by the walk.
+
+def _witness_chunks(witnesses: restorability.Witnesses, indent: str):
+    """The JSON text of witnesses as a list of gap lists, one block of witnesses at a time.
+
+    The witnesses are the product of their pieces' paths, the last piece
+    varying fastest (Witnesses.path_texts), so a run of them shares the text
+    of every earlier piece; tail holds that text and the closing bracket.
+    A block is one join of the last piece's texts around tail, of as many
+    witnesses as fit in _BLOCK_CHARS at a bound on their length (the longest
+    text of each piece), and at least one.  Earlier pieces are folded into
+    the last while the folded texts fit in one block, so a short last piece
+    does not make short blocks.  A single piece's texts are made one batch
+    at a time (_batches).  No gap tuple is built and no pattern checked:
+    each was checked when its Witnesses was built from outside, or made by
+    the walk.
     """
-    if not witnesses:
+    left = len(witnesses)
+    if not left:
         yield "[]"
         return
     inner = indent + "  "
     opening, gap_sep, closing = "[\n" + inner + "  ", ",\n" + inner + "  ", "\n" + inner + "]"
-    sep = "[\n" + inner
-    for body in witnesses.gap_texts(gap_sep):
-        yield sep + (opening + body + closing if body else "[]")
-        sep = ",\n" + inner
+    head, sep = "[\n" + inner, ",\n" + inner
+    extra = len(opening + closing + sep)  # the characters of a witness besides its gaps
+    *front, last = witnesses.path_texts(gap_sep)
+    if front:
+        # An earlier piece's text always follows a later one's, so each starts with gap_sep.
+        front = [[gap_sep + text for text in texts] for texts in front]
+        last = list(last)
+        longest = max(map(len, last))
+        while front and len(front[-1]) * len(last) * (
+                longest + max(map(len, front[-1])) + extra) <= _BLOCK_CHARS:
+            last = [b + a for a in front.pop() for b in last]
+            longest = max(map(len, last))
+        longest += sum(max(map(len, texts)) for texts in front)
+        size = _BLOCK_CHARS // (longest + extra) or 1
+        runs = (("".join(texts[::-1]) + closing, last, size) for texts in product(*front))
+    else:
+        runs = ((closing, batch, size) for batch, size in _batches(last, extra))
+    for tail, texts, size in runs:
+        if len(texts) > left:
+            texts = texts[:left]
+        left -= len(texts)
+        join = (tail + sep + opening).join
+        for lo in range(0, len(texts), size):
+            run = texts[lo : lo + size]
+            block = "".join((head, opening, join(run), tail))
+            if "" in run:  # a witness with no gaps, only ever from a single piece
+                block = block.replace(opening + closing, "[]")
+            yield block
+            head = sep
+        if not left:
+            break
     yield "\n" + indent + "]"
+
+
+def _batches(texts, extra: int):
+    """(list, block size) for the next texts of a single piece: one text, then
+    as many as the block size before.  The block size is the number of
+    witnesses that fit in _BLOCK_CHARS at the longest text of the list, each
+    extra characters longer, and at least one."""
+    size = 1
+    while batch := list(islice(texts, size)):
+        size = _BLOCK_CHARS // (max(map(len, batch)) + extra) or 1
+        yield batch, size
 
 
 def _emit(data: dict) -> None:
     """Write data as _json_text would, plus a newline: one write per top-level entry, and
-    one per witness for a top-level Witnesses, so no whole-report string is built.
+    one per block of witnesses for a top-level Witnesses, so no whole-report string is built.
 
     Every entry's text, key included, is built before the first write, so a value
     that cannot be encoded raises TypeError with nothing written.

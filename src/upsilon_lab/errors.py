@@ -92,3 +92,20 @@ class BadOrdering(UpsilonLabError):
 
 class UnknownName(UpsilonLabError):
     """No catalog entry or named braid under this name."""
+
+
+def json_type(value) -> str:
+    """JSON's name for the type of a json.loads value, for refusal messages.
+
+    >>> [json_type(v) for v in (None, True, 7, 1.5, "s", [], {})]
+    ['null', 'boolean', 'number', 'number', 'string', 'array', 'object']
+    """
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, (int, float)):
+        return "number"
+    if isinstance(value, str):
+        return "string"
+    return "array" if isinstance(value, list) else "object"

@@ -51,14 +51,16 @@ A profile is a byte pattern: 2g bytes, each 0 (flat) or 2 (up).  A
 Witnesses keeps its pieces, each a tuple of paths (partial patterns), and
 joins the full patterns only when it is read as a sequence; the symmetric
 walk's list, and a Witnesses built from outside, is one piece of full
-patterns.  The CLI writes each witness's JSON text by joining the texts of
-its paths, each made once per path (Witnesses.gap_texts), so with --all it
-neither builds a gap tuple nor joins a pattern.  A Witnesses built from
-outside checks each pattern with _check_step_pattern once, so neither
-reading nor writing checks again.  The walk's own paths, and a slice of a
-Witnesses, are wrapped unchecked (Witnesses._trusted and _product): _walk
-keeps every path within the hull's bounds, which start at 0 and end at 2g,
-so each joined pattern has its first step rising and its last one flat.
+patterns.  Witnesses.path_texts gives each piece's path texts, each made
+once per path; the CLI joins a run of the last piece's texts, with the
+earlier pieces' texts shared, into the JSON text of many witnesses at once,
+so with --all it neither builds a gap tuple nor joins a pattern.  A
+Witnesses built from outside checks each pattern with _check_step_pattern
+once, so neither reading nor writing checks again.  The walk's own paths,
+and a slice of a Witnesses, are wrapped unchecked (Witnesses._trusted and
+_product): _walk keeps every path within the hull's bounds, which start at
+0 and end at 2g, so each joined pattern has its first step rising and its
+last one flat.
 """
 
 from __future__ import annotations
@@ -150,26 +152,25 @@ class Witnesses(Sequence):
     def __iter__(self):
         return map(_pattern_to_gaps, self._patterns)
 
-    def gap_texts(self, sep: str):
-        """Each witness's gaps in order as decimal strings joined by sep.
+    def path_texts(self, sep: str) -> list:
+        """Each piece's path texts, in order: a path's gaps as decimal strings joined by sep.
 
-        With several pieces, the text of each piece's path is made once, and
-        a witness joins the texts of its paths last piece first, since later
-        steps hold lower gaps.
+        A witness's text is the texts of its paths joined by sep, last piece
+        first, since later steps hold lower gaps.  Each piece's texts are an
+        iterator, made as they are read; a single piece holds the witnesses
+        themselves.
 
-        >>> list(Witnesses([bytes([2, 0, 0, 2, 2, 0]), b""]).gap_texts(", "))
-        ['1, 2, 5', '']
+        >>> [list(texts) for texts in Witnesses([bytes([2, 0, 0, 2, 2, 0]), b""]).path_texts(", ")]
+        [['1, 2, 5', '']]
         """
         widths = [max(map(len, paths), default=0) for paths in self._pieces]
         labels = list(map(str, range(sum(widths))))
-        if len(widths) == 1:
-            return (sep.join(compress(labels, steps[::-1])) for steps in self._pieces[0])
         texts, start = [], len(labels)
         for paths, width in zip(self._pieces, widths):
             start -= width  # the piece's steps, last first, are gaps start, start + 1, ...
-            below = labels[start : start + width]
-            texts.append([sep.join(compress(below, path[::-1])) for path in paths])
-        return (sep.join(parts[::-1]) for parts in islice(product(*texts), self._count))
+            # compress stops at the path's end; the last piece starts at gap 0, uncopied.
+            texts.append(_texts(paths, labels[start:] if start else labels, sep))
+        return texts
 
     def __contains__(self, gaps) -> bool:
         try:
@@ -480,6 +481,11 @@ def _pattern_to_gaps(steps: bytes) -> tuple[int, ...]:
     (1, 2, 5)
     """
     return tuple(compress(range(len(steps)), steps[::-1]))
+
+
+def _texts(paths, labels: list[str], sep: str):
+    """The labels at each path's up steps, last step first, joined by sep."""
+    return (sep.join(compress(labels, path[::-1])) for path in paths)
 
 
 def _listed(

@@ -14,7 +14,7 @@ from upsilon_lab.census import (
     sample_census_path,
     scan_census,
 )
-from upsilon_lab.errors import NotLSpaceForm, UpsilonLabError
+from upsilon_lab.errors import NotLSpaceForm, UpsilonLabError, json_type
 from upsilon_lab.family import FamilyKnot, alexander_closed_form
 from upsilon_lab.gapfunctions import GapFunction
 from upsilon_lab.invariants import hull_vertices
@@ -249,16 +249,22 @@ class TestParsing:
 
     def test_record_shape_warnings_name_the_record_not_python(self, tmp_path):
         good = json.dumps({"name": "a", "alexander": [[0, 1], [1, -1], [2, 1]]})
-        lines = [good, "[1, 2]", "7", json.dumps({"name": "b"}), json.dumps({"alexander": []})]
+        lines = [good, "[1, 2]", "7", json.dumps({"name": "b"}), json.dumps({"alexander": []}),
+                 "null", "1.5", "true", '"s"', json.dumps({"name": False, "alexander": []})]
         path = tmp_path / "census.jsonl"
         path.write_text("\n".join(lines) + "\n")
         records, warnings = load_census(path)
         assert [r.name for r in records] == ["a"]
         assert warnings == [
-            "line 2: skipped (record must be a JSON object, got list)",
-            "line 3: skipped (record must be a JSON object, got int)",
+            "line 2: skipped (record must be a JSON object, got array)",
+            "line 3: skipped (record must be a JSON object, got number)",
             'line 4: skipped (record has no "alexander" key)',
             'line 5: skipped (record has no "name" key)',
+            "line 6: skipped (record must be a JSON object, got null)",
+            "line 7: skipped (record must be a JSON object, got number)",
+            "line 8: skipped (record must be a JSON object, got boolean)",
+            "line 9: skipped (record must be a JSON object, got string)",
+            "line 10: skipped (record name must be a string, got boolean)",
         ]
 
     def test_parse_line(self):
@@ -293,13 +299,13 @@ def three_step_parse(line: str) -> CensusRecord:
     """The route the one-pass parse must agree with: from_pairs, is_lspace_form, CensusRecord."""
     data = json.loads(line)
     if not isinstance(data, dict):
-        raise TypeError(f"record must be a JSON object, got {type(data).__name__}")
+        raise TypeError(f"record must be a JSON object, got {json_type(data)}")
     for key in ("name", "alexander"):
         if key not in data:
             raise ValueError(f'record has no "{key}" key')
     name = data["name"]
     if not isinstance(name, str):
-        raise TypeError(f"record name must be a string, got {type(name).__name__}")
+        raise TypeError(f"record name must be a string, got {json_type(name)}")
     delta = IntLaurentPoly.from_pairs(data["alexander"])
     if not is_lspace_form(delta):
         raise UpsilonLabError(f"record {name!r}: polynomial is not in L-space form")

@@ -166,6 +166,24 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "is not an int" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("flag", [("braid", "--json"), ("restore", "--braid")])
+    @pytest.mark.parametrize("spec, message", [
+        ("[3,[1,2]]", "must be a JSON object, got array"),
+        ("7", "must be a JSON object, got number"),
+        ("null", "must be a JSON object, got null"),
+        ('"s"', "must be a JSON object, got string"),
+        ("true", "must be a JSON object, got boolean"),
+        ('{"strands":3}', 'has no "word" key'),
+        ('{"word":[1,2]}', 'has no "strands" key'),
+        ('{"strands":3,"word":[1,2],"extra":1}', 'unknown key "extra"'),
+        ('{"strands":3,"word":[1,2],"b":1,"a":2}', 'unknown keys "b", "a"'),
+        ('{"strands":3,"word":7}', '"word" must be a JSON array, got number'),
+        ('{"strands":3,"word":{"1":2}}', '"word" must be a JSON array, got object'),
+    ], ids=["array", "number", "null", "string", "boolean", "no-word", "no-strands",
+            "extra-key", "two-extra-keys", "word-number", "word-object"])
+    def test_braid_json_refusals_name_json_types(self, capsys, flag, spec, message):
+        assert run_cli(capsys, *flag, spec) == (2, "", f"error: bad {flag[1]} value: {message}\n")
+
     @pytest.mark.parametrize("flag", [("invariants", "--alexander"), ("invariants", "--braid"),
                                       ("braid", "--json")],
                              ids=["invariants-alexander", "invariants-braid", "braid-json"])
@@ -684,6 +702,21 @@ class CountingStdout(io.StringIO):
         return super().write(text)
 
 
+class WriteSizes:
+    """A stdout that keeps only the length of each text handed to write."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return len(text)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+
 class TestJsonChunks:
     """_json_text and _emit against json.dumps(indent=2), the encoder they replaced."""
 
@@ -731,19 +764,43 @@ class TestJsonChunks:
         with pytest.raises(InvalidStepPattern):
             Witnesses([bytes([2, 0]), pattern])
 
-    def test_witnesses_stream_one_chunk_each(self, monkeypatch):
-        patterns = [bytes([2, 0, 0, 2, 2, 0]), bytes([2, 0, 2, 0]), bytes([2, 0])] * 4
-        chunks = list(cli._witness_chunks(Witnesses(patterns), ""))
-        assert len(chunks) >= len(patterns) and "".join(chunks) == cli._json_text(Witnesses(patterns))
-        # _emit writes a top-level Witnesses at least once per witness, never as one string.
-        data = emitted(monkeypatch, "restore", "--family", "K1", "--n", "3", "--all")
+    @pytest.mark.parametrize("n, size", [(3, 2_450_514), (5, 3_658_273), (100, 66_499_924)],
+                             ids=["K1-n3-pieces", "K1-n5-long-runs", "K1-n100-one-piece"])
+    def test_witnesses_stream_in_bounded_blocks(self, monkeypatch, n, size):
+        # _emit writes a top-level Witnesses in blocks of at most 64 KiB, never as one string.
+        # K1(5)'s last piece has 969 paths: its runs of witnesses are cut into several blocks.
+        data = emitted(monkeypatch, "restore", "--family", "K1", "--n", str(n), "--all")
         monkeypatch.undo()
-        stdout = CountingStdout()
+        stdout = WriteSizes()
         monkeypatch.setattr(sys, "stdout", stdout)
         cli._emit(data)
-        assert len(stdout.writes) >= len(data["witnesses"]) == 10_000
-        assert max(map(len, stdout.writes)) < 1_000
-        assert stdout.getvalue() == json.dumps(data, indent=2, default=list) + "\n"
+        assert len(data["witnesses"]) == 10_000 and sum(stdout.sizes) == size
+        assert max(stdout.sizes) <= 2**16 < size
+        assert len(stdout.sizes) < 10_000  # a block holds many witnesses
+
+    def test_witness_longer_than_a_block_is_a_block_alone(self):
+        long = bytes([2, 0] * 7_000)  # gaps 1, 3, ..., 13999: about 74 KB of text
+        patterns = [long, bytes([2, 0]), long, long, bytes([2, 0, 0, 2, 2, 0]), bytes([2, 0])]
+        chunks = list(cli._witness_chunks(Witnesses(patterns), ""))
+        witness_texts = json.dumps([list(gaps) for gaps in Witnesses(patterns)], indent=2)
+        assert "".join(chunks) == witness_texts
+        assert all(len(chunk) <= 2**16 or chunk.count("[") - (i == 0) == 1
+                   for i, chunk in enumerate(chunks))
+        assert sum(len(chunk) > 2**16 for chunk in chunks) == 3
+
+    @pytest.mark.parametrize("argv", [
+        *(["--n", "3", "--max-solutions", cap]
+          for cap in ("1", "21", "22", "23", "44", "45", "65", "66", "67", "132", "133", "9999")),
+        ["--n", "2", "--max-solutions", "2016"], ["--n", "2", "--max-solutions", "1e18"],
+    ], ids=" ".join)
+    def test_caps_at_block_edges_match_json_dumps(self, monkeypatch, capsys, argv):
+        # K1(3)'s last piece has 22 paths and the one before it 3: runs of 22 and 66.
+        data = emitted(monkeypatch, "restore", "--family", "K1", *argv, "--all")
+        monkeypatch.undo()
+        cli._emit(data)
+        # Compared line by line, so a mismatch is reported without diffing megabytes.
+        expected = json.dumps(data, indent=2, default=list) + "\n"
+        assert capsys.readouterr().out.split("\n") == expected.split("\n")
 
     @pytest.mark.parametrize("value", [10**4299, -(10**4300), 7**30000, [3**20000 + 1]],
                              ids=["4300-digits", "negative-4301", "25353-digits", "in-list"])

@@ -1,13 +1,14 @@
 """Restorability search against the naive full enumeration and known answers."""
 
 import itertools
+import json
 import math
 import time
 from fractions import Fraction as F
 
 import pytest
 
-from upsilon_lab import restorability
+from upsilon_lab import cli, restorability
 from upsilon_lab.errors import CountTooCostly, GenusTooLarge, InvalidStepPattern, MalformedHull
 from upsilon_lab.family import FamilyKnot, alexander_closed_form
 from upsilon_lab.gapfunctions import GapFunction
@@ -581,7 +582,7 @@ class TestWitnessesSequence:
                             lambda steps: checked.append(steps) or check(steps))
         w = Witnesses(self.PATTERNS)
         assert checked == list(self.PATTERNS)
-        assert list(w.gap_texts(", ")) == [", ".join(map(str, gaps)) for gaps in w]
+        assert cli._json_text(w) == json.dumps([list(gaps) for gaps in w], indent=2)
         assert w[0] in w and w[1] == tuple(w)[1]
         assert len(checked) == 2  # reads and writes check nothing
         enumerate_gap_functions(hull_of(PRETZEL))  # the walk's patterns are not checked again
@@ -601,7 +602,9 @@ class TestPieceRoute:
         flat = Witnesses._trusted(itertools.islice(_walk(*_bounds(hull)), cap))
         assert report.witnesses._patterns == flat._patterns, (hull, cap)
         assert len(report.witnesses) == len(flat)
-        assert list(report.witnesses.gap_texts(", ")) == list(flat.gap_texts(", ")), (hull, cap)
+        gaps = [list(gaps) for gaps in flat]
+        text = cli._json_text(report.witnesses)
+        assert text.split("\n") == json.dumps(gaps, indent=2).split("\n"), (hull, cap)
 
     @pytest.mark.parametrize("g", range(9))
     def test_every_hull_up_to_genus_8(self, g):
