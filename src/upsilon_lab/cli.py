@@ -124,7 +124,7 @@ def _json_braid(text: str, flag: str) -> braids.BraidWord:
     """The _user_braid of a '{"strands": S, "word": [...]}' value given to flag.
 
     A value that is not such an object is refused in JSON's terms, and so is
-    any other key.
+    any other key, and a strand count or letter that is not a JSON integer.
     """
     try:
         spec = json.loads(text)
@@ -142,9 +142,14 @@ def _json_braid(text: str, flag: str) -> braids.BraidWord:
     strands, word = spec["strands"], spec["word"]
     if not isinstance(word, list):
         raise _UsageError(f'bad {flag} value: "word" must be a JSON array, got {json_type(word)}')
+    for i, value in enumerate([strands, *word]):
+        if type(value) is not int:  # json.loads gives bool for true, float for 3.0 or 1e400
+            name = f'letter {i} of "word"' if i else '"strands"'
+            raise _UsageError(
+                f"bad {flag} value: {name} must be a JSON integer, got {json_type(value)}")
     try:
         return _user_braid(strands, word)
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise _UsageError(f"bad {flag} value: {exc}") from exc
 
 
@@ -272,14 +277,17 @@ def _witness_chunks(witnesses: restorability.Witnesses, indent: str):
     The witnesses are the product of their pieces' paths, the last piece
     varying fastest (Witnesses.path_texts), so a run of them shares the text
     of every earlier piece; tail holds that text and the closing bracket.
-    A block is one join of the last piece's texts around tail, of as many
-    witnesses as fit in _BLOCK_CHARS at a bound on their length (the longest
-    text of each piece), and at least one.  Earlier pieces are folded into
-    the last while the folded texts fit in one block, so a short last piece
-    does not make short blocks.  A single piece's texts are made one batch
-    at a time (_batches).  No gap tuple is built and no pattern checked:
-    each was checked when its Witnesses was built from outside, or made by
-    the walk.
+    Every listing, of one piece or many, goes through one loop: a block is
+    one join of the last piece's texts around tail, of as many witnesses as
+    fit in _BLOCK_CHARS at a bound on their length, and at least one.  The
+    bound comes from the longest pattern's length n: a witness of n steps
+    has at most n // 2 gaps, each below n.  When an earlier piece holds more
+    than one path, the last piece was walked whole, and earlier pieces are
+    folded into it while the folded texts fit in one block, so a short last
+    piece does not make short blocks; otherwise the last piece's texts are
+    made as they are written.  No gap tuple is built and no pattern
+    checked: each was checked when its Witnesses was built from outside, or
+    made by the walk.
     """
     left = len(witnesses)
     if not left:
@@ -288,29 +296,20 @@ def _witness_chunks(witnesses: restorability.Witnesses, indent: str):
     inner = indent + "  "
     opening, gap_sep, closing = "[\n" + inner + "  ", ",\n" + inner + "  ", "\n" + inner + "]"
     head, sep = "[\n" + inner, ",\n" + inner
-    extra = len(opening + closing + sep)  # the characters of a witness besides its gaps
-    *front, last = witnesses.path_texts(gap_sep)
-    if front:
-        # An earlier piece's text always follows a later one's, so each starts with gap_sep.
-        front = [[gap_sep + text for text in texts] for texts in front]
+    n, (*front, last) = witnesses.path_texts(gap_sep)
+    bound = n // 2 * (len(gap_sep) + len(str(n))) + len(opening + closing + sep)
+    size = _BLOCK_CHARS // bound or 1
+    # An earlier piece's text always follows a later one's, so each starts with gap_sep.
+    front = [[gap_sep + text for text in texts] for texts in front]
+    if any(len(texts) > 1 for texts in front):
         last = list(last)
-        longest = max(map(len, last))
-        while front and len(front[-1]) * len(last) * (
-                longest + max(map(len, front[-1])) + extra) <= _BLOCK_CHARS:
+        while front and len(front[-1]) * len(last) <= size:
             last = [b + a for a in front.pop() for b in last]
-            longest = max(map(len, last))
-        longest += sum(max(map(len, texts)) for texts in front)
-        size = _BLOCK_CHARS // (longest + extra) or 1
-        runs = (("".join(texts[::-1]) + closing, last, size) for texts in product(*front))
-    else:
-        runs = ((closing, batch, size) for batch, size in _batches(last, extra))
-    for tail, texts, size in runs:
-        if len(texts) > left:
-            texts = texts[:left]
-        left -= len(texts)
-        join = (tail + sep + opening).join
-        for lo in range(0, len(texts), size):
-            run = texts[lo : lo + size]
+    for texts in product(*front):
+        tail = "".join(texts[::-1]) + closing
+        join, rest = (tail + sep + opening).join, iter(last)
+        while left and (run := list(islice(rest, min(size, left)))):
+            left -= len(run)
             block = "".join((head, opening, join(run), tail))
             if "" in run:  # a witness with no gaps, only ever from a single piece
                 block = block.replace(opening + closing, "[]")
@@ -319,17 +318,6 @@ def _witness_chunks(witnesses: restorability.Witnesses, indent: str):
         if not left:
             break
     yield "\n" + indent + "]"
-
-
-def _batches(texts, extra: int):
-    """(list, block size) for the next texts of a single piece: one text, then
-    as many as the block size before.  The block size is the number of
-    witnesses that fit in _BLOCK_CHARS at the longest text of the list, each
-    extra characters longer, and at least one."""
-    size = 1
-    while batch := list(islice(texts, size)):
-        size = _BLOCK_CHARS // (max(map(len, batch)) + extra) or 1
-        yield batch, size
 
 
 def _emit(data: dict) -> None:

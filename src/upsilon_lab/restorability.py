@@ -49,10 +49,12 @@ counts that stores only counts below the cap.
 
 A profile is a byte pattern: 2g bytes, each 0 (flat) or 2 (up).  A
 Witnesses keeps its pieces, each a tuple of paths (partial patterns), and
-joins the full patterns only when it is read as a sequence; the symmetric
-walk's list, and a Witnesses built from outside, is one piece of full
-patterns.  Witnesses.path_texts gives each piece's path texts, each made
-once per path; the CLI joins a run of the last piece's texts, with the
+joins the full patterns only when it is read as a sequence.  An --all list
+is always such a product, even when the cap falls within the last piece;
+the symmetric walk's list, and a Witnesses built from outside, is one piece
+of full patterns.  Witnesses.path_texts gives each piece's path texts,
+each made once per path, and the longest pattern's length, which bounds a
+witness's text; the CLI joins a run of the last piece's texts, with the
 earlier pieces' texts shared, into the JSON text of many witnesses at once,
 so with --all it neither builds a gap tuple nor joins a pattern.  A
 Witnesses built from outside checks each pattern with _check_step_pattern
@@ -98,9 +100,8 @@ class Witnesses(Sequence):
     (paths); the patterns are the first len(self) entries of the product of
     the pieces, each entry joined.  A Witnesses built here or by the
     symmetric walk is one piece, the patterns themselves.  The --all walk
-    makes one piece per stretch of hull segments (when the listed profiles
-    vary in more than one), and the joined patterns are built only when the
-    sequence is read.
+    makes one piece per stretch of hull segments, whatever the cap, and the
+    joined patterns are built only when the sequence is read.
 
     >>> w = Witnesses([bytes([2, 0, 0, 2, 2, 0])])  # T(3,4)
     >>> len(w), w[0], (1, 2, 5) in w, (1, 2, 4) in w, w == ((1, 2, 5),)
@@ -126,8 +127,8 @@ class Witnesses(Sequence):
         """The first count entries of the product of the pieces, each joined into one pattern.
 
         A single piece holds exactly count paths.  Otherwise the pieces come
-        from the walk: each holds paths of one length, and every path rises
-        somewhere.
+        from _listed, walked only as far as the first count entries reach:
+        each holds paths of one length, and every path rises somewhere.
         """
         w = object.__new__(cls)
         w._pieces, w._count = pieces, count
@@ -152,16 +153,18 @@ class Witnesses(Sequence):
     def __iter__(self):
         return map(_pattern_to_gaps, self._patterns)
 
-    def path_texts(self, sep: str) -> list:
-        """Each piece's path texts, in order: a path's gaps as decimal strings joined by sep.
+    def path_texts(self, sep: str) -> tuple[int, list]:
+        """The longest pattern's length, and each piece's path texts in order:
+        a path's gaps as decimal strings joined by sep.
 
         A witness's text is the texts of its paths joined by sep, last piece
         first, since later steps hold lower gaps.  Each piece's texts are an
         iterator, made as they are read; a single piece holds the witnesses
         themselves.
 
-        >>> [list(texts) for texts in Witnesses([bytes([2, 0, 0, 2, 2, 0]), b""]).path_texts(", ")]
-        [['1, 2, 5', '']]
+        >>> n, pieces = Witnesses([bytes([2, 0, 0, 2, 2, 0]), b""]).path_texts(", ")
+        >>> n, [list(texts) for texts in pieces]
+        (6, [['1, 2, 5', '']])
         """
         widths = [max(map(len, paths), default=0) for paths in self._pieces]
         labels = list(map(str, range(sum(widths))))
@@ -170,7 +173,7 @@ class Witnesses(Sequence):
             start -= width  # the piece's steps, last first, are gaps start, start + 1, ...
             # compress stops at the path's end; the last piece starts at gap 0, uncopied.
             texts.append(_texts(paths, labels[start:] if start else labels, sep))
-        return texts
+        return len(labels), texts
 
     def __contains__(self, gaps) -> bool:
         try:
@@ -495,19 +498,13 @@ def _listed(
 
     Profile r of the product takes path r // later of a piece (mod its
     count), where later is the product of the later pieces' counts, so a
-    piece is walked only to its first ceil(cap / later) paths.  When the
-    cap falls within the last piece's count, every listed profile starts
-    with the first path of each earlier piece and no path is used twice,
-    so the patterns are joined as the last piece is walked.
+    piece is walked only to its first ceil(cap / later) paths: one path of
+    each earlier piece when the cap falls within the last piece's count.
+    No full pattern is joined.
     """
-    *front, (start, stop, last) = _pieces(verts, counts)
-    walks = [_walk(lo[a : b + 1], hi[a : b + 1]) for a, b, _ in front]
-    tail = _walk(lo[start : stop + 1], hi[start : stop + 1])
-    if cap <= last or not front:
-        head = b"".join(map(next, walks))  # the first path of each earlier piece
-        return Witnesses._trusted(map(head.__add__, islice(tail, cap)))
-    kept, later = [tuple(tail)], last
-    for walk, (_, _, count) in zip(reversed(walks), reversed(front)):
+    kept, later = [], 1
+    for start, stop, count in reversed(_pieces(verts, counts)):
+        walk = _walk(lo[start : stop + 1], hi[start : stop + 1])
         kept.append(tuple(islice(walk, min(count, -(-cap // later)))))
         later *= count
     return Witnesses._product(tuple(reversed(kept)), min(later, cap))

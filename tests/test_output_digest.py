@@ -1,9 +1,10 @@
 """Every output the benchmark's operations produce, pinned by tools/output_digest.py.
 
 The digest covers exit code, stdout, stderr and SVG bytes of every op of the four
-benchmark workloads and the census defect probes, for one seed.  A change that
-alters any output byte on purpose, or that changes bench/workloads.py, re-pins
-these digests and names the change in CHANGES.md.
+benchmark workloads, the census defect probes and the tool's restore probes, for
+one seed.  A change that alters any output byte on purpose, or that changes
+bench/workloads.py or the probes, re-pins these digests and names the change in
+CHANGES.md.
 """
 
 import importlib.util
@@ -14,8 +15,8 @@ import pytest
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "output_digest.py"
 
 DIGESTS = {
-    1: "a90de5f1d665eee2fae1939883708e35e7d0200aa24deb0b7173733f3cd3513d",
-    2: "96f1cccb65bea115a5590307a0cc4c500cd522c2141705e1838830e608ea3cf1",
+    1: "11fc43a8dac7aef204271b3690cd5b9f90db1798ff11b81319084ff9940c830a",
+    2: "9c03883056154afe960839984158745caddfb3b997322a14a5a32cfc041fdf25",
 }
 
 

@@ -4,10 +4,11 @@
     python3 tools/output_digest.py --seed 1
 
 Generates every operation of the four benchmark workloads, plus the census
-defect probes, through bench/workloads.py, and runs each once through
-``upsilon_lab.cli.main`` in this process.  Input files and SVG output go to
-one fixed directory under the system temp directory, because file paths
-appear in warnings on stderr; nothing is written under the repository.
+defect probes, through bench/workloads.py, adds the restore probes below,
+and runs each once through ``upsilon_lab.cli.main`` in this process.  Input
+files and SVG output go to one fixed directory under the system temp
+directory, because file paths appear in warnings on stderr; nothing is
+written under the repository.
 
 Prints, per workload, the op count and a histogram of exit codes, then one
 sha256 over each op's exit code, stdout, stderr and SVG bytes, in op order.
@@ -35,6 +36,16 @@ from upsilon_lab import cli  # noqa: E402
 
 WORKDIR = Path(tempfile.gettempdir()) / "upsilon-lab-output-digest"
 
+# Restore listings that no benchmark op reaches: caps at the end of K1(5)'s last
+# hull piece (969 paths) and just past it, a cap within K1(40)'s last piece, and
+# a long listing over T(2,41)'s single piece.
+RESTORE_PROBES = (
+    ["restore", "--family", "K1", "--n", "5", "--all", "--max-solutions", "969"],
+    ["restore", "--family", "K1", "--n", "5", "--all", "--max-solutions", "970"],
+    ["restore", "--family", "K1", "--n", "40", "--all", "--max-solutions", "2000"],
+    ["restore", "--torus", "2,41", "--all", "--max-solutions", "5000"],
+)
+
 
 def run(op: workloads.Op) -> tuple[object, str, str, bytes]:
     """Exit code, stdout, stderr and SVG bytes (empty if none) of one op."""
@@ -60,6 +71,7 @@ def main(argv: list[str] | None = None) -> int:
     WORKDIR.mkdir(parents=True)
     pools = {name: workloads.generate(name, args.seed, str(WORKDIR)) for name in workloads.WORKLOADS}
     pools["census_defect_probes"] = workloads.census_defect_probes(args.seed, str(WORKDIR))
+    pools["restore_probes"] = [workloads.Op("restore", argv) for argv in RESTORE_PROBES]
     digest = hashlib.sha256()
     try:
         for name, ops in pools.items():
