@@ -624,12 +624,15 @@ class TestPieceRoute:
         assert len(enumerate_gap_functions(hull).witnesses._pieces) == 5
 
     @pytest.mark.parametrize("cap", [1, 3, 4])
-    def test_cap_within_the_last_piece_keeps_one_path_per_earlier_piece(self, cap):
-        # K1(2)'s last piece has 4 paths: up to 4 profiles vary in it alone, and
-        # they stay a product, no full pattern joined.
+    def test_one_varying_piece_is_joined_at_once(self, cap):
+        # K1(2)'s last piece has 4 paths: up to 4 profiles vary in it alone.  They
+        # stay a product, one path per earlier piece and no full pattern built,
+        # and the writer joins the varying piece's texts in one block.
         witnesses = enumerate_gap_functions(knot_hull(k1(2)), max_solutions=cap).witnesses
         assert [len(paths) for paths in witnesses._pieces] == [1, 1, 1, 1, cap]
         assert witnesses._flat is None and len(witnesses) == cap
+        block, closing = cli._witness_chunks(witnesses, "")
+        assert block.count("\n  [") == cap and closing == "\n]"
 
     @pytest.mark.parametrize("cap", [5, 7, 50, 2016])
     def test_product_form_reads_like_the_flat_form(self, cap):
