@@ -17,12 +17,16 @@ where a column outside the matrix counts as zero.  Each column is one plain
 dict of integer coefficients keyed by e * (s-1) + row for the term t^e of
 that row, so a factor t^k is a shift of every key by k * (s-1) and a letter
 builds one new dict; the keys become Laurent polynomials only once, at the
-end.  The determinant is taken by fraction-free elimination directly over
-the Laurent ring, and the unit ambiguity is fixed by shifting the minimum
-exponent to 0 and scaling the sign so that Delta(1) = +1.  Its cost grows
-faster than the cube of the strand count, so a closure with more than
-MAX_STRANDS strands is refused before it is built; the CLI also refuses a
-word of its own with more than MAX_LETTERS letters.
+end.  The full twist Delta^2 = (sigma_1 ... sigma_{s-1})^s is central, with
+image t^s * I, so each literal full twist in the word (K1(n) and K2(n) hold
+n, the torus word of T(p, q) floor(q/p)) is cut out before the letter loop
+and applied as one shift of t's exponent by +-s.  The determinant is taken
+by fraction-free elimination directly over the Laurent ring, and the unit
+ambiguity is fixed by shifting the minimum exponent to 0 and scaling the
+sign so that Delta(1) = +1.  Its cost grows faster than the cube of the
+strand count, so a closure with more than MAX_STRANDS strands is refused
+before it is built; the CLI also refuses a word of its own with more than
+MAX_LETTERS letters.
 
 This gives an independent oracle for every Alexander polynomial stored with a braid
 word elsewhere in the package.
@@ -46,8 +50,11 @@ MAX_STRANDS = 32
 # 32: the worst of three knot-closing words (random signs, or all positive)
 # of 99 to 100 letters took 0.003 s on 3 strands, 0.03 s on 5 and 1.5 s on
 # 32, against 3.5 s at 127 letters on 32 strands and 7.6 s at 2,000 letters
-# on 5 (CPython 3.11, a shared 2-CPU host).  Named family words are bounded
-# by MAX_TWIST instead.
+# on 5 (CPython 3.11, a shared 2-CPU host).  These costs are those of words
+# without full twists: each literal full twist is cut out before the letter
+# loop (BraidWord.reduced_burau) and costs only its share of a bytes scan,
+# but the bound counts every letter as given.  Named family words are
+# bounded by MAX_TWIST instead.
 MAX_LETTERS = 100
 
 
@@ -103,15 +110,44 @@ class BraidWord:
     def exponent_sum(self) -> int:
         return sum(1 if x > 0 else -1 for x in self._letters)
 
+    def _full_twists_removed(self) -> tuple[tuple[int, ...], int]:
+        """The letters with each literal full twist cut out, and t's exponent for them.
+
+        Four spellings are cut: (1, ..., s-1)^s and (s-1, ..., 1)^s, both
+        Delta^2 with image t^s * I, and their mirrors, both Delta^-2 with
+        image t^-s * I.  The letters are offset by s into bytes 1 .. 2s-1 so
+        that bytes.count and bytes.replace do the scan; a word on more than
+        MAX_STRANDS strands, or too short to hold a twist, is returned whole.
+        """
+        s, letters = self._strands, self._letters
+        if s > MAX_STRANDS or s * (s - 1) > len(letters):
+            return letters, 0
+        text = bytes(map(s.__add__, letters))
+        power = 0
+        rising = range(s + 1, 2 * s)  # letters 1 .. s-1, offset by s
+        for spelling, sign in ((rising, 1), (rising[::-1], 1), (range(1, s), -1),
+                               (range(s - 1, 0, -1), -1)):
+            twist = bytes(spelling) * s
+            count = text.count(twist)
+            if count:
+                text = text.replace(twist, b"")
+                power += sign * count * s
+        if len(text) == len(letters):
+            return letters, 0
+        return tuple(map(s.__rsub__, text)), power
+
     def closure_components(self) -> int:
         """Number of cycles of the underlying permutation.
 
-        Only strands up to the largest |letter| move; each strand right of
-        them is a cycle of its own and is counted, not walked.
+        A full twist is a pure braid, so the word is walked with its literal
+        full twists removed (see _full_twists_removed).  Only strands up to
+        the largest remaining |letter| move; each strand right of them is a
+        cycle of its own and is counted, not walked.
         """
-        touched = max((abs(x) for x in self._letters), default=0) + 1
+        letters, _ = self._full_twists_removed()
+        touched = max((abs(x) for x in letters), default=0) + 1
         perm = list(range(touched))
-        for x in self._letters:
+        for x in letters:
             i = abs(x) - 1
             perm[i], perm[i + 1] = perm[i + 1], perm[i]
         seen = [False] * touched
@@ -143,12 +179,20 @@ class BraidWord:
         decoded once at the end by divmod(key, s-1), whose floor division
         gives the right (e, row) for negative e too.
 
+        The letters walked are those left once every literal full twist is
+        cut out (_full_twists_removed).  Each twist cut is central with image
+        t^{+-s} * I, so the product of the cut word times t^power, power a
+        multiple of +-s, is exactly the product of the whole word; the
+        factor is added to e as the keys are decoded.  On K1(n) and K2(n)
+        this leaves 17 letters of 12n + 17, whatever n is.
+
         >>> BraidWord(2, [1, 1, 1]).reduced_burau()
         [[IntLaurentPoly('-t^3')]]
         """
         n = self._strands - 1
+        letters, power = self._full_twists_removed()
         columns = [{j: 1} for j in range(n)]
-        for letter in self._letters:
+        for letter in letters:
             j = abs(letter) - 1
             left, mid, right = (n, n, 0) if letter > 0 else (0, -n, -n)
             column = {key + mid: -c for key, c in columns[j].items()}
@@ -166,7 +210,7 @@ class BraidWord:
         for j, column in enumerate(columns):
             for key, c in column.items():
                 e, row = divmod(key, n)
-                entries[row][j][e] = c
+                entries[row][j][e + power] = c
         return [[IntLaurentPoly._from_terms(terms) for terms in row] for row in entries]
 
     def alexander_of_closure(self) -> IntLaurentPoly:

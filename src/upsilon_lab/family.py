@@ -137,8 +137,8 @@ def alexander_via_torres(knot: FamilyKnot) -> IntLaurentPoly:
 def alexander_via_burau(knot: FamilyKnot) -> IntLaurentPoly:
     """Burau-determinant derivation from the braid word.
 
-    The slowest of the three: about 1 ms at n = 1 and 2.5 ms at n = 10, some
-    ten times Torres and thirty times the closed form.
+    The slowest of the three: about 0.3 ms at n = 1 and 0.4 ms at n = 10,
+    three to five times Torres and twenty to forty times the closed form.
     """
     return braids.family_braid(knot.which, knot.n).alexander_of_closure()
 
@@ -180,9 +180,11 @@ def hull_closed_form(n: int) -> PLFunction:
     return PLFunction(vertices, 0, 2)
 
 
-# verify_family_pair cross-checks the Burau derivation only up to this n: past
-# it the two words cost about 2 ms at n = 3 and 5 ms at n = 10, about ten times
-# Torres, which already checks every n.
+# verify_family_pair cross-checks the Burau derivation only up to this n.  The
+# two words cost about 0.65 ms at n = 3, 0.8 ms at n = 10 and 3.1 ms at n = 100
+# (best of 60, CPython 3.11, a shared 2-CPU host), three to four times Torres,
+# which already checks every n; a larger bound would change the checks that
+# `family verify` reports.
 BURAU_MAX_N = 2
 
 

@@ -132,7 +132,11 @@ class IntLaurentPoly:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(tuple(sorted(self._terms.items())))
+        # A constant equals its int (__eq__), so it hashes as that int.
+        terms = self._terms
+        if not terms or (len(terms) == 1 and 0 in terms):
+            return hash(terms.get(0, 0))
+        return hash(tuple(sorted(terms.items())))
 
     def __repr__(self) -> str:
         return f"IntLaurentPoly({str(self)!r})"
@@ -286,7 +290,8 @@ def determinant(rows: list[list[IntLaurentPoly]]) -> IntLaurentPoly:
     """Determinant of a square matrix over the Laurent ring.
 
     Fraction-free Bareiss elimination: every intermediate division is exact
-    by the Sylvester identity, so no rational function field is needed.
+    by the Sylvester identity, so no rational function field is needed.  The
+    first step's divisor is 1, so that step does not divide.
     """
     n = len(rows)
     if n == 0:
@@ -305,7 +310,8 @@ def determinant(rows: list[list[IntLaurentPoly]]) -> IntLaurentPoly:
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]).exact_div(prev)
+                entry = m[i][j] * m[k][k] - m[i][k] * m[k][j]
+                m[i][j] = entry.exact_div(prev) if k else entry
             m[i][k] = IntLaurentPoly.zero()
         prev = m[k][k]
     det = m[n - 1][n - 1]

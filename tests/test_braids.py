@@ -14,6 +14,7 @@ from upsilon_lab.braids import (
     torus_braid,
 )
 from upsilon_lab.errors import NotAKnot, TooManyStrands, UnknownName
+from upsilon_lab.family import FamilyKnot, alexander_closed_form
 from upsilon_lab.laurent import IntLaurentPoly
 
 from test_laurent import K1_N1, K2_N1
@@ -166,6 +167,32 @@ def generator_product(word: BraidWord) -> list[list[IntLaurentPoly]]:
     return out
 
 
+def full_twist(strands: int, sign: int, falling: bool) -> tuple[int, ...]:
+    """A spelling of the full twist (sign 1) or its inverse (sign -1).
+
+    Rising is (sigma_1 ... sigma_{s-1})^s and falling (sigma_{s-1} ...
+    sigma_1)^s; with sign -1 every letter is inverted.
+    """
+    letters = range(strands - 1, 0, -1) if falling else range(1, strands)
+    return tuple(sign * x for x in letters) * strands
+
+
+def permutation_cycles(word: BraidWord) -> int:
+    """Cycles of the word's permutation, every letter of every strand walked."""
+    perm = list(range(word.strands))
+    for x in word.letters:
+        perm[abs(x) - 1], perm[abs(x)] = perm[abs(x)], perm[abs(x) - 1]
+    seen, cycles = set(), 0
+    for start in range(word.strands):
+        if start not in seen:
+            cycles += 1
+            i = start
+            while i not in seen:
+                seen.add(i)
+                i = perm[i]
+    return cycles
+
+
 class TestBurauAgainstGeneratorProduct:
     def test_every_short_word(self):
         for strands in (2, 3, 4):
@@ -196,10 +223,30 @@ class TestBurauAgainstGeneratorProduct:
                 assert word.reduced_burau() == generator_product(word), word
 
     @pytest.mark.parametrize("which", ["K1", "K2"])
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_family_words(self, which, n):
         word = family_braid(which, n)
         assert word.reduced_burau() == generator_product(word)
+
+    @pytest.mark.parametrize("strands", range(2, 8))
+    def test_words_with_full_twists(self, strands):
+        # Whole twists of every spelling between random letters and back to
+        # back, twists one letter short (s(s-1) - 1 letters), which stay on
+        # the letter loop, and two such partial twists that join into one.
+        rng = random.Random(30 + strands)
+        twists = [full_twist(strands, sign, falling) for sign in (1, -1) for falling in (False, True)]
+
+        def random_letters(count):
+            return tuple(rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(count))
+
+        for a, b in zip(twists, twists[1:] + twists[:1]):
+            for letters in (random_letters(3) + a + random_letters(3) + b + random_letters(2),
+                            a + b + a + random_letters(2),
+                            a[:-1] + random_letters(2) + b[1:],
+                            random_letters(1) + a[1:] + a[:-1]):
+                word = BraidWord(strands, letters)
+                assert word.reduced_burau() == generator_product(word), word
+                assert word.closure_components() == permutation_cycles(word), word
 
 
 class TestBurauMatrices:
@@ -258,6 +305,12 @@ class TestAlexanderOfClosure:
             [[0, 1], [1, -1], [3, 1], [5, -1], [6, 1]]
         )
         assert torus_braid(2, 3).alexander_of_closure() == P([[0, 1], [1, -1], [2, 1]])
+
+    @pytest.mark.parametrize("which", ["K1", "K2"])
+    def test_family_words_match_closed_form(self, which):
+        for n in range(1, 201):
+            word = family_braid(which, n)
+            assert word.alexander_of_closure() == alexander_closed_form(FamilyKnot(which, n)), n
 
     def test_rejects_links(self):
         with pytest.raises(NotAKnot):

@@ -308,3 +308,34 @@ class TestDeterminant:
     def test_identity(self):
         one, zero = IntLaurentPoly.one(), IntLaurentPoly.zero()
         assert determinant([[one, zero], [zero, one]]) == one
+
+    def test_first_step_does_not_divide(self, monkeypatch):
+        # Bareiss divides step k by the pivot of step k - 1, which is 1 at
+        # k = 0: a 3 x 3 determinant needs only the one division of step 1.
+        calls = []
+        exact_div = IntLaurentPoly.exact_div
+        monkeypatch.setattr(IntLaurentPoly, "exact_div",
+                            lambda self, d: calls.append(d) or exact_div(self, d))
+        rows = [[P([[0, 2], [1, -1]]), P([[1, 1]]), P([[-1, 3]])],
+                [P([[0, 1]]), P([[2, -1], [0, 1]]), P([[1, 2]])],
+                [P([[-1, 1]]), P([[0, 4]]), P([[3, 1], [0, -1]])]]
+        assert determinant(rows) == self.cofactor_det(rows)
+        assert len(calls) == 1 and calls[0] == rows[0][0]
+
+
+class TestHash:
+    @pytest.mark.parametrize("c", [0, 1, -1, 5])
+    def test_constant_hashes_as_its_int(self, c):
+        constant = IntLaurentPoly({0: c})
+        assert constant == c and hash(constant) == hash(c)
+
+    def test_sets_and_dicts_mix_constants_with_ints(self):
+        assert {IntLaurentPoly.zero(), 0} == {0}
+        assert {IntLaurentPoly.one(), 1, -IntLaurentPoly.one(), -1} == {1, -1}
+        assert {IntLaurentPoly({0: 5}): 1}.get(5) == 1
+        assert {5: 1}.get(IntLaurentPoly({0: 5})) == 1
+        # A non-constant polynomial is not an int, so it keeps its own member.
+        assert len({IntLaurentPoly.t(), 1, IntLaurentPoly({1: 1})}) == 2
+
+    def test_equal_polynomials_hash_equal(self):
+        assert hash(P([[2, 1], [-1, -3]])) == hash(IntLaurentPoly({-1: -3, 2: 1}))

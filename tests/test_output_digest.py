@@ -1,10 +1,10 @@
 """Every output the benchmark's operations produce, pinned by tools/output_digest.py.
 
 The digest covers exit code, stdout, stderr and SVG bytes of every op of the four
-benchmark workloads, the census defect probes and the tool's restore probes, for
-one seed.  A change that alters any output byte on purpose, or that changes
-bench/workloads.py or the probes, re-pins these digests and names the change in
-CHANGES.md.
+benchmark workloads, the census defect probes and the tool's restore and braid
+probes, for one seed.  A change that alters any output byte on purpose, or that
+changes bench/workloads.py or the probes, re-pins these digests and names the
+change in CHANGES.md.
 """
 
 import importlib.util
@@ -15,8 +15,8 @@ import pytest
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "output_digest.py"
 
 DIGESTS = {
-    1: "11fc43a8dac7aef204271b3690cd5b9f90db1798ff11b81319084ff9940c830a",
-    2: "9c03883056154afe960839984158745caddfb3b997322a14a5a32cfc041fdf25",
+    1: "1a50c4edadf52c240cec6f49772a45e7573619c6ce9278fd8b00229eec86e66d",
+    2: "6e012765aba187ca41ff49148645d690c809c35d2910b66f465955c409a2dc91",
 }
 
 

@@ -4,11 +4,11 @@
     python3 tools/output_digest.py --seed 1
 
 Generates every operation of the four benchmark workloads, plus the census
-defect probes, through bench/workloads.py, adds the restore probes below,
-and runs each once through ``upsilon_lab.cli.main`` in this process.  Input
-files and SVG output go to one fixed directory under the system temp
-directory, because file paths appear in warnings on stderr; nothing is
-written under the repository.
+defect probes, through bench/workloads.py, adds the restore and braid
+probes below, and runs each once through ``upsilon_lab.cli.main`` in this
+process.  Input files and SVG output go to one fixed directory under the
+system temp directory, because file paths appear in warnings on stderr;
+nothing is written under the repository.
 
 Prints, per workload, the op count and a histogram of exit codes, then one
 sha256 over each op's exit code, stdout, stderr and SVG bytes, in op order.
@@ -22,6 +22,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import shutil
 import sys
 import tempfile
@@ -44,6 +45,21 @@ RESTORE_PROBES = (
     ["restore", "--family", "K1", "--n", "5", "--all", "--max-solutions", "970"],
     ["restore", "--family", "K1", "--n", "40", "--all", "--max-solutions", "2000"],
     ["restore", "--torus", "2,41", "--all", "--max-solutions", "5000"],
+)
+
+
+# Braid closures that no benchmark op reaches: K2(300) (3,617 letters, 300 full
+# twists), the T(7,8) and T(5,-11) words given letter by letter (the second all
+# inverse letters), and T(3,4) through invariants --braid.
+def _torus_word(p: int, q: int) -> list[int]:
+    return [i if q > 0 else -i for _ in range(abs(q)) for i in range(1, p)]
+
+
+BRAID_PROBES = (
+    ["braid", "--named", "K2", "--n", "300"],
+    ["braid", "--strands", "7", "--word=" + ",".join(map(str, _torus_word(7, 8)))],
+    ["braid", "--strands", "5", "--word=" + ",".join(map(str, _torus_word(5, -11)))],
+    ["invariants", "--braid", json.dumps({"strands": 3, "word": _torus_word(3, 4)})],
 )
 
 
@@ -72,6 +88,7 @@ def main(argv: list[str] | None = None) -> int:
     pools = {name: workloads.generate(name, args.seed, str(WORKDIR)) for name in workloads.WORKLOADS}
     pools["census_defect_probes"] = workloads.census_defect_probes(args.seed, str(WORKDIR))
     pools["restore_probes"] = [workloads.Op("restore", argv) for argv in RESTORE_PROBES]
+    pools["braid_probes"] = [workloads.Op(argv[0], argv) for argv in BRAID_PROBES]
     digest = hashlib.sha256()
     try:
         for name, ops in pools.items():
