@@ -19,8 +19,9 @@ that row, so a factor t^k is a shift of every key by k * (s-1) and a letter
 builds one new dict; the keys become Laurent polynomials only once, at the
 end.  The full twist Delta^2 = (sigma_1 ... sigma_{s-1})^s is central, with
 image t^s * I, so each literal full twist in the word (K1(n) and K2(n) hold
-n, the torus word of T(p, q) floor(q/p)) is cut out before the letter loop
-and applied as one shift of t's exponent by +-s.  The determinant is taken
+n, the torus word of T(p, q) floor(q/p)) is cut out once, when the word is
+built, and applied as one shift of t's exponent by +-s; the component count
+and the letter loop both read that one cut.  The determinant is taken
 by fraction-free elimination directly over the Laurent ring, and the unit
 ambiguity is fixed by shifting the minimum exponent to 0 and scaling the
 sign so that Delta(1) = +1.  Its cost grows faster than the cube of the
@@ -51,8 +52,8 @@ MAX_STRANDS = 32
 # of 99 to 100 letters took 0.003 s on 3 strands, 0.03 s on 5 and 1.5 s on
 # 32, against 3.5 s at 127 letters on 32 strands and 7.6 s at 2,000 letters
 # on 5 (CPython 3.11, a shared 2-CPU host).  These costs are those of words
-# without full twists: each literal full twist is cut out before the letter
-# loop (BraidWord.reduced_burau) and costs only its share of a bytes scan,
+# without full twists: each literal full twist is cut out when the word is
+# built (BraidWord._full_twists_removed) and costs only its share of a bytes scan,
 # but the bound counts every letter as given.  Named family words are
 # bounded by MAX_TWIST instead.
 MAX_LETTERS = 100
@@ -66,22 +67,30 @@ class BraidWord:
     IntLaurentPoly('1 - t + t^2')
     """
 
-    __slots__ = ("_strands", "_letters")
+    __slots__ = ("_strands", "_letters", "_cut")
 
     def __init__(self, strands: int, letters: Iterable[int] = ()):
-        """Strands and letters must be ints: 4.9 or True raises TypeError."""
+        """Strands and letters must be ints: 4.9 or True raises TypeError.
+
+        The checks run on the word's set of letter types and its distinct
+        letters; the letters are walked one by one only to name the first
+        offender.  The word's full twists are cut here, once.
+        """
         if not isinstance(strands, int) or isinstance(strands, bool):
             raise TypeError(f"strand count {strands!r} is not an int")
         if strands < 2:
             raise ValueError("a braid group needs at least 2 strands")
         letts = tuple(letters)
-        for x in letts:
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise TypeError(f"letter {x!r} is not an int")
-            if x == 0 or abs(x) >= strands:
-                raise ValueError(f"letter {x} is not a generator of B_{strands}")
+        if not (all(issubclass(kind, int) and kind is not bool for kind in set(map(type, letts)))
+                and all(0 < abs(x) < strands for x in set(letts))):
+            for x in letts:
+                if not isinstance(x, int) or isinstance(x, bool):
+                    raise TypeError(f"letter {x!r} is not an int")
+                if x == 0 or abs(x) >= strands:
+                    raise ValueError(f"letter {x} is not a generator of B_{strands}")
         self._strands = strands
         self._letters = letts
+        self._cut = self._full_twists_removed()
 
     @property
     def strands(self) -> int:
@@ -113,11 +122,13 @@ class BraidWord:
     def _full_twists_removed(self) -> tuple[tuple[int, ...], int]:
         """The letters with each literal full twist cut out, and t's exponent for them.
 
-        Four spellings are cut: (1, ..., s-1)^s and (s-1, ..., 1)^s, both
-        Delta^2 with image t^s * I, and their mirrors, both Delta^-2 with
-        image t^-s * I.  The letters are offset by s into bytes 1 .. 2s-1 so
-        that bytes.count and bytes.replace do the scan; a word on more than
-        MAX_STRANDS strands, or too short to hold a twist, is returned whole.
+        __init__ calls this once per word and keeps the result as _cut, which
+        closure_components and reduced_burau both read.  Four spellings are
+        cut: (1, ..., s-1)^s and (s-1, ..., 1)^s, both Delta^2 with image
+        t^s * I, and their mirrors, both Delta^-2 with image t^-s * I.  The
+        letters are offset by s into bytes 1 .. 2s-1 so that bytes.count and
+        bytes.replace do the scan; a word on more than MAX_STRANDS strands,
+        or too short to hold a twist, is returned whole.
         """
         s, letters = self._strands, self._letters
         if s > MAX_STRANDS or s * (s - 1) > len(letters):
@@ -140,11 +151,11 @@ class BraidWord:
         """Number of cycles of the underlying permutation.
 
         A full twist is a pure braid, so the word is walked with its literal
-        full twists removed (see _full_twists_removed).  Only strands up to
+        full twists removed (the cut made in __init__).  Only strands up to
         the largest remaining |letter| move; each strand right of them is a
         cycle of its own and is counted, not walked.
         """
-        letters, _ = self._full_twists_removed()
+        letters, _ = self._cut
         touched = max((abs(x) for x in letters), default=0) + 1
         perm = list(range(touched))
         for x in letters:
@@ -180,7 +191,7 @@ class BraidWord:
         gives the right (e, row) for negative e too.
 
         The letters walked are those left once every literal full twist is
-        cut out (_full_twists_removed).  Each twist cut is central with image
+        cut out (the cut made in __init__).  Each twist cut is central with image
         t^{+-s} * I, so the product of the cut word times t^power, power a
         multiple of +-s, is exactly the product of the whole word; the
         factor is added to e as the keys are decoded.  On K1(n) and K2(n)
@@ -190,7 +201,7 @@ class BraidWord:
         [[IntLaurentPoly('-t^3')]]
         """
         n = self._strands - 1
-        letters, power = self._full_twists_removed()
+        letters, power = self._cut
         columns = [{j: 1} for j in range(n)]
         for letter in letters:
             j = abs(letter) - 1
@@ -215,10 +226,9 @@ class BraidWord:
 
     def alexander_of_closure(self) -> IntLaurentPoly:
         """Alexander polynomial of the closure, normalized so Delta(1) = +1."""
-        if not self.is_knot_closure():
-            raise NotAKnot(
-                f"closure has {self.closure_components()} components, need 1"
-            )
+        components = self.closure_components()
+        if components != 1:
+            raise NotAKnot(f"closure has {components} components, need 1")
         if self._strands > MAX_STRANDS:
             raise TooManyStrands(
                 f"{self._strands} strands, above the limit of {MAX_STRANDS} for the Burau determinant"
@@ -238,7 +248,7 @@ class BraidWord:
         denominator = IntLaurentPoly.monomial(self._strands) - 1
         delta = numerator.exact_div(denominator)
         delta = delta.shifted(-delta.min_exp)
-        at_one = sum(c for _, c in delta.items())
+        at_one = sum(delta._terms.values())
         if abs(at_one) != 1:
             raise NotAKnot(f"Delta(1) = {at_one}; the closure is not a knot")
         return -delta if at_one < 0 else delta

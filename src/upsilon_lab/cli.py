@@ -448,7 +448,8 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     whats = set(args.what.split(","))
     unknown = whats - {"gapfn", "hull", "upsilon"}
     if unknown:
-        raise _UsageError(f"unknown plot kinds: {', '.join(sorted(unknown))}")
+        named = [kind or '""' for kind in sorted(unknown)]  # --what "" or "gapfn," has an empty kind
+        raise _UsageError(f"unknown plot kinds: {', '.join(named)}")
     hull = hull_of(delta) if whats & {"hull", "upsilon"} else None
     svgplot.write_svg(
         args.out,

@@ -13,8 +13,9 @@ test below reports a witness pair when it is not.
 Two notions of "L-space form" meet here.  A formal gap sequence needs only
 a_g = 2g - 1; gap_runs, FormalSemigroup and the restorability search work
 with those.  The Alexander polynomial of an L-space knot also has gap 1: it
-has the shape 1 - t + t^{a_2} - ... + t^{2g} (Hedden-Watson), and
-lspace_runs alone decides that shape.
+has the shape 1 - t + t^{a_2} - ... + t^{2g} (Hedden-Watson).  Both gates
+call one shape test, coefficients alternating +1, -1, ..., +1 from exponent
+0; lspace_runs adds gap 1 and an even top exponent.
 """
 
 from __future__ import annotations
@@ -117,14 +118,14 @@ class FormalSemigroup:
         sum is 1.  Raises NotLSpaceForm with the offending exponent when a
         partial sum leaves {0, 1}, and on any other shape violation.
 
-        The gate here is the partial-sum structure itself (which is the
-        alternating property seen through the expansion) plus deg = 2g, so
-        the round trip with to_alexander covers every formal gap sequence,
-        including those without gap 1.  The stricter L-space shape (first
-        sign change at exponent 1) is lspace_runs, which the command line
-        and the census apply where input arrives.  Both checks here run on
-        the terms (gap_runs) before any gap is built, so the cost follows
-        the term count and the genus, never the degree alone.
+        The gate here (gap_runs) is the shape test it shares with
+        lspace_runs, coefficients alternating +1, -1, ..., +1 from exponent 0
+        (the partial-sum structure read term by term), plus deg = 2g.  So the
+        round trip with to_alexander covers every formal gap sequence, even
+        one without gap 1; lspace_runs, which the command line and the census
+        apply where input arrives, also asks for gap 1.  The test runs on the
+        terms before any gap is built, so the cost follows the term count and
+        the genus, never the degree alone.
         """
         return cls.from_gap_runs(gap_runs(delta))
 
@@ -193,58 +194,57 @@ class FormalSemigroup:
 def gap_runs(delta: IntLaurentPoly) -> list[tuple[int, int]]:
     """The gaps of a polynomial with partial coefficient sums in {0, 1}, as runs [a, b).
 
-    The partial coefficient sums change only at the terms, so the gaps (the
-    exponents where the sum is 0) run from each -1 term at a up to the next
-    +1 term at b.  Walking the terms checks every partial sum, Delta(1) = 1
-    and deg = 2g in O(terms); the errors are those documented on
-    FormalSemigroup.from_alexander.
+    The sums stay in {0, 1} with Delta(1) = 1 exactly when the coefficients
+    alternate +1, -1, ..., +1 from exponent 0 (the shape test lspace_runs
+    shares), and the gaps run from each -1 term up to the next +1 term.  A
+    refusal names the first term off that pattern: the partial sum before
+    term i is i mod 2, so a walk of the sums would stop there.  The errors
+    are those documented on FormalSemigroup.from_alexander.
 
     >>> gap_runs(IntLaurentPoly({0: 1, 1: -1, 3: 1, 5: -1, 6: 1}))
     [(1, 3), (5, 6)]
     """
+    exps = _alternating_exponents(delta)
+    if exps is not None:
+        return _runs_of_alternating(exps)
     if delta.is_zero:
         raise NotLSpaceForm("zero polynomial")
     if delta.min_exp != 0 or delta.coeff(0) != 1:
         raise NotLSpaceForm("polynomial is not in knot-normal form")
-    psum = 0
-    exps = []
-    for e, c in delta.items():
-        psum += c
-        if psum not in (0, 1):
-            raise NotLSpaceForm(f"partial coefficient sum {psum} at exponent {e}", exponent=e)
-        exps.append(e)
-    if psum != 1:
-        raise NotLSpaceForm(f"Delta(1) = {psum}, expected 1")
-    return _runs_of_alternating(exps)
+    for i, (e, c) in enumerate(delta.items()):
+        if i % 2 + c not in (0, 1):
+            raise NotLSpaceForm(f"partial coefficient sum {i % 2 + c} at exponent {e}", exponent=e)
+    raise NotLSpaceForm("Delta(1) = 0, expected 1")
 
 
 def lspace_runs(delta: IntLaurentPoly) -> list[tuple[int, int]] | None:
     """The gap runs of a polynomial of the shape 1 - t + t^{a_2} - ... + t^{2g}, else None.
 
-    The shape: coefficients alternating +1, -1 from +1 at exponent 0, an odd
-    number of terms, the first sign change at exponent 1 and an even top
-    exponent.  Any other shape gives None, so each caller words its own
-    refusal; the shape with deg != 2g raises NotLSpaceForm as gap_runs does.
+    The shape: gap_runs' shape test, the first sign change at exponent 1 and
+    an even top exponent.  Any other shape gives None, so each caller words
+    its own refusal; the shape with deg != 2g raises NotLSpaceForm as
+    gap_runs does.
 
     >>> lspace_runs(IntLaurentPoly({0: 1, 1: -1, 3: 1, 5: -1, 6: 1}))
     [(1, 3), (5, 6)]
     >>> lspace_runs(IntLaurentPoly({0: 1, 2: -1, 4: 1})) is None
     True
     """
-    # The term dict is read directly: the shape test needs the sorted exponents
-    # as one list, and every census record passes here.
+    exps = _alternating_exponents(delta)
+    if exps is None or len(exps) > 1 and exps[1] != 1 or exps[-1] % 2:
+        return None
+    return _runs_of_alternating(exps)
+
+
+def _alternating_exponents(delta: IntLaurentPoly) -> list[int] | None:
+    """Delta's sorted exponents if its coefficients read +1, -1, ..., +1 from t^0, else None."""
+    # The term dict is read directly: every gate and census record passes here.
     terms = delta._terms
     exps = sorted(terms)
     n = len(exps)
-    if not (
-        n % 2
-        and exps[0] == 0
-        and (n == 1 or exps[1] == 1)
-        and exps[-1] % 2 == 0
-        and [terms[e] for e in exps] == [1, -1] * (n // 2) + [1]
-    ):
-        return None
-    return _runs_of_alternating(exps)
+    if n % 2 and exps[0] == 0 and [terms[e] for e in exps] == [1, -1] * (n // 2) + [1]:
+        return exps
+    return None
 
 
 def _runs_of_alternating(exps: list[int]) -> list[tuple[int, int]]:

@@ -1,5 +1,6 @@
 """Braid words and the Burau-determinant Alexander oracle."""
 
+import enum
 import itertools
 import random
 
@@ -91,6 +92,29 @@ class TestValidation:
     def test_whole_numbers_only(self, strands, letters):
         with pytest.raises(TypeError):
             BraidWord(strands, letters)
+
+    @pytest.mark.parametrize(
+        "letters, error, message",
+        [([1, True], TypeError, "letter True is not an int"),
+         ([1, 2, 1.0], TypeError, "letter 1.0 is not an int"),
+         ([1, 3, True], ValueError, "letter 3 is not a generator of B_3"),
+         ([1, True, 3], TypeError, "letter True is not an int"),
+         ([2, -1, 0, -3], ValueError, "letter 0 is not a generator of B_3"),
+         ([1] * 50 + [-3, 2.0], ValueError, "letter -3 is not a generator of B_3")],
+    )
+    def test_first_offending_letter_is_named(self, letters, error, message):
+        # The set of types is taken over the whole word, so a True after an
+        # equal 1 is still refused, and the offender named is the first one.
+        with pytest.raises(error) as err:
+            BraidWord(3, letters)
+        assert str(err.value) == message
+
+    def test_int_subclass_letters_are_accepted(self):
+        Letter = enum.IntEnum("Letter", {"ONE": 1, "TWO": 2})
+        word = BraidWord(3, [Letter.ONE, Letter.TWO, -1, Letter.TWO])
+        assert word == BraidWord(3, [1, 2, -1, 2])
+        with pytest.raises(ValueError, match="^letter 2 is not a generator of B_2$"):
+            BraidWord(2, [1, Letter.TWO])
 
 
 class TestClosureComponents:
@@ -315,6 +339,25 @@ class TestAlexanderOfClosure:
     def test_rejects_links(self):
         with pytest.raises(NotAKnot):
             BraidWord(2, [1, 1]).alexander_of_closure()
+
+    @pytest.mark.parametrize(
+        "build, expected",
+        [(lambda: family_braid("K1", 3), alexander_closed_form(FamilyKnot("K1", 3))),
+         (lambda: BraidWord(3, [1, -1]), "closure has 3 components, need 1")],
+        ids=["K1(3)", "three-component link"],
+    )
+    def test_full_twists_are_cut_once_per_word(self, monkeypatch, build, expected):
+        # From construction through alexander_of_closure, on the knot path and
+        # on the NotAKnot path, the word is scanned for full twists once.
+        calls = []
+        cut = BraidWord._full_twists_removed
+        monkeypatch.setattr(BraidWord, "_full_twists_removed", lambda word: calls.append(word) or cut(word))
+        word = build()
+        try:
+            got = word.alexander_of_closure()
+        except NotAKnot as exc:
+            got = str(exc)
+        assert (got, calls) == (expected, [word])
 
 
 def random_knot_word(rng: random.Random) -> BraidWord:

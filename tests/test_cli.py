@@ -675,6 +675,13 @@ class TestPlot:
                                "--what", "spaghetti", "--out", str(tmp_path / "x.svg"))
         assert code == 2
 
+    @pytest.mark.parametrize("what, named", [("", '""'), ("gapfn,", '""'), (",bogus,hull", '"", bogus')])
+    def test_empty_kind_is_named(self, capsys, tmp_path, what, named):
+        out = tmp_path / "x.svg"
+        code, stdout, err = run_cli(capsys, "plot", "--torus", "3,4", "--what", what, "--out", str(out))
+        assert (code, stdout, err) == (2, "", f"error: unknown plot kinds: {named}\n")
+        assert not out.exists()
+
 
 def emitted(monkeypatch, *argv):
     """The object a CLI call hands to _emit."""

@@ -1,8 +1,9 @@
 """Every output the benchmark's operations produce, pinned by tools/output_digest.py.
 
 The digest covers exit code, stdout, stderr and SVG bytes of every op of the four
-benchmark workloads, the census defect probes and the tool's restore and braid
-probes, for one seed.  A change that alters any output byte on purpose, or that
+benchmark workloads, the census defect probes and the tool's restore, braid and
+gate-refusal probes, for one seed.  The gate-refusal probes all exit 2; every other
+op exits 0.  A change that alters any output byte on purpose, or that
 changes bench/workloads.py or the probes, re-pins these digests and names the
 change in CHANGES.md.
 """
@@ -15,8 +16,8 @@ import pytest
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "output_digest.py"
 
 DIGESTS = {
-    1: "1a50c4edadf52c240cec6f49772a45e7573619c6ce9278fd8b00229eec86e66d",
-    2: "6e012765aba187ca41ff49148645d690c809c35d2910b66f465955c409a2dc91",
+    1: "8ee419515a2ba8468a40f7cfd0cafddafad6a970c961f88ff36d24f8d4249d52",
+    2: "ee2a7210b5a47b7c1c605da8f62fa31b6dbf1eb19b2d09e321417776bb6d9aa2",
 }
 
 
@@ -33,4 +34,7 @@ def test_outputs_match_the_pinned_digest(output_digest, capsys, seed):
     assert output_digest.main(["--seed", str(seed)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1] == f"sha256 {DIGESTS[seed]}"
-    assert all(line.endswith("exit codes {0: %d}" % int(line.split()[1])) for line in lines[:-1])
+    for line in lines[:-1]:
+        pool, count = line.split()[:2]
+        code = 2 if pool == "gate_refusal_probes:" else 0
+        assert line.endswith("exit codes {%d: %s}" % (code, count)), line

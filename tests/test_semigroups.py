@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -188,6 +189,33 @@ class TestLSpaceForm:
                 assert got is None, coeffs
                 seen["formal without gap 1" if runs is not None else "rejected"] += 1
         assert seen == {"runs": 6, "raised": 6, "formal without gap 1": 4, "rejected": 16368}
+
+    def test_same_outcome_as_gap_runs(self):
+        # Every polynomial with exponents 0..6 and coefficients in -1..1, and
+        # a few alternating ones shifted to a negative minimum exponent:
+        # lspace_runs returns the runs, or raises the same NotLSpaceForm, that
+        # gap_runs gives when the polynomial has gap 1 (its t^1 coefficient is
+        # -1) and an even top exponent, or is the constant 1; otherwise None.
+        def outcome(gate, delta):
+            try:
+                return gate(delta)
+            except NotLSpaceForm as exc:
+                return str(exc), exc.exponent
+
+        shifted = [IntLaurentPoly({e - k: (-1) ** i for i, e in enumerate(exps)})
+                   for exps in ([0], [0, 1, 2], [0, 1, 3, 5, 6], [0, 2, 4]) for k in (1, 2, 3)]
+        dense = [IntLaurentPoly(dict(enumerate(coeffs)))
+                 for coeffs in itertools.product((-1, 0, 1), repeat=7)]
+        seen = Counter()
+        for delta in dense + shifted:
+            want = outcome(gap_runs, delta)
+            degree_error = isinstance(want, tuple) and "does not equal twice" in want[0]
+            shaped = delta == 1 or (delta.coeff(1) == -1 and delta.max_exp % 2 == 0)
+            if not (isinstance(want, list) or degree_error) or not shaped:
+                want = None
+            assert outcome(lspace_runs, delta) == want, delta
+            seen["None" if want is None else type(want).__name__] += 1
+        assert seen == {"list": 6, "tuple": 6, "None": 2187}
 
 
 class TestInvariantEnforcement:

@@ -4,8 +4,8 @@
     python3 tools/output_digest.py --seed 1
 
 Generates every operation of the four benchmark workloads, plus the census
-defect probes, through bench/workloads.py, adds the restore and braid
-probes below, and runs each once through ``upsilon_lab.cli.main`` in this
+defect probes, through bench/workloads.py, adds the restore, braid and
+gate-refusal probes below, and runs each once through ``upsilon_lab.cli.main`` in this
 process.  Input files and SVG output go to one fixed directory under the
 system temp directory, because file paths appear in warnings on stderr;
 nothing is written under the repository.
@@ -63,6 +63,22 @@ BRAID_PROBES = (
 )
 
 
+# Inputs that the Alexander-polynomial gate or the braid checks refuse, each
+# with exit 2: Delta not alternating, zero, without gap 1, with an odd top
+# exponent, and of the L-space shape with deg != 2g; a closure with 3
+# components, a JSON letter true, and the 33-strand unknot word.
+GATE_PROBES = (
+    ["invariants", "--alexander", "[[0,1],[1,1],[2,-1]]"],
+    ["invariants", "--alexander", "[]"],
+    ["invariants", "--alexander", "[[0,1],[2,-1],[4,1]]"],
+    ["invariants", "--alexander", "[[0,1],[1,-1],[3,1]]"],
+    ["invariants", "--alexander", "[[0,1],[1,-1],[2,1],[3,-1],[6,1]]"],
+    ["braid", "--strands", "3", "--word", "1,-1"],
+    ["braid", "--json", '{"strands":3,"word":[1,true]}'],
+    ["braid", "--strands", "33", "--word", ",".join(map(str, range(1, 33)))],
+)
+
+
 def run(op: workloads.Op) -> tuple[object, str, str, bytes]:
     """Exit code, stdout, stderr and SVG bytes (empty if none) of one op."""
     op.write_files()
@@ -89,6 +105,7 @@ def main(argv: list[str] | None = None) -> int:
     pools["census_defect_probes"] = workloads.census_defect_probes(args.seed, str(WORKDIR))
     pools["restore_probes"] = [workloads.Op("restore", argv) for argv in RESTORE_PROBES]
     pools["braid_probes"] = [workloads.Op(argv[0], argv) for argv in BRAID_PROBES]
+    pools["gate_refusal_probes"] = [workloads.Op(argv[0], argv) for argv in GATE_PROBES]
     digest = hashlib.sha256()
     try:
         for name, ops in pools.items():
