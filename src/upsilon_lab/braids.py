@@ -16,18 +16,24 @@ rewriting column i-1 of the running product from its neighbouring columns c:
 where a column outside the matrix counts as zero.  Each column is one plain
 dict of integer coefficients keyed by e * (s-1) + row for the term t^e of
 that row, so a factor t^k is a shift of every key by k * (s-1) and a letter
-builds one new dict; the keys become Laurent polynomials only once, at the
-end.  The full twist Delta^2 = (sigma_1 ... sigma_{s-1})^s is central, with
-image t^s * I, so each literal full twist in the word (K1(n) and K2(n) hold
-n, the torus word of T(p, q) floor(q/p)) is cut out once, when the word is
-built, and applied as one shift of t's exponent by +-s; the component count
-and the letter loop both read that one cut.  The determinant is taken
-by fraction-free elimination directly over the Laurent ring, and the unit
-ambiguity is fixed by shifting the minimum exponent to 0 and scaling the
-sign so that Delta(1) = +1.  Its cost grows faster than the cube of the
-strand count, so a closure with more than MAX_STRANDS strands is refused
-before it is built; the CLI also refuses a word of its own with more than
-MAX_LETTERS letters.
+builds one new dict.  The full twist Delta^2 = (sigma_1 ... sigma_{s-1})^s
+is central, with image t^s * I, so each literal full twist in the word
+(K1(n) and K2(n) hold n, the torus word of T(p, q) floor(q/p)) is cut out
+once, when the word is built, and applied as one shift of t's exponent by
++-s; the component count and the letter loop both read that one cut.
+
+The closure stays on plain {exponent: coefficient} dicts until the last
+division.  I - B is built from the decoded column dicts, and its
+determinant is taken by fraction-free elimination on those dicts
+(laurent._bareiss, the elimination behind laurent.determinant).  The unit
+ambiguity is fixed before dividing: the numerator det * (t - 1) is shifted
+to start at t^0, and its sign already gives Delta(1) = +1, since
+det(I - B)(1) = s for a knot.  It becomes a polynomial once, and
+IntLaurentPoly.exact_div divides it by t^s - 1 as one running sum per
+residue class mod s.  The determinant's cost grows faster than the cube of
+the strand count, so a closure with more than MAX_STRANDS strands is
+refused before it is built; the CLI also refuses a word of its own with
+more than MAX_LETTERS letters.
 
 This gives an independent oracle for every Alexander polynomial stored with a braid
 word elsewhere in the package.
@@ -36,14 +42,15 @@ word elsewhere in the package.
 from __future__ import annotations
 
 import re
+from array import array
 from collections.abc import Iterable
 
 from .errors import NotAKnot, TooManyStrands, UnknownName
-from .laurent import IntLaurentPoly, determinant
+from .laurent import IntLaurentPoly, _bareiss
 
 # The most strands a closure may have for the Burau determinant.  On the
-# unknot word 1, 2, ..., s-1, alexander_of_closure took about 0.16 s at
-# s = 32, 1.6 s at 64 and 3.5 s at 80 (CPython 3.11, a shared 2-CPU host).
+# unknot word 1, 2, ..., s-1, alexander_of_closure took about 0.04 s at
+# s = 32, 0.5 s at 64 and 1.6 s at 80 (CPython 3.11, a shared 2-CPU host).
 MAX_STRANDS = 32
 
 # The most letters a braid word given on the command line may have.  The
@@ -126,18 +133,19 @@ class BraidWord:
         closure_components and reduced_burau both read.  Four spellings are
         cut: (1, ..., s-1)^s and (s-1, ..., 1)^s, both Delta^2 with image
         t^s * I, and their mirrors, both Delta^-2 with image t^-s * I.  The
-        letters are offset by s into bytes 1 .. 2s-1 so that bytes.count and
-        bytes.replace do the scan; a word on more than MAX_STRANDS strands,
-        or too short to hold a twist, is returned whole.
+        letters, in -31 .. 31, are written as signed bytes (two's complement)
+        so that bytes.count and bytes.replace do the scan; a word on more
+        than MAX_STRANDS strands, or too short to hold a twist, is returned
+        whole.
         """
         s, letters = self._strands, self._letters
         if s > MAX_STRANDS or s * (s - 1) > len(letters):
             return letters, 0
-        text = bytes(map(s.__add__, letters))
+        text = array("b", letters).tobytes()
         power = 0
-        rising = range(s + 1, 2 * s)  # letters 1 .. s-1, offset by s
-        for spelling, sign in ((rising, 1), (rising[::-1], 1), (range(1, s), -1),
-                               (range(s - 1, 0, -1), -1)):
+        # Letter -x is the byte 256 - x: the mirrors run over 255 .. 257 - s.
+        for spelling, sign in ((range(1, s), 1), (range(s - 1, 0, -1), 1),
+                               (range(255, 256 - s, -1), -1), (range(257 - s, 256), -1)):
             twist = bytes(spelling) * s
             count = text.count(twist)
             if count:
@@ -145,7 +153,7 @@ class BraidWord:
                 power += sign * count * s
         if len(text) == len(letters):
             return letters, 0
-        return tuple(map(s.__rsub__, text)), power
+        return tuple(array("b", text)), power
 
     def closure_components(self) -> int:
         """Number of cycles of the underlying permutation.
@@ -200,6 +208,10 @@ class BraidWord:
         >>> BraidWord(2, [1, 1, 1]).reduced_burau()
         [[IntLaurentPoly('-t^3')]]
         """
+        return [[IntLaurentPoly._from_terms(terms) for terms in row] for row in self._burau_terms()]
+
+    def _burau_terms(self) -> list[list[dict[int, int]]]:
+        """reduced_burau's entries as fresh {exponent: coefficient} dicts."""
         n = self._strands - 1
         letters, power = self._cut
         columns = [{j: 1} for j in range(n)]
@@ -222,10 +234,15 @@ class BraidWord:
             for key, c in column.items():
                 e, row = divmod(key, n)
                 entries[row][j][e + power] = c
-        return [[IntLaurentPoly._from_terms(terms) for terms in row] for row in entries]
+        return entries
 
     def alexander_of_closure(self) -> IntLaurentPoly:
-        """Alexander polynomial of the closure, normalized so Delta(1) = +1."""
+        """Alexander polynomial of the closure, normalized so Delta(1) = +1.
+
+        I - B is built from the Burau entries' term dicts (each negated, 1
+        added on the diagonal) and its determinant taken on those dicts; the
+        result becomes a polynomial once, for the division by t^s - 1.
+        """
         components = self.closure_components()
         if components != 1:
             raise NotAKnot(f"closure has {components} components, need 1")
@@ -233,25 +250,33 @@ class BraidWord:
             raise TooManyStrands(
                 f"{self._strands} strands, above the limit of {MAX_STRANDS} for the Burau determinant"
             )
-        n = self._strands - 1
-        burau = self.reduced_burau()
-        i_minus_b = [
-            [
-                (IntLaurentPoly.one() if i == j else IntLaurentPoly.zero()) - burau[i][j]
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        det = determinant(i_minus_b)
-        t = IntLaurentPoly.t()
-        numerator = det * (t - 1)
-        denominator = IntLaurentPoly.monomial(self._strands) - 1
-        delta = numerator.exact_div(denominator)
-        delta = delta.shifted(-delta.min_exp)
+        i_minus_b = [[{e: -c for e, c in terms.items()} for terms in row]
+                     for row in self._burau_terms()]
+        for i, row in enumerate(i_minus_b):
+            diagonal = row[i]
+            c = diagonal.pop(0, 0) + 1
+            if c:
+                diagonal[0] = c
+        det = _bareiss(i_minus_b)
+        # The numerator det * (t - 1) is built to start at t^0, so the
+        # quotient does too.  Its sign needs no fixing: B at t = 1 is the
+        # standard representation of the closure's s-cycle, so
+        # det(I - B)(1) = s and, as Delta * (1 + t + ... + t^(s-1)) = det,
+        # Delta(1) = 1.
+        lo = min(det, default=0)
+        numerator: dict[int, int] = {}
+        for e, c in det.items():
+            e -= lo
+            numerator[e + 1] = numerator.get(e + 1, 0) + c
+            numerator[e] = numerator.get(e, 0) - c
+        numerator = {e: c for e, c in numerator.items() if c}
+        delta = IntLaurentPoly._from_terms(numerator).exact_div(
+            IntLaurentPoly({0: -1, self._strands: 1})
+        )
         at_one = sum(delta._terms.values())
-        if abs(at_one) != 1:
+        if at_one != 1:
             raise NotAKnot(f"Delta(1) = {at_one}; the closure is not a knot")
-        return -delta if at_one < 0 else delta
+        return delta
 
 
 # -- named words -------------------------------------------------------------------

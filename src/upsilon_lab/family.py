@@ -137,8 +137,10 @@ def alexander_via_torres(knot: FamilyKnot) -> IntLaurentPoly:
 def alexander_via_burau(knot: FamilyKnot) -> IntLaurentPoly:
     """Burau-determinant derivation from the braid word.
 
-    The slowest of the three: about 0.3 ms at n = 1 and 0.4 ms at n = 10,
-    three to five times Torres and twenty to forty times the closed form.
+    The slowest of the three at small n: 0.11 ms at n = 1, 0.13 ms at n = 10
+    and 0.36 ms at n = 100, three times Torres at n = 1, twice at n = 10 and
+    about as fast at n = 100, and four to thirty times the closed form (best
+    of 60, CPython 3.11, a shared 2-CPU host).
     """
     return braids.family_braid(knot.which, knot.n).alexander_of_closure()
 
@@ -181,10 +183,10 @@ def hull_closed_form(n: int) -> PLFunction:
 
 
 # verify_family_pair cross-checks the Burau derivation only up to this n.  The
-# two words cost about 0.65 ms at n = 3, 0.8 ms at n = 10 and 3.1 ms at n = 100
-# (best of 60, CPython 3.11, a shared 2-CPU host), three to four times Torres,
-# which already checks every n; a larger bound would change the checks that
-# `family verify` reports.
+# two words cost about 0.22 ms at n = 3, 0.26 ms at n = 10 and 0.74 ms at
+# n = 100 (best of 60, CPython 3.11, a shared 2-CPU host), twice Torres at
+# n <= 10, which already checks every n; a larger bound would change the
+# checks that `family verify` reports.
 BURAU_MAX_N = 2
 
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
+from itertools import accumulate, compress, count, repeat
+from operator import neg
 
 from .errors import NonExactDivision
 
@@ -225,23 +227,54 @@ class IntLaurentPoly:
     def exact_div(self, d: "IntLaurentPoly") -> "IntLaurentPoly":
         """Exact quotient q with q*d == self.
 
-        Runs synthetic division from the lowest exponent up and raises
-        NonExactDivision at the first position where the remainder cannot be
-        cancelled; that exponent is recorded on the exception.  Each quotient
-        step subtracts only the divisor's nonzero terms, so t^s - 1 costs two
-        updates per step, not s + 1.
+        The route follows the divisor's shape, and every route raises the
+        same NonExactDivision, message and exponent, as synthetic division
+        from the lowest exponent up: at the first position where the
+        remainder cannot be cancelled.
+
+        - A monomial c*t^k is a shift of every term by -k, each coefficient
+          checked for divisibility by c.
+        - t^k * (t^s - 1): the remainder at each position is the running sum
+          of the dividend's coefficients at that position, s below it, 2s
+          below, ...; the division is exact iff the last s running sums are
+          zero, and the quotient is the negated running sums below them.
+        - Any other divisor: synthetic division over a dense remainder list,
+          each quotient step subtracting only the divisor's nonzero terms.
         """
         if d.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero:
             return IntLaurentPoly.zero()
-        n_lo, n_hi = self.min_exp, self.max_exp
-        d_lo, d_hi = d.min_exp, d.max_exp
-        rem = [self._terms.get(e, 0) for e in range(n_lo, n_hi + 1)]
-        div = [(e - d_lo, c) for e, c in d._terms.items()]
-        d0 = d._terms[d_lo]
-        width = d_hi - d_lo + 1
+        terms, div = self._terms, d._terms
+        if len(div) == 1:
+            ((k, d0),) = div.items()
+            bad = [e for e, c in terms.items() if c % d0]
+            if bad:
+                e = min(bad)
+                raise NonExactDivision(
+                    f"coefficient {terms[e]} at exponent {e} not divisible by {d0}", exponent=e
+                )
+            return IntLaurentPoly._from_terms({e - k: c // d0 for e, c in terms.items()})
+        n_lo, n_hi = min(terms), max(terms)
+        d_lo, d_hi = min(div), max(div)
+        rem = list(map(terms.get, range(n_lo, n_hi + 1), repeat(0)))
         q_offset = n_lo - d_lo
+        if len(div) == 2 and div[d_lo] == -1 and div[d_hi] == 1:
+            s = d_hi - d_lo
+            for r in range(min(s, len(rem))):
+                rem[r::s] = accumulate(rem[r::s])
+            top = max(len(rem) - s, 0)
+            tail = rem[top:]
+            if any(tail):
+                e = n_lo + top + next(compress(count(), tail))
+                raise NonExactDivision(f"nonzero remainder at exponent {e}", exponent=e)
+            head = rem[:top]
+            return IntLaurentPoly._from_terms(
+                dict(zip(compress(count(q_offset), head), map(neg, compress(head, head))))
+            )
+        div_steps = [(e - d_lo, c) for e, c in div.items()]
+        d0 = div[d_lo]
+        width = d_hi - d_lo + 1
         quotient: dict[int, int] = {}
         for i, c in enumerate(rem):
             if not c:
@@ -257,7 +290,7 @@ class IntLaurentPoly:
                 )
             f = c // d0
             quotient[q_offset + i] = f
-            for j, dc in div:
+            for j, dc in div_steps:
                 rem[i + j] -= f * dc
         return IntLaurentPoly._from_terms(quotient)
 
@@ -291,28 +324,54 @@ def determinant(rows: list[list[IntLaurentPoly]]) -> IntLaurentPoly:
 
     Fraction-free Bareiss elimination: every intermediate division is exact
     by the Sylvester identity, so no rational function field is needed.  The
-    first step's divisor is 1, so that step does not divide.
+    elimination runs on the entries' term dicts (see _bareiss); the input
+    polynomials are not changed.
     """
-    n = len(rows)
-    if n == 0:
-        return IntLaurentPoly.one()
-    m = [list(r) for r in rows]
-    if any(len(r) != n for r in m):
+    m = [[p._terms for p in row] for row in rows]
+    if any(len(row) != len(m) for row in m):
         raise ValueError("matrix is not square")
-    sign = 1
-    prev = IntLaurentPoly.one()
+    return IntLaurentPoly._from_terms(_bareiss(m))
+
+
+def _bareiss(m: list[list[dict[int, int]]]) -> dict[int, int]:
+    """Determinant of a square matrix of term dicts, as a term dict.
+
+    Rows of m are swapped and entries replaced, but no dict in it is changed.
+    Step k forms each entry m[i][j]*m[k][k] - m[i][k]*m[k][j] in one dict,
+    drops its zero terms and divides it by the pivot of step k - 1 through
+    IntLaurentPoly.exact_div; the first step's divisor is 1, so that step
+    does not divide.
+    """
+    n = len(m)
+    if n == 0:
+        return {0: 1}
+    negate = False
+    prev = None
     for k in range(n - 1):
-        if m[k][k].is_zero:
-            pivot_row = next((i for i in range(k + 1, n) if not m[i][k].is_zero), None)
-            if pivot_row is None:
-                return IntLaurentPoly.zero()
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
+        if not m[k][k]:
+            below = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if below is None:
+                return {}
+            m[k], m[below] = m[below], m[k]
+            negate = not negate
+        pivot_row = m[k]
+        pivot = pivot_row[k].items()
+        for row in m[k + 1 :]:
+            lead = row[k].items()
             for j in range(k + 1, n):
-                entry = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = entry.exact_div(prev) if k else entry
-            m[i][k] = IntLaurentPoly.zero()
-        prev = m[k][k]
+                entry: dict[int, int] = {}
+                for e1, c1 in row[j].items():
+                    for e2, c2 in pivot:
+                        e = e1 + e2
+                        entry[e] = entry.get(e, 0) + c1 * c2
+                for e1, c1 in lead:
+                    for e2, c2 in pivot_row[j].items():
+                        e = e1 + e2
+                        entry[e] = entry.get(e, 0) - c1 * c2
+                entry = {e: c for e, c in entry.items() if c}
+                if prev is not None and entry:
+                    entry = IntLaurentPoly._from_terms(entry).exact_div(prev)._terms
+                row[j] = entry
+        prev = IntLaurentPoly._from_terms(pivot_row[k])
     det = m[n - 1][n - 1]
-    return -det if sign < 0 else det
+    return {e: -c for e, c in det.items()} if negate else det

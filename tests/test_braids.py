@@ -16,9 +16,9 @@ from upsilon_lab.braids import (
 )
 from upsilon_lab.errors import NotAKnot, TooManyStrands, UnknownName
 from upsilon_lab.family import FamilyKnot, alexander_closed_form
-from upsilon_lab.laurent import IntLaurentPoly
+from upsilon_lab.laurent import IntLaurentPoly, determinant
 
-from test_laurent import K1_N1, K2_N1
+from test_laurent import K1_N1, K2_N1, dense_exact_div
 
 P = IntLaurentPoly.from_pairs
 
@@ -273,6 +273,26 @@ class TestBurauAgainstGeneratorProduct:
                 assert word.closure_components() == permutation_cycles(word), word
 
 
+class TestTwistCutAtMaxStrands:
+    def test_every_spelling_with_letters_31(self):
+        # Letters -31 .. 31 are cut as signed bytes.  Each spelling of the
+        # full twist on 32 strands has 992 letters; the reference
+        # generator_product takes about 50 ms a letter there, so the twists
+        # enter it as t^(+-32) * I, the image that
+        # test_full_twist_powers_are_scalar checks on up to 8 strands, and the
+        # letters between them are multiplied out.
+        rising, falling, rising_inverse, falling_inverse = (
+            full_twist(32, sign, falling) for sign in (1, -1) for falling in (False, True))
+        letters = ((31, -7) + rising + (-31, 2) + falling + (30,) + rising_inverse
+                   + (-1,) + falling_inverse + rising + (-31, 31))
+        word = BraidWord(32, letters)
+        between = (31, -7, -31, 2, 30, -1, -31, 31)
+        assert word._full_twists_removed() == (between, 32)
+        expected = [[entry.shifted(32) for entry in row]
+                    for row in generator_product(BraidWord(32, between))]
+        assert word.reduced_burau() == expected
+
+
 class TestBurauMatrices:
     def test_braid_relations(self):
         for s in (3, 4, 5):
@@ -358,6 +378,35 @@ class TestAlexanderOfClosure:
         except NotAKnot as exc:
             got = str(exc)
         assert (got, calls) == (expected, [word])
+
+
+def alexander_by_determinant(word: BraidWord) -> IntLaurentPoly:
+    """Delta from the public matrices: det(I - B) * (t - 1) / (t^s - 1), dense division."""
+    n = word.strands - 1
+    burau = word.reduced_burau()
+    i_minus_b = [[(IntLaurentPoly.one() if i == j else IntLaurentPoly.zero()) - burau[i][j]
+                  for j in range(n)] for i in range(n)]
+    numerator = determinant(i_minus_b) * (IntLaurentPoly.t() - 1)
+    delta = dense_exact_div(numerator, IntLaurentPoly.monomial(word.strands) - 1)
+    delta = delta.shifted(-delta.min_exp)
+    return -delta if delta(1) < 0 else delta
+
+
+class TestClosureAgainstDeterminant:
+    @pytest.mark.parametrize("strands", [3, 4])
+    def test_every_short_knot_word(self, strands):
+        alphabet = [x for i in range(1, strands) for x in (i, -i)]
+        for length in range(7):
+            for letters in itertools.product(alphabet, repeat=length):
+                word = BraidWord(strands, letters)
+                if word.is_knot_closure():
+                    assert word.alexander_of_closure() == alexander_by_determinant(word), word
+
+    @pytest.mark.parametrize("which", ["K1", "K2"])
+    def test_family_words(self, which):
+        for n in range(1, 61):
+            word = family_braid(which, n)
+            assert word.alexander_of_closure() == alexander_by_determinant(word), n
 
 
 def random_knot_word(rng: random.Random) -> BraidWord:

@@ -84,7 +84,8 @@ class TestMul:
 def dense_exact_div(p: IntLaurentPoly, d: IntLaurentPoly) -> IntLaurentPoly:
     """Synthetic division stepping over every exponent of the divisor, zeros included.
 
-    Raises NonExactDivision at the same exponent as IntLaurentPoly.exact_div.
+    Raises NonExactDivision with the same message and exponent as
+    IntLaurentPoly.exact_div, whichever route that takes.
     """
     if p.is_zero:
         return p
@@ -95,18 +96,25 @@ def dense_exact_div(p: IntLaurentPoly, d: IntLaurentPoly) -> IntLaurentPoly:
     for i, c in enumerate(rem):
         if not c:
             continue
-        if i + len(div) > len(rem) or c % div[0]:
-            raise NonExactDivision("dense", exponent=n_lo + i)
+        if i + len(div) > len(rem):
+            raise NonExactDivision(f"nonzero remainder at exponent {n_lo + i}", exponent=n_lo + i)
+        if c % div[0]:
+            raise NonExactDivision(f"coefficient {c} at exponent {n_lo + i} not divisible by {div[0]}",
+                                   exponent=n_lo + i)
         quotient[n_lo - d_lo + i] = c // div[0]
         for j, dc in enumerate(div):
             rem[i + j] -= c // div[0] * dc
     return IntLaurentPoly(quotient)
 
 
-# Divisors with interior zeros: t^s - 1 (the closure denominator) and a Bareiss
-# pivot shape, 1 - t^168 + t^169, from the K1(40) Burau matrix.
+# One divisor or more for each route of exact_div: monomials (a shift), t^s - 1
+# (the closure denominator; s = 1 has no interior zero), and other shapes, such
+# as the Bareiss pivot 1 - t^168 + t^169 from the K1(40) Burau matrix.
 SPARSE_DIVISORS = [
-    *(IntLaurentPoly.monomial(s) - 1 for s in (2, 4, 7, 40)),
+    poly({0: 3}),
+    poly({5: -1}),
+    poly({-3: 2}),
+    *(IntLaurentPoly.monomial(s) - 1 for s in (1, 2, 4, 7, 40)),
     poly({0: 1, 168: -1, 169: 1}),
     poly({-5: 3, 2: -2, 30: 1}),
 ]
@@ -133,9 +141,31 @@ class TestExactDiv:
             except NonExactDivision as dense_err:
                 with pytest.raises(NonExactDivision) as err:
                     p.exact_div(d)
-                assert err.value.exponent == dense_err.exponent
+                assert (str(err.value), err.value.exponent) == (str(dense_err), dense_err.exponent)
             else:
                 assert p.exact_div(d) == expected
+
+    def test_monomial_reports_the_lowest_nondivisible_term(self):
+        # The dict's first key, 5, divides; of 4*t^2 and 5, the lower, 5 at t^0, is reported.
+        p = IntLaurentPoly({5: 3, 2: 4, 0: 5, -1: 6})
+        d = poly({-2: 3})
+        with pytest.raises(NonExactDivision) as dense_err:
+            dense_exact_div(p, d)
+        with pytest.raises(NonExactDivision) as err:
+            p.exact_div(d)
+        assert str(err.value) == str(dense_err.value) == "coefficient 5 at exponent 0 not divisible by 3"
+        assert err.value.exponent == dense_err.value.exponent == 0
+
+    @pytest.mark.parametrize("p", [poly({0: 1, 1: 2}), poly({-3: 4}), poly({-2: 1, 2: -1})], ids=str)
+    def test_twist_denominator_longer_than_the_dividend(self, p):
+        # t^7 - 1 spans more exponents than the dividend: its lowest term is the remainder.
+        d = IntLaurentPoly.monomial(7) - 1
+        with pytest.raises(NonExactDivision) as dense_err:
+            dense_exact_div(p, d)
+        with pytest.raises(NonExactDivision) as err:
+            p.exact_div(d)
+        assert str(err.value) == str(dense_err.value) == f"nonzero remainder at exponent {p.min_exp}"
+        assert err.value.exponent == dense_err.value.exponent == p.min_exp
 
     def test_nonexact_past_the_divisor_reach(self):
         # (t^3 - 1) + t^5: the quotient term 1 leaves t^5, too high for t^3 - 1 to cancel.
@@ -300,6 +330,22 @@ class TestDeterminant:
                 for _ in range(n)
             ]
             assert determinant(rows) == self.cofactor_det(rows)
+
+    def test_sparse_matrices_with_zero_pivots(self):
+        # Entries are zero about half the time and the first pivot always, so
+        # rows are swapped, at the first step and after elimination.
+        rng = random.Random(32)
+        swapped = 0
+        for _ in range(40):
+            rows = [[random_poly(rng, max_terms=2, exp_range=(-2, 2), coeff_range=(-2, 2))
+                     if rng.random() < 0.5 else IntLaurentPoly.zero() for _ in range(5)]
+                    for _ in range(5)]
+            rows[0][0] = IntLaurentPoly.zero()
+            swapped += any(not r[0].is_zero for r in rows[1:])
+            before = [[dict(p._terms) for p in r] for r in rows]
+            assert determinant(rows) == self.cofactor_det(rows)
+            assert [[p._terms for p in r] for r in rows] == before
+        assert swapped >= 20
 
     def test_singular(self):
         one = IntLaurentPoly.one()
