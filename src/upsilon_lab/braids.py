@@ -22,15 +22,17 @@ is central, with image t^s * I, so each literal full twist in the word
 once, when the word is built, and applied as one shift of t's exponent by
 +-s; the component count and the letter loop both read that one cut.
 
-The closure stays on plain {exponent: coefficient} dicts until the last
-division.  I - B is built from the decoded column dicts, and its
-determinant is taken by fraction-free elimination on those dicts
-(laurent._bareiss, the elimination behind laurent.determinant).  The unit
-ambiguity is fixed before dividing: the numerator det * (t - 1) is shifted
-to start at t^0, and its sign already gives Delta(1) = +1, since
-det(I - B)(1) = s for a knot.  It becomes a polynomial once, and
-IntLaurentPoly.exact_div divides it by t^s - 1 as one running sum per
-residue class mod s.  The determinant's cost grows faster than the cube of
+The closure stays on plain {exponent: coefficient} dicts until Delta is
+found.  B - I is the decoded column dicts with 1 taken off the diagonal,
+and its determinant is taken by fraction-free elimination on those dicts
+(laurent._bareiss, the elimination behind laurent.determinant).  Dividing
+by t^s - 1 and multiplying by t - 1 is dividing det(I - B) by
+1 + t + ... + t^(s-1): det's terms are scattered as coefficient
+differences into one dense list read from t^0, and one running sum per
+residue class mod s turns that list into Delta.  The unit ambiguity is
+fixed by reading from t^0 and by the parity of s alone:
+det(I - B) = (-1)^(s-1) * det(B - I), and det(I - B)(1) = s for a knot,
+so Delta(1) = +1.  The determinant's cost grows faster than the cube of
 the strand count, so a closure with more than MAX_STRANDS strands is
 refused before it is built; the CLI also refuses a word of its own with
 more than MAX_LETTERS letters.
@@ -44,8 +46,9 @@ from __future__ import annotations
 import re
 from array import array
 from collections.abc import Iterable
+from itertools import accumulate, compress, count
 
-from .errors import NotAKnot, TooManyStrands, UnknownName
+from .errors import NonExactDivision, NotAKnot, TooManyStrands, UnknownName
 from .laurent import IntLaurentPoly, _bareiss
 
 # The most strands a closure may have for the Burau determinant.  On the
@@ -54,11 +57,11 @@ from .laurent import IntLaurentPoly, _bareiss
 MAX_STRANDS = 32
 
 # The most letters a braid word given on the command line may have.  The
-# cost grows about as the square of the length on 5 strands and the cube on
-# 32: the worst of three knot-closing words (random signs, or all positive)
-# of 99 to 100 letters took 0.003 s on 3 strands, 0.03 s on 5 and 1.5 s on
-# 32, against 3.5 s at 127 letters on 32 strands and 7.6 s at 2,000 letters
-# on 5 (CPython 3.11, a shared 2-CPU host).  These costs are those of words
+# cost grows with the length and the strand count: the worst of three
+# seeded knot-closing words (random signs) of 99 to 100 letters took
+# 0.001 s on 3 strands, 0.005 s on 5 and 0.25 s on 32, against 0.31 s at
+# 127 letters on 32 strands and 4.2 s at 2,000 letters on 5 (one call each,
+# CPython 3.11, a shared 2-CPU host).  These costs are those of words
 # without full twists: each literal full twist is cut out when the word is
 # built (BraidWord._full_twists_removed) and costs only its share of a bytes scan,
 # but the bound counts every letter as given.  Named family words are
@@ -239,44 +242,50 @@ class BraidWord:
     def alexander_of_closure(self) -> IntLaurentPoly:
         """Alexander polynomial of the closure, normalized so Delta(1) = +1.
 
-        I - B is built from the Burau entries' term dicts (each negated, 1
-        added on the diagonal) and its determinant taken on those dicts; the
-        result becomes a polynomial once, for the division by t^s - 1.
+        B - I is the Burau entries' fresh term dicts with 1 taken off the
+        diagonal, and its determinant is taken on those dicts.  As
+        Delta * (1 + t + ... + t^(s-1)) = det(I - B), Delta_k - Delta_(k-s)
+        is the difference of det's coefficients, read from t^0; one running
+        sum per residue class mod s undoes it, and Delta is wrapped once.
         """
         components = self.closure_components()
         if components != 1:
             raise NotAKnot(f"closure has {components} components, need 1")
-        if self._strands > MAX_STRANDS:
+        s = self._strands
+        if s > MAX_STRANDS:
             raise TooManyStrands(
-                f"{self._strands} strands, above the limit of {MAX_STRANDS} for the Burau determinant"
+                f"{s} strands, above the limit of {MAX_STRANDS} for the Burau determinant"
             )
-        i_minus_b = [[{e: -c for e, c in terms.items()} for terms in row]
-                     for row in self._burau_terms()]
-        for i, row in enumerate(i_minus_b):
+        b_minus_i = self._burau_terms()
+        for i, row in enumerate(b_minus_i):
             diagonal = row[i]
-            c = diagonal.pop(0, 0) + 1
+            c = diagonal.pop(0, 0) - 1
             if c:
                 diagonal[0] = c
-        det = _bareiss(i_minus_b)
-        # The numerator det * (t - 1) is built to start at t^0, so the
-        # quotient does too.  Its sign needs no fixing: B at t = 1 is the
-        # standard representation of the closure's s-cycle, so
-        # det(I - B)(1) = s and, as Delta * (1 + t + ... + t^(s-1)) = det,
-        # Delta(1) = 1.
-        lo = min(det, default=0)
-        numerator: dict[int, int] = {}
+        det = _bareiss(b_minus_i)
+        # det(I - B) = (-1)^(s-1) * det(B - I), and no other sign is needed:
+        # B at t = 1 is the standard representation of the closure's s-cycle,
+        # so det(I - B)(1) = s and Delta(1) = 1.  Each term of det, so signed,
+        # is scattered as a difference into one dense list read from t^0.
+        lo, hi = min(det, default=0), max(det, default=-1)
+        sums = [0] * (hi - lo + 2)
         for e, c in det.items():
-            e -= lo
-            numerator[e + 1] = numerator.get(e + 1, 0) + c
-            numerator[e] = numerator.get(e, 0) - c
-        numerator = {e: c for e, c in numerator.items() if c}
-        delta = IntLaurentPoly._from_terms(numerator).exact_div(
-            IntLaurentPoly({0: -1, self._strands: 1})
-        )
-        at_one = sum(delta._terms.values())
+            c = c if s % 2 else -c
+            sums[e - lo] += c
+            sums[e - lo + 1] -= c
+        for r in range(s):
+            sums[r::s] = accumulate(sums[r::s])
+        # The quotient is exact iff the last s running sums are zero.
+        top = max(len(sums) - s, 0)
+        e = next((e for e in range(top, len(sums)) if sums[e]), None)
+        if e is not None:
+            raise NonExactDivision(f"nonzero remainder at exponent {e}", exponent=e)
+        head = sums[:top]
+        delta = dict(zip(compress(count(), head), compress(head, head)))
+        at_one = sum(delta.values())
         if at_one != 1:
             raise NotAKnot(f"Delta(1) = {at_one}; the closure is not a knot")
-        return delta
+        return IntLaurentPoly._from_terms(delta)
 
 
 # -- named words -------------------------------------------------------------------

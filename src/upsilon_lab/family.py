@@ -137,10 +137,10 @@ def alexander_via_torres(knot: FamilyKnot) -> IntLaurentPoly:
 def alexander_via_burau(knot: FamilyKnot) -> IntLaurentPoly:
     """Burau-determinant derivation from the braid word.
 
-    The slowest of the three at small n: 0.11 ms at n = 1, 0.13 ms at n = 10
-    and 0.36 ms at n = 100, three times Torres at n = 1, twice at n = 10 and
-    about as fast at n = 100, and four to thirty times the closed form (best
-    of 60, CPython 3.11, a shared 2-CPU host).
+    The slowest of the three at small n: 0.09 ms at n = 1, 0.11 ms at n = 10
+    and 0.27 ms at n = 100, about 1.5 times Torres at n <= 10 and faster at
+    n = 100 (0.39 ms), and three to twelve times the closed form (best of
+    200, CPython 3.11, a shared 2-CPU host).
     """
     return braids.family_braid(knot.which, knot.n).alexander_of_closure()
 
@@ -183,9 +183,9 @@ def hull_closed_form(n: int) -> PLFunction:
 
 
 # verify_family_pair cross-checks the Burau derivation only up to this n.  The
-# two words cost about 0.22 ms at n = 3, 0.26 ms at n = 10 and 0.74 ms at
-# n = 100 (best of 60, CPython 3.11, a shared 2-CPU host), twice Torres at
-# n <= 10, which already checks every n; a larger bound would change the
+# two words cost about 0.20 ms at n = 3, 0.23 ms at n = 10 and 0.6 ms at
+# n = 100 (best of 200, CPython 3.11, a shared 2-CPU host), about twice Torres
+# at n <= 10, which already checks every n; a larger bound would change the
 # checks that `family verify` reports.
 BURAU_MAX_N = 2
 

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
-from itertools import accumulate, compress, count, repeat
-from operator import neg
+from itertools import repeat
 
 from .errors import NonExactDivision
 
@@ -227,17 +226,12 @@ class IntLaurentPoly:
     def exact_div(self, d: "IntLaurentPoly") -> "IntLaurentPoly":
         """Exact quotient q with q*d == self.
 
-        The route follows the divisor's shape, and every route raises the
-        same NonExactDivision, message and exponent, as synthetic division
-        from the lowest exponent up: at the first position where the
-        remainder cannot be cancelled.
+        There are two routes, and both raise the same NonExactDivision,
+        message and exponent, as synthetic division from the lowest exponent
+        up: at the first position where the remainder cannot be cancelled.
 
         - A monomial c*t^k is a shift of every term by -k, each coefficient
           checked for divisibility by c.
-        - t^k * (t^s - 1): the remainder at each position is the running sum
-          of the dividend's coefficients at that position, s below it, 2s
-          below, ...; the division is exact iff the last s running sums are
-          zero, and the quotient is the negated running sums below them.
         - Any other divisor: synthetic division over a dense remainder list,
           each quotient step subtracting only the divisor's nonzero terms.
         """
@@ -259,19 +253,6 @@ class IntLaurentPoly:
         d_lo, d_hi = min(div), max(div)
         rem = list(map(terms.get, range(n_lo, n_hi + 1), repeat(0)))
         q_offset = n_lo - d_lo
-        if len(div) == 2 and div[d_lo] == -1 and div[d_hi] == 1:
-            s = d_hi - d_lo
-            for r in range(min(s, len(rem))):
-                rem[r::s] = accumulate(rem[r::s])
-            top = max(len(rem) - s, 0)
-            tail = rem[top:]
-            if any(tail):
-                e = n_lo + top + next(compress(count(), tail))
-                raise NonExactDivision(f"nonzero remainder at exponent {e}", exponent=e)
-            head = rem[:top]
-            return IntLaurentPoly._from_terms(
-                dict(zip(compress(count(q_offset), head), map(neg, compress(head, head))))
-            )
         div_steps = [(e - d_lo, c) for e, c in div.items()]
         d0 = div[d_lo]
         width = d_hi - d_lo + 1

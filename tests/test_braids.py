@@ -408,6 +408,18 @@ class TestClosureAgainstDeterminant:
             word = family_braid(which, n)
             assert word.alexander_of_closure() == alexander_by_determinant(word), n
 
+    def test_one_bridge_braids(self):
+        # B(w, b, t) = (sigma_b ... sigma_1)(sigma_{w-1} ... sigma_1)^t reaches
+        # strand counts of both parities, where the sign of det(B - I) flips.
+        shapes = [(w, b, t) for w in range(5, 13) for b in range(1, w) for t in range(1, 4)]
+        words = [BraidWord(w, tuple(range(b, 0, -1)) + tuple(range(w - 1, 0, -1)) * t)
+                 for w, b, t in shapes + [(24, 1, 2), (32, 1, 2)]]
+        knots = [word for word in words if word.is_knot_closure()]
+        assert len(knots) == 71
+        assert {word.strands % 2 for word in knots} == {0, 1}
+        for word in knots:
+            assert word.alexander_of_closure() == alexander_by_determinant(word), word
+
 
 def random_knot_word(rng: random.Random) -> BraidWord:
     while True:

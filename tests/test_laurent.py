@@ -85,7 +85,7 @@ def dense_exact_div(p: IntLaurentPoly, d: IntLaurentPoly) -> IntLaurentPoly:
     """Synthetic division stepping over every exponent of the divisor, zeros included.
 
     Raises NonExactDivision with the same message and exponent as
-    IntLaurentPoly.exact_div, whichever route that takes.
+    IntLaurentPoly.exact_div, on either of its two routes.
     """
     if p.is_zero:
         return p
@@ -107,9 +107,9 @@ def dense_exact_div(p: IntLaurentPoly, d: IntLaurentPoly) -> IntLaurentPoly:
     return IntLaurentPoly(quotient)
 
 
-# One divisor or more for each route of exact_div: monomials (a shift), t^s - 1
-# (the closure denominator; s = 1 has no interior zero), and other shapes, such
-# as the Bareiss pivot 1 - t^168 + t^169 from the K1(40) Burau matrix.
+# Divisors for both routes of exact_div: monomials (a shift), and for synthetic
+# division t^s - 1 (s = 1 has no interior zero) and other shapes, such as the
+# Bareiss pivot 1 - t^168 + t^169 from the K1(40) Burau matrix.
 SPARSE_DIVISORS = [
     poly({0: 3}),
     poly({5: -1}),
