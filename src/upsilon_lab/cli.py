@@ -72,8 +72,7 @@ def _resolve_knot_spec(args: argparse.Namespace) -> tuple[str | None, IntLaurent
     kind = given[0]
     if kind == "alexander":
         try:
-            pairs = json.loads(args.alexander)
-            delta = IntLaurentPoly.from_pairs(pairs)
+            delta = census.alexander_from_json(json.loads(args.alexander))
         except (ValueError, TypeError, RecursionError) as exc:  # RecursionError: JSON nested too deeply
             raise _UsageError(f"bad --alexander value: {exc}") from exc
         name = None

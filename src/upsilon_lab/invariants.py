@@ -11,9 +11,10 @@ x = g - b, at height 2 * #{gaps >= b}.  The chain is therefore
                -> lower hull (the monotone-chain sweep of piecewise)
                -> Upsilon (legendre_fenchel).
 
-hull_vertices stops at the integer hull, which is the census's Upsilon key;
-census.parse_census_line builds the same key from the runs that
-semigroups.lspace_runs gives it, with _corners and the same sweep.  hull_of
+hull_vertices stops at the integer hull, which is the census's Upsilon key.
+census.parse_census_line keeps the runs that semigroups.lspace_runs gives
+it and sweeps no hull; CensusRecord.hull sweeps the same key from them,
+with _corners and the same sweep, only when a scan reads it.  hull_of
 and upsilon_of build the PLFunctions.  The formal semigroup and the
 2g + 1 gap-function samples are built only for the report fields that print
 them (knot_invariants) and for plot's gap-function panel; the dense route

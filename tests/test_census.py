@@ -1,14 +1,18 @@
 """Census scanning: grouping, determinism, malformed-record handling."""
 
+import copy
 import itertools
 import json
+import pickle
 import random
 import sys
 
 import pytest
 
+from upsilon_lab import census
 from upsilon_lab.census import (
     CensusRecord,
+    alexander_from_json,
     load_census,
     parse_census_line,
     sample_census_path,
@@ -162,6 +166,120 @@ class TestGrouping:
         assert calls == ["__init__", "lspace_runs"] * 10
 
 
+def all_pairs_scan(records) -> dict:
+    """The scan's oracle: sweep every record's hull and compare every pair."""
+    records = list(records)
+    hulls = [hull_vertices(r.delta) for r in records]
+
+    def groups(keys):
+        by_key = {}
+        for record, key in zip(records, keys):
+            by_key.setdefault(key, []).append(record.name)
+        return sorted(sorted(names) for names in by_key.values() if len(names) > 1)
+
+    pairs = sorted(
+        sorted([a.name, b.name])
+        for (a, ha), (b, hb) in itertools.combinations(zip(records, hulls), 2)
+        if ha == hb and a.delta != b.delta
+    )
+    return {
+        "records": len(records),
+        "delta_duplicate_groups": groups(r.delta for r in records),
+        "upsilon_duplicate_groups": groups(hulls),
+        "upsilon_equal_delta_distinct": pairs,
+    }
+
+
+def gap_one_sequences(max_genus: int):
+    """Every gap sequence with 1 a gap, the L-space shape, for g <= max_genus."""
+    return [gaps for g in range(max_genus + 1) for gaps in all_gap_sequences(g)
+            if not gaps or gaps[0] == 1]
+
+
+def ladder_census_lines() -> list[str]:
+    """A census-ladder-shaped file: a torus ladder, two K1/K2 pairs, a duplicate, a bad line.
+
+    Genera 1, 6, 12 and 24 repeat (12 records); 2, 3, 4, 22, 36, 60, 132 and
+    510 do not (8 records).
+    """
+    lines = [record_line(f"T({p},{q})", torus_semigroup(p, q).to_alexander().to_pairs())
+             for p, q in TORUS_LADDER]
+    lines += [record_line(f"{which}({n})", alexander_closed_form(FamilyKnot(which, n)).to_pairs())
+              for n in (1, 3) for which in ("K1", "K2")]
+    lines.append(record_line("T(2,3)~dup", [[0, 1], [1, -1], [2, 1]]))
+    lines.append(record_line("nonalt", [[0, 1], [1, -1], [2, -1], [3, 1], [4, 1]]))
+    random.Random(7).shuffle(lines)
+    return lines
+
+
+class TestRefinedScan:
+    """scan_census refines genus -> hull -> Delta and agrees with comparing every pair."""
+
+    # An Upsilon class holding three distinct polynomials: each gap function
+    # has the convex corners (-6, 0), (0, 4), (2, 6), (6, 12).
+    TRIPLE = [FormalSemigroup(gaps).to_alexander()
+              for gaps in [(1, 2, 3, 5, 8, 11), (1, 2, 3, 5, 9, 11), (1, 2, 3, 5, 10, 11)]]
+
+    def test_matches_the_all_pairs_oracle(self):
+        pool = [FormalSemigroup(gaps).to_alexander() for gaps in gap_one_sequences(7)]
+        triple, unknot = self.TRIPLE, P([[0, 1]])
+        names = [f"k{i}" for i in range(12)]
+        for seed in range(300):
+            rng = random.Random(seed)
+            deltas = rng.choices(pool, k=rng.randint(0, 30))
+            deltas += rng.choice([[], triple, [unknot, unknot], triple + [unknot, unknot]])
+            deltas += rng.sample(deltas, k=min(len(deltas), rng.randint(0, 3)))  # exact duplicates
+            rng.shuffle(deltas)
+            records = [CensusRecord(rng.choice(names), d) for d in deltas]  # names repeat
+            assert scan_census(records) == all_pairs_scan(records), seed
+
+    def test_three_delta_upsilon_class_and_the_unknot_twice(self):
+        a, b, c = self.TRIPLE
+        assert len({hull_vertices(d) for d in self.TRIPLE}) == 1 and len(set(self.TRIPLE)) == 3
+        unknot = P([[0, 1]])
+        records = [CensusRecord(n, d) for n, d in
+                   [("a", a), ("b", b), ("c", c), ("a2", a), ("u", unknot), ("v", unknot)]]
+        report = scan_census(records)
+        assert report == all_pairs_scan(records)
+        assert report["delta_duplicate_groups"] == [["a", "a2"], ["u", "v"]]
+        assert report["upsilon_duplicate_groups"] == [["a", "a2", "b", "c"], ["u", "v"]]
+        assert report["upsilon_equal_delta_distinct"] == [
+            ["a", "b"], ["a", "c"], ["a2", "b"], ["a2", "c"], ["b", "c"]]
+
+    def test_hulls_are_swept_only_where_a_genus_repeats(self, tmp_path, monkeypatch):
+        path = tmp_path / "census.jsonl"
+        path.write_text("\n".join(ladder_census_lines()) + "\n")
+        swept = []
+        sweep = census._lower_hull
+        monkeypatch.setattr(census, "_lower_hull", lambda corners: swept.append(1) or sweep(corners))
+        records, warnings = load_census(path)
+        assert len(records) == 20 and len(warnings) == 1
+        assert swept == []
+        report = scan_census(records)
+        genera = [r.delta.max_exp // 2 for r in records]
+        shared = [g for g in genera if genera.count(g) > 1]
+        assert len(shared) == 12
+        assert len(swept) == len(shared)
+        assert report["upsilon_duplicate_groups"] == [["K1(1)", "K2(1)"], ["K1(3)", "K2(3)"],
+                                                      ["T(2,3)", "T(2,3)~dup"]]
+        assert report == all_pairs_scan(records)
+
+    def test_record_hull_and_genus_agree_with_hull_vertices(self):
+        for gaps in gap_one_sequences(7):
+            delta = FormalSemigroup(gaps).to_alexander()
+            parsed = parse_census_line(record_line("k", delta.to_pairs()))
+            for record in (parsed, CensusRecord("k", delta)):
+                assert record.hull == hull_vertices(delta)
+                assert record.genus == len(gaps) == -record.hull[0][0]
+
+    def test_copy_and_pickle_keep_the_hull(self):
+        record = parse_census_line(record_line("t09847", T09847_PAIRS))
+        for other in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+            assert other == record and repr(other) == repr(record)
+            assert other.hull == record.hull == hull_vertices(record.delta)
+            assert other.genus == record.genus == 7
+
+
 class TestParsing:
     def test_rejects_non_lspace_form(self, tmp_path):
         path = tmp_path / "census.jsonl"
@@ -272,6 +390,42 @@ class TestParsing:
         assert record.name == "T(2,3)"
         assert record.delta == P([[0, 1], [1, -1], [2, 1]])
 
+    # An "alexander" value that is not an array of 2-element arrays used to be
+    # worded by Python's unpacking: "not enough values to unpack (expected 2,
+    # got 1)", "'int' object is not iterable", "cannot unpack non-iterable int
+    # object" and the like.
+    BAD_ALEXANDER = {
+        '{"0": 1}': '"alexander" must be a JSON array, got object',
+        '"ab"': '"alexander" must be a JSON array, got string',
+        "5": '"alexander" must be a JSON array, got number',
+        "null": '"alexander" must be a JSON array, got null',
+        "[[0,1,2]]": 'pair 1 of "alexander" must be an array of 2 integers, got array of 3',
+        "[0, 1]": 'pair 1 of "alexander" must be an array of 2 integers, got number',
+    }
+
+    @pytest.mark.parametrize("value", sorted(BAD_ALEXANDER))
+    def test_alexander_that_is_not_pairs_is_worded_in_json_terms(self, tmp_path, value):
+        path = tmp_path / "census.jsonl"
+        path.write_text('{"name": "a", "alexander": [[0, 1]]}\n'
+                        '{"name": "b", "alexander": ' + value + '}\n')
+        records, warnings = load_census(path)
+        assert [r.name for r in records] == ["a"]
+        assert warnings == [f"line 2: skipped ({self.BAD_ALEXANDER[value]})"]
+
+    @pytest.mark.parametrize("pairs, message", [
+        # The first pair that is not a pair is named, after any valid ones.
+        ([[0, 1], [1, -1], [2]], 'pair 3 of "alexander" must be an array of 2 integers, got array of 1'),
+        ([[0, 1], "ab"], 'pair 2 of "alexander" must be an array of 2 integers, got string'),
+        # A well-shaped pair with a non-int entry keeps IntLaurentPoly's message,
+        # even before a badly shaped pair.
+        ([[0, 1], [1.5, -1], [2]], "exponent 1.5 is not an int"),
+        ([[0, 1], [1, True]], "coefficient True is not an int"),
+    ])
+    def test_alexander_names_the_first_bad_pair(self, pairs, message):
+        with pytest.raises(TypeError) as info:
+            alexander_from_json(pairs)
+        assert str(info.value) == message
+
 
 def is_lspace_form(delta: IntLaurentPoly) -> bool:
     """The shape predicate IntLaurentPoly.is_lspace_form applied before semigroups.lspace_runs."""
@@ -296,7 +450,7 @@ def is_lspace_form(delta: IntLaurentPoly) -> bool:
 
 
 def three_step_parse(line: str) -> CensusRecord:
-    """The route the one-pass parse must agree with: from_pairs, is_lspace_form, CensusRecord."""
+    """The route the one-pass parse must agree with: alexander_from_json, is_lspace_form, CensusRecord."""
     data = json.loads(line)
     if not isinstance(data, dict):
         raise TypeError(f"record must be a JSON object, got {json_type(data)}")
@@ -306,7 +460,7 @@ def three_step_parse(line: str) -> CensusRecord:
     name = data["name"]
     if not isinstance(name, str):
         raise TypeError(f"record name must be a string, got {json_type(name)}")
-    delta = IntLaurentPoly.from_pairs(data["alexander"])
+    delta = alexander_from_json(data["alexander"])
     if not is_lspace_form(delta):
         raise UpsilonLabError(f"record {name!r}: polynomial is not in L-space form")
     try:

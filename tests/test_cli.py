@@ -146,6 +146,19 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "invariants", "--alexander", "[[0.9,1],[1,-1],[2.7,1]]")
         assert code == 2 and out == "" and "bad --alexander value" in err
 
+    @pytest.mark.parametrize("value, message", [
+        ('{"0": 1}', '"alexander" must be a JSON array, got object'),
+        ('"ab"', '"alexander" must be a JSON array, got string'),
+        ("5", '"alexander" must be a JSON array, got number'),
+        ("null", '"alexander" must be a JSON array, got null'),
+        ("[[0,1,2]]", 'pair 1 of "alexander" must be an array of 2 integers, got array of 3'),
+        ("[0, 1]", 'pair 1 of "alexander" must be an array of 2 integers, got number'),
+    ])
+    def test_alexander_that_is_not_pairs_is_worded_in_json_terms(self, capsys, value, message):
+        # Python's unpacking used to word these ("'int' object is not iterable").
+        assert run_cli(capsys, "invariants", "--alexander", value) == (
+            2, "", f"error: bad --alexander value: {message}\n")
+
     def test_unknown_catalog_name(self, capsys):
         code, _, err = run_cli(capsys, "invariants", "--catalog", "nonesuch")
         assert code == 2 and "nonesuch" in err

@@ -1,9 +1,9 @@
 """Every output the benchmark's operations produce, pinned by tools/output_digest.py.
 
 The digest covers exit code, stdout, stderr and SVG bytes of every op of the four
-benchmark workloads, the census defect probes and the tool's restore, braid and
-gate-refusal probes, for one seed.  The gate-refusal probes all exit 2; every other
-op exits 0.  A change that alters any output byte on purpose, or that
+benchmark workloads, the census defect probes and the tool's restore, braid,
+gate-refusal and census probes, for one seed.  The gate-refusal probes all exit 2;
+every other op exits 0.  A change that alters any output byte on purpose, or that
 changes bench/workloads.py or the probes, re-pins these digests and names the
 change in CHANGES.md.
 """
@@ -16,8 +16,8 @@ import pytest
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "output_digest.py"
 
 DIGESTS = {
-    1: "8ee419515a2ba8468a40f7cfd0cafddafad6a970c961f88ff36d24f8d4249d52",
-    2: "ee2a7210b5a47b7c1c605da8f62fa31b6dbf1eb19b2d09e321417776bb6d9aa2",
+    1: "2ca721aa305a58c5ed6b5d0e2f679ff68c555a59b024332b91129630716ff357",
+    2: "fce2e177044e62d55c5333deced1a1ef6a90f7ea0cdc13768fc902a34318c9f7",
 }
 
 

@@ -36,9 +36,9 @@ CHECK = CheckResult(True, "x")
 CASES = {
     "CensusRecord": (
         lambda: CensusRecord("3_1", TREFOIL),
-        lambda: CensusRecord(delta=TREFOIL, name="3_1", hull=None),
+        lambda: CensusRecord(delta=TREFOIL, name="3_1"),
         lambda: CensusRecord("3_1", T25),
-        ("name", "delta", "hull"),
+        ("name", "delta", "hull", "genus"),
         "CensusRecord(name='3_1', delta=IntLaurentPoly('1 - t + t^2'))",
     ),
     "FamilyKnot": (
@@ -173,12 +173,21 @@ def test_init_parameters_are_the_slots_in_order(name):
 class TestDefaultsAndHull:
     def test_census_record_sweeps_the_hull_when_not_given(self):
         assert CensusRecord("3_1", TREFOIL).hull == ((-1, 0), (1, 2))
+        assert CensusRecord("3_1", TREFOIL).genus == 1
 
-    def test_census_record_keeps_a_given_hull(self):
-        assert CensusRecord("3_1", TREFOIL, ((0, 0),)).hull == ((0, 0),)
+    def test_census_record_keeps_the_given_runs(self):
+        # The runs a gate already built are kept, not walked again, and the
+        # hull is swept from them when it is read.
+        record = CensusRecord("3_1", TREFOIL, [(1, 2)])
+        assert (record.genus, record.hull) == (1, ((-1, 0), (1, 2)))
+        with pytest.raises(TypeError):
+            CensusRecord("3_1", TREFOIL, hull=((0, 0),))
 
     def test_census_record_equality_and_hash_ignore_the_hull(self):
-        a, b = CensusRecord("3_1", TREFOIL), CensusRecord("3_1", TREFOIL, ((0, 0),))
+        # Two records of one delta with different (here inconsistent) runs:
+        # ==, hash and repr still read name and delta only.
+        a, b = CensusRecord("3_1", TREFOIL), CensusRecord("3_1", TREFOIL, [])
+        assert a.hull != b.hull == ((0, 0),)
         assert a == b and hash(a) == hash(b)
         assert repr(b) == repr(a)
         assert pickle.loads(pickle.dumps(b)).hull == ((0, 0),)

@@ -4,11 +4,11 @@
     python3 tools/output_digest.py --seed 1
 
 Generates every operation of the four benchmark workloads, plus the census
-defect probes, through bench/workloads.py, adds the restore, braid and
-gate-refusal probes below, and runs each once through ``upsilon_lab.cli.main`` in this
-process.  Input files and SVG output go to one fixed directory under the
-system temp directory, because file paths appear in warnings on stderr;
-nothing is written under the repository.
+defect probes, through bench/workloads.py, adds the restore, braid,
+gate-refusal and census probes below, and runs each once through
+``upsilon_lab.cli.main`` in this process.  Input files and SVG output go to
+one fixed directory under the system temp directory, because file paths
+appear in warnings on stderr; nothing is written under the repository.
 
 Prints, per workload, the op count and a histogram of exit codes, then one
 sha256 over each op's exit code, stdout, stderr and SVG bytes, in op order.
@@ -79,6 +79,34 @@ GATE_PROBES = (
 )
 
 
+# Census files that no benchmark op reaches: all ten gap-1 sequences of genus 4
+# (one genus, six hulls), an Upsilon class of three distinct polynomials at
+# genus 6 beside a fourth genus-6 record, the unknot twice, and two five-term
+# records of genus 10**6, 1 - t + t^2 - t^(g+1) + t^(2g) and
+# 1 - t + t^3 - t^(g+2) + t^(2g).
+def census_probes() -> list[workloads.Op]:
+    g = 10**6
+    genus_4 = [(1, a, b, 7) for a in range(2, 7) for b in range(a + 1, 7)]
+    genus_6 = [(1, 2, 3, 5, 8, 11), (1, 2, 3, 5, 9, 11), (1, 2, 3, 5, 10, 11), (1, 2, 3, 4, 8, 11)]
+    files = {
+        "census-probe-genus-4.jsonl": [(f"g4:{gaps}", workloads.alexander_pairs(gaps))
+                                       for gaps in genus_4],
+        "census-probe-three-delta.jsonl": [(f"g6:{gaps}", workloads.alexander_pairs(gaps))
+                                           for gaps in genus_6],
+        "census-probe-unknot.jsonl": [("unknot", [[0, 1]]), ("unknot~dup", [[0, 1]])],
+        "census-probe-genus-1e6.jsonl": [
+            ("five-terms:2", [[0, 1], [1, -1], [2, 1], [g + 1, -1], [2 * g, 1]]),
+            ("five-terms:3", [[0, 1], [1, -1], [3, 1], [g + 2, -1], [2 * g, 1]]),
+        ],
+    }
+    ops = []
+    for filename, records in files.items():
+        path = str(WORKDIR / filename)
+        text = "".join(json.dumps({"name": name, "alexander": pairs}) + "\n" for name, pairs in records)
+        ops.append(workloads.Op("census", ["census", "scan", path], files={path: text}))
+    return ops
+
+
 def run(op: workloads.Op) -> tuple[object, str, str, bytes]:
     """Exit code, stdout, stderr and SVG bytes (empty if none) of one op."""
     op.write_files()
@@ -106,6 +134,7 @@ def main(argv: list[str] | None = None) -> int:
     pools["restore_probes"] = [workloads.Op("restore", argv) for argv in RESTORE_PROBES]
     pools["braid_probes"] = [workloads.Op(argv[0], argv) for argv in BRAID_PROBES]
     pools["gate_refusal_probes"] = [workloads.Op(argv[0], argv) for argv in GATE_PROBES]
+    pools["census_probes"] = census_probes()
     digest = hashlib.sha256()
     try:
         for name, ops in pools.items():
