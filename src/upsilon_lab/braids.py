@@ -50,6 +50,7 @@ from itertools import accumulate, compress, count
 
 from .errors import NonExactDivision, NotAKnot, TooManyStrands, UnknownName
 from .laurent import IntLaurentPoly, _bareiss
+from .records import Record
 
 # The most strands a closure may have for the Burau determinant.  On the
 # unknot word 1, 2, ..., s-1, alexander_of_closure took about 0.04 s at
@@ -69,7 +70,7 @@ MAX_STRANDS = 32
 MAX_LETTERS = 100
 
 
-class BraidWord:
+class BraidWord(Record):
     """A word in the braid group B_strands.
 
     >>> b = BraidWord(2, [1, 1, 1])
@@ -77,14 +78,20 @@ class BraidWord:
     IntLaurentPoly('1 - t + t^2')
     """
 
-    __slots__ = ("_strands", "_letters", "_cut")
+    __slots__ = ("strands", "letters", "_cut")
+    _compared = ("strands", "letters")
 
-    def __init__(self, strands: int, letters: Iterable[int] = ()):
+    strands: int
+    letters: tuple[int, ...]
+
+    def __init__(self, strands: int, letters: Iterable[int] = (),
+                 _cut: tuple[tuple[int, ...], int] | None = None):
         """Strands and letters must be ints: 4.9 or True raises TypeError.
 
         The checks run on the word's set of letter types and its distinct
         letters; the letters are walked one by one only to name the first
-        offender.  The word's full twists are cut here, once.
+        offender.  The word's full twists are cut here, once: only copy and
+        pickle pass _cut, the private slot that ==, hash and repr leave out.
         """
         if not isinstance(strands, int) or isinstance(strands, bool):
             raise TypeError(f"strand count {strands!r} is not an int")
@@ -98,36 +105,20 @@ class BraidWord:
                     raise TypeError(f"letter {x!r} is not an int")
                 if x == 0 or abs(x) >= strands:
                     raise ValueError(f"letter {x} is not a generator of B_{strands}")
-        self._strands = strands
-        self._letters = letts
-        self._cut = self._full_twists_removed()
-
-    @property
-    def strands(self) -> int:
-        return self._strands
-
-    @property
-    def letters(self) -> tuple[int, ...]:
-        return self._letters
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, BraidWord):
-            return self._strands == other._strands and self._letters == other._letters
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self._strands, self._letters))
+        object.__setattr__(self, "strands", strands)
+        object.__setattr__(self, "letters", letts)
+        object.__setattr__(self, "_cut", self._full_twists_removed() if _cut is None else _cut)
 
     def __repr__(self) -> str:
-        return f"BraidWord(strands={self._strands}, letters={list(self._letters)})"
+        return f"BraidWord(strands={self.strands}, letters={list(self.letters)})"
 
     def to_json(self) -> dict:
-        return {"strands": self._strands, "word": list(self._letters)}
+        return {"strands": self.strands, "word": list(self.letters)}
 
     # -- combinatorics ---------------------------------------------------------
 
     def exponent_sum(self) -> int:
-        return sum(1 if x > 0 else -1 for x in self._letters)
+        return sum(1 if x > 0 else -1 for x in self.letters)
 
     def _full_twists_removed(self) -> tuple[tuple[int, ...], int]:
         """The letters with each literal full twist cut out, and t's exponent for them.
@@ -141,7 +132,7 @@ class BraidWord:
         than MAX_STRANDS strands, or too short to hold a twist, is returned
         whole.
         """
-        s, letters = self._strands, self._letters
+        s, letters = self.strands, self.letters
         if s > MAX_STRANDS or s * (s - 1) > len(letters):
             return letters, 0
         text = array("b", letters).tobytes()
@@ -173,7 +164,7 @@ class BraidWord:
             i = abs(x) - 1
             perm[i], perm[i + 1] = perm[i + 1], perm[i]
         seen = [False] * touched
-        cycles = self._strands - touched
+        cycles = self.strands - touched
         for start in range(touched):
             if seen[start]:
                 continue
@@ -215,7 +206,7 @@ class BraidWord:
 
     def _burau_terms(self) -> list[list[dict[int, int]]]:
         """reduced_burau's entries as fresh {exponent: coefficient} dicts."""
-        n = self._strands - 1
+        n = self.strands - 1
         letters, power = self._cut
         columns = [{j: 1} for j in range(n)]
         for letter in letters:
@@ -251,7 +242,7 @@ class BraidWord:
         components = self.closure_components()
         if components != 1:
             raise NotAKnot(f"closure has {components} components, need 1")
-        s = self._strands
+        s = self.strands
         if s > MAX_STRANDS:
             raise TooManyStrands(
                 f"{s} strands, above the limit of {MAX_STRANDS} for the Burau determinant"

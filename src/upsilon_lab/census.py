@@ -82,10 +82,12 @@ class CensusRecord(Record):
 def alexander_from_json(value) -> IntLaurentPoly:
     """The polynomial of a JSON "alexander" value, an array of [exponent, coefficient] pairs.
 
-    from_pairs validates every term; only once it has failed is the value
-    inspected, so a valid value pays nothing.  A value that is not an array
-    of 2-element arrays is refused in JSON's terms, naming the first pair
-    that is not one; any other failure keeps from_pairs' own message.
+    A value that is not an array is refused first: from_pairs would read a
+    string or an object as pairs, and "" or {} as the zero polynomial.
+    from_pairs validates every term; only once it has failed are the pairs
+    inspected, so a valid value pays nothing.  A pair that is not a
+    2-element array is refused in JSON's terms, naming the first one; any
+    other failure keeps from_pairs' own message.
 
     >>> alexander_from_json([[0, 1], [1, -1], [2, 1]])
     IntLaurentPoly('1 - t + t^2')
@@ -98,11 +100,11 @@ def alexander_from_json(value) -> IntLaurentPoly:
     ...
     TypeError: pair 2 of "alexander" must be an array of 2 integers, got array of 3
     """
+    if not isinstance(value, list):
+        raise TypeError(f'"alexander" must be a JSON array, got {json_type(value)}')
     try:
         return IntLaurentPoly.from_pairs(value)
     except (TypeError, ValueError):
-        if not isinstance(value, list):
-            raise TypeError(f'"alexander" must be a JSON array, got {json_type(value)}') from None
         for i, pair in enumerate(value, start=1):
             if not isinstance(pair, list) or len(pair) != 2:
                 got = f"array of {len(pair)}" if isinstance(pair, list) else json_type(pair)

@@ -15,10 +15,11 @@ from itertools import accumulate
 
 from .errors import InvalidStepPattern
 from .piecewise import PLFunction, lower_convex_envelope
+from .records import Record
 from .semigroups import FormalSemigroup
 
 
-class GapFunction:
+class GapFunction(Record):
     """Integer samples of the gap function 2J(-m) of a genus-g gap set.
 
     >>> G = GapFunction.from_semigroup(FormalSemigroup([1]))
@@ -28,7 +29,9 @@ class GapFunction:
     10
     """
 
-    __slots__ = ("_values",)
+    __slots__ = ("values",)
+
+    values: tuple[int, ...]
 
     def __init__(self, values: Iterable[int]):
         """Values must be ints: 2.9, "2" or True raises TypeError, never truncated."""
@@ -46,15 +49,11 @@ class GapFunction:
         for a, b in zip(vals, vals[1:]):
             if b - a not in (0, 2):
                 raise ValueError(f"consecutive values must differ by 0 or 2, got {a} -> {b}")
-        self._values = vals
-
-    @property
-    def values(self) -> tuple[int, ...]:
-        return self._values
+        object.__setattr__(self, "values", vals)
 
     @property
     def genus(self) -> int:
-        return (len(self._values) - 1) // 2
+        return (len(self.values) - 1) // 2
 
     def value_at(self, x: int) -> int:
         """Value at any integer, rays included (0 left, 2x right)."""
@@ -63,26 +62,18 @@ class GapFunction:
             return 0
         if x >= g:
             return 2 * x
-        return self._values[x + g]
+        return self.values[x + g]
 
     def steps(self) -> tuple[int, ...]:
         """The 2g consecutive differences, each 0 or 2."""
-        return tuple(b - a for a, b in zip(self._values, self._values[1:]))
+        return tuple(b - a for a, b in zip(self.values, self.values[1:]))
 
     def samples(self) -> list[tuple[int, int]]:
         g = self.genus
-        return [(k - g, v) for k, v in enumerate(self._values)]
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, GapFunction):
-            return self._values == other._values
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._values)
+        return [(k - g, v) for k, v in enumerate(self.values)]
 
     def __repr__(self) -> str:
-        return f"GapFunction(values={list(self._values)})"
+        return f"GapFunction(values={list(self.values)})"
 
     # -- conversions ----------------------------------------------------------
 
@@ -100,7 +91,7 @@ class GapFunction:
         for a in s.gaps:
             steps[2 * g - a] = 2
         gf = object.__new__(cls)
-        gf._values = tuple(accumulate(steps))
+        object.__setattr__(gf, "values", tuple(accumulate(steps)))
         return gf
 
     def to_semigroup(self) -> FormalSemigroup:
@@ -126,7 +117,7 @@ class GapFunction:
         """Functional form of Alexander symmetry: G(k) = G(-k) + 2k."""
         g = self.genus
         return all(
-            self._values[k + g] == self._values[-k + g] + 2 * k for k in range(g + 1)
+            self.values[k + g] == self.values[-k + g] + 2 * k for k in range(g + 1)
         )
 
     # -- bridges to the PL world --------------------------------------------------
@@ -138,7 +129,7 @@ class GapFunction:
         changes, so no interior vertex is collinear and only the ray
         absorption is left to do.
         """
-        vals, g = self._values, self.genus
+        vals, g = self.values, self.genus
         verts = [(-g, 0)]
         verts += [(k - g, vals[k]) for k in range(1, 2 * g)
                   if vals[k - 1] + vals[k + 1] != 2 * vals[k]]
@@ -157,4 +148,4 @@ class GapFunction:
     # -- serialization ---------------------------------------------------------------
 
     def to_json(self) -> dict:
-        return {"genus": self.genus, "values": list(self._values)}
+        return {"genus": self.genus, "values": list(self.values)}

@@ -18,6 +18,8 @@ from .errors import NonExactDivision
 class IntLaurentPoly:
     """An integer Laurent polynomial in one variable t.
 
+    Not a records.Record: a constant equals its int, so == and hash are its own.
+
     >>> p = IntLaurentPoly({0: 1, 1: -1})
     >>> p * IntLaurentPoly({0: 1, 1: 1})
     IntLaurentPoly('1 - t^2')

@@ -31,6 +31,7 @@ from fractions import Fraction
 
 from .errors import NotConvex, OutOfDomain, RaysInconsistent
 from .rationals import format_rational, parse_rational
+from .records import Record
 
 Point = tuple[int | Fraction, int | Fraction]
 
@@ -53,7 +54,7 @@ def _cross(o: Point, a: Point, b: Point) -> int | Fraction:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-class PLFunction:
+class PLFunction(Record):
     """An exact piecewise-linear function on the line or a closed interval.
 
     >>> f = PLFunction([(0, 0), (1, 1)], left_slope=-1, right_slope=1)
@@ -65,7 +66,11 @@ class PLFunction:
     True
     """
 
-    __slots__ = ("_vertices", "_left_slope", "_right_slope")
+    __slots__ = ("vertices", "left_slope", "right_slope")
+
+    vertices: tuple[Point, ...]
+    left_slope: int | Fraction | None
+    right_slope: int | Fraction | None
 
     def __init__(
         self,
@@ -116,67 +121,43 @@ class PLFunction:
                 pts.pop(0)
             while len(pts) >= 2 and _slope(pts[-2], pts[-1]) == rs:
                 pts.pop()
-        self._vertices = tuple(pts)
-        self._left_slope = ls
-        self._right_slope = rs
+        object.__setattr__(self, "vertices", tuple(pts))
+        object.__setattr__(self, "left_slope", ls)
+        object.__setattr__(self, "right_slope", rs)
 
     # -- inspection ----------------------------------------------------------
 
     @property
-    def vertices(self) -> tuple[Point, ...]:
-        return self._vertices
-
-    @property
-    def left_slope(self) -> int | Fraction | None:
-        return self._left_slope
-
-    @property
-    def right_slope(self) -> int | Fraction | None:
-        return self._right_slope
-
-    @property
     def on_line(self) -> bool:
-        return self._left_slope is not None
+        return self.left_slope is not None
 
     @property
     def domain(self) -> tuple[int | Fraction, int | Fraction] | None:
         """None for the full line, else the closed interval (lo, hi)."""
         if self.on_line:
             return None
-        return (self._vertices[0][0], self._vertices[-1][0])
+        return (self.vertices[0][0], self.vertices[-1][0])
 
     def segment_slopes(self) -> list[int | Fraction]:
-        return [_slope(a, b) for a, b in zip(self._vertices, self._vertices[1:])]
+        return [_slope(a, b) for a, b in zip(self.vertices, self.vertices[1:])]
 
     def slope_sequence(self) -> list[int | Fraction]:
         """All slopes left to right, rays included on the full line."""
         slopes = self.segment_slopes()
         if self.on_line:
-            return [self._left_slope] + slopes + [self._right_slope]
+            return [self.left_slope] + slopes + [self.right_slope]
         return slopes
 
     def is_convex(self) -> bool:
         seq = self.slope_sequence()
         return all(a < b for a, b in zip(seq, seq[1:]))
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, PLFunction):
-            return (
-                self._vertices == other._vertices
-                and self._left_slope == other._left_slope
-                and self._right_slope == other._right_slope
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self._vertices, self._left_slope, self._right_slope))
-
     def __repr__(self) -> str:
-        verts = ", ".join(f"({format_rational(x)}, {format_rational(y)})" for x, y in self._vertices)
+        verts = ", ".join(f"({format_rational(x)}, {format_rational(y)})" for x, y in self.vertices)
         if self.on_line:
             return (
-                f"PLFunction([{verts}], left_slope={format_rational(self._left_slope)}, "
-                f"right_slope={format_rational(self._right_slope)})"
+                f"PLFunction([{verts}], left_slope={format_rational(self.left_slope)}, "
+                f"right_slope={format_rational(self.right_slope)})"
             )
         return f"PLFunction([{verts}])"
 
@@ -184,17 +165,17 @@ class PLFunction:
 
     def __call__(self, x: Fraction | int) -> int | Fraction:
         xf = _exact(x)
-        pts = self._vertices
+        pts = self.vertices
         if xf < pts[0][0]:
             if not self.on_line:
                 raise OutOfDomain(f"{xf} lies left of the domain start {pts[0][0]}")
             x0, y0 = pts[0]
-            return _exact(y0 + self._left_slope * (xf - x0))
+            return _exact(y0 + self.left_slope * (xf - x0))
         if xf > pts[-1][0]:
             if not self.on_line:
                 raise OutOfDomain(f"{xf} lies right of the domain end {pts[-1][0]}")
             x0, y0 = pts[-1]
-            return _exact(y0 + self._right_slope * (xf - x0))
+            return _exact(y0 + self.right_slope * (xf - x0))
         i = bisect_right([p[0] for p in pts], xf) - 1
         if i == len(pts) - 1:
             return pts[-1][1]
@@ -205,9 +186,9 @@ class PLFunction:
 
     def to_json(self) -> dict:
         return {
-            "left_slope": None if self._left_slope is None else format_rational(self._left_slope),
-            "vertices": [[format_rational(x), format_rational(y)] for x, y in self._vertices],
-            "right_slope": None if self._right_slope is None else format_rational(self._right_slope),
+            "left_slope": None if self.left_slope is None else format_rational(self.left_slope),
+            "vertices": [[format_rational(x), format_rational(y)] for x, y in self.vertices],
+            "right_slope": None if self.right_slope is None else format_rational(self.right_slope),
             "domain": "line"
             if self.on_line
             else [format_rational(self.domain[0]), format_rational(self.domain[1])],

@@ -1,10 +1,14 @@
-"""The base of the immutable records that carry results between the layers.
+"""The base of the immutable result records and value classes.
 
+The value classes (semigroups.FormalSemigroup, gapfunctions.GapFunction,
+piecewise.PLFunction and braids.BraidWord) keep their own __repr__.
 A subclass lists its fields in __slots__, in the order of its __init__
 parameters, and sets them there with object.__setattr__.  Record compares,
 hashes and prints by the fields named in _compared (all of __slots__ when it
 is empty), refuses assignment and deletion, and copies and pickles by
-calling __init__ with every field.
+calling __init__ with every field.  IntLaurentPoly and Witnesses are not
+Records: each equals values of another class (an int, a tuple of gap
+tuples), and Record's == is same-class only.
 
 >>> from upsilon_lab.family import CheckResult
 >>> c = CheckResult(True, "x")

@@ -92,7 +92,8 @@ class Witnesses(Sequence):
     """Gap sequences held as 2g-byte step patterns, each converted when read.
 
     A read-only sequence of gap tuples: len, iteration, indexing, `in` over
-    gap tuples, and equality with another Witnesses or a tuple of gap tuples.
+    gap tuples, and equality with another Witnesses or a tuple of gap tuples
+    (so == and hash are its own, not those of records.Record).
     Each pattern is checked when the Witnesses is built: a malformed one
     raises InvalidStepPattern there.
 
@@ -158,22 +159,25 @@ class Witnesses(Sequence):
         a path's gaps as decimal strings joined by sep.
 
         A witness's text is the texts of its paths joined by sep, last piece
-        first, since later steps hold lower gaps.  Each piece's texts are an
-        iterator, made as they are read; a single piece holds the witnesses
-        themselves.
+        first, since later steps hold lower gaps.  A piece of one path
+        formats its own gaps; the paths of a longer piece share one list of
+        its steps' labels, and their texts are an iterator, made as they are
+        read.  A single piece holds the witnesses themselves.
 
         >>> n, pieces = Witnesses([bytes([2, 0, 0, 2, 2, 0]), b""]).path_texts(", ")
         >>> n, [list(texts) for texts in pieces]
         (6, [['1, 2, 5', '']])
         """
         widths = [max(map(len, paths), default=0) for paths in self._pieces]
-        labels = list(map(str, range(sum(widths))))
-        texts, start = [], len(labels)
+        texts, start = [], sum(widths)
         for paths, width in zip(self._pieces, widths):
             start -= width  # the piece's steps, last first, are gaps start, start + 1, ...
-            # compress stops at the path's end; the last piece starts at gap 0, uncopied.
-            texts.append(_texts(paths, labels[start:] if start else labels, sep))
-        return len(labels), texts
+            gaps = range(start, start + width)
+            if len(paths) == 1:
+                texts.append([sep.join(map(str, compress(gaps, paths[0][::-1])))])
+            else:
+                texts.append(_texts(paths, list(map(str, gaps)), sep))
+        return sum(widths), texts
 
     def __contains__(self, gaps) -> bool:
         try:
@@ -519,11 +523,16 @@ def enumerate_gap_functions(
 
     Both counts are exact.  The witnesses are the profiles of rank below
     max_solutions in lexicographic step order (flat < up): the symmetric
-    ones when symmetric_only, else every one.  A hull of genus above
-    MAX_GENUS raises GenusTooLarge before anything of size g is built, and
-    one whose exact count would cost more than MAX_COUNT_WORK raises
+    ones when symmetric_only, else every one.  A max_solutions that is not
+    an int raises TypeError, and one below 1 ValueError.  A hull of genus
+    above MAX_GENUS raises GenusTooLarge before anything of size g is built,
+    and one whose exact count would cost more than MAX_COUNT_WORK raises
     CountTooCostly before any counting.
     """
+    if type(max_solutions) is not int:
+        raise TypeError(f"max_solutions {max_solutions!r} is not an int")
+    if max_solutions < 1:
+        raise ValueError(f"max_solutions must be at least 1, got {max_solutions}")
     g = _validate_hull(hull)
     if g > MAX_GENUS:
         raise GenusTooLarge(f"the hull has genus {g}, above the limit of {MAX_GENUS}")
@@ -561,6 +570,7 @@ def is_restorable(
     2g - 1, gap 1 not required) shares the Upsilon invariant.  The count is
     over formal candidates, so it can exceed the count of L-space-shape
     polynomials: T(2,5) has symmetric_count 2, one witness being 1 - t^2 + t^4.
+    max_solutions is refused as enumerate_gap_functions refuses it.
     """
     return enumerate_gap_functions(hull_of(delta), symmetric_only=True, max_solutions=max_solutions)
 

@@ -27,6 +27,7 @@ from math import gcd
 
 from .errors import BadParameters, GenusTooLarge, NotLSpaceForm
 from .laurent import IntLaurentPoly
+from .records import Record
 
 # Largest genus accepted where one input number would otherwise set the cost
 # (torus parameters, the designed family, the restore search); K1(MAX_TWIST)
@@ -34,7 +35,7 @@ from .laurent import IntLaurentPoly
 MAX_GENUS = 100_000
 
 
-class FormalSemigroup:
+class FormalSemigroup(Record):
     """Gap-sequence encoding of a formal semigroup.
 
     >>> S = FormalSemigroup([1, 2, 4, 6, 9])
@@ -42,7 +43,9 @@ class FormalSemigroup:
     (5, True, False)
     """
 
-    __slots__ = ("_gaps",)
+    __slots__ = ("gaps",)
+
+    gaps: tuple[int, ...]
 
     def __init__(self, gaps: Iterable[int] = ()):
         """Gaps must be ints: 2.7, "2" or True raises TypeError, never truncated."""
@@ -60,15 +63,11 @@ class FormalSemigroup:
             raise ValueError(
                 f"top gap must be 2g-1 = {2 * g - 1}, got {gap_list[-1]}"
             )
-        self._gaps = tuple(gap_list)
-
-    @property
-    def gaps(self) -> tuple[int, ...]:
-        return self._gaps
+        object.__setattr__(self, "gaps", tuple(gap_list))
 
     @property
     def genus(self) -> int:
-        return len(self._gaps)
+        return len(self.gaps)
 
     @property
     def surgery_threshold(self) -> int:
@@ -78,8 +77,8 @@ class FormalSemigroup:
     def contains(self, s: int) -> bool:
         if s < 0:
             return False
-        i = bisect_left(self._gaps, s)
-        return not (i < len(self._gaps) and self._gaps[i] == s)
+        i = bisect_left(self.gaps, s)
+        return not (i < len(self.gaps) and self.gaps[i] == s)
 
     def elements_below(self, bound: int) -> list[int]:
         """Members of S in [0, bound)."""
@@ -92,19 +91,11 @@ class FormalSemigroup:
         the closed form g + |m| rather than a materialized count.
         """
         if m <= 0:
-            return len(self._gaps) - m
-        return len(self._gaps) - bisect_left(self._gaps, m)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, FormalSemigroup):
-            return self._gaps == other._gaps
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._gaps)
+            return len(self.gaps) - m
+        return len(self.gaps) - bisect_left(self.gaps, m)
 
     def __repr__(self) -> str:
-        return f"FormalSemigroup(gaps={list(self._gaps)})"
+        return f"FormalSemigroup(gaps={list(self.gaps)})"
 
     # -- conversions ---------------------------------------------------------
 
@@ -136,13 +127,13 @@ class FormalSemigroup:
         gap_runs has checked those runs, so the gaps are not checked again.
         """
         s = object.__new__(cls)
-        s._gaps = tuple(chain.from_iterable(starmap(range, runs)))
+        object.__setattr__(s, "gaps", tuple(chain.from_iterable(starmap(range, runs))))
         return s
 
     def to_alexander(self) -> IntLaurentPoly:
         """Restore Delta = 1 + (t - 1) * sum_i t^{a_i}."""
         terms: dict[int, int] = {0: 1}
-        for a in self._gaps:
+        for a in self.gaps:
             terms[a + 1] = terms.get(a + 1, 0) + 1
             terms[a] = terms.get(a, 0) - 1
         return IntLaurentPoly._from_terms({e: c for e, c in terms.items() if c})
@@ -165,7 +156,7 @@ class FormalSemigroup:
         """
         g = self.genus
         digits = bytearray(b"1") * (2 * g)  # digits[i] is "1" iff i is in S, 0 <= i < 2g
-        for a in self._gaps:
+        for a in self.gaps:
             digits[a] = ord("0")
         members = int(digits[::-1] or b"0", 2)
         gaps = members ^ ((1 << 2 * g) - 1)
@@ -188,7 +179,7 @@ class FormalSemigroup:
     # -- serialization --------------------------------------------------------
 
     def to_json(self) -> dict:
-        return {"genus": self.genus, "gaps": list(self._gaps)}
+        return {"genus": self.genus, "gaps": list(self.gaps)}
 
 
 def gap_runs(delta: IntLaurentPoly) -> list[tuple[int, int]]:

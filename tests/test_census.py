@@ -397,6 +397,8 @@ class TestParsing:
     BAD_ALEXANDER = {
         '{"0": 1}': '"alexander" must be a JSON array, got object',
         '"ab"': '"alexander" must be a JSON array, got string',
+        '""': '"alexander" must be a JSON array, got string',  # used to be the zero polynomial
+        "{}": '"alexander" must be a JSON array, got object',
         "5": '"alexander" must be a JSON array, got number',
         "null": '"alexander" must be a JSON array, got null',
         "[[0,1,2]]": 'pair 1 of "alexander" must be an array of 2 integers, got array of 3',

@@ -149,6 +149,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("value, message", [
         ('{"0": 1}', '"alexander" must be a JSON array, got object'),
         ('"ab"', '"alexander" must be a JSON array, got string'),
+        ('""', '"alexander" must be a JSON array, got string'),  # used to be the zero polynomial
+        ("{}", '"alexander" must be a JSON array, got object'),
         ("5", '"alexander" must be a JSON array, got number'),
         ("null", '"alexander" must be a JSON array, got null'),
         ("[[0,1,2]]", 'pair 1 of "alexander" must be an array of 2 integers, got array of 3'),
@@ -158,6 +160,10 @@ class TestExitCodes:
         # Python's unpacking used to word these ("'int' object is not iterable").
         assert run_cli(capsys, "invariants", "--alexander", value) == (
             2, "", f"error: bad --alexander value: {message}\n")
+
+    def test_empty_alexander_array_is_the_zero_polynomial(self, capsys):
+        assert run_cli(capsys, "invariants", "--alexander", "[]") == (
+            2, "", "error: polynomial 0 is not in L-space form; the pipeline does not apply\n")
 
     def test_unknown_catalog_name(self, capsys):
         code, _, err = run_cli(capsys, "invariants", "--catalog", "nonesuch")

@@ -16,8 +16,8 @@ import pytest
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "output_digest.py"
 
 DIGESTS = {
-    1: "2ca721aa305a58c5ed6b5d0e2f679ff68c555a59b024332b91129630716ff357",
-    2: "fce2e177044e62d55c5333deced1a1ef6a90f7ea0cdc13768fc902a34318c9f7",
+    1: "9b952c06f77a32d994d30b6171ea4a0d15acf3937125ff3e943f634e100596db",
+    2: "0ede25d91c47fb98388ef3127b7910fb822531d64e9a369c71fcc1c80e770836",
 }
 
 

@@ -182,6 +182,27 @@ class TestBudgets:
         assert report.total_count == report.symmetric_count == 2
         assert report.witnesses == ((1, 2, 4, 6, 9),)
 
+    @pytest.mark.parametrize("symmetric_only", [False, True], ids=["all", "symmetric"])
+    @pytest.mark.parametrize("cap, error", [
+        (0, ValueError), (-3, ValueError), (True, TypeError), (2.0, TypeError), ("5", TypeError),
+    ], ids=["zero", "negative", "bool", "float", "str"])
+    def test_max_solutions_must_be_a_positive_int(self, symmetric_only, cap, error):
+        # -3 used to raise islice's own message (all) or list nothing
+        # (symmetric), and True was read as 1.
+        with pytest.raises(error, match="max_solutions"):
+            enumerate_gap_functions(hull_of(PRETZEL), symmetric_only, max_solutions=cap)
+
+    def test_max_solutions_is_refused_before_any_counting(self):
+        # This hull's exact count would raise CountTooCostly (TestExactCounts).
+        hull = PLFunction([(-2500, 0), (0, 2000), (2500, 5000)], 0, 2)
+        for symmetric_only in (False, True):
+            with pytest.raises(ValueError, match="at least 1, got -3"):
+                enumerate_gap_functions(hull, symmetric_only, max_solutions=-3)
+        with pytest.raises(TypeError, match="max_solutions False is not an int"):
+            is_restorable(PRETZEL, max_solutions=False)
+        with pytest.raises(ValueError, match="at least 1, got 0"):
+            is_restorable(PRETZEL, max_solutions=0)
+
 
 class TestPruneSoundness:
     def test_partial_paths_of_solutions_never_pruned(self):

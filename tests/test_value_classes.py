@@ -1,11 +1,13 @@
-"""The record classes: construction, ==, hash, repr and immutability.
+"""The classes on records.Record: construction, ==, hash, repr and immutability.
 
-Eight small immutable records carry results between the layers:
+Eight result records carry results between the layers:
 census.CensusRecord, family.FamilyKnot, CheckResult, FamilyVerification and
 CatalogEntry, restorability.RestorabilityReport, and seifert.SeifertForm and
-LSpaceVerdict.  Each is built positionally or by keyword, compares and
-hashes by its fields, prints as Name(field=value, ...) and refuses
-assignment and deletion.
+LSpaceVerdict.  Four value classes share their base:
+semigroups.FormalSemigroup, gapfunctions.GapFunction, piecewise.PLFunction
+(checked on the line and on an interval) and braids.BraidWord.  Each is
+built positionally or by keyword, compares and hashes by its fields, prints
+as its repr below and refuses assignment and deletion.
 """
 
 import copy
@@ -16,14 +18,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from upsilon_lab.braids import BraidWord
+from upsilon_lab.braids import BraidWord, named_braid
 from upsilon_lab.census import CensusRecord
 from upsilon_lab.family import CatalogEntry, CheckResult, FamilyKnot, FamilyVerification
+from upsilon_lab.gapfunctions import GapFunction
 from upsilon_lab.laurent import IntLaurentPoly
 from upsilon_lab.piecewise import PLFunction
 from upsilon_lab.records import Record
 from upsilon_lab.restorability import RestorabilityReport, Witnesses
 from upsilon_lab.seifert import LSpaceVerdict, SeifertForm
+from upsilon_lab.semigroups import FormalSemigroup
 
 TREFOIL = IntLaurentPoly({0: 1, 1: -1, 2: 1})
 T25 = IntLaurentPoly({0: 1, 1: -1, 2: 1, 3: -1, 4: 1})
@@ -34,6 +38,41 @@ CHECK = CheckResult(True, "x")
 
 # (positional, keyword, a value that differs in one field, its fields, repr).
 CASES = {
+    "FormalSemigroup": (
+        lambda: FormalSemigroup([1, 2, 5]),
+        lambda: FormalSemigroup(gaps=(1, 2, 5)),
+        lambda: FormalSemigroup([1, 3]),
+        ("gaps",),
+        "FormalSemigroup(gaps=[1, 2, 5])",
+    ),
+    "GapFunction": (
+        lambda: GapFunction([0, 2, 2, 2, 4, 6, 6]),
+        lambda: GapFunction(values=(0, 2, 2, 2, 4, 6, 6)),
+        lambda: GapFunction([0, 2, 2, 4, 4, 6, 6]),
+        ("values",),
+        "GapFunction(values=[0, 2, 2, 2, 4, 6, 6])",
+    ),
+    "PLFunction": (  # on the line; the keyword form has a collinear vertex to drop
+        lambda: PLFunction([(-2, 0), (2, 4)], 0, 2),
+        lambda: PLFunction(right_slope=2, left_slope=0, vertices=[(-2, 0), (0, 2), (2, 4)]),
+        lambda: PLFunction([(-2, 0), (2, 4)], 0, 3),
+        ("vertices", "left_slope", "right_slope"),
+        "PLFunction([(-2, 0), (2, 4)], left_slope=0, right_slope=2)",
+    ),
+    "PLFunction-interval": (
+        lambda: PLFunction([(0, 0), (F(2, 3), -2), (F(4, 3), -2), (2, 0)]),
+        lambda: PLFunction(vertices=[(F(0), 0), (F(4, 6), -2), (F(1) + F(1, 3), -2), (F(2), F(0))]),
+        lambda: PLFunction([(0, 0), (F(2, 3), -2), (2, 0)]),
+        ("vertices", "left_slope", "right_slope"),
+        "PLFunction([(0, 0), (2/3, -2), (4/3, -2), (2, 0)])",
+    ),
+    "BraidWord": (  # (1, 2)^3 is the full twist of B_3
+        lambda: BraidWord(3, [1, 2] * 4),
+        lambda: BraidWord(letters=(1, 2) * 4, strands=3),
+        lambda: BraidWord(4, [1, 2] * 4),
+        ("strands", "letters"),
+        "BraidWord(strands=3, letters=[1, 2, 1, 2, 1, 2, 1, 2])",
+    ),
     "CensusRecord": (
         lambda: CensusRecord("3_1", TREFOIL),
         lambda: CensusRecord(delta=TREFOIL, name="3_1"),
@@ -145,7 +184,7 @@ def test_refuses_assignment_and_deletion(name):
     make, _, _, fields, _ = CASES[name]
     a = make()
     before = repr(a)
-    for f in fields:
+    for f in fields + type(a).__slots__:  # private slots too, such as BraidWord's _cut
         with pytest.raises(AttributeError):
             setattr(a, f, None)
         with pytest.raises(AttributeError):
@@ -167,7 +206,17 @@ def test_init_parameters_are_the_slots_in_order(name):
     # Record's __reduce__ passes the slots positionally to __init__, and repr lists them.
     cls = type(CASES[name][0]())
     assert tuple(inspect.signature(cls).parameters) == cls.__slots__
-    assert {c.__name__ for c in Record.__subclasses__()} == set(CASES)
+    assert ({c.__name__ for c in Record.__subclasses__()}
+            == {type(case[0]()).__name__ for case in CASES.values()})
+
+
+def test_braid_word_keeps_its_cut_through_copy_and_pickle():
+    # Record passes the private cut back to __init__, so it is not made again.
+    word = named_braid("K1(3)")
+    assert len(word._cut[0]) == 17 and word._cut[1] == 12  # three full twists of B_4 cut
+    for b in (copy.deepcopy(word), pickle.loads(pickle.dumps(word))):
+        assert b._cut == word._cut
+        assert b.alexander_of_closure() == word.alexander_of_closure()
 
 
 class TestDefaultsAndHull:

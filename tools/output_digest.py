@@ -65,11 +65,14 @@ BRAID_PROBES = (
 
 # Inputs that the Alexander-polynomial gate or the braid checks refuse, each
 # with exit 2: Delta not alternating, zero, without gap 1, with an odd top
-# exponent, and of the L-space shape with deg != 2g; a closure with 3
+# exponent, and of the L-space shape with deg != 2g; an "alexander" value
+# that is a JSON string or object, not an array; a closure with 3
 # components, a JSON letter true, and the 33-strand unknot word.
 GATE_PROBES = (
     ["invariants", "--alexander", "[[0,1],[1,1],[2,-1]]"],
     ["invariants", "--alexander", "[]"],
+    ["invariants", "--alexander", '""'],
+    ["invariants", "--alexander", "{}"],
     ["invariants", "--alexander", "[[0,1],[2,-1],[4,1]]"],
     ["invariants", "--alexander", "[[0,1],[1,-1],[3,1]]"],
     ["invariants", "--alexander", "[[0,1],[1,-1],[2,1],[3,-1],[6,1]]"],
