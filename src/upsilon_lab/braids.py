@@ -20,7 +20,8 @@ builds one new dict.  The full twist Delta^2 = (sigma_1 ... sigma_{s-1})^s
 is central, with image t^s * I, so each literal full twist in the word
 (K1(n) and K2(n) hold n, the torus word of T(p, q) floor(q/p)) is cut out
 once, when the word is built, and applied as one shift of t's exponent by
-+-s; the component count and the letter loop both read that one cut.
++-s; the component count, the letter loop and the exponent sum all read
+that one cut.
 
 The closure stays on plain {exponent: coefficient} dicts until Delta is
 found.  B - I is the decoded column dicts with 1 taken off the diagonal,
@@ -46,7 +47,8 @@ from __future__ import annotations
 import re
 from array import array
 from collections.abc import Iterable
-from itertools import accumulate, compress, count
+from itertools import accumulate, compress, count, repeat
+from operator import lt
 
 from .errors import NonExactDivision, NotAKnot, TooManyStrands, UnknownName
 from .laurent import IntLaurentPoly, _bareiss
@@ -118,19 +120,26 @@ class BraidWord(Record):
     # -- combinatorics ---------------------------------------------------------
 
     def exponent_sum(self) -> int:
-        return sum(1 if x > 0 else -1 for x in self.letters)
+        """Positive letters minus negative ones, the negatives counted in C.
+
+        Each full twist cut from the word (_cut) is s(s - 1) letters of one
+        sign and adds +-s to t's exponent, so the cut letters add
+        power * (s - 1); only the letters left over are counted.
+        """
+        letters, power = self._cut
+        return len(letters) - 2 * sum(map(lt, letters, repeat(0))) + power * (self.strands - 1)
 
     def _full_twists_removed(self) -> tuple[tuple[int, ...], int]:
         """The letters with each literal full twist cut out, and t's exponent for them.
 
         __init__ calls this once per word and keeps the result as _cut, which
-        closure_components and reduced_burau both read.  Four spellings are
-        cut: (1, ..., s-1)^s and (s-1, ..., 1)^s, both Delta^2 with image
-        t^s * I, and their mirrors, both Delta^-2 with image t^-s * I.  The
-        letters, in -31 .. 31, are written as signed bytes (two's complement)
-        so that bytes.count and bytes.replace do the scan; a word on more
-        than MAX_STRANDS strands, or too short to hold a twist, is returned
-        whole.
+        closure_components, reduced_burau and exponent_sum read.  Four
+        spellings are cut: (1, ..., s-1)^s and (s-1, ..., 1)^s, both Delta^2
+        with image t^s * I, and their mirrors, both Delta^-2 with image
+        t^-s * I.  The letters, in -31 .. 31, are written as signed bytes
+        (two's complement) so that bytes.count and bytes.replace do the scan;
+        a word on more than MAX_STRANDS strands, or too short to hold a
+        twist, is returned whole.
         """
         s, letters = self.strands, self.letters
         if s > MAX_STRANDS or s * (s - 1) > len(letters):

@@ -1,6 +1,14 @@
 """Command-line surface.
 
 Subcommands: invariants, restore, family, seifert, braid, census, plot.
+When argv starts with a subcommand's name, only that subcommand's parser
+reads the rest of it (_parse_argv).  The top-level parser reads any other
+argv (none, an unknown command, a top-level -h) and one that the
+subcommand's parser leaves arguments over from, so every usage error and
+help text is argparse's own.  The knot-spec commands take the gap
+runs from the L-space gate (_resolve_knot_spec) and hand them on, so the
+polynomial is walked once per command.
+
 Every report is JSON on stdout with rationals as exact "p/q" strings.
 _emit builds the text of every top-level entry with _json_text, then writes
 them one at a time, byte-identical to json.dumps(indent=2); it accepts only
@@ -59,8 +67,14 @@ def _add_knot_spec_arguments(parser: argparse.ArgumentParser, designed_family: b
                            help="designed restorable polynomial with parameter m >= 3")
 
 
-def _resolve_knot_spec(args: argparse.Namespace) -> tuple[str | None, IntLaurentPoly]:
-    """Turn the exactly-one spec flag into (name, polynomial)."""
+def _resolve_knot_spec(
+    args: argparse.Namespace,
+) -> tuple[str | None, IntLaurentPoly, list[tuple[int, int]]]:
+    """Turn the exactly-one spec flag into (name, polynomial, gap runs).
+
+    The runs are the L-space gate's (semigroups.lspace_runs), so the report
+    builders take them instead of walking the polynomial again.
+    """
     kinds = ("alexander", "torus", "family", "braid", "catalog", "designed_family")
     given = [kind for kind in kinds if getattr(args, kind, None) is not None]
     if len(given) != 1:
@@ -97,14 +111,15 @@ def _resolve_knot_spec(args: argparse.Namespace) -> tuple[str | None, IntLaurent
     else:  # designed_family
         delta = restorability.designed_family_alexander(args.designed_family)
         name = f"designed_family({args.designed_family})"
-    if lspace_runs(delta) is None:  # NotLSpaceForm when the shape holds but deg != 2g
+    runs = lspace_runs(delta)
+    if runs is None:  # NotLSpaceForm when the shape holds but deg != 2g
         raise _UsageError(
             f"polynomial {delta} is not in L-space form; the pipeline does not apply"
         )
     genus = delta.max_exp // 2
     if genus > MAX_GENUS:
         raise GenusTooLarge(f"the polynomial has genus {genus}, above the limit of {MAX_GENUS}")
-    return name, delta
+    return name, delta, runs
 
 
 def _user_braid(strands, letters) -> braids.BraidWord:
@@ -342,15 +357,15 @@ def _emit(data: dict) -> None:
 
 
 def _cmd_invariants(args: argparse.Namespace) -> int:
-    name, delta = _resolve_knot_spec(args)
-    _emit(knot_invariants(delta, name=name))
+    name, delta, runs = _resolve_knot_spec(args)
+    _emit(knot_invariants(delta, name=name, _runs=runs))
     return EXIT_OK
 
 
 def _cmd_restore(args: argparse.Namespace) -> int:
-    name, delta = _resolve_knot_spec(args)
+    name, delta, runs = _resolve_knot_spec(args)
     report = restorability.enumerate_gap_functions(
-        hull_of(delta), symmetric_only=not args.all, max_solutions=args.max_solutions
+        hull_of(delta, _runs=runs), symmetric_only=not args.all, max_solutions=args.max_solutions
     )
     out = report.to_json()
     if name:
@@ -443,16 +458,16 @@ def _cmd_census_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_plot(args: argparse.Namespace) -> int:
-    _, delta = _resolve_knot_spec(args)
+    _, delta, runs = _resolve_knot_spec(args)
     whats = set(args.what.split(","))
     unknown = whats - {"gapfn", "hull", "upsilon"}
     if unknown:
         named = [kind or '""' for kind in sorted(unknown)]  # --what "" or "gapfn," has an empty kind
         raise _UsageError(f"unknown plot kinds: {', '.join(named)}")
-    hull = hull_of(delta) if whats & {"hull", "upsilon"} else None
+    hull = hull_of(delta, _runs=runs) if whats & {"hull", "upsilon"} else None
     svgplot.write_svg(
         args.out,
-        gapfn=gap_function_of(delta) if "gapfn" in whats else None,
+        gapfn=gap_function_of(delta, _runs=runs) if "gapfn" in whats else None,
         hull=hull if "hull" in whats else None,
         upsilon=legendre_fenchel(hull) if "upsilon" in whats else None,
     )
@@ -464,13 +479,15 @@ def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process and reused by every main() call.
 
     Reuse is safe: each parse returns a fresh Namespace, and no argument has a
-    mutable default.
+    mutable default.  Its _commands maps each subcommand name to its parser,
+    for _parse_argv.
     """
     parser = argparse.ArgumentParser(
         prog="upsilon-lab",
         description="Exact L-space knot invariants: Alexander, semigroup, gap function, Upsilon.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser._commands = sub.choices
 
     p = sub.add_parser("invariants", help="full invariant report for one knot")
     _add_knot_spec_arguments(p)
@@ -524,9 +541,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parse_argv(argv: list[str] | None = None) -> argparse.Namespace:
+    """build_parser().parse_args(argv), with argv read once when it starts with a subcommand.
+
+    Given a subcommand's name first, the top-level parser would only hand
+    the rest of argv to that subcommand's parser, after a pass of its own;
+    so that parser is called directly, with the command already in the
+    Namespace.  Any other argv, and one the subcommand's parser leaves
+    arguments over from, goes through the top-level parser, which words the
+    error.
+    """
     parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    command = parser._commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extras:
+            return args
+    return parser.parse_args(argv)
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parse_argv(argv)
     try:
         return args.func(args)
     except _UsageError as exc:

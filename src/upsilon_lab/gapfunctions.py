@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from itertools import accumulate
+from operator import add
 
 from .errors import InvalidStepPattern
 from .piecewise import PLFunction, lower_convex_envelope
@@ -82,16 +83,15 @@ class GapFunction(Record):
         """Sample 2J(-k) = 2I(g - k) at k = -g..g, in one pass over the gaps.
 
         As k rises, m = g - k falls from 2g to 0, and I(m) steps up by one at
-        each gap m; so the samples are running sums of a step list with a 2
-        at index 2g - a for each gap a.  A FormalSemigroup's gaps make a
-        valid profile, so the values are not checked again.
+        each gap m; so the samples are the running sums, read from m = 2g
+        down, of a byte per m that is 2 at each gap.  A FormalSemigroup's
+        gaps make a valid profile, so the values are not checked again.
         """
-        g = s.genus
-        steps = [0] * (2 * g + 1)
+        steps = bytearray(2 * s.genus + 1)
         for a in s.gaps:
-            steps[2 * g - a] = 2
+            steps[a] = 2
         gf = object.__new__(cls)
-        object.__setattr__(gf, "values", tuple(accumulate(steps)))
+        object.__setattr__(gf, "values", tuple(accumulate(steps[::-1])))
         return gf
 
     def to_semigroup(self) -> FormalSemigroup:
@@ -114,11 +114,9 @@ class GapFunction(Record):
     # -- predicates -------------------------------------------------------------
 
     def is_symmetric(self) -> bool:
-        """Functional form of Alexander symmetry: G(k) = G(-k) + 2k."""
-        g = self.genus
-        return all(
-            self.values[k + g] == self.values[-k + g] + 2 * k for k in range(g + 1)
-        )
+        """Functional form of Alexander symmetry: G(k) = G(-k) + 2k, for k = 0..g."""
+        vals, g = self.values, self.genus
+        return tuple(map(add, vals[g::-1], range(0, 2 * g + 2, 2))) == vals[g:]
 
     # -- bridges to the PL world --------------------------------------------------
 

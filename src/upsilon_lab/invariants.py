@@ -20,12 +20,17 @@ and upsilon_of build the PLFunctions.  The formal semigroup and the
 them (knot_invariants) and for plot's gap-function panel; the dense route
 GapFunction.envelope stays as the tests' oracle.  The report's symmetric
 flag is GapFunction.is_symmetric on the gap function it prints, and its
-upsilon_slopes are the x strings of the hull's JSON vertices.  Each stage
-trusts the one before it: the corners reach the sweep with no number or
-order check (lower_convex_envelope's trusted=True),
-FormalSemigroup.from_gap_runs and GapFunction.from_semigroup wrap what they
-build unchecked, and only the public constructors check their input.  All
-rationals in the report are exact "p/q" strings.
+upsilon_slopes are the x strings of the hull's JSON vertices.
+
+The command line's L-space gate (semigroups.lspace_runs) has the runs
+already, so knot_invariants, hull_of and gap_function_of take them as the
+private keyword _runs and the command walks the polynomial once; without
+_runs each takes gap_runs itself.  Each stage trusts the one before it: the
+corners reach the sweep with no number or order check
+(lower_convex_envelope's trusted=True), FormalSemigroup.from_gap_runs and
+GapFunction.from_semigroup wrap what they build unchecked, and only the
+public constructors check their input.  All rationals in the report are
+exact "p/q" strings.
 """
 
 from __future__ import annotations
@@ -36,8 +41,11 @@ from .piecewise import PLFunction, _lower_hull, legendre_fenchel, lower_convex_e
 from .semigroups import FormalSemigroup, gap_runs
 
 
-def gap_function_of(delta: IntLaurentPoly) -> GapFunction:
-    return GapFunction.from_semigroup(FormalSemigroup.from_alexander(delta))
+def gap_function_of(delta: IntLaurentPoly, *,
+                    _runs: list[tuple[int, int]] | None = None) -> GapFunction:
+    """The gap function's 2g + 1 integer samples; _runs as in the module docstring."""
+    runs = gap_runs(delta) if _runs is None else _runs
+    return GapFunction.from_semigroup(FormalSemigroup.from_gap_runs(runs))
 
 
 def _corners(runs: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -66,9 +74,13 @@ def hull_vertices(delta: IntLaurentPoly) -> tuple[tuple[int, int], ...]:
     return tuple(_lower_hull(_corners(gap_runs(delta))))
 
 
-def hull_of(delta: IntLaurentPoly) -> PLFunction:
-    """The gap function's convex envelope, with rays of slope 0 and 2."""
-    return lower_convex_envelope(_corners(gap_runs(delta)), 0, 2, trusted=True)
+def hull_of(delta: IntLaurentPoly, *, _runs: list[tuple[int, int]] | None = None) -> PLFunction:
+    """The gap function's convex envelope, with rays of slope 0 and 2.
+
+    _runs as in the module docstring.
+    """
+    runs = gap_runs(delta) if _runs is None else _runs
+    return lower_convex_envelope(_corners(runs), 0, 2, trusted=True)
 
 
 def upsilon_of(delta: IntLaurentPoly) -> PLFunction:
@@ -76,13 +88,15 @@ def upsilon_of(delta: IntLaurentPoly) -> PLFunction:
     return legendre_fenchel(hull_of(delta))
 
 
-def knot_invariants(delta: IntLaurentPoly, name: str | None = None) -> dict:
+def knot_invariants(delta: IntLaurentPoly, name: str | None = None, *,
+                    _runs: list[tuple[int, int]] | None = None) -> dict:
     """Everything the pipeline knows about one polynomial, JSON-ready.
 
-    The gap runs are derived once and feed both the semigroup and the hull.
-    Each JSON form is built once: upsilon_breakpoints and upsilon_slopes reuse its strings.
+    The gap runs are derived once, or taken as _runs, and feed the semigroup
+    (and through it the gap function) and the hull.  Each JSON form is built once:
+    upsilon_breakpoints and upsilon_slopes reuse its strings.
     """
-    runs = gap_runs(delta)
+    runs = gap_runs(delta) if _runs is None else _runs
     semigroup = FormalSemigroup.from_gap_runs(runs)
     gap_function = GapFunction.from_semigroup(semigroup)
     hull = lower_convex_envelope(_corners(runs), 0, 2, trusted=True)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Iterable
-from itertools import chain, starmap
+from itertools import chain, compress, starmap
 from math import gcd
 
 from .errors import BadParameters, GenusTooLarge, NotLSpaceForm
@@ -126,8 +126,13 @@ class FormalSemigroup(Record):
 
         gap_runs has checked those runs, so the gaps are not checked again.
         """
+        return cls._of_gaps(tuple(chain.from_iterable(starmap(range, runs))))
+
+    @classmethod
+    def _of_gaps(cls, gaps: tuple[int, ...]) -> "FormalSemigroup":
+        """The semigroup of a gap tuple its builder made valid, unchecked."""
         s = object.__new__(cls)
-        object.__setattr__(s, "gaps", tuple(chain.from_iterable(starmap(range, runs))))
+        object.__setattr__(s, "gaps", gaps)
         return s
 
     def to_alexander(self) -> IntLaurentPoly:
@@ -146,10 +151,17 @@ class FormalSemigroup(Record):
         Only sums below 2g need checking (everything from 2g on is in S), so
         s < g.  With S and the gaps as bit masks below 2g, bit j of
         (members >> s) & (gaps >> 2s) says that s' = s + j is a member and
-        s + s' a gap, so its lowest bit is the smallest failing s'.  That is
-        O(g) operations on 2g-bit integers.  Returns (True, None) or
-        (False, witness) with the lexicographically first failing pair
-        (s, s'), s <= s'.
+        s + s' a gap, so its lowest bit is the smallest failing s'.
+
+        That test runs only for the multiplicity m (the least positive
+        member) and, in increasing order, the least member below g of each
+        other class mod m (its Apery elements below g): a member s is w + k*m
+        with w the least member of its class, so any s + s' is reached from
+        s' by adding w, then m k times, each step adding a tested shift
+        a <= s to a member at least a.  So the first failing shift is one of
+        these, and the first pair found is the lexicographically first
+        failing pair (s, s'), s <= s'.  Each shift is tested as soon as it is
+        found.  Returns (True, None) or (False, witness).
 
         >>> FormalSemigroup([1, 2, 3, 5, 6, 8, 11, 15]).is_closed_under_addition()
         (False, (4, 4))
@@ -160,11 +172,10 @@ class FormalSemigroup(Record):
             digits[a] = ord("0")
         members = int(digits[::-1] or b"0", 2)
         gaps = members ^ ((1 << 2 * g) - 1)
-        for s in range(g):
-            if digits[s] == ord("1"):
-                clash = (members >> s) & (gaps >> 2 * s)
-                if clash:
-                    return False, (s, s + (clash & -clash).bit_length() - 1)
+        for s in _closure_shifts(digits, g):
+            clash = (members >> s) & (gaps >> 2 * s)
+            if clash:
+                return False, (s, s + (clash & -clash).bit_length() - 1)
         return True, None
 
     def symmetry_check(self) -> bool:
@@ -180,6 +191,22 @@ class FormalSemigroup(Record):
 
     def to_json(self) -> dict:
         return {"genus": self.genus, "gaps": list(self.gaps)}
+
+
+def _closure_shifts(digits: bytearray, g: int):
+    """The multiplicity m, if below g, then each other class's least member below g, ascending.
+
+    digits[i] is b"1" exactly for the members i < 2g.  Each shift is one find
+    in a copy of digits[:g] from which every class found so far has been
+    blanked, one slice assignment each, so the shifts come one at a time and
+    the caller stops at the first that fails.
+    """
+    left = digits[:g]
+    s = m = left.find(b"1", 1)
+    while s > 0:
+        yield s
+        left[s::m] = bytes(len(range(s, g, m)))
+        s = left.find(b"1", s + 1)
 
 
 def gap_runs(delta: IntLaurentPoly) -> list[tuple[int, int]]:
@@ -263,11 +290,9 @@ def torus_semigroup(p: int, q: int) -> FormalSemigroup:
     bound = (p - 1) * (q - 1)
     if bound // 2 > MAX_GENUS:
         raise GenusTooLarge(f"T({p},{q}) has genus {bound // 2}, above the limit of {MAX_GENUS}")
-    reachable = [False] * (bound + 1)
-    reachable[0] = True
-    for step in (p, q):
-        for i in range(step, bound + 1):
-            if reachable[i - step]:
-                reachable[i] = True
-    gaps = [e for e in range(1, bound) if not reachable[e]]
-    return FormalSemigroup(gaps)
+    # Each member is a*p + b*q with 0 <= b < p, and b*q >= bound once b = p - 1,
+    # so the members below bound = 2g are the progressions b*q, b*q + p, ... for b <= p - 2.
+    is_gap = bytearray(b"\x01") * bound
+    for b in range(p - 1):
+        is_gap[b * q::p] = bytes(len(range(b * q, bound, p)))
+    return FormalSemigroup._of_gaps(tuple(compress(range(bound), is_gap)))

@@ -139,6 +139,26 @@ class TestExponentSum:
         assert word.exponent_sum() == 27
         assert word.exponent_sum() == sum(1 if x > 0 else -1 for x in word.letters)
 
+    def test_matches_definition_on_seeded_words(self):
+        # Full twists of either sign and spelling, spliced into random words, are cut
+        # and counted as power * (s - 1); the definition walks every letter.
+        rng = random.Random(36)
+        for _ in range(300):
+            strands = rng.randint(2, 6)
+            letters = []
+            for _ in range(rng.randint(0, 6)):
+                if rng.random() < 0.3:
+                    letters += full_twist(strands, rng.choice((1, -1)), rng.random() < 0.5)
+                else:
+                    letters.append(rng.randint(1, strands - 1) * rng.choice((1, -1)))
+            word = BraidWord(strands, letters)
+            assert word.exponent_sum() == sum(1 if x > 0 else -1 for x in letters), word
+
+    def test_matches_definition_on_k1_10000(self):
+        word = family_braid("K1", 10000)
+        assert word._cut[1] != 0  # the twists were cut, so the count reads the cut
+        assert word.exponent_sum() == sum(1 if x > 0 else -1 for x in word.letters)
+
 
 class TestPositiveBraidGenus:
     def test_trefoil(self):

@@ -593,6 +593,72 @@ class TestParserReuse:
         assert reused == fresh
 
 
+class TestDispatch:
+    """main() hands argv straight to the subcommand's parser; the outcome must be
+    exactly that of build_parser().parse_args(argv)."""
+
+    PARSED = (
+        ["invariants", "--torus", "5,7"],
+        ["invariants", "--torus=5,7"],
+        ["invariants", "--tor", "5,7"],
+        ["invariants"],  # parses: the one-spec rule is checked after parsing
+        ["invariants", "--family", "K1", "--n", "-3"],
+        ["restore", "--catalog", "t09847", "--all", "--max-solutions", "2e3"],
+        ["restore", "--designed-family", "4"],
+        ["family", "verify"],
+        ["family", "verify", "--n", "1..2", "--which", "K1", "--format", "text"],
+        ["seifert", "decide", "--e0", "0", "--r", " 1/3,-1/3,-1/4"],
+        ["braid", "--named", "K1", "--n", "2"],
+        ["braid", "--strands", "3", "--word", "1,-2,1"],
+        ["census", "scan", "sample"],
+        ["plot", "--torus", "3,4", "--what", "gapfn,upsilon", "-o", "x.svg"],
+        ["plot", "--torus", "3,4", "--out=x.svg"],
+    )
+    REFUSED = (
+        [], ["-h"], ["--help"], ["bogus"], ["bogus", "--torus", "5,7"],
+        ["invariants", "-h"], ["family", "verify", "-h"], ["census", "-h"],
+        ["--"], ["--tor"], ["--torus=5,7"], ["--", "invariants", "--torus", "5,7"],
+        ["invariants", "--"], ["invariants", "--", "--torus", "5,7"],
+        ["invariants", "--torus", "5,7", "extra"],
+        ["restore", "--catalog", "t09847", "extra"],
+        ["restore", "--catalog", "t09847", "--threads", "2"],
+        ["restore", "--catalog", "t09847", "--max-solutions", "0"],
+        ["family"], ["family", "bogus"], ["family", "verify", "extra"],
+        ["family", "verify", "--n", "1", "--burau", "on"],
+        ["census"], ["census", "scan"], ["census", "scan", "sample", "extra"],
+        ["seifert", "decide", "--e0", "x", "--r", "1/2,1/3,1/5"],
+        ["plot", "--torus", "3,4", "-o"],
+        ["plot", "--torus", "3,4"],
+    )
+
+    @staticmethod
+    def _outcome(capsys, parse, argv):
+        try:
+            result = vars(parse(list(argv)))
+        except SystemExit as exc:
+            result = exc.code
+        captured = capsys.readouterr()
+        return result, captured.out, captured.err
+
+    @pytest.mark.parametrize("argv", PARSED, ids=" ".join)
+    def test_parsed_namespace_matches_top_level_parse(self, capsys, argv):
+        direct = self._outcome(capsys, cli._parse_argv, argv)
+        assert isinstance(direct[0], dict) and direct[0]["command"] == argv[0]
+        assert direct == self._outcome(capsys, build_parser().parse_args, argv)
+
+    @pytest.mark.parametrize("argv", REFUSED, ids=lambda argv: " ".join(argv) or "no-args")
+    def test_refusal_and_help_match_top_level_parse(self, capsys, argv):
+        direct = self._outcome(capsys, cli._parse_argv, argv)
+        assert direct[0] in (0, 2)
+        assert direct == self._outcome(capsys, build_parser().parse_args, argv)
+
+    def test_subcommand_parser_reads_argv_once(self, monkeypatch):
+        # The top-level parser is not consulted when argv starts with a command.
+        parser = build_parser()
+        monkeypatch.setattr(parser, "parse_known_args", None)
+        assert cli._parse_argv(["census", "scan", "sample"]).path == "sample"
+
+
 class TestSeifert:
     def test_decide_lspace(self, capsys):
         report = run_json(capsys, "seifert", "decide", "--e0", "0", "--r", " 1/3,-1/3,-1/4")
@@ -949,7 +1015,7 @@ class TestJsonChunks:
     def test_non_str_top_level_key_exits_3(self, monkeypatch, capsys):
         with pytest.raises(TypeError):
             cli._emit({1: "int key"})
-        monkeypatch.setattr(cli, "knot_invariants", lambda delta, name=None: {("a",): 0})
+        monkeypatch.setattr(cli, "knot_invariants", lambda delta, name=None, _runs=None: {("a",): 0})
         code, _, err = run_cli(capsys, "invariants", "--torus", "2,3")
         assert code == 3 and err.startswith("error: internal: TypeError: ")
 
@@ -961,7 +1027,7 @@ class TestJsonChunks:
             cli._json_text(value)
 
     def test_non_json_value_exits_3(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "knot_invariants", lambda delta, name=None: {"x": 0.5})
+        monkeypatch.setattr(cli, "knot_invariants", lambda delta, name=None, _runs=None: {"x": 0.5})
         code, _, err = run_cli(capsys, "invariants", "--torus", "2,3")
         assert code == 3 and err.startswith("error: internal: TypeError: ")
 
@@ -969,7 +1035,7 @@ class TestJsonChunks:
                              ids=["float-value", "int-key"])
     def test_unencodable_report_writes_nothing(self, monkeypatch, capsys, report):
         # The good entry before the bad one must not reach stdout either.
-        monkeypatch.setattr(cli, "knot_invariants", lambda delta, name=None: report)
+        monkeypatch.setattr(cli, "knot_invariants", lambda delta, name=None, _runs=None: report)
         code, out, err = run_cli(capsys, "invariants", "--torus", "2,3")
         assert (code, out) == (3, "")
         assert err.startswith("error: internal: TypeError: ")

@@ -160,6 +160,15 @@ class TestSymmetryOfFunction:
         assert asymmetric is not None
         assert not asymmetric.is_symmetric()
 
+    def test_matches_definition_on_every_step_pattern(self):
+        for g in range(6):
+            for steps in itertools.product((0, 2), repeat=2 * g):
+                if sum(steps) != 2 * g:
+                    continue
+                gf = GapFunction(itertools.accumulate((0, *steps)))
+                expected = all(gf.value_at(k) == gf.value_at(-k) + 2 * k for k in range(g + 1))
+                assert gf.is_symmetric() == expected, steps
+
     def test_matches_semigroup_symmetry_exhaustive(self):
         for g in range(7):
             for gaps in all_gap_sequences(g):

@@ -1,6 +1,7 @@
 """Formal semigroups: conversions, closure test, torus semigroups, symmetry."""
 
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -8,7 +9,13 @@ import pytest
 
 from upsilon_lab.errors import BadParameters, NotLSpaceForm
 from upsilon_lab.laurent import IntLaurentPoly
-from upsilon_lab.semigroups import FormalSemigroup, gap_runs, lspace_runs, torus_semigroup
+from upsilon_lab.semigroups import (
+    FormalSemigroup,
+    _closure_shifts,
+    gap_runs,
+    lspace_runs,
+    torus_semigroup,
+)
 
 from test_laurent import K2_N1
 
@@ -255,11 +262,25 @@ def closure_pairwise(s: FormalSemigroup):
 
 
 class TestClosedUnderAddition:
-    @pytest.mark.parametrize("g", range(9))
+    @pytest.mark.parametrize("g", range(10))
     def test_matches_pairwise_on_every_gap_sequence(self, g):
         for gaps in all_gap_sequences(g):
             s = FormalSemigroup(gaps)
             assert s.is_closed_under_addition() == closure_pairwise(s), gaps
+
+    def test_shifts_are_the_multiplicity_then_the_apery_elements_below_g(self):
+        sets = [*all_gap_sequences(7), torus_semigroup(7, 30).gaps, torus_semigroup(2, 101).gaps]
+        for gaps in sets:
+            s = FormalSemigroup(gaps)
+            g = s.genus
+            members = [x for x in range(1, g) if s.contains(x)]
+            expected, classes = [], {0}  # m, then the least member below g of each other class mod m
+            for x in members:
+                if x == members[0] or x % members[0] not in classes:
+                    classes.add(x % members[0])
+                    expected.append(x)
+            digits = bytearray(b"01"[s.contains(i)] for i in range(2 * g))
+            assert list(_closure_shifts(digits, g)) == expected, gaps
 
     @pytest.mark.parametrize("p,q", [(2, 3), (2, 101), (3, 7), (4, 9), (5, 12), (7, 30),
                                      (11, 31), (17, 49), (21, 52)])
@@ -332,6 +353,19 @@ class TestTorusSemigroup:
                     continue
                 s = torus_semigroup(p, q)
                 assert s.genus == (p - 1) * (q - 1) // 2
+
+    def test_matches_reachability(self):
+        # The definition: n is a member iff n - p or n - q is (0 is); the gaps lie below (p-1)(q-1).
+        for p in range(2, 60):
+            for q in range(p + 1, 61):
+                if math.gcd(p, q) != 1:
+                    continue
+                bound = (p - 1) * (q - 1)
+                member = [True] + [False] * bound
+                for n in range(1, bound + 1):
+                    member[n] = n >= p and member[n - p] or n >= q and member[n - q]
+                gaps = tuple(n for n in range(bound) if not member[n])
+                assert torus_semigroup(p, q) == FormalSemigroup(gaps), (p, q)
 
     @pytest.mark.parametrize("p,q", [(1, 3), (3, 3), (4, 2), (2, 4), (6, 9)])
     def test_bad_parameters(self, p, q):
