@@ -6,10 +6,14 @@ Input is JSON lines, one record per knot:
 
 Records are grouped by canonical Alexander polynomial and by Upsilon.  The
 Upsilon key is the integer vertex tuple of the gap function's convex
-envelope.  parse_census_line validates each term once (from_pairs), then
-takes the gap runs from semigroups.lspace_runs, the one gate on the L-space
-shape 1 - t + t^{a_2} - ... + t^{2g} and deg = 2g, and keeps them on the
-record; it sweeps no hull.
+envelope.  parse_census_line reads the "alexander" pairs and takes the gap
+runs from the one gate on the L-space shape 1 - t + t^{a_2} - ... + t^{2g}
+and deg = 2g, and keeps them on the record; it sweeps no hull.  Pairs in the
+order json.dumps writes such a Delta in (exponents rising from 0,
+coefficients +1, -1, ..., +1) are validated and gated in one pass
+(semigroups._lspace_pairs); any other value is validated term by term
+(from_pairs) and then gated (semigroups.lspace_runs), with the same result
+and the same warnings.
 The key is exact: every envelope has rays of slope 0 and 2, so its vertices
 determine it; Upsilon is its Legendre-Fenchel transform, and the transform
 is an involution on convex functions.  So two records have equal hulls
@@ -40,7 +44,7 @@ from .invariants import _corners
 from .laurent import IntLaurentPoly
 from .piecewise import _lower_hull
 from .records import Record
-from .semigroups import gap_runs, lspace_runs
+from .semigroups import _lspace_pairs, gap_runs, lspace_runs
 
 
 class CensusRecord(Record):
@@ -85,7 +89,9 @@ def alexander_from_json(value) -> IntLaurentPoly:
     A value that is not an array is refused first: from_pairs would read a
     string or an object as pairs, and "" or {} as the zero polynomial.
     from_pairs validates every term; only once it has failed are the pairs
-    inspected, so a valid value pays nothing.  A pair that is not a
+    inspected, so a valid value pays nothing.  parse_census_line and
+    --alexander come here only for a value the one-pass reader
+    (_alexander_and_runs) does not take.  A pair that is not a
     2-element array is refused in JSON's terms, naming the first one; any
     other failure keeps from_pairs' own message.
 
@@ -115,8 +121,21 @@ def alexander_from_json(value) -> IntLaurentPoly:
         raise
 
 
+def _alexander_and_runs(value) -> tuple[IntLaurentPoly, list[tuple[int, int]] | None]:
+    """alexander_from_json(value) and its lspace_runs, raising what they raise.
+
+    Pairs in json.dumps' order of an L-space Delta take one pass
+    (semigroups._lspace_pairs); any other value takes the two steps.
+    """
+    read = _lspace_pairs(value) if type(value) is list else None
+    if read is None:
+        delta = alexander_from_json(value)
+        read = delta, lspace_runs(delta)
+    return read
+
+
 def parse_census_line(line: str) -> CensusRecord:
-    """One JSON line to a record: alexander_from_json, then the lspace_runs gate.
+    """One JSON line to a record: alexander_from_json, then the lspace_runs gate (_alexander_and_runs).
 
     Raises a TypeError for a value that is not a JSON object, a ValueError
     for a missing "name" or "alexander" key, a TypeError for a name that is
@@ -133,9 +152,8 @@ def parse_census_line(line: str) -> CensusRecord:
     name = data["name"]
     if not isinstance(name, str):
         raise TypeError(f"record name must be a string, got {json_type(name)}")
-    delta = alexander_from_json(data["alexander"])
     try:
-        runs = lspace_runs(delta)
+        delta, runs = _alexander_and_runs(data["alexander"])
     except NotLSpaceForm as exc:
         raise NotLSpaceForm(f"record {name!r}: {exc}") from None
     if runs is None:

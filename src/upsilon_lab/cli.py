@@ -6,8 +6,9 @@ reads the rest of it (_parse_argv).  The top-level parser reads any other
 argv (none, an unknown command, a top-level -h) and one that the
 subcommand's parser leaves arguments over from, so every usage error and
 help text is argparse's own.  The knot-spec commands take the gap
-runs from the L-space gate (_resolve_knot_spec) and hand them on, so the
-polynomial is walked once per command.
+runs from the L-space gate (_resolve_knot_spec), or for --torus from the
+semigroup's gaps, and hand them on, so the polynomial is walked at most once
+per command.
 
 Every report is JSON on stdout with rationals as exact "p/q" strings.
 _emit builds the text of every top-level entry with _json_text, then writes
@@ -38,7 +39,8 @@ from .invariants import gap_function_of, hull_of, knot_invariants
 from .laurent import IntLaurentPoly
 from .piecewise import legendre_fenchel
 from .rationals import int_text, parse_rational
-from .semigroups import MAX_GENUS, lspace_runs, torus_semigroup
+from .semigroups import (MAX_GENUS, _alexander_of_runs, _runs_of_gaps, lspace_runs,
+                         torus_semigroup)
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -73,7 +75,11 @@ def _resolve_knot_spec(
     """Turn the exactly-one spec flag into (name, polynomial, gap runs).
 
     The runs are the L-space gate's (semigroups.lspace_runs), so the report
-    builders take them instead of walking the polynomial again.
+    builders take them instead of walking the polynomial again.  --alexander
+    reads its pairs and gates them in one pass where it can
+    (census._alexander_and_runs).  --torus takes the runs from the gaps of
+    torus_semigroup, which has gap 1 and deg = 2g by construction, and builds
+    the polynomial from them, so no gate walks it.
     """
     kinds = ("alexander", "torus", "family", "braid", "catalog", "designed_family")
     given = [kind for kind in kinds if getattr(args, kind, None) is not None]
@@ -86,7 +92,7 @@ def _resolve_knot_spec(
     kind = given[0]
     if kind == "alexander":
         try:
-            delta = census.alexander_from_json(json.loads(args.alexander))
+            delta, runs = census._alexander_and_runs(json.loads(args.alexander))
         except (ValueError, TypeError, RecursionError) as exc:  # RecursionError: JSON nested too deeply
             raise _UsageError(f"bad --alexander value: {exc}") from exc
         name = None
@@ -95,7 +101,8 @@ def _resolve_knot_spec(
             p, q = (int(x) for x in args.torus.split(","))
         except ValueError as exc:
             raise _UsageError(f"bad --torus value {args.torus!r}, expected P,Q") from exc
-        delta = torus_semigroup(p, q).to_alexander()
+        runs = _runs_of_gaps(torus_semigroup(p, q).gaps)
+        delta = _alexander_of_runs(runs)
         name = f"T({p},{q})"
     elif kind == "family":
         if args.n is None:
@@ -111,12 +118,13 @@ def _resolve_knot_spec(
     else:  # designed_family
         delta = restorability.designed_family_alexander(args.designed_family)
         name = f"designed_family({args.designed_family})"
-    runs = lspace_runs(delta)
+    if kind not in ("alexander", "torus"):
+        runs = lspace_runs(delta)
     if runs is None:  # NotLSpaceForm when the shape holds but deg != 2g
         raise _UsageError(
             f"polynomial {delta} is not in L-space form; the pipeline does not apply"
         )
-    genus = delta.max_exp // 2
+    genus = runs[-1][1] // 2 if runs else 0  # deg = 2g: the last run ends at the top exponent
     if genus > MAX_GENUS:
         raise GenusTooLarge(f"the polynomial has genus {genus}, above the limit of {MAX_GENUS}")
     return name, delta, runs

@@ -12,8 +12,9 @@ x = g - b, at height 2 * #{gaps >= b}.  The chain is therefore
                -> Upsilon (legendre_fenchel).
 
 hull_vertices stops at the integer hull, which is the census's Upsilon key.
-census.parse_census_line keeps the runs that semigroups.lspace_runs gives
-it and sweeps no hull; CensusRecord.hull sweeps the same key from them,
+census.parse_census_line keeps the runs of the L-space gate
+(semigroups.lspace_runs, or _lspace_pairs as it reads the pairs) and sweeps
+no hull; CensusRecord.hull sweeps the same key from them,
 with _corners and the same sweep, only when a scan reads it.  hull_of
 and upsilon_of build the PLFunctions.  The formal semigroup and the
 2g + 1 gap-function samples are built only for the report fields that print
@@ -22,15 +23,15 @@ GapFunction.envelope stays as the tests' oracle.  The report's symmetric
 flag is GapFunction.is_symmetric on the gap function it prints, and its
 upsilon_slopes are the x strings of the hull's JSON vertices.
 
-The command line's L-space gate (semigroups.lspace_runs) has the runs
-already, so knot_invariants, hull_of and gap_function_of take them as the
-private keyword _runs and the command walks the polynomial once; without
-_runs each takes gap_runs itself.  Each stage trusts the one before it: the
-corners reach the sweep with no number or order check
-(lower_convex_envelope's trusted=True), FormalSemigroup.from_gap_runs and
-GapFunction.from_semigroup wrap what they build unchecked, and only the
-public constructors check their input.  All rationals in the report are
-exact "p/q" strings.
+The command line's L-space gate (semigroups.lspace_runs), or for --torus
+the semigroup's gaps, has the runs already, so knot_invariants, hull_of and
+gap_function_of take them as the private keyword _runs and the command walks
+the polynomial at most once; without _runs each takes gap_runs itself.
+Each stage trusts the one before it: the corners reach the sweep with no
+number or order check (lower_convex_envelope's trusted=True),
+FormalSemigroup.from_gap_runs and GapFunction.from_semigroup wrap what they
+build unchecked, and only the public constructors check their input.  All
+rationals in the report are exact "p/q" strings.
 """
 
 from __future__ import annotations

@@ -15,14 +15,18 @@ a_g = 2g - 1; gap_runs, FormalSemigroup and the restorability search work
 with those.  The Alexander polynomial of an L-space knot also has gap 1: it
 has the shape 1 - t + t^{a_2} - ... + t^{2g} (Hedden-Watson).  Both gates
 call one shape test, coefficients alternating +1, -1, ..., +1 from exponent
-0; lspace_runs adds gap 1 and an even top exponent.
+0; lspace_runs adds gap 1 and an even top exponent.  JSON pairs that arrive
+sorted in that pattern meet lspace_runs' tests in the same pass that reads
+them (_lspace_pairs).  A gap tuple gives its runs directly (_runs_of_gaps),
+and runs give Delta (_alexander_of_runs): to_alexander and the command
+line's torus knots take that route, with no gate.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Iterable
-from itertools import chain, compress, starmap
+from itertools import chain, compress, cycle, starmap
 from math import gcd
 
 from .errors import BadParameters, GenusTooLarge, NotLSpaceForm
@@ -136,12 +140,8 @@ class FormalSemigroup(Record):
         return s
 
     def to_alexander(self) -> IntLaurentPoly:
-        """Restore Delta = 1 + (t - 1) * sum_i t^{a_i}."""
-        terms: dict[int, int] = {0: 1}
-        for a in self.gaps:
-            terms[a + 1] = terms.get(a + 1, 0) + 1
-            terms[a] = terms.get(a, 0) - 1
-        return IntLaurentPoly._from_terms({e: c for e, c in terms.items() if c})
+        """Restore Delta = 1 + (t - 1) * sum_i t^{a_i}, from the gap runs (_alexander_of_runs)."""
+        return _alexander_of_runs(_runs_of_gaps(self.gaps))
 
     # -- predicates -----------------------------------------------------------
 
@@ -249,9 +249,47 @@ def lspace_runs(delta: IntLaurentPoly) -> list[tuple[int, int]] | None:
     True
     """
     exps = _alternating_exponents(delta)
-    if exps is None or len(exps) > 1 and exps[1] != 1 or exps[-1] % 2:
+    return None if exps is None else _lspace_gate(exps)
+
+
+def _lspace_gate(exps: list[int]) -> list[tuple[int, int]] | None:
+    """lspace_runs' remaining tests on the sorted exponents of terms alternating +1, -1, ..., +1 from t^0."""
+    if len(exps) > 1 and exps[1] != 1 or exps[-1] % 2:
         return None
     return _runs_of_alternating(exps)
+
+
+def _lspace_pairs(pairs: list) -> tuple[IntLaurentPoly, list[tuple[int, int]] | None] | None:
+    """IntLaurentPoly.from_pairs(pairs) and its lspace_runs in one pass over the pairs, else None.
+
+    The pass holds when every pair unpacks to two exact ints, the exponents
+    rise strictly from 0 and the coefficients read +1, -1, ..., +1: the order
+    json.dumps writes an L-space Delta's to_pairs in.  Those terms are
+    already Delta's sorted, nonzero terms, so lspace_runs' remaining tests
+    (_lspace_gate) run on the exponents as they came, with no sort and no
+    second walk: the runs are None for any other shape, and deg != 2g raises
+    NotLSpaceForm.  Any other input gives None before the gate runs, so the
+    caller takes from_pairs and lspace_runs, whose errors are the ones to
+    report; they give the same result on the input the pass takes.
+
+    >>> _lspace_pairs([[0, 1], [1, -1], [3, 1], [5, -1], [6, 1]])
+    (IntLaurentPoly('1 - t + t^3 - t^5 + t^6'), [(1, 3), (5, 6)])
+    >>> _lspace_pairs([[0, 1], [2, 1], [1, -1]]) is None
+    True
+    """
+    terms: dict[int, int] = {}
+    last, sign = -1, 1
+    try:
+        for e, c in pairs:
+            if c != sign or type(e) is not int or type(c) is not int or e <= last:
+                return None
+            terms[e] = c
+            last, sign = e, -sign
+    except (TypeError, ValueError):  # a pair that does not unpack to two values
+        return None
+    if sign == 1 or 0 not in terms:  # an even term count, or a first exponent above 0
+        return None
+    return IntLaurentPoly._from_terms(terms), _lspace_gate(list(terms))
 
 
 def _alternating_exponents(delta: IntLaurentPoly) -> list[int] | None:
@@ -276,6 +314,28 @@ def _runs_of_alternating(exps: list[int]) -> list[tuple[int, int]]:
     if 2 * genus != exps[-1]:
         raise NotLSpaceForm(f"degree {exps[-1]} does not equal twice the gap count {genus}")
     return list(zip(opens, closes))
+
+
+def _runs_of_gaps(gaps: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The maximal runs [a, b) of consecutive gaps, ascending: gap_runs without the polynomial.
+
+    >>> _runs_of_gaps((1, 2, 5))
+    [(1, 3), (5, 6)]
+    """
+    if not gaps:
+        return []
+    opens = [a for prev, a in zip((-2,) + gaps, gaps) if a - prev > 1]
+    closes = [a + 1 for a, nxt in zip(gaps, gaps[1:] + (gaps[-1] + 2,)) if nxt - a > 1]
+    return list(zip(opens, closes))
+
+
+def _alexander_of_runs(runs: list[tuple[int, int]]) -> IntLaurentPoly:
+    """Delta = 1 + (t - 1) * sum of t^a over the gaps: +1 at t^0, -1 at each run's start, +1 at its end.
+
+    The runs are maximal, so no two share an end and the terms need no summing.
+    """
+    exps = chain((0,), chain.from_iterable(runs))
+    return IntLaurentPoly._from_terms(dict(zip(exps, cycle((1, -1)))))
 
 
 def torus_semigroup(p: int, q: int) -> FormalSemigroup:

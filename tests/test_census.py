@@ -1,15 +1,18 @@
 """Census scanning: grouping, determinism, malformed-record handling."""
 
+import contextlib
 import copy
+import io
 import itertools
 import json
 import pickle
 import random
+import re
 import sys
 
 import pytest
 
-from upsilon_lab import census
+from upsilon_lab import census, cli
 from upsilon_lab.census import (
     CensusRecord,
     alexander_from_json,
@@ -24,7 +27,7 @@ from upsilon_lab.gapfunctions import GapFunction
 from upsilon_lab.invariants import hull_vertices
 from upsilon_lab.laurent import IntLaurentPoly
 from upsilon_lab.piecewise import PLFunction, legendre_fenchel
-from upsilon_lab.semigroups import FormalSemigroup, torus_semigroup
+from upsilon_lab.semigroups import FormalSemigroup, _lspace_pairs, lspace_runs, torus_semigroup
 
 P = IntLaurentPoly.from_pairs
 
@@ -143,18 +146,25 @@ class TestGrouping:
         assert scan_census(records)["upsilon_duplicate_groups"] == [["K1(1)", "K2(1)"]]
 
     def test_one_gap_runs_walk_per_record(self, monkeypatch):
-        # Each record is validated once: a load and a scan of the sample build
-        # each polynomial once through the validating constructor, then pass
-        # it through the lspace_runs gate once, and walk no gap runs.
+        # Each record is read once: a load and a scan of the sample read each
+        # record's pairs in one loop (_lspace_pairs), which takes all ten, and
+        # build no polynomial through the validating constructor, call no
+        # lspace_runs and walk no gap runs.  A line whose pairs come reversed
+        # takes the two-step route once: the loop gives up, then from_pairs
+        # builds the polynomial and lspace_runs gates it.
         from upsilon_lab import semigroups
 
         calls = []
 
         def counting(label, fn):
-            return lambda *args: calls.append(label) or fn(*args)
+            def count(*args):
+                result = fn(*args)
+                calls.append(f"{label} -> None" if result is None and label == "_lspace_pairs" else label)
+                return result
+            return count
 
         # Count each function under every name a package module binds it to.
-        for attr in ("gap_runs", "lspace_runs"):
+        for attr in ("gap_runs", "lspace_runs", "_lspace_pairs"):
             fn = getattr(semigroups, attr)
             for module in list(sys.modules.values()):
                 if module.__name__.startswith("upsilon_lab") and getattr(module, attr, None) is fn:
@@ -163,7 +173,12 @@ class TestGrouping:
         records, _ = load_census(sample_census_path())
         scan_census(records)
         assert len(records) == 10
-        assert calls == ["__init__", "lspace_runs"] * 10
+        assert calls == ["_lspace_pairs"] * 10
+
+        calls.clear()
+        record = parse_census_line(record_line("t09847~reversed", T09847_PAIRS[::-1]))
+        assert calls == ["_lspace_pairs -> None", "__init__", "lspace_runs"]
+        assert record.delta == P(T09847_PAIRS) and record._runs == lspace_runs(P(T09847_PAIRS))
 
 
 def all_pairs_scan(records) -> dict:
@@ -588,3 +603,171 @@ class TestOnePassOracle:
         assert [(r.name, r.delta, r.hull) for r in records] == [
             (r.name, r.delta, r.hull) for r in old_records
         ]
+
+
+def two_step(value):
+    """The route the one-pass reader must agree with: alexander_from_json (from_pairs), then lspace_runs."""
+    delta = alexander_from_json(value)
+    return delta, lspace_runs(delta)
+
+
+def read_result(read, value):
+    """(Delta's sorted pairs, runs) of a read, or the type and text of what it raised."""
+    try:
+        delta, runs = read(value)
+    except (UpsilonLabError, ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+    return delta.to_pairs(), runs
+
+
+def pair_orders(pairs: list) -> list[list]:
+    """The pairs sorted, reversed and in three seeded shuffles."""
+    orders = [pairs, pairs[::-1]]
+    for seed in range(3):
+        shuffled = list(pairs)
+        random.Random(seed).shuffle(shuffled)
+        orders.append(shuffled)
+    return orders
+
+
+T34 = [[0, 1], [1, -1], [3, 1], [5, -1], [6, 1]]
+
+# Values the one-pass reader must hand to the two-step route, in the cases it names.
+OFF_ROUTE = {
+    "split-term": [[0, 1], [1, -2], [1, 1], [3, 1], [5, -1], [6, 1]],
+    "split-term-alternating": [[0, 1], [1, -1], [1, 1], [1, -1], [3, 1], [5, -1], [6, 1]],
+    "repeated-exponent": [[0, 1], [1, -1], [1, 1]],
+    "zero-term": [[0, 1], [1, -1], [3, 1], [4, 0], [5, -1], [6, 1]],
+    "zero-term-last": T34 + [[7, 0]],
+    "zero-term-first": [[0, 0], *T34],
+    "true-coefficient": [[0, 1], [1, -1], [3, True], [5, -1], [6, 1]],
+    "true-exponent": [[0, 1], [True, -1], [3, 1], [5, -1], [6, 1]],
+    "float-coefficient": [[0, 1], [1, -1], [3, 1.0], [5, -1], [6, 1]],
+    "float-exponent": [[0, 1], [1, -1], [3.0, 1], [5, -1], [6, 1]],
+    "string-coefficient": [[0, 1], [1, "-1"], [3, 1], [5, -1], [6, 1]],
+    "string-exponent": [[0, 1], ["1", -1], [3, 1], [5, -1], [6, 1]],
+    "null-coefficient": [[0, 1], [1, -1], [3, None], [5, -1], [6, 1]],
+    "null-exponent": [[0, 1], [1, -1], [None, 1], [5, -1], [6, 1]],
+    "null-pair": [[0, 1], None, [3, 1]],
+    "nested-array-coefficient": [[0, 1], [1, [-1]], [3, 1], [5, -1], [6, 1]],
+    "nested-array-exponent": [[0, 1], [[1], -1], [3, 1], [5, -1], [6, 1]],
+    "nested-array-pair": [[0, 1], [[1, -1]], [3, 1]],
+    "one-element-pair": [[0, 1], [1], [3, 1]],
+    "three-element-pair": [[0, 1], [1, -1, 0], [3, 1]],
+    "int-pair": [[0, 1], 1, [3, 1]],
+    "string-pair": [[0, 1], "ab", [3, 1]],
+    "object-pair": [[0, 1], {"1": -1}, [3, 1]],
+    "huge-exponent-first": [[10**400, 1], [0, 1], [1, -1]],
+    "negative-exponent": [[-1, 1], [0, -1], [1, 1]],
+    "negative-exponent-later": [[0, 1], [-1, -1], [2, 1]],
+    "first-term-not-at-0": [[1, 1], [2, -1], [3, 1]],
+    "first-term-at-2": [[2, 1], [3, -1], [4, 1]],
+    "even-term-count": [[0, 1], [1, -1]],
+    "even-term-count-four": [[0, 1], [1, -1], [3, 1], [5, -1]],
+    "empty": [],
+    "not-alternating": [[0, 1], [1, -1], [2, -1], [3, 1], [4, 1]],
+    "constant-two": [[0, 2]],
+}
+
+# Sorted, alternating from t^0 with an odd term count: the one-pass reader
+# takes these, and the gate's remaining tests run on them.  The last has
+# genus 10**400, above the command line's cap.
+ON_ROUTE = {
+    "degree-not-2g": [[0, 1], [1, -1], [4, 1]],
+    "huge-degree-not-2g": [[0, 1], [1, -1], [10**400, 1]],
+    "huge-runs-degree-not-2g": [[0, 1], [1, -1], [10**400, 1], [10**400 + 1, -1], [2 * 10**400 + 2, 1]],
+    "first-gap-not-1": [[0, 1], [2, -1], [4, 1]],
+    "odd-top": [[0, 1], [1, -1], [3, 1]],
+    "huge-genus": [[0, 1], [1, -1], [2, 1], [10**400 + 1, -1], [2 * 10**400, 1]],
+}
+
+
+class TestOnePassReader:
+    """census._alexander_and_runs against from_pairs then lspace_runs, on census lines and --alexander.
+
+    The value-level oracle is two_step.  A census line and an --alexander
+    argument are also run with the one-pass reader switched off, which leaves
+    exactly the two steps, and must give the same record or refusal, and the
+    same exit code, stdout and stderr.
+    """
+
+    @staticmethod
+    def assert_reads_like_two_steps(value):
+        want = read_result(two_step, value)
+        assert read_result(census._alexander_and_runs, value) == want, value
+        return want
+
+    @staticmethod
+    def both_routes(monkeypatch, fn, values):
+        """fn over values with the one-pass reader, then with it switched off."""
+        new = [fn(value) for value in values]
+        with monkeypatch.context() as patch:
+            patch.setattr(census, "_lspace_pairs", lambda pairs: None)
+            old = [fn(value) for value in values]
+        return new, old
+
+    @staticmethod
+    def line_result(value):
+        try:
+            record = parse_census_line(record_line("k", value))
+        except (UpsilonLabError, ValueError, TypeError) as exc:
+            return type(exc), str(exc)
+        return record.name, record.delta.to_pairs(), record._runs
+
+    @staticmethod
+    def spec_result(value):
+        args = cli._parse_argv(["invariants", "--alexander", json.dumps(value)])
+        try:
+            name, delta, runs = cli._resolve_knot_spec(args)
+        except UpsilonLabError as exc:
+            return type(exc), str(exc)
+        return name, delta.to_pairs(), runs
+
+    @staticmethod
+    def cli_result(value):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["invariants", "--alexander", json.dumps(value)])
+        return code, out.getvalue(), err.getvalue()
+
+    def test_every_gap_one_sequence_in_every_order(self, monkeypatch):
+        values, count = [], 0
+        for gaps in gap_one_sequences(8):
+            pairs = FormalSemigroup(gaps).to_alexander().to_pairs()
+            # json.dumps' order takes the one pass; the reversed order does, only for the unknot.
+            assert _lspace_pairs(pairs) is not None
+            assert (_lspace_pairs(pairs[::-1]) is None) == bool(gaps)
+            values += pair_orders(pairs)
+            count += 1
+        assert count == 2355
+        for value in values:
+            self.assert_reads_like_two_steps(value)
+        for fn in (self.line_result, self.spec_result):
+            new, old = self.both_routes(monkeypatch, fn, values)
+            assert new == old
+
+    @pytest.mark.parametrize("kind", sorted(OFF_ROUTE))
+    def test_off_route_values_take_the_two_steps(self, kind):
+        assert _lspace_pairs(OFF_ROUTE[kind]) is None
+        self.assert_reads_like_two_steps(OFF_ROUTE[kind])
+
+    @pytest.mark.parametrize("kind", sorted(ON_ROUTE))
+    def test_on_route_values_meet_the_same_gate(self, kind):
+        value = ON_ROUTE[kind]
+        want = self.assert_reads_like_two_steps(value)
+        if want[0] is NotLSpaceForm:
+            with pytest.raises(NotLSpaceForm, match=re.escape(want[1])):
+                _lspace_pairs(value)
+        else:
+            assert read_result(_lspace_pairs, value) == want
+
+    def test_lines_and_alexander_argument_read_alike(self, monkeypatch):
+        kinds = {**OFF_ROUTE, **ON_ROUTE, "T(3,4)": T34, "T(3,4)-reversed": T34[::-1]}
+        for fn in (self.line_result, self.cli_result):
+            new, old = self.both_routes(monkeypatch, fn, kinds.values())
+            assert new == old
+        codes = dict(zip(kinds, (code for code, _, _ in new)))
+        assert sorted(kind for kind, code in codes.items() if code == 0) == [
+            "T(3,4)", "T(3,4)-reversed", "repeated-exponent", "split-term", "split-term-alternating",
+            "zero-term", "zero-term-first", "zero-term-last"]
+        assert set(codes.values()) == {0, 2}

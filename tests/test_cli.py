@@ -20,9 +20,12 @@ from upsilon_lab.braids import MAX_LETTERS, MAX_STRANDS, MAX_TWIST
 from upsilon_lab.cli import build_parser, main
 from upsilon_lab.errors import InvalidStepPattern
 from upsilon_lab.family import catalog_names
+from upsilon_lab.invariants import knot_invariants
 from upsilon_lab.piecewise import PLFunction
 from upsilon_lab.restorability import Witnesses
-from upsilon_lab.semigroups import torus_semigroup
+from upsilon_lab.semigroups import FormalSemigroup, lspace_runs, torus_semigroup
+
+from test_semigroups import coprime_torus_pairs, per_gap_alexander
 
 
 def run_cli(capsys, *argv):
@@ -344,6 +347,30 @@ class TestExitCodes:
         assert code == 0, err
         report = json.loads(out)
         assert report["genus"] == 10_000 and report["semigroup_closed"] is True
+
+
+class TestTorusSpec:
+    """--torus takes its runs from torus_semigroup's gaps and builds Delta from them."""
+
+    def test_matches_the_gated_per_gap_route(self):
+        for p, q in coprime_torus_pairs(40):
+            delta = per_gap_alexander(torus_semigroup(p, q).gaps)
+            args = cli._parse_argv(["invariants", "--torus", f"{p},{q}"])
+            assert cli._resolve_knot_spec(args) == (f"T({p},{q})", delta, lspace_runs(delta)), (p, q)
+
+    def test_report_is_the_per_gap_report(self, capsys):
+        delta = per_gap_alexander(torus_semigroup(7, 9).gaps)
+        code, out, err = run_cli(capsys, "invariants", "--torus", "7,9")
+        assert (code, err) == (0, "")
+        assert out == json.dumps(knot_invariants(delta, name="T(7,9)"), indent=2) + "\n"
+
+    def test_walks_no_gate_and_no_to_alexander(self, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("walked")
+
+        monkeypatch.setattr(cli, "lspace_runs", refuse)
+        monkeypatch.setattr(FormalSemigroup, "to_alexander", refuse)
+        assert run_cli(capsys, "restore", "--torus", "3,4")[0] == 0
 
 
 class TestLSpaceGate:

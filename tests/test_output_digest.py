@@ -2,7 +2,7 @@
 
 The digest covers exit code, stdout, stderr and SVG bytes of every op of the four
 benchmark workloads, the census defect probes and the tool's restore, braid,
-gate-refusal and census probes, for one seed.  The gate-refusal probes all exit 2;
+gate-refusal, pair-order and census probes, for one seed.  The gate-refusal probes all exit 2;
 every other op exits 0.  A change that alters any output byte on purpose, or that
 changes bench/workloads.py or the probes, re-pins these digests and names the
 change in CHANGES.md.
@@ -16,8 +16,8 @@ import pytest
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "output_digest.py"
 
 DIGESTS = {
-    1: "9b952c06f77a32d994d30b6171ea4a0d15acf3937125ff3e943f634e100596db",
-    2: "0ede25d91c47fb98388ef3127b7910fb822531d64e9a369c71fcc1c80e770836",
+    1: "6002916ef66d5e6216a8b366bdca52a24b0503dfff66015ae4c76c648babc136",
+    2: "8b3c3990a553856150b06e6c69c65bcd9f9bbbfaa6b2f491875cbc19077f6e08",
 }
 
 

@@ -11,7 +11,9 @@ from upsilon_lab.errors import BadParameters, NotLSpaceForm
 from upsilon_lab.laurent import IntLaurentPoly
 from upsilon_lab.semigroups import (
     FormalSemigroup,
+    _alexander_of_runs,
     _closure_shifts,
+    _runs_of_gaps,
     gap_runs,
     lspace_runs,
     torus_semigroup,
@@ -106,7 +108,38 @@ def dense_from_alexander(delta: IntLaurentPoly) -> tuple[int, ...]:
     return tuple(gaps)
 
 
+def per_gap_alexander(gaps) -> IntLaurentPoly:
+    """Delta = 1 + (t - 1) * sum_i t^{a_i}, one term per gap through the summing constructor."""
+    return IntLaurentPoly([(0, 1)] + [(a + 1, 1) for a in gaps] + [(a, -1) for a in gaps])
+
+
+def coprime_torus_pairs(max_q: int):
+    return [(p, q) for q in range(3, max_q + 1) for p in range(2, q) if math.gcd(p, q) == 1]
+
+
 class TestToAlexander:
+    def test_matches_the_per_gap_definition(self):
+        # to_alexander goes gaps -> runs -> Delta; every formal gap set with g <= 8.
+        seen = 0
+        for g in range(9):
+            for gaps in all_gap_sequences(g):
+                delta = per_gap_alexander(gaps)
+                assert FormalSemigroup(gaps).to_alexander() == delta, gaps
+                assert _runs_of_gaps(gaps) == gap_runs(delta), gaps
+                seen += 1
+        assert seen == 4708
+
+    def test_torus_matches_the_per_gap_definition(self):
+        pairs = coprime_torus_pairs(40)
+        assert len(pairs) == 450
+        for p, q in pairs:
+            s = torus_semigroup(p, q)
+            delta = per_gap_alexander(s.gaps)
+            runs = _runs_of_gaps(s.gaps)
+            assert s.to_alexander() == delta, (p, q)
+            assert runs == lspace_runs(delta), (p, q)
+            assert _alexander_of_runs(runs) == delta, (p, q)
+
     def test_pretzel_gaps(self):
         assert FormalSemigroup([1, 2, 4, 6, 9]).to_alexander() == PRETZEL
 

@@ -5,7 +5,7 @@
 
 Generates every operation of the four benchmark workloads, plus the census
 defect probes, through bench/workloads.py, adds the restore, braid,
-gate-refusal and census probes below, and runs each once through
+gate-refusal, pair-order and census probes below, and runs each once through
 ``upsilon_lab.cli.main`` in this process.  Input files and SVG output go to
 one fixed directory under the system temp directory, because file paths
 appear in warnings on stderr; nothing is written under the repository.
@@ -66,13 +66,15 @@ BRAID_PROBES = (
 # Inputs that the Alexander-polynomial gate or the braid checks refuse, each
 # with exit 2: Delta not alternating, zero, without gap 1, with an odd top
 # exponent, and of the L-space shape with deg != 2g; an "alexander" value
-# that is a JSON string or object, not an array; a closure with 3
-# components, a JSON letter true, and the 33-strand unknot word.
+# that is a JSON string or object, not an array, or has a JSON true for a
+# coefficient; a closure with 3 components, a JSON letter true, and the
+# 33-strand unknot word.
 GATE_PROBES = (
     ["invariants", "--alexander", "[[0,1],[1,1],[2,-1]]"],
     ["invariants", "--alexander", "[]"],
     ["invariants", "--alexander", '""'],
     ["invariants", "--alexander", "{}"],
+    ["invariants", "--alexander", "[[0,1],[1,-1],[2,true]]"],
     ["invariants", "--alexander", "[[0,1],[2,-1],[4,1]]"],
     ["invariants", "--alexander", "[[0,1],[1,-1],[3,1]]"],
     ["invariants", "--alexander", "[[0,1],[1,-1],[2,1],[3,-1],[6,1]]"],
@@ -82,11 +84,25 @@ GATE_PROBES = (
 )
 
 
+# T(3,4)'s Delta, 1 - t + t^3 - t^5 + t^6, given in pair orders that the
+# one-pass reader of sorted pairs hands to from_pairs: reversed, with the
+# -t term split in two, and with a zero term.  Each exits 0.
+T34_PAIRS = [[0, 1], [1, -1], [3, 1], [5, -1], [6, 1]]
+T34_OFF_ROUTE = {
+    "reversed": T34_PAIRS[::-1],
+    "split-term": [[0, 1], [1, -2], [1, 1], [3, 1], [5, -1], [6, 1]],
+    "zero-term": [[0, 1], [1, -1], [3, 1], [4, 0], [5, -1], [6, 1]],
+}
+PAIR_ORDER_PROBES = tuple(["invariants", "--alexander", json.dumps(pairs)] for pairs in T34_OFF_ROUTE.values())
+
+
 # Census files that no benchmark op reaches: all ten gap-1 sequences of genus 4
 # (one genus, six hulls), an Upsilon class of three distinct polynomials at
 # genus 6 beside a fourth genus-6 record, the unknot twice, and two five-term
 # records of genus 10**6, 1 - t + t^2 - t^(g+1) + t^(2g) and
-# 1 - t + t^3 - t^(g+2) + t^(2g).
+# 1 - t + t^3 - t^(g+2) + t^(2g); and T(3,4) sorted and in the three orders
+# above, one Delta class, beside reversed lines with a JSON true, deg != 2g
+# and no gap 1, each a warning.
 def census_probes() -> list[workloads.Op]:
     g = 10**6
     genus_4 = [(1, a, b, 7) for a in range(2, 7) for b in range(a + 1, 7)]
@@ -100,6 +116,13 @@ def census_probes() -> list[workloads.Op]:
         "census-probe-genus-1e6.jsonl": [
             ("five-terms:2", [[0, 1], [1, -1], [2, 1], [g + 1, -1], [2 * g, 1]]),
             ("five-terms:3", [[0, 1], [1, -1], [3, 1], [g + 2, -1], [2 * g, 1]]),
+        ],
+        "census-probe-pair-order.jsonl": [
+            ("T(3,4)", T34_PAIRS),
+            *((f"T(3,4):{kind}", pairs) for kind, pairs in T34_OFF_ROUTE.items()),
+            ("true-coefficient", [[2, True], [1, -1], [0, 1]]),
+            ("degree-not-2g", [[4, 1], [1, -1], [0, 1]]),
+            ("first-gap-not-1", [[4, 1], [2, -1], [0, 1]]),
         ],
     }
     ops = []
@@ -137,6 +160,7 @@ def main(argv: list[str] | None = None) -> int:
     pools["restore_probes"] = [workloads.Op("restore", argv) for argv in RESTORE_PROBES]
     pools["braid_probes"] = [workloads.Op(argv[0], argv) for argv in BRAID_PROBES]
     pools["gate_refusal_probes"] = [workloads.Op(argv[0], argv) for argv in GATE_PROBES]
+    pools["pair_order_probes"] = [workloads.Op(argv[0], argv) for argv in PAIR_ORDER_PROBES]
     pools["census_probes"] = census_probes()
     digest = hashlib.sha256()
     try:
