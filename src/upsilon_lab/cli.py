@@ -39,7 +39,7 @@ from .invariants import gap_function_of, hull_of, knot_invariants
 from .laurent import IntLaurentPoly
 from .piecewise import legendre_fenchel
 from .rationals import int_text, parse_rational
-from .semigroups import (MAX_GENUS, _alexander_of_runs, _runs_of_gaps, lspace_runs,
+from .semigroups import (MAX_GENUS, _alexander_of_runs, _runs_of_semigroup, lspace_runs,
                          torus_semigroup)
 
 EXIT_OK = 0
@@ -79,7 +79,8 @@ def _resolve_knot_spec(
     reads its pairs and gates them in one pass where it can
     (census._alexander_and_runs).  --torus takes the runs from the gaps of
     torus_semigroup, which has gap 1 and deg = 2g by construction, and builds
-    the polynomial from them, so no gate walks it.
+    the polynomial from them, so no gate walks it; its runs carry the
+    semigroup on to the report (semigroups._runs_of_semigroup).
     """
     kinds = ("alexander", "torus", "family", "braid", "catalog", "designed_family")
     given = [kind for kind in kinds if getattr(args, kind, None) is not None]
@@ -101,7 +102,7 @@ def _resolve_knot_spec(
             p, q = (int(x) for x in args.torus.split(","))
         except ValueError as exc:
             raise _UsageError(f"bad --torus value {args.torus!r}, expected P,Q") from exc
-        runs = _runs_of_gaps(torus_semigroup(p, q).gaps)
+        runs = _runs_of_semigroup(torus_semigroup(p, q))
         delta = _alexander_of_runs(runs)
         name = f"T({p},{q})"
     elif kind == "family":

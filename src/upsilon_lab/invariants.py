@@ -27,6 +27,9 @@ The command line's L-space gate (semigroups.lspace_runs), or for --torus
 the semigroup's gaps, has the runs already, so knot_invariants, hull_of and
 gap_function_of take them as the private keyword _runs and the command walks
 the polynomial at most once; without _runs each takes gap_runs itself.
+The --torus runs also carry the semigroup, which knot_invariants and
+gap_function_of take back (semigroups._semigroup_of_runs) instead of
+rebuilding its gap tuple.
 Each stage trusts the one before it: the corners reach the sweep with no
 number or order check (lower_convex_envelope's trusted=True),
 FormalSemigroup.from_gap_runs and GapFunction.from_semigroup wrap what they
@@ -39,14 +42,14 @@ from __future__ import annotations
 from .gapfunctions import GapFunction
 from .laurent import IntLaurentPoly
 from .piecewise import PLFunction, _lower_hull, legendre_fenchel, lower_convex_envelope
-from .semigroups import FormalSemigroup, gap_runs
+from .semigroups import _semigroup_of_runs, gap_runs
 
 
 def gap_function_of(delta: IntLaurentPoly, *,
                     _runs: list[tuple[int, int]] | None = None) -> GapFunction:
     """The gap function's 2g + 1 integer samples; _runs as in the module docstring."""
     runs = gap_runs(delta) if _runs is None else _runs
-    return GapFunction.from_semigroup(FormalSemigroup.from_gap_runs(runs))
+    return GapFunction.from_semigroup(_semigroup_of_runs(runs))
 
 
 def _corners(runs: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -98,7 +101,7 @@ def knot_invariants(delta: IntLaurentPoly, name: str | None = None, *,
     upsilon_breakpoints and upsilon_slopes reuse its strings.
     """
     runs = gap_runs(delta) if _runs is None else _runs
-    semigroup = FormalSemigroup.from_gap_runs(runs)
+    semigroup = _semigroup_of_runs(runs)
     gap_function = GapFunction.from_semigroup(semigroup)
     hull = lower_convex_envelope(_corners(runs), 0, 2, trusted=True)
     hull_json = hull.to_json()

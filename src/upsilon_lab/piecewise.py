@@ -21,6 +21,15 @@ f*(t) = sup_x { t*x - f(x) }.  For a convex piecewise-linear f the transform
 swaps roles: breakpoints of f* are the slopes of f, and slopes of f* are the
 x-coordinates of f's vertices, which makes the transform exact, involutive
 on convex functions, and cheap.
+
+Slopes are compared without dividing: a segment is its rise dy and run
+dx > 0, a ray its slope over a run of 1, and dy1/dx1 < dy2/dx2 is tested as
+dy1*dx2 < dy2*dx1.  So the envelope's ray checks, the ray absorption and
+the convexity test run on ints alone when the vertices and ray slopes are
+ints, as every hull of a gap function is.  The transform divides once per
+output coordinate (_div): the slope dy/dx and the value (dy*x - y*dx)/dx at
+the segment's left vertex (x, y), each an int when dx divides it, else one
+Fraction.
 """
 
 from __future__ import annotations
@@ -45,9 +54,13 @@ def _exact(v) -> int | Fraction:
     return v.numerator if v.denominator == 1 else v
 
 
-def _slope(a: Point, b: Point) -> int | Fraction:
-    # Fraction(dy, dx), not dy / dx: int / int would be float division.
-    return _exact(Fraction(b[1] - a[1], b[0] - a[0]))
+def _div(n, d: int | Fraction) -> int | Fraction:
+    """n / d under the number rule, for d > 0: an int when d divides n, else one Fraction."""
+    if type(n) is int and type(d) is int:
+        q, r = divmod(n, d)
+        return Fraction(n, d) if r else q
+    # Fraction(n, d), not n / d: int / int would be float division.
+    return _exact(Fraction(n, d))
 
 
 def _cross(o: Point, a: Point, b: Point) -> int | Fraction:
@@ -116,10 +129,10 @@ class PLFunction(Record):
 
     def _fill(self, pts: list, ls, rs) -> None:
         if ls is not None:
-            # A head/tail vertex sitting on its ray is not a real breakpoint.
-            while len(pts) >= 2 and _slope(pts[0], pts[1]) == ls:
+            # A head/tail vertex sitting on its ray is not a real breakpoint: dy == slope * dx.
+            while len(pts) >= 2 and pts[1][1] - pts[0][1] == ls * (pts[1][0] - pts[0][0]):
                 pts.pop(0)
-            while len(pts) >= 2 and _slope(pts[-2], pts[-1]) == rs:
+            while len(pts) >= 2 and pts[-1][1] - pts[-2][1] == rs * (pts[-1][0] - pts[-2][0]):
                 pts.pop()
         object.__setattr__(self, "vertices", tuple(pts))
         object.__setattr__(self, "left_slope", ls)
@@ -139,7 +152,7 @@ class PLFunction(Record):
         return (self.vertices[0][0], self.vertices[-1][0])
 
     def segment_slopes(self) -> list[int | Fraction]:
-        return [_slope(a, b) for a, b in zip(self.vertices, self.vertices[1:])]
+        return [_div(b[1] - a[1], b[0] - a[0]) for a, b in zip(self.vertices, self.vertices[1:])]
 
     def slope_sequence(self) -> list[int | Fraction]:
         """All slopes left to right, rays included on the full line."""
@@ -148,9 +161,17 @@ class PLFunction(Record):
             return [self.left_slope] + slopes + [self.right_slope]
         return slopes
 
+    def _pieces(self) -> list[tuple]:
+        """(dy, dx, left vertex) per piece, left to right; on the full line each
+        ray is (slope, 1) at its end vertex, where f*(slope) is attained."""
+        verts = self.vertices
+        pieces = [(b[1] - a[1], b[0] - a[0], a) for a, b in zip(verts, verts[1:])]
+        if self.on_line:
+            return [(self.left_slope, 1, verts[0]), *pieces, (self.right_slope, 1, verts[-1])]
+        return pieces
+
     def is_convex(self) -> bool:
-        seq = self.slope_sequence()
-        return all(a < b for a, b in zip(seq, seq[1:]))
+        return _strictly_increasing(self._pieces())
 
     def __repr__(self) -> str:
         verts = ", ".join(f"({format_rational(x)}, {format_rational(y)})" for x, y in self.vertices)
@@ -179,8 +200,8 @@ class PLFunction(Record):
         i = bisect_right([p[0] for p in pts], xf) - 1
         if i == len(pts) - 1:
             return pts[-1][1]
-        x0, y0 = pts[i]
-        return _exact(y0 + _slope(pts[i], pts[i + 1]) * (xf - x0))
+        (x0, y0), (x1, y1) = pts[i], pts[i + 1]
+        return _div(y0 * (x1 - x0) + (y1 - y0) * (xf - x0), x1 - x0)
 
     # -- serialization -----------------------------------------------------------
 
@@ -260,13 +281,16 @@ def lower_convex_envelope(
                 f"left slope {ls} exceeds right slope {rs} at a single hull point"
             )
     else:
-        if ls > _slope(hull[0], hull[1]):
+        # ls > dy/dx and rs < dy/dx, with dx > 0 multiplied through.
+        (x0, y0), (x1, y1) = hull[0], hull[1]
+        if ls * (x1 - x0) > y1 - y0:
             raise RaysInconsistent(
-                f"left ray slope {ls} cuts below the sample at x={hull[1][0]}"
+                f"left ray slope {ls} cuts below the sample at x={x1}"
             )
-        if rs < _slope(hull[-2], hull[-1]):
+        (x0, y0), (x1, y1) = hull[-2], hull[-1]
+        if rs * (x1 - x0) < y1 - y0:
             raise RaysInconsistent(
-                f"right ray slope {rs} cuts below the sample at x={hull[-2][0]}"
+                f"right ray slope {rs} cuts below the sample at x={x0}"
             )
     return PLFunction._canonical(hull, ls, rs)
 
@@ -283,15 +307,19 @@ def legendre_fenchel(f: PLFunction) -> PLFunction:
     The result is canonical as built: its vertex x-coordinates are f's
     slopes, which the NotConvex check proves strictly increasing, and its
     slopes are f's vertex x-coordinates, which strictly increase too, so no
-    vertex of it is collinear with its neighbours.
+    vertex of it is collinear with its neighbours.  Each piece (dy, dx) from
+    its left vertex (x, y) gives the vertex (dy/dx, (dy*x - y*dx)/dx), one
+    division per coordinate.
     """
-    slopes = f.slope_sequence()
-    if any(a >= b for a, b in zip(slopes, slopes[1:])):
+    pieces = f._pieces()
+    if not _strictly_increasing(pieces):
         raise NotConvex("Legendre-Fenchel transform requires a convex function")
-    verts = f.vertices
+    verts = [(_div(dy, dx), _div(dy * x - y * dx, dx)) for dy, dx, (x, y) in pieces]
     if f.on_line:
-        # The left ray's slope is attained at the first vertex, slope i >= 1 at vertex i - 1.
-        pairs = zip(slopes, (verts[0], *verts))
-        return PLFunction._canonical([(s, _exact(s * x - y)) for s, (x, y) in pairs])
-    pairs = zip(slopes, verts)
-    return PLFunction._canonical([(s, _exact(s * x - y)) for s, (x, y) in pairs], *f.domain)
+        return PLFunction._canonical(verts)
+    return PLFunction._canonical(verts, *f.domain)
+
+
+def _strictly_increasing(pieces: list[tuple]) -> bool:
+    """Whether the slopes dy/dx of (dy, dx, _) pieces strictly increase, by cross-multiplication."""
+    return all(dy1 * dx2 < dy2 * dx1 for (dy1, dx1, _), (dy2, dx2, _) in zip(pieces, pieces[1:]))

@@ -84,8 +84,13 @@ def fixed6(value: Fraction | int) -> str:
     """Fixed-point decimal with 6 digits, computed in integer arithmetic.
 
     Used only for SVG coordinates (presentation, not data), where byte-exact
-    deterministic output matters.  An exact int, the common case, is its
-    digits and ".000000"; a Fraction (or a bool) takes the rounding route.
+    deterministic output matters.  svgplot writes an int pixel (every tick,
+    and every gap-function and hull vertex) as its digits and ".000000"
+    itself; what reaches fixed6 is a polyline vertex with a pixel that is
+    not an int (a non-integral Upsilon vertex), the axis lines, the tick
+    halves that are constant along an axis, and the document's width and
+    height.  An exact int is its digits and ".000000"; a Fraction (or a
+    bool) takes the rounding route.
 
     >>> fixed6(Fraction(1, 3))
     '0.333333'

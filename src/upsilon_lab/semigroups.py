@@ -19,7 +19,9 @@ call one shape test, coefficients alternating +1, -1, ..., +1 from exponent
 sorted in that pattern meet lspace_runs' tests in the same pass that reads
 them (_lspace_pairs).  A gap tuple gives its runs directly (_runs_of_gaps),
 and runs give Delta (_alexander_of_runs): to_alexander and the command
-line's torus knots take that route, with no gate.
+line's torus knots take that route, with no gate.  The torus knots' runs
+carry the semigroup they were read from (_runs_of_semigroup), so the report
+takes it back (_semigroup_of_runs) instead of rebuilding the gap tuple.
 """
 
 from __future__ import annotations
@@ -327,6 +329,31 @@ def _runs_of_gaps(gaps: tuple[int, ...]) -> list[tuple[int, int]]:
     opens = [a for prev, a in zip((-2,) + gaps, gaps) if a - prev > 1]
     closes = [a + 1 for a, nxt in zip(gaps, gaps[1:] + (gaps[-1] + 2,)) if nxt - a > 1]
     return list(zip(opens, closes))
+
+
+class _SemigroupRuns(list):
+    """Gap runs that carry the semigroup they were read from, as .semigroup."""
+
+    __slots__ = ("semigroup",)
+
+
+def _runs_of_semigroup(s: FormalSemigroup) -> list[tuple[int, int]]:
+    """_runs_of_gaps(s.gaps), carrying s for _semigroup_of_runs.
+
+    >>> runs = _runs_of_semigroup(FormalSemigroup([1, 2, 5]))
+    >>> runs, _semigroup_of_runs(runs).gaps
+    ([(1, 3), (5, 6)], (1, 2, 5))
+    """
+    runs = _SemigroupRuns(_runs_of_gaps(s.gaps))
+    runs.semigroup = s
+    return runs
+
+
+def _semigroup_of_runs(runs: list[tuple[int, int]]) -> FormalSemigroup:
+    """The semigroup of checked gap runs: the one they carry, else from_gap_runs."""
+    if type(runs) is _SemigroupRuns:
+        return runs.semigroup
+    return FormalSemigroup.from_gap_runs(runs)
 
 
 def _alexander_of_runs(runs: list[tuple[int, int]]) -> IntLaurentPoly:

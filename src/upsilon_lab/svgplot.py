@@ -2,13 +2,17 @@
 
 Output is a plain polyline drawing with integer axis ticks, byte-identical
 for identical input: no timestamps, no randomness.  Pixel maps only add and
-multiply exact values, and every panel's bounds, unit and offset are ints, so
-int data gives int pixels.  PLFunction stores an integral coordinate as an
-int, so the gap and hull panels run on ints alone; only non-integral Upsilon
-vertices give Fraction pixels.  rationals.fixed6 formats both exactly, an int
-by its digits alone.  A tick line formats its constant half once per axis and
-one pixel value per tick.  The 6-digit coordinates are presentation only; JSON carries
-the exact rationals.
+multiply exact values.  Every panel's x_min, x_max, y_max, x unit and y
+offset is an int, so a tick, which sits at an integer data value, has an int
+pixel: each axis's ticks are one pass over an int pixel range, written as
+digits and ".000000" with no formatter call.  PLFunction stores an integral
+coordinate as an int, so the gap and hull polylines are ints too and are
+written the same way.  rationals.fixed6 formats what is left: a polyline
+vertex with a pixel that is not an int (a non-integral Upsilon vertex),
+the axis lines and tick halves that are constant along an axis (formatted
+once per axis; they follow y_min, a Fraction when Upsilon's minimum is),
+and the document's width and height.  The 6-digit coordinates are presentation
+only; JSON carries the exact rationals.
 
 Gap function and hull share one integer-grid panel; Upsilon, living on
 [0, 2] with fractional breakpoints, gets its own panel stacked below.
@@ -46,8 +50,15 @@ class _Panel:
         attrs = f'fill="none" stroke="{stroke}" stroke-width="2"'
         if dashed:
             attrs += ' stroke-dasharray="6,4"'
-        px, py = self.px, self.py
-        body = " ".join(f"{fixed6(px(x))},{fixed6(py(y))}" for x, y in points)
+        # px and py written out: pixel (x0 + x * x_unit, y0 - y * _UNIT).
+        x0 = _MARGIN - self.x_min * self.x_unit
+        y0 = self.y_offset + _MARGIN + self.y_max * _UNIT
+        pixels = [(x0 + x * self.x_unit, y0 - y * _UNIT) for x, y in points]
+        body = " ".join([
+            f"{px}.000000,{py}.000000" if type(px) is int and type(py) is int
+            else f"{fixed6(px)},{fixed6(py)}"
+            for px, py in pixels
+        ])
         self.elements.append(f'<polyline {attrs} points="{body}"/>')
 
     def axes_and_ticks(self) -> None:
@@ -62,21 +73,20 @@ class _Panel:
             f'<line {grey} x1="{fixed6(self.px(y_axis_x))}" y1="{fixed6(self.py(self.y_min))}" '
             f'x2="{fixed6(self.px(y_axis_x))}" y2="{fixed6(self.py(self.y_max))}"/>'
         )
-        # An x tick varies only in x1 = x2, a y tick only in y1 = y2; the rest is formatted once.
+        # An x tick varies only in x1 = x2, a y tick only in y1 = y2, and that pixel is an
+        # int: one tick per unit from x_min to x_max, and from y_max down to ceil(y_min).
         cy = self.py(x_axis_y)
         head = f'<line {grey} x1="'
-        mid = f'" y1="{fixed6(cy - 3)}" x2="'
-        tail = f'" y2="{fixed6(cy + 3)}"/>'
-        for x in range(math.ceil(self.x_min), math.floor(self.x_max) + 1):
-            cx = fixed6(self.px(x))
-            self.elements.append(f"{head}{cx}{mid}{cx}{tail}")
+        mid = f'.000000" y1="{fixed6(cy - 3)}" x2="'
+        tail = f'.000000" y2="{fixed6(cy + 3)}"/>'
+        ticks = range(_MARGIN, self.px(self.x_max) + 1, self.x_unit)
+        self.elements += [f"{head}{c}{mid}{c}{tail}" for c in ticks]
         cx = self.px(y_axis_x)
         head = f'<line {grey} x1="{fixed6(cx - 3)}" y1="'
-        mid = f'" x2="{fixed6(cx + 3)}" y2="'
-        tail = '"/>'
-        for y in range(math.ceil(self.y_min), math.floor(self.y_max) + 1):
-            cy = fixed6(self.py(y))
-            self.elements.append(f"{head}{cy}{mid}{cy}{tail}")
+        mid = f'.000000" x2="{fixed6(cx + 3)}" y2="'
+        tail = '.000000"/>'
+        ticks = range(self.py(math.ceil(self.y_min)), self.py(self.y_max) - 1, -_UNIT)
+        self.elements += [f"{head}{c}{mid}{c}{tail}" for c in ticks]
 
 
 def _clipped_points(f: PLFunction, x_lo: int, x_hi: int) -> list:
@@ -118,7 +128,7 @@ def build_svg(
         raise ValueError("nothing to plot")
     width = fixed6(max(p.width for p in panels))
     height = fixed6(sum(p.height for p in panels))
-    body = "\n".join(el for p in panels for el in p.elements)
+    body = "\n".join([el for p in panels for el in p.elements])
     return (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '

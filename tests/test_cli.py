@@ -372,6 +372,18 @@ class TestTorusSpec:
         monkeypatch.setattr(FormalSemigroup, "to_alexander", refuse)
         assert run_cli(capsys, "restore", "--torus", "3,4")[0] == 0
 
+    def test_report_and_plot_take_the_torus_semigroup_as_built(self, monkeypatch, capsys, tmp_path):
+        def refuse(*args):
+            raise AssertionError("rebuilt the gaps from the runs")
+
+        report = run_cli(capsys, "invariants", "--torus", "7,9")
+        plot = ["plot", "--torus", "7,9", "--what", "gapfn", "--out"]
+        assert run_cli(capsys, *plot, str(tmp_path / "a.svg"))[0] == 0
+        monkeypatch.setattr(FormalSemigroup, "from_gap_runs", refuse)
+        assert run_cli(capsys, "invariants", "--torus", "7,9") == report
+        assert run_cli(capsys, *plot, str(tmp_path / "b.svg"))[0] == 0
+        assert (tmp_path / "b.svg").read_bytes() == (tmp_path / "a.svg").read_bytes()
+
 
 class TestLSpaceGate:
     """One gate on the knot specification: the same stderr line from every pipeline command."""

@@ -450,3 +450,233 @@ class TestTrustedRoutes:
         assert_same_pl(conjugate, PLFunction(conjugate.vertices, F(-1, 2), F(5, 2)))
         assert_same_pl(legendre_fenchel(conjugate), f)
         assert_same_pl(legendre_fenchel(PRETZEL_UPSILON), PRETZEL_HULL)
+
+
+# -- the Fraction formulas the division-free code replaced, kept as its oracle ---------
+
+
+def ref_exact(v):
+    v = F(v)
+    return v.numerator if v.denominator == 1 else v
+
+
+def ref_slope(a, b):
+    return ref_exact(F(b[1] - a[1], b[0] - a[0]))
+
+
+def ref_absorb(pts, ls, rs):
+    """PLFunction's ray absorption as a slope comparison: the vertices it keeps."""
+    pts = list(pts)
+    if ls is not None:
+        while len(pts) >= 2 and ref_slope(pts[0], pts[1]) == ls:
+            pts.pop(0)
+        while len(pts) >= 2 and ref_slope(pts[-2], pts[-1]) == rs:
+            pts.pop()
+    return tuple(pts)
+
+
+def ref_slope_sequence(vertices, ls, rs):
+    slopes = [ref_slope(a, b) for a, b in zip(vertices, vertices[1:])]
+    return slopes if ls is None else [ls, *slopes, rs]
+
+
+def ref_envelope(samples, ls, rs):
+    """lower_convex_envelope with Fraction slopes in its ray checks: (vertices, ls, rs)."""
+    hull = []
+    for p in [(ref_exact(x), ref_exact(y)) for x, y in samples]:
+        while len(hull) >= 2 and (
+            (hull[-1][0] - hull[-2][0]) * (p[1] - hull[-2][1])
+            <= (hull[-1][1] - hull[-2][1]) * (p[0] - hull[-2][0])
+        ):
+            hull.pop()
+        hull.append(p)
+    ls, rs = ref_exact(ls), ref_exact(rs)
+    if len(hull) == 1:
+        if ls > rs:
+            raise RaysInconsistent(
+                f"left slope {ls} exceeds right slope {rs} at a single hull point")
+    else:
+        if ls > ref_slope(hull[0], hull[1]):
+            raise RaysInconsistent(f"left ray slope {ls} cuts below the sample at x={hull[1][0]}")
+        if rs < ref_slope(hull[-2], hull[-1]):
+            raise RaysInconsistent(f"right ray slope {rs} cuts below the sample at x={hull[-2][0]}")
+    return ref_absorb(hull, ls, rs), ls, rs
+
+
+def ref_is_convex(vertices, ls, rs):
+    seq = ref_slope_sequence(vertices, ls, rs)
+    return all(a < b for a, b in zip(seq, seq[1:]))
+
+
+def ref_legendre_fenchel(vertices, ls, rs):
+    """The transform with a Fraction slope, product and difference per vertex: (vertices, ls, rs)."""
+    slopes = ref_slope_sequence(vertices, ls, rs)
+    if any(a >= b for a, b in zip(slopes, slopes[1:])):
+        raise NotConvex("Legendre-Fenchel transform requires a convex function")
+    if ls is not None:
+        pairs = zip(slopes, (vertices[0], *vertices))
+        return tuple((s, ref_exact(s * x - y)) for s, (x, y) in pairs), None, None
+    pairs = zip(slopes, vertices)
+    out = [(s, ref_exact(s * x - y)) for s, (x, y) in pairs]
+    lo, hi = vertices[0][0], vertices[-1][0]
+    return ref_absorb(out, lo, hi), lo, hi
+
+
+def ref_call(vertices, ls, rs, x):
+    if x < vertices[0][0]:
+        return ref_exact(vertices[0][1] + ls * (x - vertices[0][0]))
+    if x > vertices[-1][0]:
+        return ref_exact(vertices[-1][1] + rs * (x - vertices[-1][0]))
+    for a, b in zip(vertices, vertices[1:]):
+        if a[0] <= x < b[0]:
+            return ref_exact(a[1] + ref_slope(a, b) * (x - a[0]))
+    return vertices[-1][1]
+
+
+def typed(vertices, ls, rs):
+    """Vertices and rays with each number's type, so an int and an integral Fraction differ."""
+    return tuple((x, type(x), y, type(y)) for x, y in vertices), (ls, type(ls)), (rs, type(rs))
+
+
+def triple(f):
+    return f.vertices, f.left_slope, f.right_slope
+
+
+def outcome(fn, *args):
+    """fn's typed result, or the type and message of the error it raises."""
+    try:
+        result = fn(*args)
+    except (NotConvex, RaysInconsistent) as exc:
+        return type(exc), str(exc)
+    return typed(*(triple(result) if isinstance(result, PLFunction) else result))
+
+
+def assert_matches_fraction_oracle(f):
+    """is_convex, the slopes and legendre_fenchel, on f and on its conjugate, equal the
+    Fraction formulas, and conjugating twice gives f back."""
+    ref = triple(f)
+    assert f.is_convex() == ref_is_convex(*ref), f
+    slopes = f.slope_sequence()
+    assert [(s, type(s)) for s in slopes] == [(s, type(s)) for s in ref_slope_sequence(*ref)], f
+    expected = outcome(ref_legendre_fenchel, *ref)
+    assert outcome(legendre_fenchel, f) == expected, f
+    if expected[0] is not NotConvex:
+        conjugate = legendre_fenchel(f)
+        assert outcome(legendre_fenchel, conjugate) == outcome(
+            ref_legendre_fenchel, *triple(conjugate)) == typed(*ref), f
+
+
+def assert_evaluation_matches_fraction_oracle(f):
+    xs = [x for x, _ in f.vertices]
+    probes = xs + [a + F(b - a, k) for a, b in zip(xs, xs[1:]) for k in (2, 3)]
+    if f.on_line:
+        probes += [xs[0] - F(7, 3), xs[-1] + F(5, 2)]
+    for x in probes:
+        value, expected = f(x), ref_call(*triple(f), x)
+        assert (value, type(value)) == (expected, type(expected)), (f, x)
+
+
+def random_points(rng, count):
+    """count points with strictly increasing x, Fractions and ints mixed."""
+    x = F(rng.randint(-12, 12), rng.randint(1, 4))
+    points = []
+    for _ in range(count):
+        points.append((x, F(rng.randint(-24, 24), rng.choice((1, 1, 2, 3, 5)))))
+        x += F(rng.randint(1, 9), rng.choice((1, 1, 2, 3, 4)))
+    return points
+
+
+def near(rng, slope):
+    """A ray slope on, just past or just short of the hull's end slope, or anywhere."""
+    return rng.choice((slope, slope, slope + F(1, 7), slope - F(1, 7), F(rng.randint(-9, 9), 2)))
+
+
+class TestFractionOracle:
+    """The envelope, the transform and is_convex compare slopes by cross-multiplication and
+    divide once per output coordinate; the Fraction formulas they replaced are the oracle."""
+
+    @pytest.mark.parametrize("g", range(9))
+    def test_hull_of_every_gap_set_up_to_genus_8(self, g):
+        from upsilon_lab.semigroups import FormalSemigroup
+
+        for gaps in all_gap_sequences(g):
+            samples = GapFunction.from_semigroup(FormalSemigroup(gaps)).samples()
+            assert outcome(lower_convex_envelope, samples, 0, 2) == outcome(
+                ref_envelope, samples, 0, 2), gaps
+            hull = lower_convex_envelope(samples, 0, 2)
+            assert_matches_fraction_oracle(hull)
+            assert_matches_fraction_oracle(legendre_fenchel(hull))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_envelopes_of_fraction_samples(self, seed):
+        rng = random.Random(seed)
+        raised = absorbed = 0
+        for _ in range(300):
+            samples = random_points(rng, rng.randint(1, 7))
+            hull = ref_envelope(samples, -10**6, 10**6)[0]
+            if len(hull) == 1:
+                ls, rs = F(rng.randint(-9, 9), 2), F(rng.randint(-9, 9), 2)
+            else:
+                ls, rs = near(rng, ref_slope(*hull[:2])), near(rng, ref_slope(*hull[-2:]))
+            expected = outcome(ref_envelope, samples, ls, rs)
+            assert outcome(lower_convex_envelope, samples, ls, rs) == expected, (samples, ls, rs)
+            if expected[0] is RaysInconsistent:
+                raised += 1
+                continue
+            f = lower_convex_envelope(samples, ls, rs)
+            absorbed += len(f.vertices) < len(hull)
+            assert_matches_fraction_oracle(f)
+            assert_evaluation_matches_fraction_oracle(f)
+        assert raised > 30 and absorbed > 30
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_fraction_vertices_on_the_line_and_on_intervals(self, seed):
+        rng = random.Random(100 + seed)
+        for _ in range(300):
+            points = random_points(rng, rng.randint(1, 6))
+            on_line = len(points) == 1 or rng.random() < 0.5
+            rays = (F(rng.randint(-9, 9), 2), F(rng.randint(-9, 9), 2)) if on_line else ()
+            f = PLFunction(points, *rays)
+            if on_line:
+                assert f.vertices == ref_absorb(
+                    PLFunction(points).vertices if len(points) > 1 else points, *rays)
+            assert_matches_fraction_oracle(f)
+            assert_evaluation_matches_fraction_oracle(f)
+            convex = ref_envelope(points, -10**6, 10**6)[0]
+            if len(convex) >= 2:
+                assert_matches_fraction_oracle(PLFunction(convex))
+
+    def test_round_trips_hull_upsilon_hull(self):
+        from upsilon_lab.family import FamilyKnot, alexander_closed_form
+        from upsilon_lab.invariants import hull_of
+        from upsilon_lab.semigroups import torus_semigroup
+
+        deltas = [torus_semigroup(p, q).to_alexander() for p, q in INVARIANTS_LADDER]
+        deltas += [alexander_closed_form(FamilyKnot(w, n)) for w in ("K1", "K2") for n in (1, 2, 3)]
+        for hull in catalog_hulls() + [hull_of(delta) for delta in deltas]:
+            upsilon = legendre_fenchel(hull)
+            assert typed(*triple(upsilon)) == typed(*ref_legendre_fenchel(*triple(hull)))
+            assert typed(*triple(legendre_fenchel(upsilon))) == typed(*triple(hull))
+            assert_evaluation_matches_fraction_oracle(hull)
+            assert_evaluation_matches_fraction_oracle(upsilon)
+
+    def test_ray_slope_equal_to_the_end_slope_is_absorbed(self):
+        # Runs 1/2 and 2: a check that lost its dx factor would raise on both rays.
+        samples = [(0, 0), (F(1, 2), 1), (F(5, 2), 6)]
+        f = lower_convex_envelope(samples, 2, F(5, 2))
+        assert triple(f) == (((F(1, 2), 1),), 2, F(5, 2))
+        assert f == PLFunction(samples, 2, F(5, 2))
+        with pytest.raises(RaysInconsistent, match="left ray slope 9/4 cuts below the sample at x=1/2"):
+            lower_convex_envelope(samples, F(9, 4), F(5, 2))
+        with pytest.raises(RaysInconsistent, match="right ray slope 9/4 cuts below the sample at x=1/2"):
+            lower_convex_envelope(samples, 2, F(9, 4))
+
+    @pytest.mark.parametrize("f", [
+        PLFunction([(F(1, 2), F(1, 3))], F(3, 2), F(3, 2)),  # one vertex, equal rays
+        PLFunction._canonical([(0, 0), (2, 1), (4, 2)]),  # equal slopes 1/2 on runs of 2
+        PLFunction._canonical([(0, 0), (3, 1), (6, 2)], 0, 1),  # equal slopes 1/3 on the line
+    ], ids=["one-vertex-equal-rays", "interval-equal-segments", "line-equal-segments"])
+    def test_equal_consecutive_slopes_raise_not_convex(self, f):
+        assert not f.is_convex()
+        with pytest.raises(NotConvex, match="^Legendre-Fenchel transform requires a convex function$"):
+            legendre_fenchel(f)

@@ -1,13 +1,18 @@
-"""SVG bytes pinned by sha256, so a change to the pixel arithmetic cannot move a coordinate."""
+"""SVG bytes pinned by sha256, so a change to the pixel arithmetic cannot move a coordinate,
+and equal byte for byte to a writer that maps and formats every pixel on its own."""
 
 import hashlib
+import itertools
+import math
+from fractions import Fraction as F
 
 import pytest
 
 from upsilon_lab import family
 from upsilon_lab.invariants import gap_function_of, hull_of
 from upsilon_lab.laurent import IntLaurentPoly
-from upsilon_lab.piecewise import legendre_fenchel
+from upsilon_lab.piecewise import PLFunction, legendre_fenchel
+from upsilon_lab.rationals import fixed6
 from upsilon_lab.semigroups import torus_semigroup
 from upsilon_lab.svgplot import build_svg
 
@@ -94,3 +99,133 @@ def test_svg_bytes(name, what):
 def test_nothing_to_plot():
     with pytest.raises(ValueError, match="^nothing to plot$"):
         build_svg()
+
+
+# -- the writer that formats every pixel through px, py and fixed6, kept as the oracle ---------
+
+_UNIT, _MARGIN = 24, 30
+
+
+class _RefPanel:
+    def __init__(self, x_min, x_max, y_min, y_max, x_unit, y_offset):
+        self.x_min, self.x_max, self.y_min, self.y_max = x_min, x_max, y_min, y_max
+        self.x_unit, self.y_offset = x_unit, y_offset
+        self.width = 2 * _MARGIN + (x_max - x_min) * x_unit
+        self.height = 2 * _MARGIN + (y_max - y_min) * _UNIT
+        self.elements = []
+
+    def px(self, x):
+        return _MARGIN + (x - self.x_min) * self.x_unit
+
+    def py(self, y):
+        return self.y_offset + _MARGIN + (self.y_max - y) * _UNIT
+
+    def polyline(self, points, stroke, dashed=False):
+        attrs = f'fill="none" stroke="{stroke}" stroke-width="2"'
+        if dashed:
+            attrs += ' stroke-dasharray="6,4"'
+        body = " ".join(f"{fixed6(self.px(x))},{fixed6(self.py(y))}" for x, y in points)
+        self.elements.append(f'<polyline {attrs} points="{body}"/>')
+
+    def axes_and_ticks(self):
+        grey = 'stroke="#888888" stroke-width="1"'
+        x_axis_y = 0 if self.y_min <= 0 <= self.y_max else self.y_min
+        y_axis_x = 0 if self.x_min <= 0 <= self.x_max else self.x_min
+        self.elements.append(
+            f'<line {grey} x1="{fixed6(self.px(self.x_min))}" y1="{fixed6(self.py(x_axis_y))}" '
+            f'x2="{fixed6(self.px(self.x_max))}" y2="{fixed6(self.py(x_axis_y))}"/>'
+        )
+        self.elements.append(
+            f'<line {grey} x1="{fixed6(self.px(y_axis_x))}" y1="{fixed6(self.py(self.y_min))}" '
+            f'x2="{fixed6(self.px(y_axis_x))}" y2="{fixed6(self.py(self.y_max))}"/>'
+        )
+        for x in range(math.ceil(self.x_min), math.floor(self.x_max) + 1):
+            self.elements.append(
+                f'<line {grey} x1="{fixed6(self.px(x))}" y1="{fixed6(self.py(x_axis_y) - 3)}" '
+                f'x2="{fixed6(self.px(x))}" y2="{fixed6(self.py(x_axis_y) + 3)}"/>'
+            )
+        for y in range(math.ceil(self.y_min), math.floor(self.y_max) + 1):
+            self.elements.append(
+                f'<line {grey} x1="{fixed6(self.px(y_axis_x) - 3)}" y1="{fixed6(self.py(y))}" '
+                f'x2="{fixed6(self.px(y_axis_x) + 3)}" y2="{fixed6(self.py(y))}"/>'
+            )
+
+
+def reference_svg(gapfn=None, hull=None, upsilon=None):
+    panels, offset = [], 0
+    if gapfn is not None or hull is not None:
+        g = gapfn.genus if gapfn is not None else 0
+        if hull is not None:
+            g = max(g, max((math.floor(abs(x)) for x, _ in hull.vertices), default=0))
+        span = max(g + 1, 2)
+        panel = _RefPanel(-span, span, -1, 2 * g + 2, _UNIT, offset)
+        panel.axes_and_ticks()
+        gap_pl = None if gapfn is None else gapfn.to_pl()
+        for f, stroke, dashed in ((gap_pl, "#000000", False), (hull, "#cc0000", True)):
+            if f is not None:
+                lo, hi = panel.x_min, panel.x_max
+                panel.polyline([(lo, f(lo)), *f.vertices, (hi, f(hi))], stroke, dashed)
+        panels.append(panel)
+        offset += panel.height
+    if upsilon is not None:
+        lo = min(y for _, y in upsilon.vertices)
+        panel = _RefPanel(0, 2, lo - 1, 1, _UNIT * 4, offset)
+        panel.axes_and_ticks()
+        panel.polyline(list(upsilon.vertices), "#0000cc")
+        panels.append(panel)
+    width = fixed6(max(p.width for p in panels))
+    height = fixed6(sum(p.height for p in panels))
+    body = "\n".join(el for p in panels for el in p.elements)
+    return (
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">\n'
+        '<rect width="100%" height="100%" fill="#ffffff"/>\n'
+        f"{body}\n</svg>\n"
+    )
+
+
+WHATS = [set(kinds) for r in (1, 2, 3) for kinds in itertools.combinations(("gapfn", "hull", "upsilon"), r)]
+ORACLE_TORUS = ((2, 3), (2, 5), (3, 4), (3, 5), (3, 7), (4, 7), (5, 7), (5, 9), (7, 9),
+                (7, 11), (9, 11), (11, 13), (13, 23))
+
+
+ORACLE_KNOTS = [*family.catalog_names(), *(f"{w}({n})" for w in ("K1", "K2") for n in (1, 2, 3)),
+                *(f"T({p},{q})" for p, q in ORACLE_TORUS)]
+
+
+def oracle_delta(name: str) -> IntLaurentPoly:
+    if name.startswith("T("):
+        p, q = map(int, name[2:-1].split(","))
+        return torus_semigroup(p, q).to_alexander()
+    if name[:2] in ("K1", "K2"):
+        return family.alexander_closed_form(family.FamilyKnot(name[:2], int(name[3:-1])))
+    return family.catalog_knot(name).alexander
+
+
+def assert_same_bytes(gapfn=None, hull=None, upsilon=None):
+    kwargs = {"gapfn": gapfn, "hull": hull, "upsilon": upsilon}
+    assert build_svg(**kwargs) == reference_svg(**kwargs)
+
+
+@pytest.mark.parametrize("name", ORACLE_KNOTS)
+def test_every_what_subset_matches_the_per_pixel_writer(name):
+    delta = oracle_delta(name)
+    gapfn, hull = gap_function_of(delta), hull_of(delta)
+    upsilon = legendre_fenchel(hull)
+    for kinds in WHATS:
+        assert_same_bytes(gapfn if "gapfn" in kinds else None, hull if "hull" in kinds else None,
+                          upsilon if "upsilon" in kinds else None)
+
+
+@pytest.mark.parametrize("upsilon", [
+    # Thirds: the 96 and 24 pixel units make every pixel an int, but y_min = -13/3.
+    PLFunction([(0, 0), (F(2, 3), F(-10, 3)), (F(4, 3), F(-10, 3)), (2, 0)]),
+    # Fifths and sevenths: Fraction pixels, which only fixed6 may write.
+    PLFunction([(0, 0), (F(2, 7), F(-4, 5)), (F(6, 5), F(-9, 7)), (2, 0)]),
+], ids=["thirds", "fifths-and-sevenths"])
+def test_fractional_upsilon_panel_matches_the_per_pixel_writer(upsilon):
+    assert any(type(c) is F for vertex in upsilon.vertices for c in vertex)
+    assert_same_bytes(upsilon=upsilon)
+    delta = family.catalog_knot("pretzel_237").alexander
+    assert_same_bytes(gap_function_of(delta), hull_of(delta), upsilon)
