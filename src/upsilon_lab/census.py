@@ -6,14 +6,17 @@ Input is JSON lines, one record per knot:
 
 Records are grouped by canonical Alexander polynomial and by Upsilon.  The
 Upsilon key is the integer vertex tuple of the gap function's convex
-envelope.  parse_census_line reads the "alexander" pairs and takes the gap
-runs from the one gate on the L-space shape 1 - t + t^{a_2} - ... + t^{2g}
-and deg = 2g, and keeps them on the record; it sweeps no hull.  Pairs in the
-order json.dumps writes such a Delta in (exponents rising from 0,
-coefficients +1, -1, ..., +1) are validated and gated in one pass
-(semigroups._lspace_pairs); any other value is validated term by term
-(from_pairs) and then gated (semigroups.lspace_runs), with the same result
-and the same warnings.
+envelope.  A record is its name and its gap runs: an L-space Delta has the
+shape 1 - t + t^{a_2} - ... + t^{2g}, so the runs fix Delta, the genus and
+the hull at once.  parse_census_line reads the "alexander" pairs and keeps
+the runs of the one gate on that shape and deg = 2g; it builds no
+polynomial and sweeps no hull where it can.  Pairs in the order json.dumps
+writes such a Delta in (exponents rising from 0, coefficients +1, -1, ...,
++1) are validated and gated in one pass (semigroups._lspace_pairs), which
+keeps only their exponents: the record's delta is built from its runs when
+it is first read (semigroups._alexander_of_runs).  Any other value is
+validated term by term (from_pairs) and then gated (semigroups.lspace_runs),
+with the same runs and the same warnings, and its record keeps that Delta.
 The key is exact: every envelope has rays of slope 0 and 2, so its vertices
 determine it; Upsilon is its Legendre-Fenchel transform, and the transform
 is an involution on convex functions.  So two records have equal hulls
@@ -25,11 +28,11 @@ dearest.  Delta determines the gap runs, hence the hull; the hull runs from
 (-g, 0) to (g, 2g), hence determines the genus, which is read off the last
 run.  So only records that share a genus can share a hull, and only records
 that share a hull can share Delta: a hull is swept only inside a genus
-group of two or more, and Delta is hashed only inside an Upsilon group of
-two or more.  Interesting output: duplicate groups of either kind and the
-Upsilon-equal-but-Alexander-distinct pairs, all sorted by name so permuting
-the input lines cannot change the report.  Malformed lines are skipped
-with a warning, never fatal.
+group of two or more, and Delta is compared only inside an Upsilon group of
+two or more, by its runs, so a scan builds no polynomial.  Interesting
+output: duplicate groups of either kind and the Upsilon-equal-but-Alexander-
+distinct pairs, all sorted by name so permuting the input lines cannot
+change the report.  Malformed lines are skipped with a warning, never fatal.
 """
 
 from __future__ import annotations
@@ -44,19 +47,23 @@ from .invariants import _corners
 from .laurent import IntLaurentPoly
 from .piecewise import _lower_hull
 from .records import Record
-from .semigroups import _lspace_pairs, gap_runs, lspace_runs
+from .semigroups import _alexander_of_runs, _lspace_pairs, gap_runs, lspace_runs
 
 
 class CensusRecord(Record):
-    """One census knot: its name, its Delta and the gap runs the gate built.
+    """One census knot: its name, its Delta and its gap runs, which fix Delta.
 
     The runs sit in a private slot.  CensusRecord(name, delta) takes them
-    from semigroups.gap_runs; parse_census_line passes the ones
-    lspace_runs gave it.  genus is read from the last run, and hull, the
-    Upsilon key, is swept from the runs each time it is read, so a record
-    that no scan compares by Upsilon never pays for a sweep.  ==, hash and
-    repr read name and delta only: the runs, the genus and the hull are
-    functions of delta.
+    from semigroups.gap_runs, and CensusRecord(name, delta, runs) keeps the
+    ones given; both store the delta given.  parse_census_line keeps the
+    runs of the L-space gate and, for a line the one-pass reader takes,
+    leaves delta unset: its first read builds Delta from the runs
+    (semigroups._alexander_of_runs) and stores it, so a record whose Delta
+    nothing reads never builds one.  genus is read from the last run, and
+    hull, the Upsilon key, is swept from the runs each time it is read, so a
+    record that no scan compares by Upsilon never pays for a sweep.  ==,
+    hash and repr read name and delta only, and copy and pickle all three
+    fields: the runs, the genus and the hull are functions of delta.
     """
 
     __slots__ = ("name", "delta", "_runs")
@@ -70,6 +77,22 @@ class CensusRecord(Record):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "_runs", gap_runs(delta) if _runs is None else _runs)
+
+    @classmethod
+    def _of_runs(cls, name: str, runs: list[tuple[int, int]]) -> "CensusRecord":
+        """The record of a name and the L-space gate's runs, delta unset until read."""
+        record = object.__new__(cls)
+        object.__setattr__(record, "name", name)
+        object.__setattr__(record, "_runs", runs)
+        return record
+
+    def __getattr__(self, attr):
+        # Reached only for a field that is not set: delta, on its first read.
+        if attr != "delta":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {attr!r}")
+        delta = _alexander_of_runs(self._runs)
+        object.__setattr__(self, "delta", delta)
+        return delta
 
     @property
     def genus(self) -> int:
@@ -91,7 +114,7 @@ def alexander_from_json(value) -> IntLaurentPoly:
     from_pairs validates every term; only once it has failed are the pairs
     inspected, so a valid value pays nothing.  parse_census_line and
     --alexander come here only for a value the one-pass reader
-    (_alexander_and_runs) does not take.  A pair that is not a
+    (semigroups._lspace_pairs) does not take.  A pair that is not a
     2-element array is refused in JSON's terms, naming the first one; any
     other failure keeps from_pairs' own message.
 
@@ -125,23 +148,28 @@ def _alexander_and_runs(value) -> tuple[IntLaurentPoly, list[tuple[int, int]] | 
     """alexander_from_json(value) and its lspace_runs, raising what they raise.
 
     Pairs in json.dumps' order of an L-space Delta take one pass
-    (semigroups._lspace_pairs); any other value takes the two steps.
+    (semigroups._lspace_pairs), and Delta is built from its runs
+    (semigroups._alexander_of_runs); any other value takes the two steps.
     """
-    read = _lspace_pairs(value) if type(value) is list else None
-    if read is None:
-        delta = alexander_from_json(value)
-        read = delta, lspace_runs(delta)
-    return read
+    runs = _lspace_pairs(value) if type(value) is list else None
+    if runs is not None:
+        return _alexander_of_runs(runs), runs
+    delta = alexander_from_json(value)
+    return delta, lspace_runs(delta)
 
 
 def parse_census_line(line: str) -> CensusRecord:
-    """One JSON line to a record: alexander_from_json, then the lspace_runs gate (_alexander_and_runs).
+    """One JSON line to a record: the runs of _alexander_and_runs, with Delta only if it was built.
 
-    Raises a TypeError for a value that is not a JSON object, a ValueError
-    for a missing "name" or "alexander" key, a TypeError for a name that is
-    not a string or an "alexander" value that alexander_from_json refuses,
-    then an UpsilonLabError for a shape other than the L-space shape or a
-    NotLSpaceForm for deg != 2g, both naming the record.  No hull is swept.
+    A value the one-pass reader (semigroups._lspace_pairs) takes gives a
+    record of its name and runs, whose delta is built when first read; any
+    other value takes alexander_from_json and the lspace_runs gate, and its
+    record keeps that Delta.  Raises a TypeError for a value that is not a
+    JSON object, a ValueError for a missing "name" or "alexander" key, a
+    TypeError for a name that is not a string or an "alexander" value that
+    alexander_from_json refuses, then an UpsilonLabError for a shape other
+    than the L-space shape or a NotLSpaceForm for deg != 2g, both naming the
+    record.  No hull is swept.
     """
     data = json.loads(line)
     if not isinstance(data, dict):
@@ -152,8 +180,13 @@ def parse_census_line(line: str) -> CensusRecord:
     name = data["name"]
     if not isinstance(name, str):
         raise TypeError(f"record name must be a string, got {json_type(name)}")
+    value = data["alexander"]
     try:
-        delta, runs = _alexander_and_runs(data["alexander"])
+        runs = _lspace_pairs(value) if type(value) is list else None
+        if runs is not None:
+            return CensusRecord._of_runs(name, runs)
+        delta = alexander_from_json(value)
+        runs = lspace_runs(delta)
     except NotLSpaceForm as exc:
         raise NotLSpaceForm(f"record {name!r}: {exc}") from None
     if runs is None:
@@ -189,11 +222,13 @@ def scan_census(records: Iterable[CensusRecord]) -> dict:
 
     Refines genus -> hull -> Delta: each key is built only for records
     whose cheaper key another record shares (see the module docstring), so
-    the groups are those of keying every record by hull and by Delta.  Both
-    keys are canonical, hashable objects: a hull is only built for a
-    polynomial with minimum exponent 0 and constant term 1, and its sweep
-    drops collinear vertices.  Output order is independent of input order:
-    names within a group are sorted, and so are the groups.
+    the groups are those of keying every record by hull and by Delta.  Delta
+    is keyed by the record's gap runs, which fix it: equal runs give equal
+    Delta, so no polynomial is built or hashed.  Both keys are canonical,
+    hashable objects: a hull is only built for a polynomial with minimum
+    exponent 0 and constant term 1, and its sweep drops collinear vertices.
+    Output order is independent of input order: names within a group are
+    sorted, and so are the groups.
     """
     records = list(records)
 
@@ -212,9 +247,9 @@ def scan_census(records: Iterable[CensusRecord]) -> dict:
         if len(group) < 2:
             continue
         upsilon_groups.append(sorted(records[i].name for i in group))
-        by_delta: dict[IntLaurentPoly, list[str]] = {}
+        by_delta: dict[tuple[tuple[int, int], ...], list[str]] = {}
         for i in group:
-            by_delta.setdefault(records[i].delta, []).append(records[i].name)
+            by_delta.setdefault(tuple(records[i]._runs), []).append(records[i].name)
         delta_groups += (sorted(names) for names in by_delta.values() if len(names) > 1)
         # Every pair of names drawn from two different Alexander classes.
         for one, other in combinations(by_delta.values(), 2):

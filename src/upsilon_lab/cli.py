@@ -35,7 +35,7 @@ from json.encoder import encode_basestring_ascii
 
 from . import braids, census, family, restorability, seifert, svgplot
 from .errors import GenusTooLarge, UpsilonLabError, WordTooLong, json_type
-from .invariants import gap_function_of, hull_of, knot_invariants
+from .invariants import _gap_pl, hull_of, knot_invariants
 from .laurent import IntLaurentPoly
 from .piecewise import legendre_fenchel
 from .rationals import int_text, parse_rational
@@ -76,11 +76,13 @@ def _resolve_knot_spec(
 
     The runs are the L-space gate's (semigroups.lspace_runs), so the report
     builders take them instead of walking the polynomial again.  --alexander
-    reads its pairs and gates them in one pass where it can
-    (census._alexander_and_runs).  --torus takes the runs from the gaps of
-    torus_semigroup, which has gap 1 and deg = 2g by construction, and builds
-    the polynomial from them, so no gate walks it; its runs carry the
-    semigroup on to the report (semigroups._runs_of_semigroup).
+    reads its pairs and gates them in one pass where it can, then builds the
+    polynomial from the runs (census._alexander_and_runs).  --torus takes the
+    runs from the gaps of torus_semigroup, which has gap 1 and deg = 2g by
+    construction, so no gate walks it; its runs carry the semigroup on to
+    the report (semigroups._runs_of_semigroup).  Both build the polynomial
+    the one way a census record does, from the runs
+    (semigroups._alexander_of_runs).
     """
     kinds = ("alexander", "torus", "family", "braid", "catalog", "designed_family")
     given = [kind for kind in kinds if getattr(args, kind, None) is not None]
@@ -476,9 +478,9 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     hull = hull_of(delta, _runs=runs) if whats & {"hull", "upsilon"} else None
     svgplot.write_svg(
         args.out,
-        gapfn=gap_function_of(delta, _runs=runs) if "gapfn" in whats else None,
         hull=hull if "hull" in whats else None,
         upsilon=legendre_fenchel(hull) if "upsilon" in whats else None,
+        _gap_pl=_gap_pl(runs) if "gapfn" in whats else None,
     )
     return EXIT_OK
 

@@ -18,10 +18,11 @@ no hull; CensusRecord.hull sweeps the same key from them,
 with _corners and the same sweep, only when a scan reads it.  hull_of
 and upsilon_of build the PLFunctions.  The formal semigroup and the
 2g + 1 gap-function samples are built only for the report fields that print
-them (knot_invariants) and for plot's gap-function panel; the dense route
-GapFunction.envelope stays as the tests' oracle.  The report's symmetric
-flag is GapFunction.is_symmetric on the gap function it prints, and its
-upsilon_slopes are the x strings of the hull's JSON vertices.
+them (knot_invariants).  Plot's gap-function panel is read off the runs
+(_gap_pl), with GapFunction.to_pl as the tests' oracle, and so is the hull,
+with the dense route GapFunction.envelope as its oracle.  The report's
+symmetric flag is GapFunction.is_symmetric on the gap function it prints,
+and its upsilon_slopes are the x strings of the hull's JSON vertices.
 
 The command line's L-space gate (semigroups.lspace_runs), or for --torus
 the semigroup's gaps, has the runs already, so knot_invariants, hull_of and
@@ -65,6 +66,25 @@ def _corners(runs: list[tuple[int, int]]) -> list[tuple[int, int]]:
         below += b - a
     corners.append((g, 2 * g))
     return corners
+
+
+def _gap_pl(runs: list[tuple[int, int]]) -> PLFunction:
+    """GapFunction.to_pl() of the runs' gap function, read off the runs with no samples.
+
+    Walking the runs from the top down, with below gaps above the current
+    run, run [a, b) climbs from (g - b, 2 * below) to (g - a, 2 * (below + b - a));
+    (g, 2g) ends the list.  Maximal runs leave a flat step between climbs,
+    so no vertex is collinear, and only the ray absorption is left to do.
+    """
+    g = runs[-1][1] // 2 if runs else 0
+    verts = []
+    below = 0
+    for a, b in reversed(runs):
+        verts.append((g - b, 2 * below))
+        below += b - a
+        verts.append((g - a, 2 * below))
+    verts.append((g, 2 * g))
+    return PLFunction._canonical(verts, 0, 2)
 
 
 def hull_vertices(delta: IntLaurentPoly) -> tuple[tuple[int, int], ...]:

@@ -17,9 +17,11 @@ has the shape 1 - t + t^{a_2} - ... + t^{2g} (Hedden-Watson).  Both gates
 call one shape test, coefficients alternating +1, -1, ..., +1 from exponent
 0; lspace_runs adds gap 1 and an even top exponent.  JSON pairs that arrive
 sorted in that pattern meet lspace_runs' tests in the same pass that reads
-them (_lspace_pairs).  A gap tuple gives its runs directly (_runs_of_gaps),
-and runs give Delta (_alexander_of_runs): to_alexander and the command
-line's torus knots take that route, with no gate.  The torus knots' runs
+them (_lspace_pairs), which keeps their exponents and returns the runs
+alone.  A gap tuple gives its runs directly (_runs_of_gaps), and runs give
+Delta (_alexander_of_runs), since the gaps fix every term: to_alexander,
+the command line's --torus and --alexander and a census record's delta all
+build it that way.  The torus knots' runs
 carry the semigroup they were read from (_runs_of_semigroup), so the report
 takes it back (_semigroup_of_runs) instead of rebuilding the gap tuple.
 """
@@ -261,37 +263,41 @@ def _lspace_gate(exps: list[int]) -> list[tuple[int, int]] | None:
     return _runs_of_alternating(exps)
 
 
-def _lspace_pairs(pairs: list) -> tuple[IntLaurentPoly, list[tuple[int, int]] | None] | None:
-    """IntLaurentPoly.from_pairs(pairs) and its lspace_runs in one pass over the pairs, else None.
+def _lspace_pairs(pairs: list) -> list[tuple[int, int]] | None:
+    """lspace_runs(IntLaurentPoly.from_pairs(pairs)) in one pass over the pairs, else None.
 
     The pass holds when every pair unpacks to two exact ints, the exponents
     rise strictly from 0 and the coefficients read +1, -1, ..., +1: the order
     json.dumps writes an L-space Delta's to_pairs in.  Those terms are
-    already Delta's sorted, nonzero terms, so lspace_runs' remaining tests
-    (_lspace_gate) run on the exponents as they came, with no sort and no
-    second walk: the runs are None for any other shape, and deg != 2g raises
-    NotLSpaceForm.  Any other input gives None before the gate runs, so the
-    caller takes from_pairs and lspace_runs, whose errors are the ones to
-    report; they give the same result on the input the pass takes.
+    already Delta's sorted, nonzero terms, so only their exponents are kept,
+    and lspace_runs' remaining tests (_lspace_gate) run on them as they came,
+    with no sort, no term dict and no polynomial: the runs fix Delta
+    (_alexander_of_runs), which is built only where it is read.  Any other
+    input gives None, and so does a shape the gate refuses (no gap 1, an odd
+    top exponent), so the caller takes from_pairs and lspace_runs, whose
+    errors and refusals are the ones to report; they give the same runs on
+    the input the pass takes.  Only deg != 2g raises here, NotLSpaceForm as
+    lspace_runs does.
 
     >>> _lspace_pairs([[0, 1], [1, -1], [3, 1], [5, -1], [6, 1]])
-    (IntLaurentPoly('1 - t + t^3 - t^5 + t^6'), [(1, 3), (5, 6)])
+    [(1, 3), (5, 6)]
     >>> _lspace_pairs([[0, 1], [2, 1], [1, -1]]) is None
     True
     """
-    terms: dict[int, int] = {}
+    exps: list[int] = []
+    append = exps.append
     last, sign = -1, 1
     try:
         for e, c in pairs:
             if c != sign or type(e) is not int or type(c) is not int or e <= last:
                 return None
-            terms[e] = c
+            append(e)
             last, sign = e, -sign
     except (TypeError, ValueError):  # a pair that does not unpack to two values
         return None
-    if sign == 1 or 0 not in terms:  # an even term count, or a first exponent above 0
+    if sign == 1 or exps[0]:  # an even term count, or a first exponent above 0
         return None
-    return IntLaurentPoly._from_terms(terms), _lspace_gate(list(terms))
+    return _lspace_gate(exps)
 
 
 def _alternating_exponents(delta: IntLaurentPoly) -> list[int] | None:

@@ -97,21 +97,30 @@ def build_svg(
     gapfn: GapFunction | None = None,
     hull: PLFunction | None = None,
     upsilon: PLFunction | None = None,
+    *,
+    _gap_pl: PLFunction | None = None,
 ) -> str:
-    """Compose the requested curves into one deterministic SVG document."""
+    """Compose the requested curves into one deterministic SVG document.
+
+    The gap-function panel draws gapfn.to_pl().  A caller that has that
+    PLFunction already (invariants._gap_pl) passes it as _gap_pl instead of
+    gapfn; its last vertex is (g, 2g).
+    """
     panels: list[_Panel] = []
     offset = 0
-    if gapfn is not None or hull is not None:
-        g = gapfn.genus if gapfn is not None else 0
+    g = 0
+    if gapfn is not None:
+        g, _gap_pl = gapfn.genus, gapfn.to_pl()
+    elif _gap_pl is not None:
+        g = _gap_pl.vertices[-1][0]
+    if _gap_pl is not None or hull is not None:
         if hull is not None:
             g = max(g, max((math.floor(abs(x)) for x, _ in hull.vertices), default=0))
         span = max(g + 1, 2)  # both panel ends lie strictly outside every vertex
         panel = _Panel(-span, span, -1, 2 * g + 2, _UNIT, offset)
         panel.axes_and_ticks()
-        if gapfn is not None:
-            panel.polyline(
-                _clipped_points(gapfn.to_pl(), panel.x_min, panel.x_max), "#000000"
-            )
+        if _gap_pl is not None:
+            panel.polyline(_clipped_points(_gap_pl, panel.x_min, panel.x_max), "#000000")
         if hull is not None:
             panel.polyline(
                 _clipped_points(hull, panel.x_min, panel.x_max), "#cc0000", dashed=True
@@ -143,7 +152,9 @@ def write_svg(
     gapfn: GapFunction | None = None,
     hull: PLFunction | None = None,
     upsilon: PLFunction | None = None,
+    *,
+    _gap_pl: PLFunction | None = None,
 ) -> None:
-    svg = build_svg(gapfn=gapfn, hull=hull, upsilon=upsilon)
+    svg = build_svg(gapfn=gapfn, hull=hull, upsilon=upsilon, _gap_pl=_gap_pl)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(svg)

@@ -27,7 +27,8 @@ from upsilon_lab.gapfunctions import GapFunction
 from upsilon_lab.invariants import hull_vertices
 from upsilon_lab.laurent import IntLaurentPoly
 from upsilon_lab.piecewise import PLFunction, legendre_fenchel
-from upsilon_lab.semigroups import FormalSemigroup, _lspace_pairs, lspace_runs, torus_semigroup
+from upsilon_lab.semigroups import (FormalSemigroup, _alexander_of_runs, _lspace_pairs, lspace_runs,
+                                    torus_semigroup)
 
 P = IntLaurentPoly.from_pairs
 
@@ -664,6 +665,7 @@ OFF_ROUTE = {
     "first-term-at-2": [[2, 1], [3, -1], [4, 1]],
     "even-term-count": [[0, 1], [1, -1]],
     "even-term-count-four": [[0, 1], [1, -1], [3, 1], [5, -1]],
+    "even-term-count-even-top": [[0, 1], [1, -1], [2, 1], [4, -1]],
     "empty": [],
     "not-alternating": [[0, 1], [1, -1], [2, -1], [3, 1], [4, 1]],
     "constant-two": [[0, 2]],
@@ -735,7 +737,8 @@ class TestOnePassReader:
         for gaps in gap_one_sequences(8):
             pairs = FormalSemigroup(gaps).to_alexander().to_pairs()
             # json.dumps' order takes the one pass; the reversed order does, only for the unknot.
-            assert _lspace_pairs(pairs) is not None
+            runs = _lspace_pairs(pairs)
+            assert (_alexander_of_runs(runs).to_pairs(), runs) == read_result(two_step, pairs)
             assert (_lspace_pairs(pairs[::-1]) is None) == bool(gaps)
             values += pair_orders(pairs)
             count += 1
@@ -758,8 +761,11 @@ class TestOnePassReader:
         if want[0] is NotLSpaceForm:
             with pytest.raises(NotLSpaceForm, match=re.escape(want[1])):
                 _lspace_pairs(value)
+        elif kind in ("first-gap-not-1", "odd-top"):  # the gate's refusals, worded by the two steps
+            assert want[1] is None and _lspace_pairs(value) is None
         else:
-            assert read_result(_lspace_pairs, value) == want
+            runs = _lspace_pairs(value)
+            assert (_alexander_of_runs(runs).to_pairs(), runs) == want
 
     def test_lines_and_alexander_argument_read_alike(self, monkeypatch):
         kinds = {**OFF_ROUTE, **ON_ROUTE, "T(3,4)": T34, "T(3,4)-reversed": T34[::-1]}
@@ -771,3 +777,78 @@ class TestOnePassReader:
             "T(3,4)", "T(3,4)-reversed", "repeated-exponent", "split-term", "split-term-alternating",
             "zero-term", "zero-term-first", "zero-term-last"]
         assert set(codes.values()) == {0, 2}
+
+
+def delta_is_set(record: CensusRecord) -> bool:
+    """Whether the record's delta slot holds a value, read past CensusRecord.__getattr__."""
+    try:
+        CensusRecord.delta.__get__(record, CensusRecord)
+    except AttributeError:
+        return False
+    return True
+
+
+class TestRecordOfRuns:
+    """A parsed record holds its name and runs; its delta is built from the runs when read."""
+
+    LINES = [record_line("t09847", T09847_PAIRS), record_line("unknot", [[0, 1]]),
+             record_line("T(5,7)", torus_semigroup(5, 7).to_alexander().to_pairs())]
+
+    @pytest.mark.parametrize("read", [
+        lambda r: r, hash, repr, copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r)),
+    ], ids=["eq", "hash", "repr", "copy", "deepcopy", "pickle"])
+    def test_parsed_record_reads_like_one_built_from_delta(self, read):
+        for line in self.LINES:
+            parsed = parse_census_line(line)
+            assert not delta_is_set(parsed)
+            data = json.loads(line)
+            built = CensusRecord(data["name"], P(data["alexander"]))
+            got, want = read(parsed), read(built)
+            assert got == want and type(got) is type(want)
+            assert delta_is_set(parsed) and parsed == built and hash(parsed) == hash(built)
+
+    def test_delta_is_the_two_step_delta_on_every_gap_one_sequence(self):
+        count = 0
+        for gaps in gap_one_sequences(8):
+            pairs = FormalSemigroup(gaps).to_alexander().to_pairs()
+            record = parse_census_line(record_line("k", pairs))
+            assert not delta_is_set(record)
+            delta = record.delta
+            assert delta == two_step(pairs)[0] and delta.to_pairs() == pairs
+            assert record.delta is delta  # built once, then stored
+            count += 1
+        assert count == 2355
+
+    def test_one_delta_on_both_routes_is_one_duplicate_group(self, tmp_path):
+        lines = [json.dumps(json.loads(line)) for line in
+                 sample_census_path().read_text().splitlines() if line.strip()]
+        k1 = json.loads(next(line for line in lines if '"K1(1)"' in line))["alexander"]
+        path = tmp_path / "census.jsonl"
+        reports = []
+        for pairs in (k1, k1[::-1]):  # one pass, then the two steps
+            path.write_text("\n".join(lines + [record_line("K1(1)~copy", pairs)]) + "\n")
+            records, warnings = load_census(path)
+            assert warnings == [] and len(records) == 11
+            assert delta_is_set(records[-1]) == (pairs is not k1)
+            reports.append(scan_census(records))
+            assert reports[-1] == all_pairs_scan(records)
+        assert reports[0] == reports[1]
+        assert reports[1]["delta_duplicate_groups"] == [["K1(1)", "K1(1)~copy"]]
+        assert reports[1]["upsilon_equal_delta_distinct"] == [
+            ["K1(1)", "K2(1)"], ["K1(1)~copy", "K2(1)"]]
+
+    def test_load_and_scan_of_the_sample_build_no_polynomial(self, monkeypatch):
+        from upsilon_lab import semigroups
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a census load or scan built a polynomial")
+
+        monkeypatch.setattr(census, "_alexander_of_runs", refuse)
+        monkeypatch.setattr(semigroups, "_alexander_of_runs", refuse)
+        monkeypatch.setattr(IntLaurentPoly, "_from_terms", refuse)
+        monkeypatch.setattr(IntLaurentPoly, "__init__", refuse)
+        records, warnings = load_census(sample_census_path())
+        report = scan_census(records)
+        assert len(records) == 10 and warnings == []
+        assert report["upsilon_equal_delta_distinct"] == [["K1(1)", "K2(1)"]]
+        assert not any(map(delta_is_set, records))

@@ -11,10 +11,10 @@ import pytest
 from upsilon_lab.cli import main
 from upsilon_lab.family import FamilyKnot, alexander_closed_form, catalog_names
 from upsilon_lab.gapfunctions import GapFunction
-from upsilon_lab.invariants import hull_of, hull_vertices, knot_invariants, upsilon_of
+from upsilon_lab.invariants import _gap_pl, hull_of, hull_vertices, knot_invariants, upsilon_of
 from upsilon_lab.laurent import IntLaurentPoly
 from upsilon_lab.restorability import designed_family_alexander
-from upsilon_lab.semigroups import FormalSemigroup, torus_semigroup
+from upsilon_lab.semigroups import FormalSemigroup, _runs_of_gaps, torus_semigroup
 
 # T(p, q) for g = 1 .. 510: (p - 1)(q - 1) / 2.
 TORUS_LADDER = ((2, 3), (3, 4), (3, 7), (5, 7), (5, 12), (7, 20), (9, 26), (11, 30),
@@ -146,6 +146,32 @@ def test_report_path_checks_nothing_it_built(monkeypatch):
         # The slopes and the ray checks, never a corner: far fewer calls than corners.
         assert len(calls) <= 8 < len(_corners(gap_runs(delta))), delta
         calls.clear()
+
+
+# -- plot's gap-function polyline, read off the gap runs -------------------------------
+
+
+def assert_gap_pl_matches_the_samples(semigroup: FormalSemigroup):
+    """_gap_pl of the runs is GapFunction.to_pl() of the 2g + 1 samples, types included."""
+    got = _gap_pl(_runs_of_gaps(semigroup.gaps))
+    want = GapFunction.from_semigroup(semigroup).to_pl()
+    assert got == want, semigroup
+    assert [tuple(map(type, v)) for v in got.vertices] == [(int, int)] * len(want.vertices)
+    assert got.vertices[-1] == (semigroup.genus, 2 * semigroup.genus)
+
+
+def test_gap_pl_on_every_formal_gap_set_up_to_genus_8():
+    count = 0
+    for g in range(9):
+        for gaps in all_gap_sequences(g):
+            assert_gap_pl_matches_the_samples(FormalSemigroup(gaps))
+            count += 1
+    assert count == 4708
+
+
+@pytest.mark.parametrize("p,q", TORUS_LADDER + ((26, 41),))
+def test_gap_pl_on_the_torus_ladder(p, q):
+    assert_gap_pl_matches_the_samples(torus_semigroup(p, q))
 
 
 # -- the report's bytes and its Upsilon fields -----------------------------------------

@@ -18,6 +18,7 @@ TOOL = Path(__file__).resolve().parent.parent / "tools" / "output_digest.py"
 DIGESTS = {
     1: "6002916ef66d5e6216a8b366bdca52a24b0503dfff66015ae4c76c648babc136",
     2: "8b3c3990a553856150b06e6c69c65bcd9f9bbbfaa6b2f491875cbc19077f6e08",
+    3: "5d0f602a0596e578a025bb651e3615041caa21affb21c09367c6e909de31ac01",
 }
 
 

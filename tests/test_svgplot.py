@@ -9,11 +9,11 @@ from fractions import Fraction as F
 import pytest
 
 from upsilon_lab import family
-from upsilon_lab.invariants import gap_function_of, hull_of
+from upsilon_lab.invariants import _gap_pl, gap_function_of, hull_of
 from upsilon_lab.laurent import IntLaurentPoly
 from upsilon_lab.piecewise import PLFunction, legendre_fenchel
 from upsilon_lab.rationals import fixed6
-from upsilon_lab.semigroups import torus_semigroup
+from upsilon_lab.semigroups import gap_runs, torus_semigroup
 from upsilon_lab.svgplot import build_svg
 
 
@@ -216,6 +216,15 @@ def test_every_what_subset_matches_the_per_pixel_writer(name):
     for kinds in WHATS:
         assert_same_bytes(gapfn if "gapfn" in kinds else None, hull if "hull" in kinds else None,
                           upsilon if "upsilon" in kinds else None)
+
+
+@pytest.mark.parametrize("name", [*ORACLE_KNOTS, "unknot"])
+def test_gap_polyline_from_the_runs_draws_the_same_bytes(name):
+    # plot hands the panel its polyline from the gap runs (invariants._gap_pl).
+    delta = knot(name) if name == "unknot" else oracle_delta(name)
+    gap_pl, gapfn, hull = _gap_pl(gap_runs(delta)), gap_function_of(delta), hull_of(delta)
+    for h in (None, hull):
+        assert build_svg(hull=h, _gap_pl=gap_pl) == build_svg(gapfn=gapfn, hull=h)
 
 
 @pytest.mark.parametrize("upsilon", [
