@@ -43,9 +43,9 @@ max_solutions profiles reach: ceil(max_solutions / later) paths, where
 later is the product of the later pieces' counts (_counts gives the
 segment counts).  Otherwise the report lists the symmetric profiles, found
 by walking only the g left steps and mirroring each.  When the cap cuts
-that list, the symmetric walk stops at the first profile whose rank
-reaches it; the rank comes from a sparse backward table of completion
-counts that stores only counts below the cap.
+that list, the symmetric walk keeps the patterns below the cutoff, the
+profile of rank max_solutions (bytes order is walk order), which one descent
+finds in a sparse backward table of the completion counts of at most the cap.
 
 A profile is a byte pattern: 2g bytes, each 0 (flat) or 2 (up).  A
 Witnesses keeps its pieces, each a tuple of paths (partial patterns), and
@@ -401,48 +401,48 @@ def _walk(lo: list[int], hi: list[int]):
         i += 1
 
 
-def _completions_below(lo: list[int], hi: list[int], cap: int) -> dict[tuple[int, int], int]:
-    """Completions from (i, value), for the cells where they number fewer than cap.
+def _completion_rows(lo: list[int], hi: list[int], cap: int) -> list[dict[int, int]]:
+    """Per step index, the completions from each value, where they number at most cap.
 
-    Built backward from (2g, 2g).  A cell below the cap has every in-bounds
-    successor below it too, so row i's candidates are the values v and v - 2
-    for each stored v of row i + 1.  A cell within the bounds that is missing
-    has cap or more completions.  The build stops at the first empty row,
-    since every earlier row is then empty too.
+    Built backward from (2g, 2g).  A cell at most cap has every in-bounds
+    successor at most cap too, so row i's candidates are v and v - 2 for
+    each stored v of row i + 1; a missing cell within the bounds has more
+    than cap.  As in _walk, v may stay flat if v >= lo[i + 1] and rise if
+    v + 2 <= hi[i + 1].  The build stops at the first empty row: every
+    earlier row is then empty too.
     """
-    i = len(lo) - 1
-    row = {hi[i]: 1} if cap > 1 else {}
-    table = {(i, v): c for v, c in row.items()}
-    while row and i:
-        i -= 1
-        later, row = row, {}
+    n, big = len(lo) - 1, cap + 1
+    rows = [{}] * n + [{hi[n]: 1}]  # the empty rows share one dict, never written
+    for i in range(n - 1, -1, -1):
+        later, row = rows[i + 1], {}
+        if not later:
+            break
         for v in {w - d for w in later for d in (0, 2)}:
-            if not lo[i] <= v <= hi[i]:
-                continue
-            count = 0
-            for w in (v, v + 2):
-                if lo[i + 1] <= w <= hi[i + 1]:
-                    count += later.get(w, cap)
-            if count < cap:
-                row[v] = count
-        table.update(((i, v), c) for v, c in row.items())
-    return table
+            if lo[i] <= v <= hi[i]:
+                count = (later.get(v, big) if v >= lo[i + 1] else 0) + (
+                    later.get(v + 2, big) if v + 2 <= hi[i + 1] else 0)
+                if count <= cap:
+                    row[v] = count
+        rows[i] = row
+    return rows
 
 
-def _rank(steps: bytes, lo: list[int], table: dict[tuple[int, int], int], cap: int) -> int:
-    """Profiles before this one in walk order, or cap if that is cap or more.
+def _cutoff(lo: list[int], hi: list[int], cap: int) -> bytes:
+    """The profile of rank cap in walk order, for bounds that admit more than cap profiles.
 
-    Each up step j where a flat step was allowed passes over every completion
-    of the flat alternative, which sits at (j + 1, value).
+    One descent from (0, 0) with the rank still to pass: flat where that is
+    below the flat cell's count (a missing cell has more than cap, a flat
+    step out of bounds none), else up, passing over those completions.
     """
-    rank = val = 0
-    for j, step in enumerate(steps):
-        if step and val >= lo[j + 1]:
-            rank += table.get((j + 1, val), cap)
-            if rank >= cap:
-                return cap
-        val += step
-    return rank
+    rows = _completion_rows(lo, hi, cap)
+    steps, rank, val = bytearray(len(lo) - 1), cap, 0
+    for j in range(len(steps)):
+        count = rows[j + 1].get(val, cap + 1) if val >= lo[j + 1] else 0
+        if rank >= count:
+            rank -= count
+            steps[j] = 2
+            val += 2
+    return bytes(steps)
 
 
 # Swaps flat (0) and up (2): the step mirror of a pattern.
@@ -523,11 +523,11 @@ def enumerate_gap_functions(
 
     Both counts are exact.  The witnesses are the profiles of rank below
     max_solutions in lexicographic step order (flat < up): the symmetric
-    ones when symmetric_only, else every one.  A max_solutions that is not
-    an int raises TypeError, and one below 1 ValueError.  A hull of genus
-    above MAX_GENUS raises GenusTooLarge before anything of size g is built,
-    and one whose exact count would cost more than MAX_COUNT_WORK raises
-    CountTooCostly before any counting.
+    ones when symmetric_only, else every one; a capped symmetric list stops at
+    _cutoff.  A max_solutions that is not an int raises TypeError, and one below
+    1 ValueError.  A hull of genus above MAX_GENUS raises GenusTooLarge before
+    anything of size g is built, and one whose exact count would cost more than
+    MAX_COUNT_WORK raises CountTooCostly before any counting.
     """
     if type(max_solutions) is not int:
         raise TypeError(f"max_solutions {max_solutions!r} is not an int")
@@ -546,8 +546,7 @@ def enumerate_gap_functions(
     else:
         kept = map(_mirrored, _walk(lo[: g + 1], hi[: g + 1]))
         if truncated:
-            table = _completions_below(lo, hi, max_solutions)
-            kept = takewhile(lambda s: _rank(s, lo, table, max_solutions) < max_solutions, kept)
+            kept = takewhile(_cutoff(lo, hi, max_solutions).__gt__, kept)
         witnesses = Witnesses._trusted(kept)
     return RestorabilityReport(
         hull=hull,

@@ -16,9 +16,9 @@ import pytest
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "output_digest.py"
 
 DIGESTS = {
-    1: "6002916ef66d5e6216a8b366bdca52a24b0503dfff66015ae4c76c648babc136",
-    2: "8b3c3990a553856150b06e6c69c65bcd9f9bbbfaa6b2f491875cbc19077f6e08",
-    3: "5d0f602a0596e578a025bb651e3615041caa21affb21c09367c6e909de31ac01",
+    1: "83fa2e81b859c48867c2e62960f15b8902a749a5079b4c06a8754f82b4646ad6",
+    2: "1bc514dea8f5d41c654682ac23d647d8b175e81f7f95569b63c250325c8fa0de",
+    3: "66dfe323667b3c1700627ffca3a5609eb9b722ab4ffdf92b0b29242059c0f334",
 }
 
 

@@ -547,6 +547,91 @@ class TestRankWalk:
             assert len(every.witnesses) == cap
 
 
+def reference_completions_below(lo, hi, cap):
+    """Completions from (i, value), for the cells where they number fewer than cap.
+
+    The table the capped symmetric listing used to build, kept as the reference:
+    a cell within the bounds that is missing has cap or more completions.
+    """
+    i = len(lo) - 1
+    row = {hi[i]: 1} if cap > 1 else {}
+    table = {(i, v): c for v, c in row.items()}
+    while row and i:
+        i -= 1
+        later, row = row, {}
+        for v in {w - d for w in later for d in (0, 2)}:
+            if not lo[i] <= v <= hi[i]:
+                continue
+            count = 0
+            for w in (v, v + 2):
+                if lo[i + 1] <= w <= hi[i + 1]:
+                    count += later.get(w, cap)
+            if count < cap:
+                row[v] = count
+        table.update(((i, v), c) for v, c in row.items())
+    return table
+
+
+def reference_rank(steps, lo, table, cap):
+    """Profiles before this one in walk order, or cap if that is cap or more."""
+    rank = val = 0
+    for j, step in enumerate(steps):
+        if step and val >= lo[j + 1]:
+            rank += table.get((j + 1, val), cap)
+            if rank >= cap:
+                return cap
+        val += step
+    return rank
+
+
+class TestCutoff:
+    # A capped symmetric listing keeps the patterns below the profile of rank cap.
+
+    CAPS = (1, 2, 50, 10**4)
+
+    @staticmethod
+    def hulls():
+        for g in range(9):
+            yield from distinct_hulls(g)
+        yield from map(knot_hull, (*CAPPED.values(), k1(5)))
+
+    def test_rows_hold_the_reference_cells_below_cap_plus_one(self):
+        for hull in self.hulls():
+            lo, hi = _bounds(hull)
+            for cap in self.CAPS:
+                rows = restorability._completion_rows(lo, hi, cap)
+                assert len(rows) == len(lo)
+                cells = {(i, v): c for i, row in enumerate(rows) for v, c in row.items()}
+                assert cells == reference_completions_below(lo, hi, cap + 1), (hull, cap)
+
+    def test_cutoff_is_the_walk_profile_of_rank_cap(self):
+        for hull in self.hulls():
+            lo, hi = _bounds(hull)
+            for cap in self.CAPS:
+                expected = next(itertools.islice(_walk(lo, hi), cap, None), None)
+                if expected is not None:
+                    assert restorability._cutoff(lo, hi, cap) == expected, (hull, cap)
+
+    def test_rank_below_cap_iff_the_pattern_sorts_below_the_cutoff(self):
+        # Every symmetric pattern of a hull of genus <= 8, and the first 3,000 of the others.
+        for hull in self.hulls():
+            lo, hi = _bounds(hull)
+            g = (len(lo) - 1) // 2
+            _, total, symmetric_count = restorability._counts(hull.vertices)
+            if not symmetric_count:
+                continue
+            halves = itertools.islice(_walk(lo[: g + 1], hi[: g + 1]), 3000)
+            symmetric = list(map(restorability._mirrored, halves))
+            for cap in self.CAPS:
+                if cap >= total:
+                    continue
+                cutoff = restorability._cutoff(lo, hi, cap)
+                table = reference_completions_below(lo, hi, cap)
+                for steps in symmetric:
+                    below = reference_rank(steps, lo, table, cap) < cap
+                    assert below == (steps < cutoff), (hull, cap, steps)
+
+
 class TestWalkMadePatterns:
     # enumerate_gap_functions lists the walk's patterns without checking them again,
     # so every pattern it can list must pass the check.

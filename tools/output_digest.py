@@ -39,12 +39,19 @@ WORKDIR = Path(tempfile.gettempdir()) / "upsilon-lab-output-digest"
 
 # Restore listings that no benchmark op reaches: caps at the end of K1(5)'s last
 # hull piece (969 paths) and just past it, a cap within K1(40)'s last piece, and
-# a long listing over T(2,41)'s single piece.
+# a long listing over T(2,41)'s single piece.  Then capped symmetric listings
+# (default mode): caps one below, at and one above 9,648 and 9,790, the ranks
+# among all profiles of the last symmetric witness that T(9,11) and K1(3) list
+# at the default cap, and a cap of 1.
 RESTORE_PROBES = (
     ["restore", "--family", "K1", "--n", "5", "--all", "--max-solutions", "969"],
     ["restore", "--family", "K1", "--n", "5", "--all", "--max-solutions", "970"],
     ["restore", "--family", "K1", "--n", "40", "--all", "--max-solutions", "2000"],
     ["restore", "--torus", "2,41", "--all", "--max-solutions", "5000"],
+    *(["restore", "--torus", "9,11", "--max-solutions", str(cap)] for cap in (9647, 9648, 9649)),
+    *(["restore", "--family", "K1", "--n", "3", "--max-solutions", str(cap)] for cap in (9789, 9790, 9791)),
+    ["restore", "--torus", "9,11", "--max-solutions", "1"],
+    ["restore", "--family", "K1", "--n", "3", "--max-solutions", "1"],
 )
 
 
