@@ -43,11 +43,10 @@ from collections.abc import Iterable
 from itertools import combinations, product
 
 from .errors import NotLSpaceForm, UpsilonLabError, json_type
-from .invariants import _corners
 from .laurent import IntLaurentPoly
-from .piecewise import _lower_hull
 from .records import Record
-from .semigroups import _alexander_of_runs, _lspace_pairs, gap_runs, lspace_runs
+from .semigroups import (_alexander_of_runs, _corners, _lower_hull, _lspace_pairs, gap_runs,
+                         lspace_runs)
 
 
 class CensusRecord(Record):

@@ -1,11 +1,23 @@
 """Command-line surface.
 
 Subcommands: invariants, restore, family, seifert, braid, census, plot.
-When argv starts with a subcommand's name, only that subcommand's parser
-reads the rest of it (_parse_argv).  The top-level parser reads any other
-argv (none, an unknown command, a top-level -h) and one that the
-subcommand's parser leaves arguments over from, so every usage error and
-help text is argparse's own.  The knot-spec commands take the gap
+Each one's arguments are defined once, in _COMMANDS (name -> help, define
+function).  build_parser assembles the full tree from that table; when argv
+starts with a subcommand's name, _parse_argv builds only that subcommand's
+parser (_command_parser, prog "upsilon-lab <name>"), which reads the rest
+of argv.  The full tree reads any other argv (none, an unknown command, a
+top-level -h) and one that the subcommand's parser leaves arguments over
+from, so every usage error and help text is argparse's own.
+
+Loading rule: this module imports at its top only what every subcommand
+needs (the L-space gate in semigroups, census's reader of JSON pairs, the
+errors and the int formatting of rationals), none of which imports
+fractions.  Every other package module is imported inside the functions
+that use it, so a process loads only its own subcommand's modules: census
+scan and braid never load fractions, piecewise, family, restorability,
+seifert or svgplot.  An import inside a function reads the module's
+attribute at each call, so whatever replaces a module-level function is
+what runs.  The knot-spec commands take the gap
 runs from the L-space gate (_resolve_knot_spec), or for --torus from the
 semigroup's gaps, and hand them on, so the polynomial is walked at most once
 per command.
@@ -33,11 +45,9 @@ import sys
 from itertools import chain, islice, product
 from json.encoder import encode_basestring_ascii
 
-from . import braids, census, family, restorability, seifert, svgplot
+from . import census
 from .errors import GenusTooLarge, UpsilonLabError, WordTooLong, json_type
-from .invariants import _gap_pl, hull_of, knot_invariants
 from .laurent import IntLaurentPoly
-from .piecewise import legendre_fenchel
 from .rationals import int_text, parse_rational
 from .semigroups import (MAX_GENUS, _alexander_of_runs, _runs_of_semigroup, lspace_runs,
                          torus_semigroup)
@@ -53,6 +63,8 @@ class _UsageError(UpsilonLabError):
 
 
 def _add_knot_spec_arguments(parser: argparse.ArgumentParser, designed_family: bool = False) -> None:
+    from . import family
+
     group = parser.add_argument_group("knot specification (give exactly one)")
     group.add_argument("--alexander", metavar="JSON",
                        help='coefficient pairs, e.g. "[[0,1],[1,-1],[2,1]]"')
@@ -110,15 +122,21 @@ def _resolve_knot_spec(
     elif kind == "family":
         if args.n is None:
             raise _UsageError("--family needs --n")
+        from . import family
+
         delta = family.alexander_closed_form(family.FamilyKnot(args.family, args.n))
         name = f"{args.family}({args.n})"
     elif kind == "braid":
         delta = _json_braid(args.braid, "--braid").alexander_of_closure()
         name = None
     elif kind == "catalog":
+        from . import family
+
         delta = family.catalog_knot(args.catalog).alexander
         name = args.catalog
     else:  # designed_family
+        from . import restorability
+
         delta = restorability.designed_family_alexander(args.designed_family)
         name = f"designed_family({args.designed_family})"
     if kind not in ("alexander", "torus"):
@@ -133,11 +151,13 @@ def _resolve_knot_spec(
     return name, delta, runs
 
 
-def _user_braid(strands, letters) -> braids.BraidWord:
-    """A braid word given on the command line, refused past MAX_LETTERS letters before it is built.
+def _user_braid(strands, letters):
+    """The braids.BraidWord given on the command line, refused past MAX_LETTERS letters before it is built.
 
     Named words (braids.named_braid) are bounded by MAX_TWIST instead.
     """
+    from . import braids
+
     if len(letters) > braids.MAX_LETTERS:
         raise WordTooLong(
             f"the braid word has {len(letters)} letters, above the limit of {braids.MAX_LETTERS}"
@@ -145,7 +165,7 @@ def _user_braid(strands, letters) -> braids.BraidWord:
     return braids.BraidWord(strands, letters)
 
 
-def _json_braid(text: str, flag: str) -> braids.BraidWord:
+def _json_braid(text: str, flag: str):
     """The _user_braid of a '{"strands": S, "word": [...]}' value given to flag.
 
     A value that is not such an object is refused in JSON's terms, and so is
@@ -184,6 +204,8 @@ MAX_N_VALUES = 1000
 
 def _parse_n_range(text: str) -> list[int]:
     """Accept "3", "1..5", or "1,2,4"; A..B is sized before it is built."""
+    from . import braids
+
     try:
         if ".." in text:
             lo, hi = (int(x) for x in text.split(".."))
@@ -257,8 +279,9 @@ def _json_text(obj, indent: str = "") -> str:
 
     Lists that _uniform_text takes (most of a report) are formatted in one
     call; any other container is written entry by entry, and a Witnesses as
-    the list of gap lists that _witness_chunks writes.  Floats, Fractions,
-    sets and non-str keys raise TypeError.
+    the list of gap lists that _witness_chunks writes: only a value of no
+    JSON kind reaches the Witnesses import.  Floats, Fractions, sets and
+    non-str keys raise TypeError.
 
     >>> _json_text({"gaps": (1, 2), "name": None})
     '{\\n  "gaps": [\\n    1,\\n    2\\n  ],\\n  "name": null\\n}'
@@ -287,6 +310,8 @@ def _json_text(obj, indent: str = "") -> str:
         entries = [encode_basestring_ascii(key) + ": " + _json_text(value, inner)
                    for key, value in obj.items()]
         return "{\n" + inner + (",\n" + inner).join(entries) + "\n" + indent + "}"
+    from . import restorability
+
     if isinstance(obj, restorability.Witnesses):
         return "".join(_witness_chunks(obj, indent))
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
@@ -296,8 +321,8 @@ def _json_text(obj, indent: str = "") -> str:
 _BLOCK_CHARS = 1 << 16
 
 
-def _witness_chunks(witnesses: restorability.Witnesses, indent: str):
-    """The JSON text of witnesses as a list of gap lists, one block of witnesses at a time.
+def _witness_chunks(witnesses, indent: str):
+    """The JSON text of a restorability.Witnesses as a list of gap lists, one block at a time.
 
     The witnesses are the product of their pieces' paths, the last piece
     varying fastest (Witnesses.path_texts), so a run of them shares the text
@@ -350,11 +375,19 @@ def _emit(data: dict) -> None:
     one per block of witnesses for a top-level Witnesses, so no whole-report string is built.
 
     Every entry's text, key included, is built before the first write, so a value
-    that cannot be encoded raises TypeError with nothing written.
+    that cannot be encoded raises TypeError with nothing written.  Only a value
+    of no JSON kind reaches the Witnesses import.
     """
-    entries = [(encode_basestring_ascii(key) + ": ",
-                value if isinstance(value, restorability.Witnesses) else _json_text(value, "  "))
-               for key, value in data.items()]
+    entries = []
+    for key, value in data.items():
+        head = encode_basestring_ascii(key) + ": "
+        if not isinstance(value, (str, int, list, tuple, dict)) and value is not None:
+            from . import restorability
+
+            if isinstance(value, restorability.Witnesses):
+                entries.append((head, value))
+                continue
+        entries.append((head, _json_text(value, "  ")))
     write = sys.stdout.write
     sep = "{\n  "
     for head, value in entries:
@@ -368,15 +401,20 @@ def _emit(data: dict) -> None:
 
 
 def _cmd_invariants(args: argparse.Namespace) -> int:
+    from . import invariants
+
     name, delta, runs = _resolve_knot_spec(args)
-    _emit(knot_invariants(delta, name=name, _runs=runs))
+    _emit(invariants.knot_invariants(delta, name=name, _runs=runs))
     return EXIT_OK
 
 
 def _cmd_restore(args: argparse.Namespace) -> int:
+    from . import invariants, restorability
+
     name, delta, runs = _resolve_knot_spec(args)
     report = restorability.enumerate_gap_functions(
-        hull_of(delta, _runs=runs), symmetric_only=not args.all, max_solutions=args.max_solutions
+        invariants.hull_of(delta, _runs=runs), symmetric_only=not args.all,
+        max_solutions=args.max_solutions,
     )
     out = report.to_json()
     if name:
@@ -386,6 +424,8 @@ def _cmd_restore(args: argparse.Namespace) -> int:
 
 
 def _cmd_family_verify(args: argparse.Namespace) -> int:
+    from . import family
+
     results = [family.verify_family_pair(n) for n in _parse_n_range(args.n)]
     if args.which in ("K1", "K2"):
         # Drop the other member's claims; the pair claims are always kept.
@@ -409,6 +449,8 @@ def _cmd_family_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_seifert(args: argparse.Namespace) -> int:
+    from . import seifert
+
     try:
         ratios = tuple(parse_rational(part) for part in args.r.split(","))
     except ValueError as exc:
@@ -435,6 +477,8 @@ def _cmd_braid(args: argparse.Namespace) -> int:
     if args.n is not None and args.named is None:
         raise _UsageError("--n goes only with --named K1 or K2")
     if args.named is not None:
+        from . import braids
+
         word = braids.named_braid(args.named, args.n)
     elif args.json is not None:
         word = _json_braid(args.json, "--json")
@@ -469,42 +513,32 @@ def _cmd_census_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_plot(args: argparse.Namespace) -> int:
+    from . import invariants, piecewise, svgplot
+
     _, delta, runs = _resolve_knot_spec(args)
     whats = set(args.what.split(","))
     unknown = whats - {"gapfn", "hull", "upsilon"}
     if unknown:
         named = [kind or '""' for kind in sorted(unknown)]  # --what "" or "gapfn," has an empty kind
         raise _UsageError(f"unknown plot kinds: {', '.join(named)}")
-    hull = hull_of(delta, _runs=runs) if whats & {"hull", "upsilon"} else None
+    hull = invariants.hull_of(delta, _runs=runs) if whats & {"hull", "upsilon"} else None
     svgplot.write_svg(
         args.out,
         hull=hull if "hull" in whats else None,
-        upsilon=legendre_fenchel(hull) if "upsilon" in whats else None,
-        _gap_pl=_gap_pl(runs) if "gapfn" in whats else None,
+        upsilon=piecewise.legendre_fenchel(hull) if "upsilon" in whats else None,
+        _gap_pl=invariants._gap_pl(runs) if "gapfn" in whats else None,
     )
     return EXIT_OK
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built once per process and reused by every main() call.
-
-    Reuse is safe: each parse returns a fresh Namespace, and no argument has a
-    mutable default.  Its _commands maps each subcommand name to its parser,
-    for _parse_argv.
-    """
-    parser = argparse.ArgumentParser(
-        prog="upsilon-lab",
-        description="Exact L-space knot invariants: Alexander, semigroup, gap function, Upsilon.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    parser._commands = sub.choices
-
-    p = sub.add_parser("invariants", help="full invariant report for one knot")
+def _define_invariants(p: argparse.ArgumentParser) -> None:
     _add_knot_spec_arguments(p)
     p.set_defaults(func=_cmd_invariants)
 
-    p = sub.add_parser("restore", help="restorability of Alexander from Upsilon")
+
+def _define_restore(p: argparse.ArgumentParser) -> None:
+    from . import restorability
+
     _add_knot_spec_arguments(p, designed_family=True)
     p.add_argument("--all", action="store_true",
                    help="report every slope-{0,2} witness profile, not only the symmetric ones")
@@ -513,7 +547,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="list at most this many witnesses, e.g. 1000 or 1e6; counts stay exact")
     p.set_defaults(func=_cmd_restore)
 
-    p = sub.add_parser("family", help="verify the twist-family claims")
+
+def _define_family(p: argparse.ArgumentParser) -> None:
     family_sub = p.add_subparsers(dest="family_command", required=True)
     pv = family_sub.add_parser("verify", help="run all family assertions")
     pv.add_argument("--which", choices=("both", "K1", "K2"), default="both")
@@ -521,14 +556,16 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--format", choices=("json", "text"), default="json")
     pv.set_defaults(func=_cmd_family_verify)
 
-    p = sub.add_parser("seifert", help="L-space test for small Seifert forms")
+
+def _define_seifert(p: argparse.ArgumentParser) -> None:
     seifert_sub = p.add_subparsers(dest="seifert_command", required=True)
     pd = seifert_sub.add_parser("decide", help="apply the coprime-pair criterion")
     pd.add_argument("--e0", type=int, required=True)
     pd.add_argument("--r", required=True, help='three ratios, e.g. "-3/7,-1/3,-1/5"')
     pd.set_defaults(func=_cmd_seifert)
 
-    p = sub.add_parser("braid", help="Alexander polynomial of a braid closure")
+
+def _define_braid(p: argparse.ArgumentParser) -> None:
     p.add_argument("--named", metavar="NAME", help="t09847, v2871, K1, K2 (K1/K2 need --n)")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--json", metavar="SPEC", help='{"strands": S, "word": [...]}')
@@ -536,41 +573,78 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word", metavar="CSV", default=None, help="letters, e.g. 2,1,3,2,-1")
     p.set_defaults(func=_cmd_braid)
 
-    p = sub.add_parser("census", help="scan a census file for duplicates")
+
+def _define_census(p: argparse.ArgumentParser) -> None:
     census_sub = p.add_subparsers(dest="census_command", required=True)
     ps = census_sub.add_parser("scan", help="group records by Alexander and Upsilon")
     ps.add_argument("path", help='JSON-lines file, or "sample" for the bundled fixture')
     ps.set_defaults(func=_cmd_census_scan)
 
-    p = sub.add_parser("plot", help="emit an SVG figure")
+
+def _define_plot(p: argparse.ArgumentParser) -> None:
     _add_knot_spec_arguments(p)
     p.add_argument("--what", default="gapfn,hull",
                    help="comma list from gapfn, hull, upsilon")
     p.add_argument("--out", "-o", required=True, metavar="PATH")
     p.set_defaults(func=_cmd_plot)
 
+
+# Each subcommand: name -> (its help line in the full tree, the function that defines its arguments).
+_COMMANDS = {
+    "invariants": ("full invariant report for one knot", _define_invariants),
+    "restore": ("restorability of Alexander from Upsilon", _define_restore),
+    "family": ("verify the twist-family claims", _define_family),
+    "seifert": ("L-space test for small Seifert forms", _define_seifert),
+    "braid": ("Alexander polynomial of a braid closure", _define_braid),
+    "census": ("scan a census file for duplicates", _define_census),
+    "plot": ("emit an SVG figure", _define_plot),
+}
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's full parser tree, built once per process from _COMMANDS.
+
+    It serves help, usage errors and every argv that does not start with a
+    subcommand's name.  Reuse is safe: each parse returns a fresh
+    Namespace, and no argument has a mutable default.
+    """
+    parser = argparse.ArgumentParser(
+        prog="upsilon-lab",
+        description="Exact L-space knot invariants: Alexander, semigroup, gap function, Upsilon.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, define) in _COMMANDS.items():
+        define(sub.add_parser(name, help=help_line))
+    return parser
+
+
+@functools.cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one subcommand alone, as build_parser's tree holds it, built once per process."""
+    parser = argparse.ArgumentParser(prog=f"upsilon-lab {name}")
+    _COMMANDS[name][1](parser)
     return parser
 
 
 def _parse_argv(argv: list[str] | None = None) -> argparse.Namespace:
-    """build_parser().parse_args(argv), with argv read once when it starts with a subcommand.
+    """build_parser().parse_args(argv), building only argv[0]'s parser when it names a subcommand.
 
-    Given a subcommand's name first, the top-level parser would only hand
-    the rest of argv to that subcommand's parser, after a pass of its own;
-    so that parser is called directly, with the command already in the
-    Namespace.  Any other argv, and one the subcommand's parser leaves
-    arguments over from, goes through the top-level parser, which words the
-    error.
+    Given a subcommand's name first, the full tree would only hand the rest
+    of argv to that subcommand's parser, after a pass of its own; so that
+    parser alone is built (_command_parser) and called, with the command
+    already in the Namespace.  Any other argv, and one the subcommand's
+    parser leaves arguments over from, goes through the full tree, which
+    words the error.
     """
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    command = parser._commands.get(argv[0]) if argv else None
-    if command is not None:
-        args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if argv and argv[0] in _COMMANDS:
+        args, extras = _command_parser(argv[0]).parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
         if not extras:
             return args
-    return parser.parse_args(argv)
+    return build_parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -7,8 +7,8 @@ flat in between, so each run [a, b) gives one corner: the climb starts at
 x = g - b, at height 2 * #{gaps >= b}.  The chain is therefore
 
     polynomial -> gap runs (semigroups.gap_runs, O(terms))
-               -> corners (plain ints: one per run, then (g, 2g))
-               -> lower hull (the monotone-chain sweep of piecewise)
+               -> corners (semigroups._corners: plain ints, one per run, then (g, 2g))
+               -> lower hull (the monotone-chain sweep, semigroups._lower_hull)
                -> Upsilon (legendre_fenchel).
 
 hull_vertices stops at the integer hull, which is the census's Upsilon key.
@@ -42,8 +42,8 @@ from __future__ import annotations
 
 from .gapfunctions import GapFunction
 from .laurent import IntLaurentPoly
-from .piecewise import PLFunction, _lower_hull, legendre_fenchel, lower_convex_envelope
-from .semigroups import _semigroup_of_runs, gap_runs
+from .piecewise import PLFunction, legendre_fenchel, lower_convex_envelope
+from .semigroups import _corners, _lower_hull, _semigroup_of_runs, gap_runs
 
 
 def gap_function_of(delta: IntLaurentPoly, *,
@@ -51,21 +51,6 @@ def gap_function_of(delta: IntLaurentPoly, *,
     """The gap function's 2g + 1 integer samples; _runs as in the module docstring."""
     runs = gap_runs(delta) if _runs is None else _runs
     return GapFunction.from_semigroup(_semigroup_of_runs(runs))
-
-
-def _corners(runs: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """The gap function's convex corners from its gap runs: top run first, then (g, 2g).
-
-    The runs come from gap_runs or lspace_runs, so the last one ends at deg = 2g.
-    """
-    g = runs[-1][1] // 2 if runs else 0
-    corners = []
-    below = 0  # gaps at or above the current run's end
-    for a, b in reversed(runs):
-        corners.append((g - b, 2 * below))
-        below += b - a
-    corners.append((g, 2 * g))
-    return corners
 
 
 def _gap_pl(runs: list[tuple[int, int]]) -> PLFunction:

@@ -9,7 +9,6 @@ and every operation is pure, so instances are safe to share between threads.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
-from fractions import Fraction
 from itertools import repeat
 
 from .errors import NonExactDivision
@@ -218,6 +217,8 @@ class IntLaurentPoly:
 
     def __call__(self, x: int | Fraction) -> Fraction:
         """Evaluate at a nonzero rational (or at 0 if no negative exponents)."""
+        from fractions import Fraction  # here, not at the top: the int-only commands never evaluate
+
         xf = Fraction(x)
         if xf == 0 and self._terms and self.min_exp < 0:
             raise ZeroDivisionError("polynomial has negative exponents; cannot evaluate at 0")

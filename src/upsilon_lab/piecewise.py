@@ -41,6 +41,7 @@ from fractions import Fraction
 from .errors import NotConvex, OutOfDomain, RaysInconsistent
 from .rationals import format_rational, parse_rational
 from .records import Record
+from .semigroups import _lower_hull
 
 Point = tuple[int | Fraction, int | Fraction]
 
@@ -226,22 +227,6 @@ class PLFunction(Record):
         )
 
 
-def _lower_hull(pts: list) -> list:
-    """Monotone-chain lower hull of points sorted by x, collinear ones dropped."""
-    hull: list = []
-    for p in pts:
-        x, y = p
-        while len(hull) >= 2:
-            # _cross(hull[-2], hull[-1], p) > 0, written out: the sweep's hot loop.
-            ox, oy = hull[-2]
-            ax, ay = hull[-1]
-            if (ax - ox) * (y - oy) > (ay - oy) * (x - ox):
-                break
-            hull.pop()
-        hull.append(p)
-    return hull
-
-
 def lower_convex_envelope(
     samples: Iterable[Sequence],
     left_slope: Fraction | int,
@@ -261,7 +246,7 @@ def lower_convex_envelope(
     Samples, slopes and the result follow PLFunction's number rule: an
     integral value is an int, so gap-function samples (always ints) give a
     sweep and a hull on ints alone.  trusted=True is for the package's own
-    corners (invariants._corners): a non-empty list of int pairs with
+    corners (semigroups._corners): a non-empty list of int pairs with
     strictly increasing x, swept as given, with no number or order check.
     """
     if trusted:

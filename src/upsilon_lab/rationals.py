@@ -7,7 +7,6 @@ floats, so JSON output can be diffed exactly.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
@@ -33,6 +32,8 @@ def parse_rational(text: str | int) -> Fraction:
     ...
     ValueError: expected p or p/q in whole numbers, got '1e10000000'
     """
+    from fractions import Fraction  # here, not at the top: formatting builds none
+
     if isinstance(text, int):
         return Fraction(text)
     match = _RATIONAL.fullmatch(text.strip())
@@ -70,6 +71,7 @@ def int_text(n: int) -> str:
 def format_rational(value: Fraction | int) -> str:
     """Render a rational as "p" or "p/q" with q > 0, also past the int digit limit.
 
+    >>> from fractions import Fraction
     >>> format_rational(Fraction(-2, 3))
     '-2/3'
     >>> format_rational(Fraction(4, 2))
@@ -92,6 +94,7 @@ def fixed6(value: Fraction | int) -> str:
     height.  An exact int is its digits and ".000000"; a Fraction (or a
     bool) takes the rounding route.
 
+    >>> from fractions import Fraction
     >>> fixed6(Fraction(1, 3))
     '0.333333'
     >>> fixed6(Fraction(-5, 4))

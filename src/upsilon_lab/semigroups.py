@@ -24,6 +24,11 @@ the command line's --torus and --alexander and a census record's delta all
 build it that way.  The torus knots' runs
 carry the semigroup they were read from (_runs_of_semigroup), so the report
 takes it back (_semigroup_of_runs) instead of rebuilding the gap tuple.
+
+The runs also give the gap function's convex corners (_corners), and the
+monotone-chain sweep (_lower_hull) turns them into the integer hull that
+keys a census record's Upsilon.  Both live here, on plain ints, so a census
+scan never loads piecewise or fractions.
 """
 
 from __future__ import annotations
@@ -369,6 +374,43 @@ def _alexander_of_runs(runs: list[tuple[int, int]]) -> IntLaurentPoly:
     """
     exps = chain((0,), chain.from_iterable(runs))
     return IntLaurentPoly._from_terms(dict(zip(exps, cycle((1, -1)))))
+
+
+def _corners(runs: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The gap function's convex corners from its gap runs: top run first, then (g, 2g).
+
+    The gap function climbs with slope 2 across each run [a, b) and is flat
+    in between, so each run gives one corner: the climb starts at x = g - b,
+    at height 2 * #{gaps >= b}.  The runs come from gap_runs or lspace_runs,
+    so the last one ends at deg = 2g.
+    """
+    g = runs[-1][1] // 2 if runs else 0
+    corners = []
+    below = 0  # gaps at or above the current run's end
+    for a, b in reversed(runs):
+        corners.append((g - b, 2 * below))
+        below += b - a
+    corners.append((g, 2 * g))
+    return corners
+
+
+def _lower_hull(pts: list) -> list:
+    """Monotone-chain lower hull of points sorted by x, collinear ones dropped.
+
+    piecewise.lower_convex_envelope sweeps with it too.
+    """
+    hull: list = []
+    for p in pts:
+        x, y = p
+        while len(hull) >= 2:
+            # hull[-1] stays a vertex only if p lies strictly above the line through the last two.
+            ox, oy = hull[-2]
+            ax, ay = hull[-1]
+            if (ax - ox) * (y - oy) > (ay - oy) * (x - ox):
+                break
+            hull.pop()
+        hull.append(p)
+    return hull
 
 
 def torus_semigroup(p: int, q: int) -> FormalSemigroup:

@@ -1,5 +1,6 @@
 """CLI: reports, exit codes, schema round trips, deterministic SVG output."""
 
+import argparse
 import io
 import json
 import math
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from upsilon_lab import cli, family
+from upsilon_lab import cli, family, invariants
 from upsilon_lab.census import sample_census_path
 from upsilon_lab.braids import MAX_LETTERS, MAX_STRANDS, MAX_TWIST
 from upsilon_lab.cli import build_parser, main
@@ -567,9 +568,7 @@ class TestFamilyVerify:
                              ids=["range-10**18", "range-1001", "list-1001"])
     def test_oversized_range_is_usage_error(self, capsys, monkeypatch, text):
         # Sized before any list is built or any member verified.
-        from upsilon_lab import cli as cli_module
-
-        monkeypatch.setattr(cli_module.family, "verify_family_pair",
+        monkeypatch.setattr(family, "verify_family_pair",
                             lambda n: pytest.fail(f"verified n={n}"))
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "family", "verify", "--n", text)
@@ -578,22 +577,20 @@ class TestFamilyVerify:
         assert "values; at most 1000 allowed" in err
 
     def test_largest_range_is_accepted(self, capsys, monkeypatch):
-        from upsilon_lab import cli as cli_module
         from upsilon_lab.family import CheckResult, FamilyVerification
 
-        monkeypatch.setattr(cli_module.family, "verify_family_pair",
+        monkeypatch.setattr(family, "verify_family_pair",
                             lambda n: FamilyVerification(n, {"stub": CheckResult(True, "")}))
         report = run_json(capsys, "family", "verify", "--n", "1..1000")
         assert [r["n"] for r in report["results"]] == list(range(1, 1001))
 
     def test_failed_assertion_exits_one(self, capsys, monkeypatch):
-        from upsilon_lab import cli as cli_module
         from upsilon_lab.family import CheckResult, FamilyVerification
 
         def broken(n):
             return FamilyVerification(n, {"alexander_distinct": CheckResult(False, "forced")})
 
-        monkeypatch.setattr(cli_module.family, "verify_family_pair", broken)
+        monkeypatch.setattr(family, "verify_family_pair", broken)
         code, out, _ = run_cli(capsys, "family", "verify", "--n", "1")
         assert code == 1
         assert json.loads(out)["ok"] is False
@@ -604,7 +601,7 @@ class TestFamilyVerify:
         def crash(n):
             raise RuntimeError("forced crash")
 
-        monkeypatch.setattr(cli_module.family, "verify_family_pair", crash)
+        monkeypatch.setattr(family, "verify_family_pair", crash)
         code, out, err = run_cli(capsys, "family", "verify", "--n", "1")
         assert code == cli_module.EXIT_INTERNAL == 3
         assert out == ""
@@ -630,6 +627,20 @@ class TestParserReuse:
         reused = [run_cli(capsys, *argv) for argv in self.CALLS]
         assert [code for code, _, _ in reused] == [2, 0, 0]
         assert reused == fresh
+
+    def test_a_parsed_argv_builds_only_its_own_parser(self):
+        build_parser.cache_clear()
+        for argv in TestDispatch.PARSED:
+            cli._parse_argv(list(argv))
+        assert build_parser.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("name", ["invariants", "restore", "family", "seifert", "braid",
+                                      "census", "plot"])
+    def test_command_parser_help_is_the_full_trees(self, name):
+        (commands,) = [action.choices for action in build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction)]
+        assert sorted(commands) == sorted(cli._COMMANDS)
+        assert cli._command_parser(name).format_help() == commands[name].format_help()
 
 
 class TestDispatch:
@@ -1054,7 +1065,7 @@ class TestJsonChunks:
     def test_non_str_top_level_key_exits_3(self, monkeypatch, capsys):
         with pytest.raises(TypeError):
             cli._emit({1: "int key"})
-        monkeypatch.setattr(cli, "knot_invariants", lambda delta, name=None, _runs=None: {("a",): 0})
+        monkeypatch.setattr(invariants, "knot_invariants", lambda delta, name=None, _runs=None: {("a",): 0})
         code, _, err = run_cli(capsys, "invariants", "--torus", "2,3")
         assert code == 3 and err.startswith("error: internal: TypeError: ")
 
@@ -1066,7 +1077,7 @@ class TestJsonChunks:
             cli._json_text(value)
 
     def test_non_json_value_exits_3(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "knot_invariants", lambda delta, name=None, _runs=None: {"x": 0.5})
+        monkeypatch.setattr(invariants, "knot_invariants", lambda delta, name=None, _runs=None: {"x": 0.5})
         code, _, err = run_cli(capsys, "invariants", "--torus", "2,3")
         assert code == 3 and err.startswith("error: internal: TypeError: ")
 
@@ -1074,7 +1085,7 @@ class TestJsonChunks:
                              ids=["float-value", "int-key"])
     def test_unencodable_report_writes_nothing(self, monkeypatch, capsys, report):
         # The good entry before the bad one must not reach stdout either.
-        monkeypatch.setattr(cli, "knot_invariants", lambda delta, name=None, _runs=None: report)
+        monkeypatch.setattr(invariants, "knot_invariants", lambda delta, name=None, _runs=None: report)
         code, out, err = run_cli(capsys, "invariants", "--torus", "2,3")
         assert (code, out) == (3, "")
         assert err.startswith("error: internal: TypeError: ")

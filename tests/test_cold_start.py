@@ -1,7 +1,9 @@
 """A cold CLI process loads only what its pipeline uses.
 
 Run under python -S, so that no site-packages .pth file preloads modules and
-hides an import made by upsilon_lab itself.
+hides an import made by upsilon_lab itself.  Importing the package loads no
+submodule; each public name is imported from its home module on first
+access, and a census scan or a braid closure never loads fractions.
 """
 
 import json
@@ -9,6 +11,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -33,3 +37,52 @@ def test_census_scan_of_the_sample_imports_pathlib_on_demand():
     result = run_bare("-m", "upsilon_lab", "census", "scan", "sample")
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout)["records"] == 10
+
+
+def loaded_after(code: str) -> list[str]:
+    """The sorted sys.modules names after code runs in a bare process."""
+    result = run_bare("-c", code + "\nimport json, sys; print(json.dumps(sorted(sys.modules)))")
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
+
+
+def test_package_import_loads_no_submodule():
+    assert [m for m in loaded_after("import upsilon_lab") if m.startswith("upsilon_lab.")] == []
+
+
+# Modules that neither a census scan nor a braid closure runs.
+NOT_ON_THE_INT_PATHS = ("fractions", "decimal", "upsilon_lab.restorability", "upsilon_lab.svgplot",
+                        "upsilon_lab.seifert", "upsilon_lab.family")
+
+
+def test_census_scan_and_braid_load_no_fractions():
+    for argv in (["census", "scan", "sample"], ["braid", "--named", "t09847"]):
+        code = ("import contextlib, io\nfrom upsilon_lab import cli\n"
+                f"with contextlib.redirect_stdout(io.StringIO()):\n    assert cli.main({argv!r}) == 0")
+        loaded = loaded_after(code)
+        assert [m for m in NOT_ON_THE_INT_PATHS if m in loaded] == [], argv
+
+
+def test_every_public_name_is_its_home_modules_object():
+    code = """
+import importlib, json
+import upsilon_lab
+namespace = {}
+exec("from upsilon_lab import *", namespace)
+print(json.dumps({name: [getattr(upsilon_lab, name) is getattr(importlib.import_module(
+    "upsilon_lab." + upsilon_lab._HOMES[name]), name), namespace.get(name) is getattr(upsilon_lab, name)]
+    for name in upsilon_lab.__all__}))
+"""
+    result = run_bare("-c", code)
+    assert result.returncode == 0, result.stderr
+    checks = json.loads(result.stdout)
+    assert len(checks) == 38
+    assert {name: check for name, check in checks.items() if check != [True, True]} == {}
+
+
+def test_unknown_name_is_an_attribute_error():
+    import upsilon_lab
+
+    with pytest.raises(AttributeError, match="has no attribute 'nonexistent'"):
+        upsilon_lab.nonexistent  # noqa: B018
+    assert set(upsilon_lab.__all__) <= set(dir(upsilon_lab))

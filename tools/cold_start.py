@@ -9,8 +9,10 @@ upsilon_lab`` once for each subcommand on a small input.  ``-S`` skips
 ``site``, so a ``.pth`` file in site-packages cannot preload modules and
 hide what the package imports.  The commands run in turn, REPEATS rounds
 after one round that is not timed, and the tool prints the best and the
-median wall time of each in ms.  Then it prints the TOP slowest entries of
-one ``-X importtime`` run of ``import upsilon_lab.cli``, by cumulative time.
+median wall time of each in ms.  Then it prints, for each subcommand, the
+package modules its process loaded and whether it loaded ``fractions``, from
+one ``-X importtime`` run of it, and the TOP slowest entries of one such run
+of ``import upsilon_lab.cli``, by cumulative time.
 
 A cold start is timed from cached bytecode, as an installed package runs:
 the processes write and read their .pyc files under one temporary directory
@@ -58,9 +60,9 @@ def run(args: list[str], env: dict[str, str]) -> float:
     return time.perf_counter() - start
 
 
-def import_times(env: dict[str, str]) -> list[tuple[int, int, str]]:
-    """(self us, cumulative us, module) of each import `import upsilon_lab.cli` makes."""
-    done = subprocess.run([sys.executable, "-S", "-X", "importtime", "-c", "import upsilon_lab.cli"],
+def import_times(args: list[str], env: dict[str, str]) -> list[tuple[int, int, str]]:
+    """(self us, cumulative us, module) of each import one `python -S <args>` process makes."""
+    done = subprocess.run([sys.executable, "-S", "-X", "importtime", *args],
                           env=env, check=True, capture_output=True, text=True)
     rows = []
     for line in done.stderr.splitlines():
@@ -81,11 +83,19 @@ def main() -> int:
         for _ in range(REPEATS):
             for (_, args), samples in zip(cmds, times):
                 samples.append(run(args, env))
-        rows = import_times(env)
+        loaded = {label: [name for _, _, name in import_times(args, env)]
+                  for label, args in cmds if args[0] == "-m"}
+        rows = import_times(["-c", "import upsilon_lab.cli"], env)
     print(f"{sys.executable} -S, {REPEATS} processes each")
     print(f"{'command':<28} {'best ms':>8} {'median ms':>10}")
     for (label, _), samples in zip(cmds, times):
         print(f"{label:<28} {min(samples) * 1e3:>8.1f} {statistics.median(samples) * 1e3:>10.1f}")
+    print("\nmodules each subcommand's process loads (-X importtime)")
+    print(f"{'command':<28} {'fractions':>9}  upsilon_lab modules")
+    for label, names in loaded.items():
+        own = sorted(name.removeprefix("upsilon_lab.") for name in names
+                     if name.startswith("upsilon_lab."))
+        print(f"{label:<28} {'yes' if 'fractions' in names else 'no':>9}  {' '.join(own)}")
     print(f"\n-X importtime, import upsilon_lab.cli: top {TOP} by cumulative time")
     print(f"{'self ms':>8} {'cumul ms':>9}  module")
     for own, cumulative, name in sorted(rows, key=lambda r: -r[1])[:TOP]:

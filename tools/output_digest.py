@@ -8,7 +8,13 @@ defect probes, through bench/workloads.py, adds the restore, braid,
 gate-refusal, pair-order and census probes below, and runs each once through
 ``upsilon_lab.cli.main`` in this process.  Input files and SVG output go to
 one fixed directory under the system temp directory, because file paths
-appear in warnings on stderr; nothing is written under the repository.
+appear in warnings on stderr; nothing is written under the repository.  A
+run holds an exclusive lock on a file beside that directory, from before it
+first clears the directory to after it removes it, so runs started at once
+(on two trees, say) take turns instead of deleting each other's files: a
+run that finds the lock held says so on stderr and waits.  The lock is
+POSIX flock, released when the process ends, so a killed run never leaves
+it held.
 
 Prints, per workload, the op count and a histogram of exit codes, then one
 sha256 over each op's exit code, stdout, stderr and SVG bytes, in op order.
@@ -20,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import fcntl
 import hashlib
 import io
 import json
@@ -36,6 +43,7 @@ import workloads  # noqa: E402
 from upsilon_lab import cli  # noqa: E402
 
 WORKDIR = Path(tempfile.gettempdir()) / "upsilon-lab-output-digest"
+LOCK = WORKDIR.with_name(WORKDIR.name + ".lock")
 
 # Restore listings that no benchmark op reaches: caps at the end of K1(5)'s last
 # hull piece (969 paths) and just past it, a cap within K1(40)'s last piece, and
@@ -156,14 +164,33 @@ def run(op: workloads.Op) -> tuple[object, str, str, bytes]:
     return rc, out.getvalue(), err.getvalue(), data
 
 
+@contextlib.contextmanager
+def workdir_lock():
+    """Hold the exclusive lock on LOCK, waiting while another run holds it."""
+    with open(LOCK, "a") as handle:
+        try:
+            fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            print(f"waiting for another output_digest run to release {LOCK}",
+                  file=sys.stderr, flush=True)
+            fcntl.flock(handle, fcntl.LOCK_EX)
+        yield  # closing the file releases the lock
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
+    with workdir_lock():
+        return digest_outputs(args.seed)
+
+
+def digest_outputs(seed: int) -> int:
+    """Run every pool's ops in WORKDIR and print the histograms and the digest; the lock is held."""
     shutil.rmtree(WORKDIR, ignore_errors=True)
     WORKDIR.mkdir(parents=True)
-    pools = {name: workloads.generate(name, args.seed, str(WORKDIR)) for name in workloads.WORKLOADS}
-    pools["census_defect_probes"] = workloads.census_defect_probes(args.seed, str(WORKDIR))
+    pools = {name: workloads.generate(name, seed, str(WORKDIR)) for name in workloads.WORKLOADS}
+    pools["census_defect_probes"] = workloads.census_defect_probes(seed, str(WORKDIR))
     pools["restore_probes"] = [workloads.Op("restore", argv) for argv in RESTORE_PROBES]
     pools["braid_probes"] = [workloads.Op(argv[0], argv) for argv in BRAID_PROBES]
     pools["gate_refusal_probes"] = [workloads.Op(argv[0], argv) for argv in GATE_PROBES]
