@@ -15,7 +15,7 @@ subcommand runs, so a process loads only what its work needs: a census scan
 or a braid closure never loads the fractions module.
 """
 
-# Each public name -> the submodule it lives in, for __getattr__ (PEP 562).
+# Each public name -> the submodule it lives in, for __getattr__ (PEP 562) and __all__.
 _HOMES = {
     name: module
     for module, names in (
@@ -37,6 +37,7 @@ _HOMES = {
     )
     for name in names
 }
+__all__ = sorted(_HOMES)
 
 
 def __getattr__(name: str):
@@ -55,44 +56,3 @@ def __dir__() -> list[str]:
 
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BraidWord",
-    "CatalogEntry",
-    "FamilyKnot",
-    "FamilyVerification",
-    "FormalSemigroup",
-    "GapFunction",
-    "IntLaurentPoly",
-    "LSpaceVerdict",
-    "PLFunction",
-    "RestorabilityReport",
-    "SeifertForm",
-    "alexander_closed_form",
-    "alexander_via_burau",
-    "alexander_via_torres",
-    "catalog_knot",
-    "catalog_names",
-    "coprime_obstruction",
-    "decide",
-    "determinant",
-    "enumerate_gap_functions",
-    "family_braid",
-    "gap_function_of",
-    "hull_closed_form",
-    "hull_of",
-    "hull_vertices",
-    "is_restorable",
-    "knot_invariants",
-    "legendre_fenchel",
-    "lower_convex_envelope",
-    "named_braid",
-    "negate",
-    "normalize",
-    "designed_family_alexander",
-    "semigroup_closed_form",
-    "torus_braid",
-    "torus_semigroup",
-    "upsilon_of",
-    "verify_family_pair",
-]

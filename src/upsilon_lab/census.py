@@ -8,15 +8,15 @@ Records are grouped by canonical Alexander polynomial and by Upsilon.  The
 Upsilon key is the integer vertex tuple of the gap function's convex
 envelope.  A record is its name and its gap runs: an L-space Delta has the
 shape 1 - t + t^{a_2} - ... + t^{2g}, so the runs fix Delta, the genus and
-the hull at once.  parse_census_line reads the "alexander" pairs and keeps
-the runs of the one gate on that shape and deg = 2g; it builds no
-polynomial and sweeps no hull where it can.  Pairs in the order json.dumps
-writes such a Delta in (exponents rising from 0, coefficients +1, -1, ...,
-+1) are validated and gated in one pass (semigroups._lspace_pairs), which
-keeps only their exponents: the record's delta is built from its runs when
-it is first read (semigroups._alexander_of_runs).  Any other value is
-validated term by term (from_pairs) and then gated (semigroups.lspace_runs),
-with the same runs and the same warnings, and its record keeps that Delta.
+the hull at once.  parse_census_line hands the "alexander" value to
+_alexander_and_runs, the one router of such a value, and keeps only the
+runs of its gate on that shape and deg = 2g: a record's delta is built from
+its runs when it is first read (semigroups._alexander_of_runs), and no hull
+is swept.  Pairs in the order json.dumps writes such a Delta in (exponents
+rising from 0, coefficients +1, -1, ..., +1) are validated and gated in one
+pass (semigroups._lspace_pairs), which builds no polynomial; any other value
+is validated term by term (alexander_from_json) and then gated
+(semigroups.lspace_runs), with the same runs and the same warnings.
 The key is exact: every envelope has rays of slope 0 and 2, so its vertices
 determine it; Upsilon is its Legendre-Fenchel transform, and the transform
 is an involution on convex functions.  So two records have equal hulls
@@ -55,10 +55,9 @@ class CensusRecord(Record):
     The runs sit in a private slot.  CensusRecord(name, delta) takes them
     from semigroups.gap_runs, and CensusRecord(name, delta, runs) keeps the
     ones given; both store the delta given.  parse_census_line keeps the
-    runs of the L-space gate and, for a line the one-pass reader takes,
-    leaves delta unset: its first read builds Delta from the runs
-    (semigroups._alexander_of_runs) and stores it, so a record whose Delta
-    nothing reads never builds one.  genus is read from the last run, and
+    runs of the L-space gate and leaves delta unset (_of_runs): its first
+    read builds Delta from the runs (semigroups._alexander_of_runs) and
+    stores it, so a record whose Delta nothing reads never builds one.  genus is read from the last run, and
     hull, the Upsilon key, is swept from the runs each time it is read, so a
     record that no scan compares by Upsilon never pays for a sweep.  ==,
     hash and repr read name and delta only, and copy and pickle all three
@@ -111,9 +110,9 @@ def alexander_from_json(value) -> IntLaurentPoly:
     A value that is not an array is refused first: from_pairs would read a
     string or an object as pairs, and "" or {} as the zero polynomial.
     from_pairs validates every term; only once it has failed are the pairs
-    inspected, so a valid value pays nothing.  parse_census_line and
-    --alexander come here only for a value the one-pass reader
-    (semigroups._lspace_pairs) does not take.  A pair that is not a
+    inspected, so a valid value pays nothing.  _alexander_and_runs comes
+    here only for a value the one-pass reader (semigroups._lspace_pairs)
+    does not take.  A pair that is not a
     2-element array is refused in JSON's terms, naming the first one; any
     other failure keeps from_pairs' own message.
 
@@ -143,32 +142,32 @@ def alexander_from_json(value) -> IntLaurentPoly:
         raise
 
 
-def _alexander_and_runs(value) -> tuple[IntLaurentPoly, list[tuple[int, int]] | None]:
-    """alexander_from_json(value) and its lspace_runs, raising what they raise.
+def _alexander_and_runs(value) -> tuple[IntLaurentPoly | None, list[tuple[int, int]] | None]:
+    """The Delta built from a JSON "alexander" value, if any, and its lspace_runs.
 
     Pairs in json.dumps' order of an L-space Delta take one pass
-    (semigroups._lspace_pairs), and Delta is built from its runs
-    (semigroups._alexander_of_runs); any other value takes the two steps.
+    (semigroups._lspace_pairs), which builds no polynomial: Delta comes back
+    None, and the runs fix it (semigroups._alexander_of_runs).  Any other
+    value takes alexander_from_json, then the gate, and comes back with that
+    Delta; its runs are None when the gate refuses the shape.  Raises what
+    those raise.
     """
     runs = _lspace_pairs(value) if type(value) is list else None
     if runs is not None:
-        return _alexander_of_runs(runs), runs
+        return None, runs
     delta = alexander_from_json(value)
     return delta, lspace_runs(delta)
 
 
 def parse_census_line(line: str) -> CensusRecord:
-    """One JSON line to a record: the runs of _alexander_and_runs, with Delta only if it was built.
+    """One JSON line to the record of its name and the runs of _alexander_and_runs.
 
-    A value the one-pass reader (semigroups._lspace_pairs) takes gives a
-    record of its name and runs, whose delta is built when first read; any
-    other value takes alexander_from_json and the lspace_runs gate, and its
-    record keeps that Delta.  Raises a TypeError for a value that is not a
-    JSON object, a ValueError for a missing "name" or "alexander" key, a
-    TypeError for a name that is not a string or an "alexander" value that
-    alexander_from_json refuses, then an UpsilonLabError for a shape other
-    than the L-space shape or a NotLSpaceForm for deg != 2g, both naming the
-    record.  No hull is swept.
+    The record's delta is built from the runs when first read.  Raises a
+    TypeError for a value that is not a JSON object, a ValueError for a
+    missing "name" or "alexander" key, a TypeError for a name that is not a
+    string or an "alexander" value that alexander_from_json refuses, then
+    an UpsilonLabError for a shape other than the L-space shape or a
+    NotLSpaceForm for deg != 2g, both naming the record.  No hull is swept.
     """
     data = json.loads(line)
     if not isinstance(data, dict):
@@ -179,18 +178,13 @@ def parse_census_line(line: str) -> CensusRecord:
     name = data["name"]
     if not isinstance(name, str):
         raise TypeError(f"record name must be a string, got {json_type(name)}")
-    value = data["alexander"]
     try:
-        runs = _lspace_pairs(value) if type(value) is list else None
-        if runs is not None:
-            return CensusRecord._of_runs(name, runs)
-        delta = alexander_from_json(value)
-        runs = lspace_runs(delta)
+        _, runs = _alexander_and_runs(data["alexander"])
     except NotLSpaceForm as exc:
         raise NotLSpaceForm(f"record {name!r}: {exc}") from None
     if runs is None:
         raise UpsilonLabError(f"record {name!r}: polynomial is not in L-space form")
-    return CensusRecord(name, delta, runs)
+    return CensusRecord._of_runs(name, runs)
 
 
 def load_census(path: str | os.PathLike[str]) -> tuple[list[CensusRecord], list[str]]:

@@ -15,12 +15,13 @@ errors and the int formatting of rationals), none of which imports
 fractions.  Every other package module is imported inside the functions
 that use it, so a process loads only its own subcommand's modules: census
 scan and braid never load fractions, piecewise, family, restorability,
-seifert or svgplot.  An import inside a function reads the module's
-attribute at each call, so whatever replaces a module-level function is
-what runs.  The knot-spec commands take the gap
-runs from the L-space gate (_resolve_knot_spec), or for --torus from the
-semigroup's gaps, and hand them on, so the polynomial is walked at most once
-per command.
+seifert or svgplot, and the knot-spec commands load family only for
+--family, --catalog or a help text that lists the catalog (_CatalogNames).
+An import inside a function reads the module's attribute at each call, so
+whatever replaces a module-level function is what runs.  The knot-spec
+commands take the gap runs from the L-space gate (_resolve_knot_spec), or
+for --torus from the semigroup's gaps, and hand them on, so the polynomial
+is walked at most once per command.
 
 Every report is JSON on stdout with rationals as exact "p/q" strings.
 _emit builds the text of every top-level entry with _json_text, then writes
@@ -62,9 +63,16 @@ class _UsageError(UpsilonLabError):
     pass
 
 
-def _add_knot_spec_arguments(parser: argparse.ArgumentParser, designed_family: bool = False) -> None:
-    from . import family
+class _CatalogNames:
+    """The catalog's names, as --catalog's help prints them: family is imported only then."""
 
+    def __str__(self) -> str:
+        from . import family
+
+        return ", ".join(family.catalog_names())
+
+
+def _add_knot_spec_arguments(parser: argparse.ArgumentParser, designed_family: bool = False) -> None:
     group = parser.add_argument_group("knot specification (give exactly one)")
     group.add_argument("--alexander", metavar="JSON",
                        help='coefficient pairs, e.g. "[[0,1],[1,-1],[2,1]]"')
@@ -74,8 +82,8 @@ def _add_knot_spec_arguments(parser: argparse.ArgumentParser, designed_family: b
     group.add_argument("--n", type=int, metavar="N", help="twist parameter for --family")
     group.add_argument("--braid", metavar="JSON",
                        help='braid closure, e.g. \'{"strands":4,"word":[2,1,3,2]}\'')
-    group.add_argument("--catalog", metavar="NAME",
-                       help=f"built-in knot: {', '.join(family.catalog_names())}")
+    catalog = group.add_argument("--catalog", metavar="NAME", help="built-in knot: %(names)s")
+    catalog.names = _CatalogNames()  # argparse fills a help's %(...)s from its action's attributes
     if designed_family:
         group.add_argument("--designed-family", type=int, metavar="M",
                            help="designed restorable polynomial with parameter m >= 3")
@@ -88,13 +96,12 @@ def _resolve_knot_spec(
 
     The runs are the L-space gate's (semigroups.lspace_runs), so the report
     builders take them instead of walking the polynomial again.  --alexander
-    reads its pairs and gates them in one pass where it can, then builds the
-    polynomial from the runs (census._alexander_and_runs).  --torus takes the
+    takes its runs, and its polynomial where one was built, from the router
+    of a census line's value (census._alexander_and_runs).  --torus takes the
     runs from the gaps of torus_semigroup, which has gap 1 and deg = 2g by
     construction, so no gate walks it; its runs carry the semigroup on to
-    the report (semigroups._runs_of_semigroup).  Both build the polynomial
-    the one way a census record does, from the runs
-    (semigroups._alexander_of_runs).
+    the report (semigroups._runs_of_semigroup).  Where no polynomial was
+    built, it is built from the runs (semigroups._alexander_of_runs).
     """
     kinds = ("alexander", "torus", "family", "braid", "catalog", "designed_family")
     given = [kind for kind in kinds if getattr(args, kind, None) is not None]
@@ -116,8 +123,7 @@ def _resolve_knot_spec(
             p, q = (int(x) for x in args.torus.split(","))
         except ValueError as exc:
             raise _UsageError(f"bad --torus value {args.torus!r}, expected P,Q") from exc
-        runs = _runs_of_semigroup(torus_semigroup(p, q))
-        delta = _alexander_of_runs(runs)
+        delta, runs = None, _runs_of_semigroup(torus_semigroup(p, q))
         name = f"T({p},{q})"
     elif kind == "family":
         if args.n is None:
@@ -148,6 +154,8 @@ def _resolve_knot_spec(
     genus = runs[-1][1] // 2 if runs else 0  # deg = 2g: the last run ends at the top exponent
     if genus > MAX_GENUS:
         raise GenusTooLarge(f"the polynomial has genus {genus}, above the limit of {MAX_GENUS}")
+    if delta is None:
+        delta = _alexander_of_runs(runs)
     return name, delta, runs
 
 
@@ -524,9 +532,9 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     hull = invariants.hull_of(delta, _runs=runs) if whats & {"hull", "upsilon"} else None
     svgplot.write_svg(
         args.out,
+        gap=invariants._gap_pl(runs) if "gapfn" in whats else None,
         hull=hull if "hull" in whats else None,
         upsilon=piecewise.legendre_fenchel(hull) if "upsilon" in whats else None,
-        _gap_pl=invariants._gap_pl(runs) if "gapfn" in whats else None,
     )
     return EXIT_OK
 

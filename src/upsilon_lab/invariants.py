@@ -11,26 +11,19 @@ x = g - b, at height 2 * #{gaps >= b}.  The chain is therefore
                -> lower hull (the monotone-chain sweep, semigroups._lower_hull)
                -> Upsilon (legendre_fenchel).
 
-hull_vertices stops at the integer hull, which is the census's Upsilon key.
-census.parse_census_line keeps the runs of the L-space gate
-(semigroups.lspace_runs, or _lspace_pairs as it reads the pairs) and sweeps
-no hull; CensusRecord.hull sweeps the same key from them,
-with _corners and the same sweep, only when a scan reads it.  hull_of
-and upsilon_of build the PLFunctions.  The formal semigroup and the
-2g + 1 gap-function samples are built only for the report fields that print
-them (knot_invariants).  Plot's gap-function panel is read off the runs
-(_gap_pl), with GapFunction.to_pl as the tests' oracle, and so is the hull,
-with the dense route GapFunction.envelope as its oracle.  The report's
-symmetric flag is GapFunction.is_symmetric on the gap function it prints,
-and its upsilon_slopes are the x strings of the hull's JSON vertices.
+hull_vertices stops at the integer hull; hull_of and upsilon_of build the
+PLFunctions.  The formal semigroup and the 2g + 1 gap-function samples are
+built only for the report fields that print them (knot_invariants).  _gap_pl
+reads the gap function's polyline off the runs, with GapFunction.to_pl as the
+tests' oracle, as GapFunction.envelope is the hull's.  The report's symmetric
+flag is GapFunction.is_symmetric on the gap function it prints, and its
+upsilon_slopes are the x strings of the hull's JSON vertices.
 
-The command line's L-space gate (semigroups.lspace_runs), or for --torus
-the semigroup's gaps, has the runs already, so knot_invariants, hull_of and
-gap_function_of take them as the private keyword _runs and the command walks
-the polynomial at most once; without _runs each takes gap_runs itself.
-The --torus runs also carry the semigroup, which knot_invariants and
-gap_function_of take back (semigroups._semigroup_of_runs) instead of
-rebuilding its gap tuple.
+A caller that has the gap runs already hands them to knot_invariants and
+hull_of as the private keyword _runs; without it each takes gap_runs itself.
+Runs that carry their semigroup (semigroups._runs_of_semigroup) give it back
+to knot_invariants (semigroups._semigroup_of_runs) instead of rebuilding its
+gap tuple.
 Each stage trusts the one before it: the corners reach the sweep with no
 number or order check (lower_convex_envelope's trusted=True),
 FormalSemigroup.from_gap_runs and GapFunction.from_semigroup wrap what they
@@ -46,11 +39,9 @@ from .piecewise import PLFunction, legendre_fenchel, lower_convex_envelope
 from .semigroups import _corners, _lower_hull, _semigroup_of_runs, gap_runs
 
 
-def gap_function_of(delta: IntLaurentPoly, *,
-                    _runs: list[tuple[int, int]] | None = None) -> GapFunction:
-    """The gap function's 2g + 1 integer samples; _runs as in the module docstring."""
-    runs = gap_runs(delta) if _runs is None else _runs
-    return GapFunction.from_semigroup(_semigroup_of_runs(runs))
+def gap_function_of(delta: IntLaurentPoly) -> GapFunction:
+    """The gap function's 2g + 1 integer samples."""
+    return GapFunction.from_semigroup(_semigroup_of_runs(gap_runs(delta)))
 
 
 def _gap_pl(runs: list[tuple[int, int]]) -> PLFunction:
@@ -108,7 +99,7 @@ def knot_invariants(delta: IntLaurentPoly, name: str | None = None, *,
     runs = gap_runs(delta) if _runs is None else _runs
     semigroup = _semigroup_of_runs(runs)
     gap_function = GapFunction.from_semigroup(semigroup)
-    hull = lower_convex_envelope(_corners(runs), 0, 2, trusted=True)
+    hull = hull_of(delta, _runs=runs)
     hull_json = hull.to_json()
     upsilon_json = legendre_fenchel(hull).to_json()
     closed, witness = semigroup.is_closed_under_addition()

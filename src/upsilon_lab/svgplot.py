@@ -14,15 +14,16 @@ once per axis; they follow y_min, a Fraction when Upsilon's minimum is),
 and the document's width and height.  The 6-digit coordinates are presentation
 only; JSON carries the exact rationals.
 
-Gap function and hull share one integer-grid panel; Upsilon, living on
-[0, 2] with fractional breakpoints, gets its own panel stacked below.
+Each curve arrives as a PLFunction: the gap function's polyline, the hull
+and Upsilon.  Gap function and hull share one integer-grid panel; Upsilon,
+living on [0, 2] with fractional breakpoints, gets its own panel stacked
+below.
 """
 
 from __future__ import annotations
 
 import math
 
-from .gapfunctions import GapFunction
 from .piecewise import PLFunction
 from .rationals import fixed6
 
@@ -94,33 +95,26 @@ def _clipped_points(f: PLFunction, x_lo: int, x_hi: int) -> list:
 
 
 def build_svg(
-    gapfn: GapFunction | None = None,
+    gap: PLFunction | None = None,
     hull: PLFunction | None = None,
     upsilon: PLFunction | None = None,
-    *,
-    _gap_pl: PLFunction | None = None,
 ) -> str:
     """Compose the requested curves into one deterministic SVG document.
 
-    The gap-function panel draws gapfn.to_pl().  A caller that has that
-    PLFunction already (invariants._gap_pl) passes it as _gap_pl instead of
-    gapfn; its last vertex is (g, 2g).
+    gap is the gap function's polyline, whose last vertex is (g, 2g):
+    invariants._gap_pl of the gap runs, or GapFunction.to_pl().
     """
     panels: list[_Panel] = []
     offset = 0
-    g = 0
-    if gapfn is not None:
-        g, _gap_pl = gapfn.genus, gapfn.to_pl()
-    elif _gap_pl is not None:
-        g = _gap_pl.vertices[-1][0]
-    if _gap_pl is not None or hull is not None:
+    if gap is not None or hull is not None:
+        g = 0 if gap is None else gap.vertices[-1][0]
         if hull is not None:
             g = max(g, max((math.floor(abs(x)) for x, _ in hull.vertices), default=0))
         span = max(g + 1, 2)  # both panel ends lie strictly outside every vertex
         panel = _Panel(-span, span, -1, 2 * g + 2, _UNIT, offset)
         panel.axes_and_ticks()
-        if _gap_pl is not None:
-            panel.polyline(_clipped_points(_gap_pl, panel.x_min, panel.x_max), "#000000")
+        if gap is not None:
+            panel.polyline(_clipped_points(gap, panel.x_min, panel.x_max), "#000000")
         if hull is not None:
             panel.polyline(
                 _clipped_points(hull, panel.x_min, panel.x_max), "#cc0000", dashed=True
@@ -149,12 +143,10 @@ def build_svg(
 
 def write_svg(
     path: str,
-    gapfn: GapFunction | None = None,
+    gap: PLFunction | None = None,
     hull: PLFunction | None = None,
     upsilon: PLFunction | None = None,
-    *,
-    _gap_pl: PLFunction | None = None,
 ) -> None:
-    svg = build_svg(gapfn=gapfn, hull=hull, upsilon=upsilon, _gap_pl=_gap_pl)
+    svg = build_svg(gap, hull, upsilon)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(svg)

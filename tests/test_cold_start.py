@@ -86,3 +86,22 @@ def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="has no attribute 'nonexistent'"):
         upsilon_lab.nonexistent  # noqa: B018
     assert set(upsilon_lab.__all__) <= set(dir(upsilon_lab))
+
+
+def test_knot_spec_commands_load_neither_family_nor_braids(tmp_path):
+    out = str(tmp_path / "t34.svg")
+    for argv in (["invariants", "--torus", "3,4"], ["restore", "--torus", "3,4"],
+                 ["plot", "--torus", "3,4", "--what", "gapfn,hull,upsilon", "--out", out]):
+        code = ("import contextlib, io\nfrom upsilon_lab import cli\n"
+                f"with contextlib.redirect_stdout(io.StringIO()):\n    assert cli.main({argv!r}) == 0")
+        loaded = loaded_after(code)
+        assert [m for m in ("upsilon_lab.family", "upsilon_lab.braids") if m in loaded] == [], argv
+
+
+def test_catalog_help_still_lists_every_catalog_name():
+    from upsilon_lab.family import catalog_names
+
+    result = run_bare("-m", "upsilon_lab", "invariants", "-h")
+    assert result.returncode == 0, result.stderr
+    assert "built-in knot: " + ", ".join(catalog_names()) in " ".join(result.stdout.split())
+    assert len(catalog_names()) == 6

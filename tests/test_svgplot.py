@@ -14,7 +14,7 @@ from upsilon_lab.laurent import IntLaurentPoly
 from upsilon_lab.piecewise import PLFunction, legendre_fenchel
 from upsilon_lab.rationals import fixed6
 from upsilon_lab.semigroups import gap_runs, torus_semigroup
-from upsilon_lab.svgplot import build_svg
+from upsilon_lab.svgplot import build_svg, write_svg
 
 
 def knot(name: str) -> IntLaurentPoly:
@@ -31,12 +31,12 @@ def knot(name: str) -> IntLaurentPoly:
 
 
 def svg_of(name: str, what: str) -> str:
-    """The document `plot --what <what>` writes for the knot."""
+    """The document `plot --what <what>` writes for the knot, its gap polyline read off the runs."""
     kinds = what.split(",")
     delta = knot(name)
     hull = hull_of(delta)
     return build_svg(
-        gapfn=gap_function_of(delta) if "gapfn" in kinds else None,
+        gap=_gap_pl(gap_runs(delta)) if "gapfn" in kinds else None,
         hull=hull if "hull" in kinds else None,
         upsilon=legendre_fenchel(hull) if "upsilon" in kinds else None,
     )
@@ -204,8 +204,8 @@ def oracle_delta(name: str) -> IntLaurentPoly:
 
 
 def assert_same_bytes(gapfn=None, hull=None, upsilon=None):
-    kwargs = {"gapfn": gapfn, "hull": hull, "upsilon": upsilon}
-    assert build_svg(**kwargs) == reference_svg(**kwargs)
+    gap = None if gapfn is None else gapfn.to_pl()
+    assert build_svg(gap, hull, upsilon) == reference_svg(gapfn, hull, upsilon)
 
 
 @pytest.mark.parametrize("name", ORACLE_KNOTS)
@@ -224,7 +224,21 @@ def test_gap_polyline_from_the_runs_draws_the_same_bytes(name):
     delta = knot(name) if name == "unknot" else oracle_delta(name)
     gap_pl, gapfn, hull = _gap_pl(gap_runs(delta)), gap_function_of(delta), hull_of(delta)
     for h in (None, hull):
-        assert build_svg(hull=h, _gap_pl=gap_pl) == build_svg(gapfn=gapfn, hull=h)
+        assert build_svg(gap=gap_pl, hull=h) == reference_svg(gapfn=gapfn, hull=h)
+
+
+@pytest.mark.parametrize("kinds", WHATS, ids=lambda kinds: ",".join(sorted(kinds)))
+def test_write_svg_writes_build_svgs_text_with_newline_line_ends(tmp_path, kinds):
+    delta = torus_semigroup(3, 4).to_alexander()
+    hull = hull_of(delta)
+    curves = (_gap_pl(gap_runs(delta)) if "gapfn" in kinds else None,
+              hull if "hull" in kinds else None,
+              legendre_fenchel(hull) if "upsilon" in kinds else None)
+    path = tmp_path / "t34.svg"
+    write_svg(str(path), *curves)
+    data = path.read_bytes()
+    assert data == build_svg(*curves).encode("utf-8")
+    assert b"\r" not in data and data.endswith(b"</svg>\n")
 
 
 @pytest.mark.parametrize("upsilon", [
